@@ -188,7 +188,8 @@ class PhiRow:
 
     The limit density lies in [plain, corrected + c/m]: finite cubes
     underestimate along side multiples, and the island-corrected value
-    is within c/m of the limit.
+    is within c/m of the limit.  A model without finite islands pins
+    nothing, so there ``corrected`` equals ``plain`` (and c = 0).
     """
 
     m: int
@@ -203,11 +204,18 @@ class PhiRow:
 
 
 def phi_bracket(model, m, states, summary=None, **solver) -> PhiRow:
-    """Both finite-cube estimates at one side, with the sandwich bracket."""
+    """Both finite-cube estimates at one side, with the sandwich bracket.
+
+    With island radius 0 the excluded set is empty, so the corrected cube
+    problem is the plain one: it is solved once and ``corrected = plain``.
+    """
     if summary is None:
         summary = classify(model)
     plain = phi_m(model, m, states, summary, **solver)
-    corrected = phi_tilde_m(model, m, states, summary, **solver)
+    if summary.island_radius == 0:
+        corrected = plain
+    else:
+        corrected = phi_tilde_m(model, m, states, summary, **solver)
     c = island_error_constant(model, summary)
     return PhiRow(m=m, plain=plain, corrected=corrected,
                   lower=plain, upper=corrected + c / m)

@@ -24,9 +24,8 @@ from pathlib import Path
 from . import __version__
 from .bulk_density import (
     island_error_constant,
+    phi_bracket,
     phi_estimate,
-    phi_m,
-    phi_tilde_m,
     PhiTable,
 )
 from .connectivity import classify
@@ -410,8 +409,8 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     if kind == "phi":
         states = tuple(check["states"])
         m = check["m"]
-        plain = phi_m(model, m, states, summary)
-        corrected = phi_tilde_m(model, m, states, summary)
+        row = phi_bracket(model, m, states, summary)
+        plain, corrected = row.plain, row.corrected
         target = Fraction(check["target"])
         tol = Fraction(check["tol"])
         ok = abs(plain - target) <= tol and abs(corrected - target) <= tol
@@ -419,8 +418,8 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     elif kind == "phi_sandwich":
         states = tuple(check["states"])
         m = check["m"]
-        plain = phi_m(model, m, states, summary)
-        corrected = phi_tilde_m(model, m, states, summary)
+        row = phi_bracket(model, m, states, summary)
+        plain, corrected = row.plain, row.corrected
         c = island_error_constant(model, summary)
         ok = corrected - c / m <= plain <= corrected
         target, tol = None, None

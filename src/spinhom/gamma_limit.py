@@ -92,10 +92,6 @@ class DomainSpec:
         return cls(lo, hi)
 
 
-def z_eps_sites(omega: DomainSpec, eps: Fraction) -> list[Site]:
-    return omega.sites(eps)
-
-
 class SpinField:
     """Spin values on exactly the sites of (1/eps) Omega."""
 

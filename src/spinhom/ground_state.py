@@ -6,7 +6,8 @@ over +-1 variables, with optional fixed variables and equality groups
 4, everything reduces to a pseudo-boolean quadratic with exact rational
 coefficients.
 
-Three solvers share the same folded representation:
+:func:`minimize` folds an instance once (groups merged, fixed variables
+eliminated) and hands the :class:`FoldedInstance` to one of three solvers:
 
 * :func:`minimize_enum` - exhaustive, lexicographic tie-break, capped;
 * :func:`minimize_cut`  - s/t min-cut, exact via integer-scaled Dinic;
@@ -18,9 +19,7 @@ Three solvers share the same folded representation:
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,13 +42,6 @@ class TooManyFreeGroups(RuntimeError):
 
 class FrustratedInstance(ValueError):
     """Free-free couplings cannot be made nonnegative by any gauge flip."""
-
-
-def enum_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("SPINHOM_ENUM_CAP")
-    return int(env) if env else DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -95,10 +87,6 @@ class Solution:
     energy: Fraction
     method: str
     exact: bool
-
-    @property
-    def energy_float(self) -> float:
-        return float(self.energy)
 
 
 def energy(instance: GroundStateInstance, assignment: Mapping[Var, int]) -> Fraction:
@@ -232,19 +220,15 @@ def _finish(folded: FoldedInstance, rep_values: Mapping, method: str, exact: boo
 # exhaustive enumeration
 
 
-def minimize_enum(instance: GroundStateInstance, cap: int | None = None) -> Solution:
+def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
     """Global minimum by exhaustive search over free groups.
 
     Tie-break: lexicographically smallest assignment over the sorted free
     representatives with +1 ordered before -1.
     """
-    folded = fold_instance(instance)
     nfree = folded.free_count
-    limit = enum_cap(cap)
-    if nfree > limit:
-        raise TooManyFreeGroups(f"{nfree} free groups exceeds the enumeration cap {limit}")
-    if nfree == 0:
-        return _finish(folded, {}, "enumeration", True)
+    if nfree > cap:
+        raise TooManyFreeGroups(f"{nfree} free groups exceeds the enumeration cap {cap}")
 
     reps = folded.free_reps
     idx = {r: i for i, r in enumerate(reps)}
@@ -260,33 +244,27 @@ def minimize_enum(instance: GroundStateInstance, cap: int | None = None) -> Solu
     bound = sum(abs(w) for _, _, w in pair_list) + int(
         sum(max(abs(a), abs(b)) for a, b in zip(hp_arr, hm_arr))
     )
+    # coefficients too large for int64 after scaling: same loop on python ints
+    dtype = np.int64 if bound < 2**62 else object
+    hp_vec = hp_arr.astype(dtype)
+    dif_vec = (hm_arr - hp_arr).astype(dtype)
+    base = hp_vec.sum()
 
     best_val = None
     best_index = None
-    if bound < 2**62:
-        hp64 = hp_arr.astype(np.int64)
-        dif64 = (hm_arr - hp_arr).astype(np.int64)
-        base = int(hp64.sum())
-        for start in range(0, 1 << nfree, _CHUNK):
-            stop = min(start + _CHUNK, 1 << nfree)
-            ids = np.arange(start, stop, dtype=np.int64)
-            bits = [((ids >> (nfree - 1 - g)) & 1) for g in range(nfree)]
-            e = np.full(ids.shape, base, dtype=np.int64)
-            for g in range(nfree):
-                e += bits[g] * dif64[g]
-            for i, j, w4 in pair_list:
-                e += (bits[i] ^ bits[j]) * w4
-            k = int(np.argmin(e))
-            if best_val is None or e[k] < best_val:
-                best_val = int(e[k])
-                best_index = start + k
-    else:
-        # coefficients too large for int64 after scaling; exact python walk
-        for index, bits in enumerate(itertools.product((0, 1), repeat=nfree)):
-            e = sum(hm_arr[g] if b else hp_arr[g] for g, b in enumerate(bits))
-            e += sum(w4 for i, j, w4 in pair_list if bits[i] != bits[j])
-            if best_val is None or e < best_val:
-                best_val, best_index = e, index
+    for start in range(0, 1 << nfree, _CHUNK):
+        stop = min(start + _CHUNK, 1 << nfree)
+        ids = np.arange(start, stop, dtype=np.int64)
+        bits = [((ids >> (nfree - 1 - g)) & 1).astype(dtype, copy=False) for g in range(nfree)]
+        e = np.full(ids.shape, base, dtype=dtype)
+        for g in range(nfree):
+            e += bits[g] * dif_vec[g]
+        for i, j, w4 in pair_list:
+            e += (bits[i] ^ bits[j]) * w4
+        k = int(np.argmin(e))
+        if best_val is None or e[k] < best_val:
+            best_val = e[k]
+            best_index = start + k
 
     rep_values = {
         r: (-1 if (best_index >> (nfree - 1 - g)) & 1 else 1) for g, r in enumerate(reps)
@@ -326,22 +304,18 @@ def _gauge(folded: FoldedInstance) -> dict:
     return sigma
 
 
-def minimize_cut(instance: GroundStateInstance) -> Solution:
+def minimize_cut(folded: FoldedInstance) -> Solution:
     """Global minimum via s/t min-cut; exact (integer-scaled capacities).
 
     Requires nonnegative couplings between free groups, possibly after a
     deterministic gauge flip; otherwise raises :class:`FrustratedInstance`.
     """
-    folded = fold_instance(instance)
-    nfree = folded.free_count
-    if nfree == 0:
-        return _finish(folded, {}, "mincut", True)
     sigma = _gauge(folded)
 
     reps = folded.free_reps
     idx = {r: i for i, r in enumerate(reps)}
     caps: list[tuple[int, int, Fraction]] = []  # (u, v, cap) with s = n, t = n + 1
-    n = nfree
+    n = folded.free_count
     constant = folded.constant
     for r in reps:
         hp, hm = folded.unary[r]
@@ -389,28 +363,30 @@ def minimize(
     allow_anneal: bool = False,
     seed: int = 0,
 ) -> Solution:
-    """Dispatch to a solver.
+    """Fold ``instance`` once and dispatch it to a solver.
 
-    ``auto`` enumerates when the free-group count fits under the cap,
-    otherwise runs the min-cut; frustrated instances then fall back to
-    annealing only when ``allow_anneal`` is set, else the frustration
-    error propagates with a hint.
+    ``cap`` defaults to :data:`DEFAULT_ENUM_CAP`.  ``auto`` enumerates
+    when the free-group count fits under the cap, otherwise runs the
+    min-cut; frustrated instances then fall back to annealing only when
+    ``allow_anneal`` is set, else the frustration error propagates with
+    a hint.
     """
-    if method == "enum":
-        return minimize_enum(instance, cap)
-    if method == "cut":
-        return minimize_cut(instance)
-    if method == "anneal":
-        return minimize_anneal(instance, seed=seed)
-    if method != "auto":
+    if method not in ("auto", "enum", "cut", "anneal"):
         raise ValueError(f"unknown method {method!r}")
-    if fold_instance(instance).free_count <= enum_cap(cap):
-        return minimize_enum(instance, cap)
+    if cap is None:
+        cap = DEFAULT_ENUM_CAP
+    folded = fold_instance(instance)
+    if method == "enum" or (method == "auto" and folded.free_count <= cap):
+        return minimize_enum(folded, cap)
+    if method == "cut":
+        return minimize_cut(folded)
+    if method == "anneal":
+        return minimize_anneal(folded, seed=seed)
     try:
-        return minimize_cut(instance)
+        return minimize_cut(folded)
     except FrustratedInstance:
         if allow_anneal:
-            return minimize_anneal(instance, seed=seed)
+            return minimize_anneal(folded, seed=seed)
         raise FrustratedInstance(
             "instance is too large to enumerate and its couplings are frustrated; "
             "pass --anneal (allow_anneal=True) to accept an approximate minimum"
@@ -422,7 +398,7 @@ def minimize(
 
 
 def minimize_anneal(
-    instance: GroundStateInstance,
+    folded: FoldedInstance,
     seed: int = 0,
     sweeps: int = 400,
     t_start: float = 3.0,
@@ -433,10 +409,7 @@ def minimize_anneal(
     The returned energy is the exact re-evaluation of the best visited
     state, but no optimality is claimed (``exact=False``).
     """
-    folded = fold_instance(instance)
     nfree = folded.free_count
-    if nfree == 0:
-        return _finish(folded, {}, "annealing", False)
     reps = folded.free_reps
     idx = {r: i for i, r in enumerate(reps)}
     adj: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]

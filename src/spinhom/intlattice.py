@@ -44,10 +44,6 @@ def hermite_basis(generators: Iterable[Sequence[int]], dim: int) -> list[tuple[i
     return [tuple(r) for r in basis]
 
 
-def rank(basis: Sequence[Sequence[int]]) -> int:
-    return len(basis)
-
-
 def is_full_lattice(basis: Sequence[Sequence[int]], dim: int) -> bool:
     """True iff the subgroup is all of Z^d (rank d and unit determinant)."""
     if len(basis) != dim:

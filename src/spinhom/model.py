@@ -48,9 +48,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def by_rule(self, rule: str) -> list[Violation]:
-        return [v for v in self.violations if v.rule == rule]
-
 
 @dataclass(frozen=True, eq=False)
 class LatticeModel:
@@ -108,12 +105,6 @@ class LatticeModel:
         return self.forcing.get((self.residue_of(site), spin), Fraction(0))
 
     # ---- computed diagnostics -----------------------------------------
-
-    @property
-    def max_abs_weight(self) -> Fraction:
-        if not self.weights:
-            return Fraction(0)
-        return max(abs(w) for w in self.weights.values())
 
     @property
     def max_abs_forcing(self) -> Fraction:

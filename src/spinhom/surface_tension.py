@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .connectivity import ConnectivitySummary, classify, coarsening_side
-from .ground_state import GroundStateInstance, minimize_cut
+from .ground_state import GroundStateInstance, minimize
 from .model import LatticeModel
 
 
@@ -160,7 +160,7 @@ def cell_value(
         pair_terms=tuple(pair_terms),
         fixed=fixed,
     )
-    solution = minimize_cut(instance)
+    solution = minimize(instance, method="cut")
     return solution.energy / side ** (model.dimension - 1)
 
 

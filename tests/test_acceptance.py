@@ -32,7 +32,7 @@ from spinhom.gamma_limit import (
     extend,
     f_hom,
 )
-from spinhom.ground_state import minimize_cut, minimize_enum
+from spinhom.ground_state import minimize
 from spinhom.surface_tension import SurfaceTable, fhom_estimate
 
 from conftest import fixture_model, random_chain_model, FIXTURE_NAMES
@@ -191,8 +191,8 @@ def test_criterion_08_solver_oracle():
     rng = random.Random(8888)
     for trial in range(200):
         inst = random_instance(rng, rng.randrange(2, 17), signed=False)
-        enum = minimize_enum(inst)
-        cut = minimize_cut(inst)
+        enum = minimize(inst, method="enum")
+        cut = minimize(inst, method="cut")
         assert cut.energy == enum.energy, f"trial {trial}"
     report(8, True, "200 random instances of up to 16 free spins: min-cut == enumeration")
 

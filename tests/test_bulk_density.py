@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinhom import bulk_density
 from spinhom.bulk_density import (
     PhiTable,
     build_phi_instance,
@@ -108,6 +109,22 @@ def test_island_correction_sandwich_at_fixed_size():
     assert corrected == Fraction(7, 120)
     c = island_error_constant(model, s)
     assert corrected - Fraction(c, m) <= plain <= corrected
+
+
+@pytest.mark.parametrize("name,solves", [("chain_soft_even", 1), ("islands_1d", 2)])
+def test_phi_bracket_solves_each_distinct_cube_once(monkeypatch, name, solves):
+    """Without islands the corrected cube is the plain one and is not solved again."""
+    instances = []
+    real = bulk_density.minimize
+
+    def counting(instance, **solver):
+        instances.append(instance)
+        return real(instance, **solver)
+
+    monkeypatch.setattr(bulk_density, "minimize", counting)
+    row = phi_bracket(fixture_model(name), 12, (-1,))
+    assert len(instances) == solves
+    assert (row.corrected == row.plain) == (solves == 1)
 
 
 def test_phi_estimate_requires_increasing_sizes():

@@ -1,22 +1,20 @@
 """Exact and approximate ground-state solvers against brute enumeration."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from spinhom import ground_state
 from spinhom.ground_state import (
     FrustratedInstance,
     GroundStateInstance,
     TooManyFreeGroups,
     energy,
-    enum_cap,
     fold_instance,
     minimize,
-    minimize_anneal,
-    minimize_cut,
-    minimize_enum,
 )
 
 
@@ -58,10 +56,11 @@ def random_instance(rng: random.Random, n: int, signed: bool, with_structure: bo
     )
 
 
-def brute_minimum(instance: GroundStateInstance) -> Fraction:
+def brute_argmin(instance: GroundStateInstance) -> tuple[Fraction, dict]:
+    """Minimum energy and the first minimizer in lexicographic order (+1 before -1)."""
     folded = fold_instance(instance)
     reps = folded.free_reps
-    best = None
+    best = best_assignment = None
     for bits in itertools.product((1, -1), repeat=len(reps)):
         assignment = dict(instance.fixed)
         rep_values = dict(zip(reps, bits))
@@ -70,8 +69,12 @@ def brute_minimum(instance: GroundStateInstance) -> Fraction:
             assignment[v] = rep_values[folded.rep_of[v]]
         e = energy(instance, assignment)
         if best is None or e < best:
-            best = e
-    return best
+            best, best_assignment = e, assignment
+    return best, best_assignment
+
+
+def brute_minimum(instance: GroundStateInstance) -> Fraction:
+    return brute_argmin(instance)[0]
 
 
 def test_cut_matches_brute_force_on_nonnegative_couplings():
@@ -79,7 +82,7 @@ def test_cut_matches_brute_force_on_nonnegative_couplings():
     for trial in range(120):
         inst = random_instance(rng, rng.randrange(2, 11), signed=False)
         ref = brute_minimum(inst)
-        sol = minimize_cut(inst)
+        sol = minimize(inst, method="cut")
         assert sol.energy == ref, f"trial {trial}"
         assert sol.exact and sol.method == "mincut"
         assert energy(inst, sol.assignment) == sol.energy
@@ -90,9 +93,45 @@ def test_enum_matches_brute_force_on_signed_couplings():
     for trial in range(120):
         inst = random_instance(rng, rng.randrange(2, 9), signed=True)
         ref = brute_minimum(inst)
-        sol = minimize_enum(inst)
+        sol = minimize(inst, method="enum")
         assert sol.energy == ref, f"trial {trial}"
         assert energy(inst, sol.assignment) == sol.energy
+
+
+def scaled_bound(instance: GroundStateInstance) -> int:
+    """Largest magnitude of the integer energies the enumeration evaluates."""
+    folded = fold_instance(instance)
+    coeffs = list(folded.pair_weights.values())
+    coeffs += [h for pair in folded.unary.values() for h in pair]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    total = sum(4 * abs(w) for w in folded.pair_weights.values())
+    total += sum(max(abs(hp), abs(hm)) for hp, hm in folded.unary.values())
+    return int(total * scale)
+
+
+def test_enum_exact_on_coefficients_beyond_int64():
+    rng = random.Random(707)
+    denoms = (2**61 - 1, 3**41)
+    for trial in range(60):
+        n = rng.randrange(2, 9)
+        variables = tuple((i,) for i in range(n))
+        pairs = []
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                pairs.append(((u,), (v,), Fraction(rng.randrange(-3, 4), rng.choice(denoms))))
+        unary = {(0,): (Fraction(1, denoms[0]), Fraction(1, denoms[1]))}
+        for i in range(1, n):
+            hp = Fraction(rng.randrange(-2, 3), denoms[i % 2])
+            # equal unaries leave both spin values tied unless couplings decide
+            hm = hp if rng.random() < 0.5 else Fraction(rng.randrange(-2, 3), denoms[i % 2])
+            unary[(i,)] = (hp, hm)
+        inst = GroundStateInstance(variables=variables, pair_terms=tuple(pairs),
+                                   unary_terms=unary)
+        assert scaled_bound(inst) >= 2**62, f"trial {trial}"
+        ref, first = brute_argmin(inst)
+        sol = minimize(inst, method="enum")
+        assert sol.energy == ref, f"trial {trial}"
+        assert sol.assignment == first, f"trial {trial}"
 
 
 def test_cut_on_signed_couplings_matches_or_reports_frustration():
@@ -102,7 +141,7 @@ def test_cut_on_signed_couplings_matches_or_reports_frustration():
         inst = random_instance(rng, rng.randrange(2, 9), signed=True)
         ref = brute_minimum(inst)
         try:
-            sol = minimize_cut(inst)
+            sol = minimize(inst, method="cut")
         except FrustratedInstance:
             frustrated += 1
             continue
@@ -137,9 +176,10 @@ def test_gauge_flip_preserves_minimum():
             pair_terms=tuple(gauged_pairs),
             unary_terms=gauged_unary,
         )
-        assert minimize_enum(gauged).energy + extra == minimize_enum(inst).energy
-        # the gauged instance is exactly what the cut solver undoes internally
-        assert minimize_cut(gauged).energy + extra == minimize_cut(inst).energy
+        for method in ("enum", "cut"):
+            # for the cut, the gauged instance is exactly what the solver undoes
+            assert (minimize(gauged, method=method).energy + extra
+                    == minimize(inst, method=method).energy)
 
 
 def test_solution_on_all_fixed_instance():
@@ -148,11 +188,11 @@ def test_solution_on_all_fixed_instance():
         pair_terms=(((0,), (1,), Fraction(1, 2)),),
         fixed={(0,): 1, (1,): -1},
     )
-    for solver in (minimize_enum, minimize_cut):
-        sol = solver(inst)
+    for method in ("enum", "cut", "anneal"):
+        sol = minimize(inst, method=method)
         assert sol.energy == 2
         assert sol.assignment == {(0,): 1, (1,): -1}
-    assert minimize_cut(inst).exact
+        assert sol.exact == (method != "anneal")
 
 
 def test_groups_force_rigid_moves():
@@ -163,7 +203,7 @@ def test_groups_force_rigid_moves():
         fixed={(0,): 1},
         groups=(frozenset({(1,), (2,)}),),
     )
-    sol = minimize_cut(inst)
+    sol = minimize(inst, method="cut")
     assert sol.energy == 0
     assert sol.assignment[(1,)] == sol.assignment[(2,)] == 1
     folded = fold_instance(inst)
@@ -177,7 +217,7 @@ def test_fixed_member_pins_whole_group():
         fixed={(0,): 1},
         groups=(frozenset({(0,), (1,)}),),
     )
-    sol = minimize_enum(inst)
+    sol = minimize(inst, method="enum")
     assert sol.assignment[(1,)] == 1
     assert sol.energy == 5
 
@@ -186,18 +226,28 @@ def test_enum_cap_enforced():
     rng = random.Random(505)
     inst = random_instance(rng, 8, signed=False, with_structure=False)
     with pytest.raises(TooManyFreeGroups):
-        minimize_enum(inst, cap=4)
+        minimize(inst, method="enum", cap=4)
     sol = minimize(inst, method="auto", cap=4)
     assert sol.method == "mincut"
     assert sol.energy == brute_minimum(inst)
 
 
-def test_enum_cap_environment_override(monkeypatch):
-    monkeypatch.setenv("SPINHOM_ENUM_CAP", "7")
-    assert enum_cap() == 7
-    assert enum_cap(12) == 12
-    monkeypatch.delenv("SPINHOM_ENUM_CAP")
-    assert enum_cap() == 24
+@pytest.mark.parametrize(
+    "method, cap",
+    [("auto", None), ("auto", 2), ("enum", None), ("cut", None), ("anneal", None)],
+)
+def test_minimize_folds_once(monkeypatch, method, cap):
+    folds = []
+    real = ground_state.fold_instance
+
+    def counting(instance):
+        folds.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(ground_state, "fold_instance", counting)
+    inst = random_instance(random.Random(909), 6, signed=False)
+    minimize(inst, method=method, cap=cap)
+    assert folds == [inst]
 
 
 def test_auto_raises_on_large_frustrated_without_anneal():
@@ -223,8 +273,8 @@ def test_anneal_never_beats_exact_and_is_seed_stable():
     for _ in range(30):
         inst = random_instance(rng, rng.randrange(2, 9), signed=True)
         ref = brute_minimum(inst)
-        a1 = minimize_anneal(inst, seed=11)
-        a2 = minimize_anneal(inst, seed=11)
+        a1 = minimize(inst, method="anneal", seed=11)
+        a2 = minimize(inst, method="anneal", seed=11)
         assert a1.energy >= ref
         assert a1.energy == a2.energy
         assert a1.assignment == a2.assignment
