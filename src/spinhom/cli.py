@@ -41,7 +41,7 @@ from .gamma_limit import (
     f_hom,
     save_field,
 )
-from .ground_state import FrustratedInstance
+from .ground_state import FrustratedInstance, TooManyFreeGroups
 from .model import SchemaError, load_model, number_str, parse_model, validate
 from .surface_tension import SurfaceTable, cell_value, fhom_total
 
@@ -305,7 +305,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     value = f_eps(model, field, omega)
     obj = {
         "eps": field.eps,
-        "sites": len(field.sites()),
+        "sites": len(field.values),
         "energy": value,
         "broken_strong": count_broken_strong(model, field),
     }
@@ -589,6 +589,9 @@ def run(argv=None) -> int:
         return 2
     except FrustratedInstance as exc:
         print(f"error: {exc} (pass --anneal to accept approximate minima)", file=sys.stderr)
+        return 2
+    except TooManyFreeGroups as exc:
+        print(f"error: {exc} (use --method cut for large cells)", file=sys.stderr)
         return 2
     except NotImplementedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import geometry
 from .bulk_density import PhiTable, phi_solution
-from .connectivity import ConnectivitySummary, classify, coarsening_side
-from .ground_state import Solution
-from .model import LatticeModel, SchemaError, Site, number_str
+from .connectivity import ConnectivitySummary, classify, coarsening_side, cube_sites
+from .model import LatticeModel, Offset, Residue, SchemaError, Site, number_str
 from .surface_tension import SurfaceTable, canonical_direction
 
 
@@ -92,51 +93,90 @@ class DomainSpec:
         return cls(lo, hi)
 
 
-class SpinField:
-    """Spin values on exactly the sites of (1/eps) Omega."""
+class SiteValues(Mapping):
+    """Read-only site -> spin view of a spin grid."""
 
-    def __init__(self, eps: Fraction, omega: DomainSpec, values: Mapping[Site, int]):
+    def __init__(self, spins: np.ndarray, ranges: Sequence[range]):
+        self._spins = spins
+        self._ranges = tuple(ranges)
+
+    def __getitem__(self, site) -> int:
+        if not isinstance(site, tuple) or len(site) != len(self._ranges):
+            raise KeyError(site)
+        index = tuple(c - r.start for c, r in zip(site, self._ranges))
+        if not all(0 <= i < n for i, n in zip(index, self._spins.shape)):
+            raise KeyError(site)
+        return int(self._spins[index])
+
+    def __iter__(self):
+        return itertools.product(*self._ranges)
+
+    def __len__(self) -> int:
+        return self._spins.size
+
+
+class SpinField:
+    """Spin values on exactly the sites of (1/eps) Omega.
+
+    The spins are stored as a read-only int8 array ``spins`` over
+    ``omega.site_ranges(eps)`` in C order, which is the lexicographic site
+    order; ``values`` is a site -> spin mapping view of it.  ``values`` may
+    be given as such a mapping or as an array of that shape.
+    """
+
+    def __init__(self, eps: Fraction, omega: DomainSpec, values: Mapping[Site, int] | np.ndarray):
         self.eps = Fraction(eps)
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         self.omega = omega
-        sites = omega.sites(self.eps)
-        if set(values) != set(sites):
-            raise ValueError("field values must cover the domain sites exactly")
-        for k, v in values.items():
-            if v not in (1, -1):
-                raise ValueError(f"spin at {k} must be +-1")
-        self.values = dict(values)
-        self._sites = sites
+        self.ranges = omega.site_ranges(self.eps)
+        shape = tuple(len(r) for r in self.ranges)
+        if isinstance(values, np.ndarray):
+            if values.shape != shape:
+                raise ValueError(f"spin array has shape {values.shape}, the domain sites {shape}")
+            spins = values
+        else:
+            if len(values) != math.prod(shape):
+                raise ValueError("field values must cover the domain sites exactly")
+            try:
+                spins = np.array([values[k] for k in itertools.product(*self.ranges)])
+            except KeyError:
+                raise ValueError("field values must cover the domain sites exactly") from None
+            spins = spins.reshape(shape)
+        bad = np.flatnonzero(~np.isin(spins, (1, -1)))
+        if bad.size:
+            index = np.unravel_index(bad[0], shape)
+            site = tuple(r[int(i)] for r, i in zip(self.ranges, index))
+            raise ValueError(f"spin at {site} must be +-1")
+        self.spins = spins.astype(np.int8)
+        self.spins.flags.writeable = False
+        self.values = SiteValues(self.spins, self.ranges)
 
     def sites(self) -> list[Site]:
-        return list(self._sites)
+        return list(itertools.product(*self.ranges))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SpinField)
             and self.eps == other.eps
             and self.omega == other.omega
-            and self.values == other.values
+            and np.array_equal(self.spins, other.spins)
         )
 
     @classmethod
     def constant(cls, eps, omega: DomainSpec, value: int = 1) -> "SpinField":
         eps = Fraction(eps)
-        return cls(eps, omega, {k: value for k in omega.sites(eps)})
+        shape = tuple(len(r) for r in omega.site_ranges(eps))
+        return cls(eps, omega, np.full(shape, value, dtype=np.int8))
 
     def to_json_dict(self) -> dict:
-        rle: list[list[int]] = []
-        for k in self._sites:
-            v = self.values[k]
-            if rle and rle[-1][1] == v:
-                rle[-1][0] += 1
-            else:
-                rle.append([1, v])
+        flat = self.spins.ravel()
+        starts = np.flatnonzero(np.diff(flat, prepend=0))
+        counts = np.diff(starts, append=flat.size)
         return {
             "eps": number_str(self.eps),
             "omega": self.omega.to_json_dict(),
-            "spins_rle": rle,
+            "spins_rle": [[int(c), int(flat[i])] for c, i in zip(counts, starts)],
         }
 
     @classmethod
@@ -148,8 +188,7 @@ class SpinField:
                 raise SchemaError("$", f"field document is missing {key!r}")
         eps = _fraction(obj["eps"], "eps")
         omega = DomainSpec.from_json_dict(obj["omega"])
-        sites = omega.sites(eps)
-        flat: list[int] = []
+        shape = tuple(len(r) for r in omega.site_ranges(eps))
         for i, pair in enumerate(obj["spins_rle"]):
             if (
                 not isinstance(pair, Sequence)
@@ -159,13 +198,15 @@ class SpinField:
                 or pair[1] not in (1, -1)
             ):
                 raise SchemaError(f"spins_rle[{i}]", "expected [count, spin] with spin +-1")
-            flat.extend([pair[1]] * pair[0])
-        if len(flat) != len(sites):
+        # the total is checked before decoding: a huge count must not allocate
+        total = sum(pair[0] for pair in obj["spins_rle"])
+        if total != math.prod(shape):
             raise SchemaError(
                 "spins_rle",
-                f"decodes to {len(flat)} spins but the domain has {len(sites)} sites",
+                f"decodes to {total} spins but the domain has {math.prod(shape)} sites",
             )
-        return cls(eps, omega, dict(zip(sites, flat)))
+        counts, spins = np.array(obj["spins_rle"], dtype=np.int64).reshape(-1, 2).T
+        return cls(eps, omega, np.repeat(spins.astype(np.int8), counts).reshape(shape))
 
 
 def load_field(path) -> SpinField:
@@ -183,53 +224,106 @@ def save_field(field: SpinField, path) -> None:
 # the scaled discrete energy
 
 
+def _residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
+    """Per-site index of the residue class in C order over the period cell."""
+    t = model.period
+    axes = np.ix_(*(np.arange(r.start, r.stop) % t for r in ranges))
+    return np.ravel_multi_index(axes, (t,) * model.dimension)
+
+
+def _residue_id(model: LatticeModel, residue: Residue) -> int:
+    return int(np.ravel_multi_index(residue, (model.period,) * model.dimension))
+
+
+def _broken_pairs(
+    model: LatticeModel, field: SpinField, offsets, rid: np.ndarray
+) -> dict[Offset, np.ndarray]:
+    """Per offset, the ordered pairs (x, x + offset) inside the domain with
+    opposite spins, counted by the residue class of x."""
+    spins = field.spins
+    classes = model.period**model.dimension
+    out = {}
+    for off in offsets:
+        src, dst = [], []
+        for n, o in zip(spins.shape, off):
+            lo, hi = max(0, -o), min(n, n - o)
+            src.append(slice(lo, max(lo, hi)))
+            dst.append(slice(lo + o, max(lo, hi) + o))
+        broken = spins[tuple(src)] != spins[tuple(dst)]
+        out[off] = np.bincount(rid[tuple(src)][broken], minlength=classes)
+    return out
+
+
 def f_eps(model: LatticeModel, field: SpinField, omega: DomainSpec | None = None) -> Fraction:
-    """Exact scaled energy of a spin field (ordered-pair convention)."""
+    """Exact scaled energy of a spin field (ordered-pair convention).
+
+    Broken bonds and spins are counted per residue class on the spin
+    grid; each count is weighted by its exact coupling or forcing value
+    once.
+    """
     if omega is not None and omega != field.omega:
         raise ValueError("field domain does not match the requested domain")
     if field.omega.dimension != model.dimension:
         raise ValueError("field dimension does not match the model")
-    eps = field.eps
-    values = field.values
+    rid = _residue_ids(model, field.ranges)
+    broken = _broken_pairs(model, field, {off for _, off in model.weights}, rid)
     strong = Fraction(0)
     weak = Fraction(0)
+    for (res, off), w in model.weights.items():
+        count = int(broken[off][_residue_id(model, res)])
+        if off in model.strong_offsets(res):
+            strong += 4 * w * count
+        else:
+            weak += 4 * w * count
+    classes = model.period**model.dimension
+    spins = {s: np.bincount(rid[field.spins == s], minlength=classes) for s in (1, -1)}
     forcing = Fraction(0)
-    for x in field.sites():
-        res = model.residue_of(x)
-        ux = values[x]
-        for off in model.strong_offsets(res):
-            y = tuple(a + b for a, b in zip(x, off))
-            if y in values and values[y] != ux:
-                strong += 4 * model.pair_weight(x, y)
-        for off in model.weak_offsets(res):
-            y = tuple(a + b for a, b in zip(x, off))
-            if y in values and values[y] != ux:
-                weak += 4 * model.pair_weight(x, y)
-        forcing += model.forcing_value(x, ux)
+    for (res, s), g in model.forcing.items():
+        forcing += g * int(spins[s][_residue_id(model, res)])
     d = model.dimension
+    eps = field.eps
     return eps ** (d - 1) * strong + eps**d * (weak + forcing)
 
 
 def count_broken_strong(model: LatticeModel, field: SpinField) -> int:
     """Unordered strong bonds inside the domain joining opposite spins."""
-    values = field.values
-    count = 0
-    for x in field.sites():
-        ux = values[x]
-        for off in model.strong_offsets(model.residue_of(x)):
-            y = tuple(a + b for a, b in zip(x, off))
-            if x < y and y in values and values[y] != ux:
-                count += 1
-    return count
+    strong = [
+        (res, off) for res in model.residues() for off in model.strong_offsets(res)
+        if off > (0,) * model.dimension
+    ]
+    rid = _residue_ids(model, field.ranges)
+    broken = _broken_pairs(model, field, {off for _, off in strong}, rid)
+    return sum(int(broken[off][_residue_id(model, res)]) for res, off in strong)
 
 
 # ---------------------------------------------------------------------------
-# coarse-graining (extension) operator
+# cubes of side m: cube z covers the sites z*m - m//2 + [0, m) on every axis
 
 
-def _cube_of(site: Site, m: int) -> tuple[int, ...]:
+def _cubes(ranges: Sequence[range], m: int, keep):
+    """Cubes whose first site on every axis passes ``keep(axis, first)``,
+    in lexicographic order of z, each with its slice of the site grid.
+    ``keep`` must reject every cube that reaches past the sites."""
     half = m // 2
-    return tuple((k + half) // m for k in site)
+    axes = []
+    for i, r in enumerate(ranges):
+        axes.append([
+            (z, slice(z * m - half - r.start, z * m - half - r.start + m))
+            for z in range((r.start + half) // m, (r.stop - 1 + half) // m + 1)
+            if keep(i, z * m - half)
+        ])
+    for cube in itertools.product(*axes):
+        yield tuple(z for z, _ in cube), tuple(sl for _, sl in cube)
+
+
+def _core_phases(model: LatticeModel, summary: ConnectivitySummary, rid: np.ndarray) -> np.ndarray:
+    """Per site, the hard phase whose infinite cluster holds it, else 0."""
+    table = np.zeros(model.period**model.dimension, dtype=np.int64)
+    for res in model.residues():
+        lab = model.labels[res]
+        if lab > 0 and res in summary.core_residues.get(lab, frozenset()):
+            table[_residue_id(model, res)] = lab
+    return table[rid]
 
 
 @dataclass(frozen=True)
@@ -266,34 +360,25 @@ def extend(
     side = coarsening_side(model, phase, summary)
     if m < side:
         raise ValueError(f"cube side {m} is below the coarsening side {side} of phase {phase}")
-    ranges = field.omega.site_ranges(field.eps)
-    half = m // 2
-
-    cubes: dict[tuple[int, ...], list[Site]] = {}
-    for k in field.sites():
-        cubes.setdefault(_cube_of(k, m), []).append(k)
-
-    new_values = dict(field.values)
+    ranges = field.ranges
+    core = _core_phases(model, summary, _residue_ids(model, ranges)) == phase
+    spins = field.spins.copy()
     marked = []
-    for z in sorted(cubes):
-        in_range = all(
-            z[i] * m - half - m >= ranges[i].start and z[i] * m - half + 2 * m - 1 < ranges[i].stop
-            for i in range(len(z))
-        )
-        if not in_range:
-            continue
-        members = cubes[z]
-        core_values = {field.values[k] for k in members if summary.in_core(phase, k)}
+
+    def inside(i: int, first: int) -> bool:
+        # the concentric cube of side 3m lies within the sites
+        return ranges[i].start <= first - m and first + 2 * m <= ranges[i].stop
+
+    for z, cube in _cubes(ranges, m, inside):
+        core_values = np.unique(field.spins[cube][core[cube]])
         if len(core_values) == 1:
-            fill = core_values.pop()
-            for k in members:
-                new_values[k] = fill
-        elif core_values:
+            spins[cube] = core_values[0]
+        elif len(core_values):
             marked.append(z)
         else:
             raise RuntimeError(f"cube {z} contains no phase-{phase} cluster sites")
     return ExtensionResult(
-        field=SpinField(field.eps, field.omega, new_values),
+        field=SpinField(field.eps, field.omega, spins),
         phase=phase,
         m=m,
         marked=tuple(marked),
@@ -331,6 +416,20 @@ class Slab:
     def integer_normal(self) -> tuple[int, ...]:
         scale = math.lcm(*(c.denominator for c in self.normal))
         return tuple(int(c * scale) for c in self.normal)
+
+    def on_lattice(self, eps: Fraction, ranges: Sequence[range]) -> np.ndarray:
+        """``value_at(eps * k)`` on the grid of sites k over ``ranges``, as int8."""
+        normal = self.integer_normal()
+        scale = math.lcm(*(c.denominator for c in self.normal))
+        # <eps k, normal> > offset  iff  the integer <k, scale normal> exceeds
+        # floor(offset scale / eps); |<k, scale normal>| <= reach bounds the
+        # threshold and picks exact Python integers past int64
+        reach = sum(abs(c) * max(abs(r.start), abs(r.stop)) for c, r in zip(normal, ranges))
+        threshold = max(-reach - 1, min(reach, math.floor(self.offset * scale / eps)))
+        dtype = np.int64 if reach < 2**62 else object
+        axes = np.ix_(*(np.arange(r.start, r.stop).astype(dtype) for r in ranges))
+        dot = sum(c * k for c, k in zip(normal, axes))
+        return np.where(dot > threshold, 1, -1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -370,6 +469,18 @@ class Boxes:
     def value_at(self, x: Sequence[Fraction]) -> int:
         return 1 if any(b.contains(x) for b in self.boxes) else -1
 
+    def on_lattice(self, eps: Fraction, ranges: Sequence[range]) -> np.ndarray:
+        """``value_at(eps * k)`` on the grid of sites k over ``ranges``, as int8."""
+        out = np.full(tuple(len(r) for r in ranges), -1, dtype=np.int8)
+        for b in self.boxes:
+            # lo <= eps k < hi  iff  ceil(lo / eps) <= k < ceil(hi / eps)
+            out[tuple(
+                slice(min(max(math.ceil(lo / eps) - r.start, 0), len(r)),
+                      min(max(math.ceil(hi / eps) - r.start, 0), len(r)))
+                for lo, hi, r in zip(b.lo, b.hi, ranges)
+            )] = 1
+        return out
+
     def constant_on_box(self, lo, hi) -> int | None:
         outside_all = True
         for b in self.boxes:
@@ -390,6 +501,9 @@ class Constant:
 
     def value_at(self, x) -> int:
         return self.value
+
+    def on_lattice(self, eps: Fraction, ranges: Sequence[range]) -> np.ndarray:
+        return np.full(tuple(len(r) for r in ranges), self.value, dtype=np.int8)
 
     def constant_on_box(self, lo, hi) -> int:
         return self.value
@@ -663,37 +777,36 @@ def recovery_config(
     if summary is None:
         summary = classify(model)
     eps = Fraction(eps)
-    sites = omega.sites(eps)
-    values = {k: 1 for k in sites}
+    ranges = omega.site_ranges(eps)
+    spins = np.ones(tuple(len(r) for r in ranges), dtype=np.int8)
     half = m // 2
+    d = omega.dimension
 
-    cubes: dict[tuple[int, ...], list[Site]] = {}
-    for k in sites:
-        cubes.setdefault(_cube_of(k, m), []).append(k)
+    def inside(i: int, first: int) -> bool:
+        return omega.lo[i] < eps * first and eps * (first + m) < omega.hi[i]
 
-    cache: dict[tuple[int, ...], Solution] = {}
-    for z in sorted(cubes):
-        foot_lo = tuple(eps * (z[i] * m - half) for i in range(len(z)))
-        foot_hi = tuple(eps * (z[i] * m - half + m) for i in range(len(z)))
-        if not all(a < fa and fb < b for a, fa, fb, b in zip(omega.lo, foot_lo, foot_hi, omega.hi)):
-            continue
+    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for z, cube in _cubes(ranges, m, inside):
+        foot_lo = tuple(eps * (c * m - half) for c in z)
+        foot_hi = tuple(eps * (c * m - half + m) for c in z)
         states = target.constant_on_box(foot_lo, foot_hi)
         if states is None:
             continue
-        if states not in cache:
-            cache[states] = phi_solution(
+        if states not in blocks:
+            assignment = phi_solution(
                 model, m, states, summary, corrected=True,
                 method=method, cap=cap, allow_anneal=allow_anneal, seed=seed,
-            )
-        assignment = cache[states].assignment
-        for k in cubes[z]:
-            values[k] = assignment[tuple(k[i] - z[i] * m for i in range(len(z)))]
+            ).assignment
+            block = [assignment[k] for k in cube_sites(d, m)]
+            blocks[states] = np.array(block, dtype=np.int8).reshape((m,) * d)
+        spins[cube] = blocks[states]
 
-    for k in sites:
-        lab = model.label(model.residue_of(k))
-        if lab > 0 and summary.in_core(lab, k):
-            values[k] = target.phases[lab - 1].value_at(tuple(eps * c for c in k))
-    return SpinField(eps, omega, values)
+    core = _core_phases(model, summary, _residue_ids(model, ranges))
+    for j, phase in enumerate(target.phases, start=1):
+        on_core = core == j
+        if on_core.any():
+            spins[on_core] = phase.on_lattice(eps, ranges)[on_core]
+    return SpinField(eps, omega, spins)
 
 
 @dataclass(frozen=True)

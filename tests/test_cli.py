@@ -189,6 +189,15 @@ def test_phi_frustrated_cut_exits_with_hint(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_phi_enum_past_cap_exits_with_hint(capsys):
+    code = run(["phi", INCLUSIONS, "--M", "16", "--z", "-1", "--method", "enum", "--enum-cap", "4"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: 64 free groups exceeds the enumeration cap 4")
+    assert "--method cut" in out.err
+    assert out.err.count("\n") == 1
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     argv = ["phi", TWO, "--M", "4,8"]
     stdout = run_ok(capsys, argv)

@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from spinhom.bulk_density import PhiTable
+from spinhom.bulk_density import PhiTable, phi_solution
 from spinhom.connectivity import classify
 from spinhom.gamma_limit import (
     Box,
@@ -27,9 +28,9 @@ from spinhom.gamma_limit import (
     save_field,
 )
 from spinhom.surface_tension import SurfaceTable
-from spinhom.model import SchemaError
+from spinhom.model import SchemaError, parse_model
 
-from conftest import fixture_model
+from conftest import FIXTURE_NAMES, fixture_model
 
 UNIT = DomainSpec((Fraction(0),), (Fraction(1),))
 SQUARE = DomainSpec((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
@@ -66,6 +67,17 @@ def test_field_requires_exact_site_cover():
     bad[(1,)] = 0
     with pytest.raises(ValueError):
         SpinField(eps, UNIT, bad)
+    assert SpinField(eps, UNIT, np.array([1, -1, 1])).values == {(1,): 1, (2,): -1, (3,): 1}
+    with pytest.raises(ValueError):
+        SpinField(eps, UNIT, np.ones(4, dtype=np.int8))
+    with pytest.raises(ValueError, match=r"spin at \(2,\)"):
+        SpinField(eps, UNIT, np.array([1, 0, 1]))
+
+
+def test_rle_total_is_checked_before_decoding():
+    doc = {"eps": "1/4", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[10**12, 1]]}
+    with pytest.raises(SchemaError, match="decodes to 1000000000000 spins but the domain has 3 sites"):
+        SpinField.from_json_dict(doc)
 
 
 def test_field_save_load_round_trip(tmp_path):
@@ -107,6 +119,123 @@ def test_f_eps_single_flips():
     field = SpinField(eps, UNIT, hard)
     assert f_eps(model, field) == Fraction(18, 5)
     assert count_broken_strong(model, field) == 2
+
+
+def brute_f_eps(model, field):
+    """Per-site reference for f_eps."""
+    values = field.values
+    strong = weak = forcing = Fraction(0)
+    for x in field.sites():
+        res = model.residue_of(x)
+        ux = values[x]
+        for off in model.strong_offsets(res):
+            y = tuple(a + b for a, b in zip(x, off))
+            if y in values and values[y] != ux:
+                strong += 4 * model.pair_weight(x, y)
+        for off in model.weak_offsets(res):
+            y = tuple(a + b for a, b in zip(x, off))
+            if y in values and values[y] != ux:
+                weak += 4 * model.pair_weight(x, y)
+        forcing += model.forcing_value(x, ux)
+    d = model.dimension
+    return field.eps ** (d - 1) * strong + field.eps**d * (weak + forcing)
+
+
+def brute_broken_strong(model, field):
+    """Per-site reference for count_broken_strong."""
+    values = field.values
+    count = 0
+    for x in field.sites():
+        for off in model.strong_offsets(model.residue_of(x)):
+            y = tuple(a + b for a, b in zip(x, off))
+            if x < y and y in values and values[y] != values[x]:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_f_eps_matches_per_site_reference(name):
+    model = fixture_model(name)
+    d = model.dimension
+    rng = random.Random(FIXTURE_NAMES.index(name))
+    eps = Fraction(1, 16)
+    wide = DomainSpec((Fraction(-1, 3),) * d, (Fraction(5, 4),) * d)
+    # one to three sites along the last axis: shorter than every bond reaching
+    # across it, so those shifted slices are empty
+    thin = [
+        DomainSpec((Fraction(-1, 3),) * (d - 1) + (Fraction(0),), (Fraction(5, 4),) * (d - 1) + (hi,))
+        for hi in (Fraction(1, 8), Fraction(3, 16), Fraction(1, 4))
+    ]
+    for omega in [wide, *thin]:
+        for _ in range(4):
+            field = SpinField(eps, omega, {k: rng.choice((1, -1)) for k in omega.sites(eps)})
+            assert f_eps(model, field) == brute_f_eps(model, field)
+            assert count_broken_strong(model, field) == brute_broken_strong(model, field)
+        for spin in (1, -1):
+            field = SpinField.constant(eps, omega, spin)
+            assert f_eps(model, field) == brute_f_eps(model, field)
+
+
+def test_one_sided_bonds_match_per_site_reference():
+    # no reverse declarations: each ordered pair counts from its own side only
+    model = parse_model({
+        "dimension": 1, "period": 2, "num_phases": 1, "labels": {"0": 0, "1": 1},
+        "strong_bonds": [{"from": "1", "offset": [2], "weight": "1/8"}],
+        "weak_bonds": [{"from": "0", "offset": [-1], "weight": "1/3"}],
+        "forcing": {"0": {"plus": "1/2"}, "1": {"minus": "1/5"}},
+    })
+    rng = random.Random(2)
+    omega = DomainSpec((Fraction(-1, 3),), (Fraction(5, 4),))
+    for _ in range(4):
+        field = SpinField(Fraction(1, 16), omega, {k: rng.choice((1, -1)) for k in omega.sites(Fraction(1, 16))})
+        assert f_eps(model, field) == brute_f_eps(model, field)
+        assert count_broken_strong(model, field) == brute_broken_strong(model, field)
+
+
+def brute_extend(model, phase, field, m, summary):
+    """Per-site reference for extend: (spins, marked cubes)."""
+    ranges = field.omega.site_ranges(field.eps)
+    half = m // 2
+    cubes = {}
+    for k in field.sites():
+        cubes.setdefault(tuple((c + half) // m for c in k), []).append(k)
+    values = dict(field.values)
+    marked = []
+    for z in sorted(cubes):
+        if not all(
+            c * m - half - m >= r.start and c * m - half + 2 * m - 1 < r.stop for c, r in zip(z, ranges)
+        ):
+            continue
+        core = {field.values[k] for k in cubes[z] if summary.in_core(phase, k)}
+        if len(core) == 1:
+            fill = core.pop()
+            values.update((k, fill) for k in cubes[z])
+        else:
+            marked.append(z)
+    return values, tuple(marked)
+
+
+@pytest.mark.parametrize(
+    "name, omega, eps, m",
+    [
+        ("soft_inclusions_2d", SQUARE, Fraction(1, 32), 4),
+        # some 3m cubes end exactly on the first and last sites of each axis
+        ("soft_inclusions_2d", DomainSpec((Fraction(1, 32), Fraction(-3, 32)), (Fraction(7, 8), Fraction(13, 16))),
+         Fraction(1, 32), 4),
+        ("islands_1d", DomainSpec((Fraction(-1, 3),), (Fraction(5, 4),)), Fraction(1, 64), 8),
+        ("two_chains", UNIT, Fraction(1, 48), 4),
+    ],
+)
+def test_extend_matches_per_site_reference(name, omega, eps, m):
+    model = fixture_model(name)
+    s = classify(model)
+    rng = random.Random(7)
+    for phase in range(1, model.num_phases + 1):
+        for p_plus in (0.5, 0.95):
+            values = {k: 1 if rng.random() < p_plus else -1 for k in omega.sites(eps)}
+            field = SpinField(eps, omega, values)
+            res = extend(model, phase, field, m, s)
+            assert (res.field.values, res.marked) == brute_extend(model, phase, field, m, s)
 
 
 def test_extend_argument_errors():
@@ -270,6 +399,70 @@ def test_recovery_config_energy_and_shape():
         x = k[0] * eps
         if k[0] % 2 == 1 and abs(x - Fraction(1, 2)) > Fraction(1, 4):
             assert rec.values[k] == (1 if x > Fraction(1, 2) else -1)
+
+
+# Hard columns at even x joined by hard rows at odd y; the soft sites
+# (odd, even) prefer -1, so pasted cubes differ from the +1 default and are
+# not symmetric under swapping the axes.
+CROSSED_LINES = parse_model({
+    "dimension": 2, "period": 2, "num_phases": 1,
+    "labels": {"0,0": 1, "0,1": 1, "1,1": 1, "1,0": 0},
+    "strong_bonds": [{"from": r, "offset": o, "weight": "1/8"} for r, o in [
+        ("0,0", [0, 1]), ("0,0", [0, -1]), ("0,1", [0, 1]), ("0,1", [0, -1]),
+        ("0,1", [1, 0]), ("0,1", [-1, 0]), ("1,1", [1, 0]), ("1,1", [-1, 0])]],
+    "weak_bonds": [{"from": r, "offset": o, "weight": "1/40"} for r, o in [
+        ("1,0", [1, 0]), ("1,0", [-1, 0]), ("1,0", [0, 1]), ("1,0", [0, -1]),
+        ("0,0", [1, 0]), ("0,0", [-1, 0]), ("1,1", [0, 1]), ("1,1", [0, -1])]],
+    "forcing": {"1,0": {"plus": "1"}},
+})
+
+
+@pytest.mark.parametrize(
+    "model, omega, target, eps, m",
+    [
+        # at eps 1/32 some cube footprints touch the lower face in x and the
+        # upper face in y; touching is not inside
+        (CROSSED_LINES, DomainSpec((Fraction(-1, 16), Fraction(-1, 8)), (Fraction(3, 4), Fraction(13, 16))),
+         Slab((Fraction(1), Fraction(2)), Fraction(3, 4)), Fraction(1, 32), 4),
+        (fixture_model("soft_inclusions_2d"), SQUARE,
+         Boxes((Box((Fraction(1, 5), Fraction(1, 8)), (Fraction(7, 10), Fraction(5, 8))),)), Fraction(1, 32), 4),
+        (fixture_model("diagonal_2d"), SQUARE,
+         Slab((Fraction(-1, 3), Fraction(1, 2)), Fraction(-1, 10)), Fraction(1, 24), 4),
+        (fixture_model("islands_1d"), DomainSpec((Fraction(-1, 3),), (Fraction(5, 4),)),
+         Slab((Fraction(1),), Fraction(1, 2)), Fraction(1, 64), 8),
+        (fixture_model("islands_1d"), UNIT,
+         Boxes((Box((Fraction(1, 3),), (Fraction(5, 8),)),)), Fraction(1, 64), 8),
+        (fixture_model("chain_soft_even"), UNIT,
+         Slab((Fraction(-1),), Fraction(-1, 3)), Fraction(1, 40), 4),
+    ],
+    ids=["crossed-oblique", "inclusions-box", "diagonal-oblique", "islands-slab", "islands-boxes", "chain-slab"],
+)
+def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, target, eps, m):
+    s = classify(model)
+    field = MultiphaseField((target,))
+    rec = recovery_config(model, omega, field, eps, m, s)
+    half = m // 2
+    cached = {}
+    pasted = 0
+    for k in omega.sites(eps):
+        lab = model.label(k)
+        if lab and s.in_core(lab, k):
+            assert rec.values[k] == target.value_at(tuple(eps * c for c in k)), k
+            continue
+        z = tuple((c + half) // m for c in k)
+        lo = tuple(eps * (c * m - half) for c in z)
+        hi = tuple(eps * (c * m - half + m) for c in z)
+        states = None
+        if all(a < b for a, b in zip(omega.lo, lo)) and all(a < b for a, b in zip(hi, omega.hi)):
+            states = field.constant_on_box(lo, hi)
+        if states is None:
+            assert rec.values[k] == 1, k
+            continue
+        if states not in cached:
+            cached[states] = phi_solution(model, m, states, s, corrected=True).assignment
+        assert rec.values[k] == cached[states][tuple(a - b * m for a, b in zip(k, z))], k
+        pasted += 1
+    assert pasted and len(cached) == 2
 
 
 def test_converge_report_quick():
