@@ -193,7 +193,7 @@ class SpinField:
             if (
                 not isinstance(pair, Sequence)
                 or len(pair) != 2
-                or not all(isinstance(c, int) for c in pair)
+                or not all(isinstance(c, int) and not isinstance(c, bool) for c in pair)
                 or pair[0] <= 0
                 or pair[1] not in (1, -1)
             ):

@@ -181,7 +181,7 @@ def fold_instance(instance: GroundStateInstance) -> FoldedInstance:
                 unary[free][0] += 4 * w
         else:
             key = (ru, rv) if ru < rv else (rv, ru)
-            pair_weights[key] = pair_weights.get(key, Fraction(0)) + w
+            pair_weights[key] = pair_weights[key] + w if key in pair_weights else w
 
     return FoldedInstance(
         instance=instance,
@@ -276,15 +276,15 @@ def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
 # min-cut
 
 
-def _gauge(folded: FoldedInstance) -> dict:
+def _gauge(free_reps: list, weights: Mapping) -> dict:
     """Deterministic sign flip making all free-free couplings nonnegative."""
-    adj: dict = {r: [] for r in folded.free_reps}
-    for (u, v), w in sorted(folded.pair_weights.items()):
+    adj: dict = {r: [] for r in free_reps}
+    for (u, v), w in sorted(weights.items()):
         if w != 0:
             adj[u].append((v, w))
             adj[v].append((u, w))
     sigma: dict = {}
-    for root in folded.free_reps:
+    for root in free_reps:
         if root in sigma:
             continue
         sigma[root] = 1
@@ -307,50 +307,59 @@ def _gauge(folded: FoldedInstance) -> dict:
 def minimize_cut(folded: FoldedInstance) -> Solution:
     """Global minimum via s/t min-cut; exact (integer-scaled capacities).
 
-    Requires nonnegative couplings between free groups, possibly after a
-    deterministic gauge flip; otherwise raises :class:`FrustratedInstance`.
+    Every folded coefficient is scaled to one common denominator once;
+    the gauge, the capacities and the constant are then Python ints,
+    divided by the scale once for the cross-check.  Requires nonnegative
+    couplings between free groups, possibly after a deterministic gauge
+    flip; otherwise raises :class:`FrustratedInstance`.
     """
-    sigma = _gauge(folded)
-
     reps = folded.free_reps
+    denoms = {folded.constant.denominator}
+    denoms.update(w.denominator for w in folded.pair_weights.values())
+    for hp, hm in folded.unary.values():
+        denoms.update((hp.denominator, hm.denominator))
+    scale = math.lcm(*denoms)
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    weights = {key: scaled(w) for key, w in folded.pair_weights.items()}
+    sigma = _gauge(reps, weights)
+
     idx = {r: i for i, r in enumerate(reps)}
-    caps: list[tuple[int, int, Fraction]] = []  # (u, v, cap) with s = n, t = n + 1
     n = folded.free_count
-    constant = folded.constant
+    net = FlowNetwork(n + 2)  # s = n, t = n + 1
+    constant = scaled(folded.constant)
     for r in reps:
-        hp, hm = folded.unary[r]
+        hp, hm = (scaled(h) for h in folded.unary[r])
         if sigma[r] < 0:
             hp, hm = hm, hp
         base = min(hp, hm)
         constant += base
         if hm - base:
-            caps.append((n, idx[r], hm - base))
+            net.add_edge(n, idx[r], hm - base)
         if hp - base:
-            caps.append((idx[r], n + 1, hp - base))
-    for (u, v), w in sorted(folded.pair_weights.items()):
-        wt = sigma[u] * sigma[v] * w
-        if wt < 0:
-            raise FrustratedInstance("internal gauge failure")  # unreachable
+            net.add_edge(idx[r], n + 1, hp - base)
+    for (u, v), w in sorted(weights.items()):
         if sigma[u] * sigma[v] < 0:
             # flipping one endpoint trades the broken and unbroken pair
-            # energies: w(s_u - s_v)^2 = 4w + wt(t_u - t_v)^2
+            # energies: w(s_u - s_v)^2 = 4w + (-w)(t_u - t_v)^2
             constant += 4 * w
-        if wt:
-            caps.append((idx[u], idx[v], 4 * wt))
-            caps.append((idx[v], idx[u], 4 * wt))
+            w = -w
+        if w < 0:
+            raise FrustratedInstance("internal gauge failure")  # unreachable
+        if w:
+            net.add_edge(idx[u], idx[v], 4 * w)
+            net.add_edge(idx[v], idx[u], 4 * w)
 
-    scale = math.lcm(*(c.denominator for _, _, c in caps)) if caps else 1
-    net = FlowNetwork(n + 2)
-    for u, v, c in caps:
-        net.add_edge(u, v, int(c * scale))
     flow = net.max_flow(n, n + 1)
-    cut_value = Fraction(flow, scale)
     side = net.source_side(n)
     rep_values = {r: sigma[r] * (1 if idx[r] in side else -1) for r in reps}
     solution = _finish(folded, rep_values, "mincut", True)
-    if solution.energy != constant + cut_value:
+    cut_energy = Fraction(constant + flow, scale)
+    if solution.energy != cut_energy:
         raise RuntimeError(
-            f"min-cut value {constant + cut_value} disagrees with re-evaluated "
+            f"min-cut value {cut_energy} disagrees with re-evaluated "
             f"energy {solution.energy}"
         )
     return solution

@@ -2,6 +2,11 @@
 
 Capacities are Python ints (callers scale exact rationals to a common
 denominator first), so flow values are exact.
+
+The set of nodes :meth:`FlowNetwork.source_side` reaches after
+:meth:`FlowNetwork.max_flow` is the same for every maximum flow: it is
+the smallest source set of a minimum cut.  So the cut it reports does
+not depend on the order in which augmenting paths are found.
 """
 
 from __future__ import annotations
@@ -25,60 +30,71 @@ class FlowNetwork:
         self.to.append(u)
         self.cap.append(rcap)
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
+    def _bfs(self, s: int, t: int) -> list[int] | None:
+        """Residual distances from s; nodes past t's level stay unlabelled
+        (-1) since no shortest path uses them.  None when t is unreachable."""
+        adj, to, cap = self.adj, self.to, self.cap
+        level = [-1] * self.n
+        level[s] = 0
         q = deque([s])
         while q:
             u = q.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
+            nxt = level[u] + 1
+            for eid in adj[u]:
+                if cap[eid] > 0:
+                    v = to[eid]
+                    if level[v] < 0:
+                        level[v] = nxt
+                        if v == t:
+                            return level
+                        q.append(v)
+        return None
 
-    def _dfs(self, s: int, t: int) -> int:
-        # iterative blocking-flow with per-node edge pointers
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
+        """Augment along shortest paths until none is left (one Dinic phase).
+
+        The current path survives an augmentation up to its first
+        saturated edge, and the search resumes from that edge's tail.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        ptr = [0] * self.n
         total = 0
+        path: list[int] = []
+        u = s
         while True:
-            path = []
-            u = s
-            while u != t:
-                advanced = False
-                while self.ptr[u] < len(self.adj[u]):
-                    eid = self.adj[u][self.ptr[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and self.level[v] == self.level[u] + 1:
-                        path.append(eid)
-                        u = v
-                        advanced = True
-                        break
-                    self.ptr[u] += 1
-                if not advanced:
-                    if u == s:
-                        return total
-                    self.level[u] = -1  # dead end, prune
-                    u = self.to[path[-1] ^ 1]
-                    path.pop()
-                    self.ptr[u] += 1
-            bottleneck = min(self.cap[eid] for eid in path)
-            for eid in path:
-                self.cap[eid] -= bottleneck
-                self.cap[eid ^ 1] += bottleneck
-            total += bottleneck
-            # retreat to the saturated edge closest to the source
-            for i, eid in enumerate(path):
-                if self.cap[eid] == 0:
-                    path = path[:i]
+            if u == t:
+                bottleneck = min([cap[eid] for eid in path])
+                cut = -1
+                for i, eid in enumerate(path):
+                    cap[eid] -= bottleneck
+                    cap[eid ^ 1] += bottleneck
+                    if cut < 0 and cap[eid] == 0:
+                        cut = i
+                total += bottleneck
+                del path[cut:]
+                u = to[path[-1]] if path else s
+                continue
+            edges = adj[u]
+            want = level[u] + 1
+            for i in range(ptr[u], len(edges)):
+                eid = edges[i]
+                if cap[eid] > 0 and level[to[eid]] == want:
+                    ptr[u] = i
+                    path.append(eid)
+                    u = to[eid]
                     break
-            u = s if not path else self.to[path[-1]]
+            else:
+                if u == s:
+                    return total
+                level[u] = -1  # dead end, prune
+                path.pop()
+                u = to[path[-1]] if path else s
+                ptr[u] += 1
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
-        while self._bfs(s, t):
-            self.ptr = [0] * self.n
-            flow += self._dfs(s, t)
+        while (level := self._bfs(s, t)) is not None:
+            flow += self._blocking_flow(s, t, level)
         return flow
 
     def source_side(self, s: int) -> set[int]:

@@ -7,20 +7,23 @@ inside a rotated cube of side t, with the sharp-interface datum
 value is normalized by t^(d-1).  Pairs with at least one endpoint in
 the cube count, both orientations each.
 
-The cube is realised exactly in a rational orthogonal frame aligned
-with nu, half-open along every frame axis, so opposite faces are never
-double-counted at any side.  Values are exact rationals; minimisation
-is an s/t min-cut (strong couplings are positive on a coercive model).
+The cube is realised exactly in an orthogonal frame aligned with nu,
+half-open along every frame axis, so opposite faces are never
+double-counted at any side.  The frame vectors are scaled to integers,
+so the cube and its bonds are built on an integer grid.  Values are
+exact rationals; minimisation is an s/t min-cut (strong couplings are
+positive on a coercive model).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .connectivity import ConnectivitySummary, classify, coarsening_side
 from .ground_state import GroundStateInstance, minimize
@@ -34,23 +37,23 @@ def _rational_vector(direction: Sequence) -> tuple[Fraction, ...]:
     return vec
 
 
+def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector that is a positive multiple of ``vec``."""
+    scale = math.lcm(*(c.denominator for c in vec))
+    ints = [int(c * scale) for c in vec]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
 def canonical_direction(direction: Sequence) -> tuple[int, ...]:
     """Primitive integer vector, sign-normalised (first nonzero positive).
 
     Both nu and -nu, and any positive rational rescaling, map to the
     same key; the surface tension is symmetric and 0-homogeneous in nu.
     """
-    vec = _rational_vector(direction)
-    scale = math.lcm(*(c.denominator for c in vec))
-    ints = [int(c * scale) for c in vec]
-    g = math.gcd(*(abs(c) for c in ints))
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
+    ints = _primitive(_rational_vector(direction))
+    first = next(c for c in ints if c)
+    return ints if first > 0 else tuple(-c for c in ints)
 
 
 def orthogonal_frame(direction: Sequence) -> list[tuple[Fraction, ...]]:
@@ -77,30 +80,39 @@ def orthogonal_frame(direction: Sequence) -> list[tuple[Fraction, ...]]:
     return frame
 
 
-def in_frame_cube(site: Sequence[int], frame: Sequence[tuple[Fraction, ...]], side: int) -> bool:
-    """Exact membership in the half-open rotated cube of the given side.
+def _cube_mask(frame: Sequence[tuple[int, ...]], side: int, bound: int) -> np.ndarray:
+    """Sites of the half-open rotated cube on the grid [-bound, bound]^d.
 
-    Along each frame vector w the slab is  -side/2 <= <x, w>/|w| < side/2,
-    tested without square roots by comparing <x, w>^2 against
-    side^2 |w|^2 / 4.
+    ``frame`` holds orthogonal integer vectors.  Along each w the slab is
+    -side/2 <= <x, w>/|w| < side/2: with q = <x, w> and S = side^2 |w|^2,
+    4q^2 <= S where q < 0 and 4q^2 < S where q > 0, that is
+    -isqrt(S) <= 2q <= isqrt(S - 1).  The grid is tested one
+    first-coordinate slab at a time, in int64, or in Python ints
+    (``dtype=object``) when 2q could pass int64.  The result is a boolean
+    array in C (lexicographic) order.
     """
+    d = len(frame)
+    n = 2 * bound + 1
+    widest = max(sum(abs(c) for c in w) for w in frame)
+    dtype = np.int64 if 2 * bound * widest < 2**62 else object
+    coords = np.arange(-bound, bound + 1).astype(dtype)
+    slabs = []  # per w: (first-coordinate weight, <rest, w> over the slab grid, bounds of 2q)
     for w in frame:
-        q = sum(int(c) * wc for c, wc in zip(site, w))
-        lsq = Fraction(side * side, 4) * sum(wc * wc for wc in w)
-        if q < 0 and q * q > lsq:
-            return False
-        if q > 0 and q * q >= lsq:
-            return False
-    return True
-
-
-def _cube_sites(dimension: int, frame, side: int) -> list[tuple[int, ...]]:
-    bound = math.isqrt(dimension * side * side) // 2 + 2
-    return [
-        site
-        for site in itertools.product(range(-bound, bound + 1), repeat=dimension)
-        if in_frame_cube(site, frame, side)
-    ]
+        rest = np.zeros((n,) * (d - 1), dtype=dtype)
+        for axis in range(1, d):
+            shape = [1] * (d - 1)
+            shape[axis - 1] = n
+            rest = rest + coords.reshape(shape) * w[axis]
+        s_sq = side * side * sum(c * c for c in w)
+        slabs.append((w[0], 2 * rest, -math.isqrt(s_sq), math.isqrt(s_sq - 1)))
+    mask = np.empty((n,) * d, dtype=bool)
+    for i, x0 in enumerate(range(-bound, bound + 1)):
+        inside = np.ones((n,) * (d - 1), dtype=bool)
+        for w0, rest2, lo, hi in slabs:
+            q2 = rest2 + 2 * x0 * w0
+            inside &= (q2 >= lo) & (q2 <= hi)
+        mask[i] = inside
+    return mask
 
 
 def cell_value(
@@ -135,33 +147,62 @@ def cell_value(
             f"cube side {side} is below the coarsening side {needed} of phase {phase}",
             stacklevel=2,
         )
-    frame = orthogonal_frame(nu)
-
-    inside = [s for s in _cube_sites(model.dimension, frame, side) if summary.in_core(phase, s)]
-    if not inside:
+    frame = [_primitive(w) for w in orthogonal_frame(nu)]
+    instance = _cell_instance(model, summary.core_residues[phase], frame, side)
+    if not instance.variables:
         raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
-    inside_set = set(inside)
-    pair_terms = []
-    fixed: dict[tuple[int, ...], int] = {}
-    for x in inside:
-        for off in model.strong_offsets(model.residue_of(x)):
-            y = tuple(a + b for a, b in zip(x, off))
-            weight = model.pair_weight(x, y)
-            if y in inside_set:
-                if x < y:
-                    pair_terms.append((x, y, 2 * weight))
-            else:
-                fixed[y] = 1 if sum(a * b for a, b in zip(y, nu)) > 0 else -1
-                pair_terms.append((x, y, 2 * weight))
+    solution = minimize(instance, method="cut")
+    return solution.energy / side ** (model.dimension - 1)
 
-    variables = tuple(sorted(inside) + sorted(fixed))
-    instance = GroundStateInstance(
-        variables=variables,
+
+def _site_tuples(grid_index: np.ndarray, bound: int) -> list[tuple[int, ...]]:
+    return list(map(tuple, (grid_index - bound).tolist()))
+
+
+def _cell_instance(
+    model: LatticeModel, core: frozenset, frame: Sequence[tuple[int, ...]], side: int
+) -> GroundStateInstance:
+    """The cut problem of one cube: the core sites inside are free, their
+    strong neighbours outside are fixed to the sharp-interface datum.
+
+    Pairs are built per (residue, offset) class on the cube grid; an
+    inner pair is taken once, from its lexicographically smaller site.
+    """
+    d = model.dimension
+    cell = (model.period,) * d
+    bound = math.isqrt(d * side * side) // 2 + 2
+    in_core = np.zeros(cell, dtype=bool)
+    for res in core:
+        in_core[res] = True
+    axis_residues = np.arange(-bound, bound + 1) % model.period
+    inside = _cube_mask(frame, side, bound) & in_core[np.ix_(*(axis_residues,) * d)]
+    sites = np.argwhere(inside)  # grid indices, lexicographic
+    site_class = np.ravel_multi_index(axis_residues[sites].T, cell)
+    classes = [(res, off) for res in sorted(core) for off in sorted(model.strong_offsets(res))]
+    pad = max((abs(c) for _, off in classes for c in off), default=0)
+    padded = np.pad(inside, pad)
+
+    pair_terms = []
+    outer = [np.empty((0, d), dtype=np.int64)]
+    for res, off in classes:
+        weight = 2 * model.weights[(res, off)]
+        src = sites[site_class == np.ravel_multi_index(res, cell)]
+        dst = src + np.array(off, dtype=np.int64)
+        hit = padded[tuple((dst + pad).T)]
+        if off < (0,) * d:
+            src, dst, hit = src[~hit], dst[~hit], hit[~hit]
+        xs = _site_tuples(src, bound)
+        ys = _site_tuples(dst, bound)
+        pair_terms += [(x, y, weight) for x, y in zip(xs, ys)]
+        outer.append(dst[~hit])
+
+    outer_sites = sorted(set(_site_tuples(np.concatenate(outer), bound)))
+    fixed = {y: 1 if sum(a * b for a, b in zip(y, frame[0])) > 0 else -1 for y in outer_sites}
+    return GroundStateInstance(
+        variables=tuple(_site_tuples(sites, bound)) + tuple(fixed),
         pair_terms=tuple(pair_terms),
         fixed=fixed,
     )
-    solution = minimize(instance, method="cut")
-    return solution.energy / side ** (model.dimension - 1)
 
 
 @dataclass(frozen=True)
@@ -185,6 +226,30 @@ class SurfaceRow:
         return abs(self.values[-1] - self.values[-2])
 
 
+def _check_sides(sides: Sequence[int]) -> tuple[int, ...]:
+    sides = tuple(sides)
+    if len(sides) < 2:
+        raise ValueError("at least two cube sides required")
+    if any(a >= b for a, b in zip(sides, sides[1:])):
+        raise ValueError("cube sides must be strictly increasing")
+    return sides
+
+
+def _surface_rows(
+    model: LatticeModel,
+    phases: Iterable[int],
+    direction: Sequence,
+    sides: tuple[int, ...],
+    summary: ConnectivitySummary,
+) -> list[SurfaceRow]:
+    """Cell values of each phase in one direction, at every side."""
+    rows = []
+    for phase in phases:
+        values = tuple(cell_value(model, phase, direction, t, summary) for t in sides)
+        rows.append(SurfaceRow(phase, canonical_direction(direction), sides, values))
+    return rows
+
+
 def fhom_estimate(
     model: LatticeModel,
     phase: int,
@@ -193,15 +258,10 @@ def fhom_estimate(
     summary: ConnectivitySummary | None = None,
 ) -> SurfaceRow:
     """Cell values along at least two increasing sides; no extrapolation."""
-    sides = tuple(sides)
-    if len(sides) < 2:
-        raise ValueError("at least two cube sides required")
-    if any(a >= b for a, b in zip(sides, sides[1:])):
-        raise ValueError("cube sides must be strictly increasing")
+    sides = _check_sides(sides)
     if summary is None:
         summary = classify(model)
-    values = tuple(cell_value(model, phase, direction, t, summary) for t in sides)
-    return SurfaceRow(phase, canonical_direction(direction), sides, values)
+    return _surface_rows(model, [phase], direction, sides, summary)[0]
 
 
 def fhom_total(
@@ -213,13 +273,9 @@ def fhom_total(
     """Sum over the phases of the per-phase estimates in one direction."""
     if summary is None:
         summary = classify(model)
-    return sum(
-        (
-            fhom_estimate(model, j, direction, sides, summary).estimate
-            for j in range(1, model.num_phases + 1)
-        ),
-        Fraction(0),
-    )
+    sides = _check_sides(sides)
+    rows = _surface_rows(model, range(1, model.num_phases + 1), direction, sides, summary)
+    return sum((row.estimate for row in rows), Fraction(0))
 
 
 class SurfaceTable:
@@ -245,12 +301,11 @@ class SurfaceTable:
         sides = tuple(sides)
         if summary is None:
             summary = classify(model)
+        phases = range(1, model.num_phases + 1)
         rows = {}
         for direction in directions:
-            nu = canonical_direction(direction)
-            for phase in range(1, model.num_phases + 1):
-                values = tuple(cell_value(model, phase, nu, t, summary) for t in sides)
-                rows[(phase, nu)] = SurfaceRow(phase, nu, sides, values)
+            for row in _surface_rows(model, phases, canonical_direction(direction), sides, summary):
+                rows[(row.phase, row.direction)] = row
         return cls(model.num_phases, rows)
 
     @classmethod

@@ -222,6 +222,21 @@ def test_energy_subcommand(capsys, tmp_path):
     assert doc["sites"] == 7
 
 
+def test_energy_rejects_boolean_rle(capsys):
+    field = {
+        "eps": "1/4",
+        "omega": {"lo": ["0"], "hi": ["1"]},
+        "spins_rle": [[True, 1], [2, True]],
+    }
+    code = run(["energy", CHAIN, "--field", json.dumps(field)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error:")
+    assert "spins_rle[0]" in out.err
+    assert out.err.count("\n") == 1
+
+
 def test_extend_subcommand(capsys, tmp_path):
     field = {
         "eps": "0.0625",

@@ -80,6 +80,14 @@ def test_rle_total_is_checked_before_decoding():
         SpinField.from_json_dict(doc)
 
 
+def test_rle_rejects_booleans():
+    # JSON true/false decode to bool, a subclass of int: neither is a count or a spin
+    for rle in ([[True, 1], [2, True]], [[3, True]], [[False, 1], [3, 1]], [[3, 1.0]]):
+        doc = {"eps": "1/4", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": rle}
+        with pytest.raises(SchemaError, match=r"spins_rle\[\d\]: expected \[count, spin\]"):
+            SpinField.from_json_dict(doc)
+
+
 def test_field_save_load_round_trip(tmp_path):
     rng = random.Random(5)
     eps = Fraction(1, 16)

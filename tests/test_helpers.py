@@ -177,3 +177,94 @@ def test_max_flow_simple_paths():
     net = FlowNetwork(2)
     assert net.max_flow(0, 1) == 0
     assert net.source_side(0) == {0}
+
+
+def smallest_min_cut_side(n, edges, s, t):
+    """The source set of the minimum cut with the fewest nodes, by enumeration.
+
+    Minimum-cut source sets are closed under intersection, so this set is
+    contained in every other one; the check guards the enumeration itself.
+    """
+    others = [v for v in range(n) if v not in (s, t)]
+    sides = []
+    for bits in itertools.product((0, 1), repeat=len(others)):
+        side = {s} | {v for v, b in zip(others, bits) if b}
+        sides.append((sum(c for u, v, c in edges if u in side and v not in side), side))
+    best = min(value for value, _ in sides)
+    minimal = [side for value, side in sides if value == best]
+    smallest = min(minimal, key=len)
+    assert all(smallest <= side for side in minimal)
+    return smallest
+
+
+def test_source_side_is_smallest_min_cut_source_set():
+    rng = random.Random(47)
+    for _ in range(150):
+        n = rng.randrange(2, 9)
+        edges = []
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < 0.45:
+                    # small capacities make ties between cuts common
+                    edges.append((u, v, rng.randrange(0, 4)))
+        net = FlowNetwork(n)
+        for u, v, c in edges:
+            net.add_edge(u, v, c)
+        net.max_flow(0, n - 1)
+        assert net.source_side(0) == smallest_min_cut_side(n, edges, 0, n - 1)
+
+
+def edmonds_karp(n, edges, s, t):
+    """Maximum flow by shortest augmenting paths on a residual matrix, and
+    the nodes reachable from s in the final residual graph."""
+    residual = [dict() for _ in range(n)]
+    for u, v, c in edges:
+        residual[u][v] = residual[u].get(v, 0) + c
+        residual[v].setdefault(u, 0)
+    flow = 0
+    while True:
+        parent = {s: None}
+        queue = [s]
+        for u in queue:
+            for v, c in residual[u].items():
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            return flow, set(parent)
+        path = []
+        v = t
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+
+
+def test_max_flow_matches_edmonds_karp_on_grid():
+    rng = random.Random(3)
+    side = 20
+    node = lambda i, j: i * side + j
+    s, t = side * side, side * side + 1
+    for _ in range(3):
+        edges = []
+        for i in range(side):
+            edges.append((s, node(i, 0), rng.randrange(0, 12)))
+            edges.append((node(i, side - 1), t, rng.randrange(0, 12)))
+            for j in range(side):
+                for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1)):
+                    a, b = i + di, j + dj
+                    if 0 <= a < side and 0 <= b < side:
+                        edges.append((node(i, j), node(a, b), rng.choice((0, 1, 2, 3, 5))))
+        want = edmonds_karp(side * side + 2, edges, s, t)
+        # the insertion order changes the augmenting paths, not the result
+        for order in range(2):
+            if order:
+                rng.shuffle(edges)
+            net = FlowNetwork(side * side + 2)
+            for u, v, c in edges:
+                net.add_edge(u, v, c)
+            assert (net.max_flow(s, t), net.source_side(s)) == want

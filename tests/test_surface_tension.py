@@ -1,21 +1,44 @@
 """Directional interface energies from finite cell problems."""
 
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinhom.connectivity import classify
+from spinhom.model import parse_model
 from spinhom.surface_tension import (
     SurfaceTable,
+    _cell_instance,
+    _cube_mask,
+    _primitive,
     canonical_direction,
     cell_value,
     fhom_estimate,
     fhom_total,
-    in_frame_cube,
     orthogonal_frame,
 )
 
 from conftest import fixture_model
+
+
+def in_frame_cube(site, frame, side) -> bool:
+    """Exact membership in the half-open rotated cube of the given side.
+
+    Along each frame vector w the slab is  -side/2 <= <x, w>/|w| < side/2,
+    tested without square roots by comparing <x, w>^2 against
+    side^2 |w|^2 / 4.  Per-site reference for ``_cube_mask``.
+    """
+    for w in frame:
+        q = sum(int(c) * wc for c, wc in zip(site, w))
+        lsq = Fraction(side * side, 4) * sum(wc * wc for wc in w)
+        if q < 0 and q * q > lsq:
+            return False
+        if q > 0 and q * q >= lsq:
+            return False
+    return True
 
 
 def test_canonical_direction_scaling_and_sign():
@@ -67,6 +90,113 @@ def test_frame_cube_axis_counts():
             for y in range(-10, 11)
         )
         assert count == side * side
+
+
+def reference_cube_sites(direction, side):
+    """Lexicographic per-site scan of the rotated cube, exact in Fractions."""
+    frame = orthogonal_frame(direction)
+    d = len(frame)
+    bound = math.isqrt(d * side * side) // 2 + 2
+    return [
+        site
+        for site in itertools.product(range(-bound, bound + 1), repeat=d)
+        if in_frame_cube(site, frame, side)
+    ]
+
+
+def integer_cube_sites(direction, side):
+    d = len(direction)
+    bound = math.isqrt(d * side * side) // 2 + 2
+    frame = [_primitive(w) for w in orthogonal_frame(direction)]
+    mask = _cube_mask(frame, side, bound)
+    return [tuple(int(c) - bound for c in site) for site in np.argwhere(mask)]
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [(1, 0), (0, 1), (1, 2), (2, 1), (-1, 2), (1, 1), (3, 5), (2, -5), (Fraction(1, 2), Fraction(-1, 3))],
+)
+def test_integer_cube_matches_fraction_scan_2d(direction):
+    for side in (1, 2, 3, 4, 5, 8, 13, 16):
+        assert integer_cube_sites(direction, side) == reference_cube_sites(direction, side)
+
+
+@pytest.mark.parametrize("direction", [(1, 1, 1), (0, 0, 1), (1, 2, 3), (1, -1, 2), (-3, 1, 2)])
+def test_integer_cube_matches_fraction_scan_3d(direction):
+    for side in (1, 2, 3, 4, 5):
+        assert integer_cube_sites(direction, side) == reference_cube_sites(direction, side)
+
+
+def test_integer_cube_huge_normals():
+    # (1, 10**10) stays on int64; for the others 2<x, w> may pass int64
+    # (the 3D frame completes with vectors near 10**24), so they run in
+    # Python ints (dtype=object)
+    for direction in [(1, 10**10), (1, 10**20), (10**19, -3), (1, 10**12, 7)]:
+        for side in (2, 3, 4) if len(direction) == 3 else (1, 2, 3, 4, 5, 8):
+            assert integer_cube_sites(direction, side) == reference_cube_sites(direction, side)
+
+
+def reference_cell_instance(model, phase, summary, direction, side):
+    """The per-site cube build: core sites in the cube, each strong bond
+    visited from every inside site, fixed datum from the sign of <y, nu>."""
+    inside = [s for s in reference_cube_sites(direction, side) if summary.in_core(phase, s)]
+    inside_set = set(inside)
+    pair_terms, fixed = [], {}
+    for x in inside:
+        for off in model.strong_offsets(model.residue_of(x)):
+            y = tuple(a + b for a, b in zip(x, off))
+            weight = model.pair_weight(x, y)
+            if y in inside_set:
+                if x < y:
+                    pair_terms.append((x, y, 2 * weight))
+            else:
+                fixed[y] = 1 if sum(a * b for a, b in zip(y, direction)) > 0 else -1
+                pair_terms.append((x, y, 2 * weight))
+    return tuple(sorted(inside) + sorted(fixed)), pair_terms, fixed
+
+
+def cubic_model_3d():
+    """Period-2 cubic lattice, one hard phase with a soft inclusion at the
+    origin residue; axis-dependent weights and a diagonal bond."""
+    residues = list(itertools.product(range(2), repeat=3))
+    labels = {",".join(map(str, r)): (0 if r == (0, 0, 0) else 1) for r in residues}
+    weights = {(1, 0, 0): "1", (0, 1, 0): "1/2", (0, 0, 1): "3/4", (1, 1, 0): "1/3"}
+    strong = []
+    for r in residues:
+        if r == (0, 0, 0):
+            continue
+        for off, w in weights.items():
+            for sign in (1, -1):
+                o = tuple(sign * c for c in off)
+                target = tuple((a + b) % 2 for a, b in zip(r, o))
+                if target != (0, 0, 0):
+                    strong.append({"from": ",".join(map(str, r)), "offset": list(o), "weight": w})
+    return parse_model({
+        "dimension": 3, "period": 2, "num_phases": 1, "labels": labels, "strong_bonds": strong,
+    })
+
+
+@pytest.mark.parametrize(
+    "name, directions, sides",
+    [
+        ("diagonal_2d", [(1, 2), (2, -5), (-1, 2), (1, 1), (0, 1)], (4, 5, 8)),
+        ("soft_inclusions_2d", [(1, 0), (3, 5), (2, -1)], (3, 6)),
+        ("islands_1d", [(1,), (-1,)], (4, 7)),
+        ("cubic_3d", [(1, 1, 1), (1, -2, 0), (0, 0, 1)], (2, 3)),
+    ],
+)
+def test_cell_instance_matches_per_site_build(name, directions, sides):
+    model = cubic_model_3d() if name == "cubic_3d" else fixture_model(name)
+    summary = classify(model)
+    core = summary.core_residues[1]
+    for direction in directions:
+        frame = [_primitive(w) for w in orthogonal_frame(direction)]
+        for side in sides:
+            instance = _cell_instance(model, core, frame, side)
+            variables, pair_terms, fixed = reference_cell_instance(model, 1, summary, direction, side)
+            assert instance.variables == variables
+            assert sorted(instance.pair_terms) == sorted(pair_terms)
+            assert dict(instance.fixed) == fixed
 
 
 def test_cell_value_invariant_under_direction_rescaling():
