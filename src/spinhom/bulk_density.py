@@ -198,10 +198,6 @@ class PhiRow:
     lower: Fraction
     upper: Fraction
 
-    @property
-    def residual(self) -> Fraction:
-        return self.corrected - self.plain
-
 
 def phi_bracket(model, m, states, summary=None, **solver) -> PhiRow:
     """Both finite-cube estimates at one side, with the sandwich bracket.

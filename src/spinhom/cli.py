@@ -126,8 +126,6 @@ def _num(value) -> str:
         return number_str(value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

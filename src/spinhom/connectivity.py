@@ -40,7 +40,6 @@ class PeriodicComponent:
     classification: str
     # one concrete copy of the component, for finite components only
     lift_sites: tuple[Site, ...] | None = None
-    lift_diameter_sq: int | None = None
     # exact Euclidean diameter when it is an integer, else the integer ceiling
     lift_diameter: Fraction | None = None
 
@@ -120,7 +119,6 @@ def classify(model: LatticeModel) -> ConnectivitySummary:
                         displacement_basis=(),
                         classification=CLASS_FINITE,
                         lift_sites=sites,
-                        lift_diameter_sq=dsq,
                         lift_diameter=Fraction(_ceil_sqrt(dsq)),
                     )
                 )
@@ -190,11 +188,6 @@ def cube_range(m: int) -> range:
 
 def cube_sites(dim: int, m: int) -> list[Site]:
     return list(product(cube_range(m), repeat=dim))
-
-
-def in_cube(site: Site, m: int) -> bool:
-    lo = -(m // 2)
-    return all(lo <= c < lo + m for c in site)
 
 
 def _in_shrunk_cube(site: Site, side: Fraction) -> bool:

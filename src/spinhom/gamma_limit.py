@@ -25,19 +25,23 @@ import numpy as np
 from . import geometry
 from .bulk_density import PhiTable, phi_solution
 from .connectivity import ConnectivitySummary, classify, coarsening_side, cube_sites
-from .model import LatticeModel, Offset, Residue, SchemaError, Site, number_str
+from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction
 
 
 def _fraction(value, locus: str) -> Fraction:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, (int, str)):
+    if is_json_int(value) or isinstance(value, str):
+        try:
             return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):
+            pass
     raise SchemaError(locus, f"expected an integer or a rational string, got {value!r}")
+
+
+def _array(value, locus: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(locus, f"expected an array, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +74,8 @@ class DomainSpec:
 
     def site_ranges(self, eps: Fraction) -> list[range]:
         """Per-axis index ranges of the lattice sites strictly inside (1/eps) of the box."""
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         out = []
         for a, b in zip(self.lo, self.hi):
             out.append(range(math.floor(a / eps) + 1, math.ceil(b / eps)))
@@ -88,8 +94,12 @@ class DomainSpec:
     def from_json_dict(cls, obj, locus: str = "omega") -> "DomainSpec":
         if not isinstance(obj, Mapping) or "lo" not in obj or "hi" not in obj:
             raise SchemaError(locus, "expected an object with 'lo' and 'hi' lists")
-        lo = tuple(_fraction(v, f"{locus}.lo[{i}]") for i, v in enumerate(obj["lo"]))
-        hi = tuple(_fraction(v, f"{locus}.hi[{i}]") for i, v in enumerate(obj["hi"]))
+        lo = tuple(
+            _fraction(v, f"{locus}.lo[{i}]") for i, v in enumerate(_array(obj["lo"], f"{locus}.lo"))
+        )
+        hi = tuple(
+            _fraction(v, f"{locus}.hi[{i}]") for i, v in enumerate(_array(obj["hi"], f"{locus}.hi"))
+        )
         return cls(lo, hi)
 
 
@@ -126,8 +136,6 @@ class SpinField:
 
     def __init__(self, eps: Fraction, omega: DomainSpec, values: Mapping[Site, int] | np.ndarray):
         self.eps = Fraction(eps)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
         self.omega = omega
         self.ranges = omega.site_ranges(self.eps)
         shape = tuple(len(r) for r in self.ranges)
@@ -187,13 +195,15 @@ class SpinField:
             if key not in obj:
                 raise SchemaError("$", f"field document is missing {key!r}")
         eps = _fraction(obj["eps"], "eps")
+        if eps <= 0:
+            raise SchemaError("eps", f"must be positive, got {obj['eps']!r}")
         omega = DomainSpec.from_json_dict(obj["omega"])
         shape = tuple(len(r) for r in omega.site_ranges(eps))
-        for i, pair in enumerate(obj["spins_rle"]):
+        for i, pair in enumerate(_array(obj["spins_rle"], "spins_rle")):
             if (
                 not isinstance(pair, Sequence)
                 or len(pair) != 2
-                or not all(isinstance(c, int) and not isinstance(c, bool) for c in pair)
+                or not all(is_json_int(c) for c in pair)
                 or pair[0] <= 0
                 or pair[1] not in (1, -1)
             ):
@@ -565,25 +575,31 @@ class MultiphaseField:
         if not isinstance(obj, Mapping) or "phases" not in obj:
             raise SchemaError("$", "target document must be an object with a 'phases' list")
         phases: list[PhaseTarget] = []
-        for i, spec in enumerate(obj["phases"]):
+        for i, spec in enumerate(_array(obj["phases"], "phases")):
             locus = f"phases[{i}]"
             if not isinstance(spec, Mapping) or len(spec) != 1:
                 raise SchemaError(locus, "expected exactly one of slab/boxes/constant")
             if "slab" in spec:
                 s = spec["slab"]
+                if not isinstance(s, Mapping) or "normal" not in s or "offset" not in s:
+                    raise SchemaError(f"{locus}.slab", "expected an object with 'normal' and 'offset'")
                 normal = tuple(
-                    _fraction(c, f"{locus}.slab.normal[{j}]") for j, c in enumerate(s["normal"])
+                    _fraction(c, f"{locus}.slab.normal[{j}]")
+                    for j, c in enumerate(_array(s["normal"], f"{locus}.slab.normal"))
                 )
                 phases.append(Slab(normal, _fraction(s["offset"], f"{locus}.slab.offset")))
             elif "boxes" in spec:
                 boxes = []
-                for j, b in enumerate(spec["boxes"]):
-                    lo = tuple(_fraction(c, f"{locus}.boxes[{j}].lo") for c in b["lo"])
-                    hi = tuple(_fraction(c, f"{locus}.boxes[{j}].hi") for c in b["hi"])
+                for j, b in enumerate(_array(spec["boxes"], f"{locus}.boxes")):
+                    box = f"{locus}.boxes[{j}]"
+                    if not isinstance(b, Mapping) or "lo" not in b or "hi" not in b:
+                        raise SchemaError(box, "expected an object with 'lo' and 'hi' lists")
+                    lo = tuple(_fraction(c, f"{box}.lo") for c in _array(b["lo"], f"{box}.lo"))
+                    hi = tuple(_fraction(c, f"{box}.hi") for c in _array(b["hi"], f"{box}.hi"))
                     boxes.append(Box(lo, hi))
                 phases.append(Boxes(tuple(boxes)))
             elif "constant" in spec:
-                if spec["constant"] not in (1, -1):
+                if not is_json_int(spec["constant"]) or spec["constant"] not in (1, -1):
                     raise SchemaError(f"{locus}.constant", "must be +-1")
                 phases.append(Constant(spec["constant"]))
             else:
@@ -875,6 +891,8 @@ def converge_report(
     eps_list = [Fraction(e) for e in eps_list]
     if not eps_list or any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps list must be strictly decreasing")
+    if eps_list[-1] <= 0:
+        raise ValueError("eps must be positive")
     if summary is None:
         summary = classify(model)
     if surface_side is None:

@@ -7,10 +7,11 @@ over +-1 variables, with optional fixed variables and equality groups
 coefficients.
 
 :func:`minimize` folds an instance once (groups merged, fixed variables
-eliminated) and hands the :class:`FoldedInstance` to one of three solvers:
+eliminated, every coefficient scaled to one integer scale) and hands the
+:class:`FoldedInstance` to one of three solvers:
 
 * :func:`minimize_enum` - exhaustive, lexicographic tie-break, capped;
-* :func:`minimize_cut`  - s/t min-cut, exact via integer-scaled Dinic;
+* :func:`minimize_cut`  - s/t min-cut, exact via integer Dinic;
   applies to instances whose free-free couplings are nonnegative, or can
   be made so by flipping a deterministic subset of variables (a gauge);
 * :func:`minimize_anneal` - seeded simulated annealing, no optimality
@@ -118,14 +119,24 @@ def energy(instance: GroundStateInstance, assignment: Mapping[Var, int]) -> Frac
 
 @dataclass
 class FoldedInstance:
+    """An instance in solver form, on one integer scale.
+
+    Free groups are numbered ``0..free_count-1`` in ``free_reps`` order.
+    Every coefficient is an int equal to ``scale`` times its exact value:
+    ``pairs`` holds the nonzero couplings ``(i, j, w)`` with ``i < j``,
+    sorted, a broken pair costing ``4 w``; ``unary[i]`` is the
+    ``(h_plus, h_minus)`` of group i.
+    """
+
     instance: GroundStateInstance
     rep_of: dict
     members: dict           # rep -> sorted member list
     free_reps: list         # sorted
     fixed_reps: dict        # rep -> spin
-    pair_weights: dict      # (rep_u, rep_v) with rep_u < rep_v -> Fraction
-    unary: dict             # free rep -> [h_plus, h_minus]
-    constant: Fraction
+    pairs: list
+    unary: list
+    constant: int
+    scale: int
 
     @property
     def free_count(self) -> int:
@@ -133,6 +144,11 @@ class FoldedInstance:
 
 
 def fold_instance(instance: GroundStateInstance) -> FoldedInstance:
+    """Merge groups, eliminate fixed variables and scale every term once.
+
+    ``scale`` is the lcm of the denominators of the input terms, so each
+    term becomes an int on its own and all sums are exact int sums.
+    """
     rep_of: dict = {}
     members: dict = {}
     for g in instance.groups:
@@ -153,21 +169,31 @@ def fold_instance(instance: GroundStateInstance) -> FoldedInstance:
         fixed_reps[rep] = s
 
     free_reps = sorted(r for r in members if r not in fixed_reps)
-    unary = {r: [Fraction(0), Fraction(0)] for r in free_reps}
-    constant = Fraction(0)
+    index = {r: i for i, r in enumerate(free_reps)}
+    denominators = {w.denominator for _, _, w in instance.pair_terms}
+    for h in instance.unary_terms.values():
+        denominators.update(x.denominator for x in h)
+    scale = math.lcm(*denominators)
+
+    unary = [[0, 0] for _ in free_reps]
+    constant = 0
     for v, (hp, hm) in instance.unary_terms.items():
         rep = rep_of[v]
+        hp = hp.numerator * (scale // hp.denominator)
+        hm = hm.numerator * (scale // hm.denominator)
         if rep in fixed_reps:
             constant += hp if fixed_reps[rep] > 0 else hm
         else:
-            unary[rep][0] += hp
-            unary[rep][1] += hm
+            h = unary[index[rep]]
+            h[0] += hp
+            h[1] += hm
 
-    pair_weights: dict = {}
+    couplings: dict = {}
     for u, v, w in instance.pair_terms:
         ru, rv = rep_of[u], rep_of[v]
         if ru == rv:
             continue
+        w = w.numerator * (scale // w.denominator)
         fu, fv = ru in fixed_reps, rv in fixed_reps
         if fu and fv:
             if fixed_reps[ru] != fixed_reps[rv]:
@@ -175,13 +201,11 @@ def fold_instance(instance: GroundStateInstance) -> FoldedInstance:
         elif fu or fv:
             free, s = (rv, fixed_reps[ru]) if fu else (ru, fixed_reps[rv])
             # w (x - s)^2 = 4w when x = -s
-            if s > 0:
-                unary[free][1] += 4 * w
-            else:
-                unary[free][0] += 4 * w
+            unary[index[free]][1 if s > 0 else 0] += 4 * w
         else:
-            key = (ru, rv) if ru < rv else (rv, ru)
-            pair_weights[key] = pair_weights[key] + w if key in pair_weights else w
+            i, j = index[ru], index[rv]
+            key = (i, j) if i < j else (j, i)
+            couplings[key] = couplings.get(key, 0) + w
 
     return FoldedInstance(
         instance=instance,
@@ -189,25 +213,18 @@ def fold_instance(instance: GroundStateInstance) -> FoldedInstance:
         members=members,
         free_reps=free_reps,
         fixed_reps=fixed_reps,
-        pair_weights=pair_weights,
-        unary=unary,
+        pairs=sorted((i, j, w) for (i, j), w in couplings.items() if w),
+        unary=[tuple(h) for h in unary],
         constant=constant,
+        scale=scale,
     )
 
 
-def _expand(folded: FoldedInstance, rep_values: Mapping) -> dict:
-    out = {}
-    for rep, vs in folded.members.items():
-        val = folded.fixed_reps.get(rep)
-        if val is None:
-            val = rep_values[rep]
-        for v in vs:
-            out[v] = val
-    return out
-
-
-def _finish(folded: FoldedInstance, rep_values: Mapping, method: str, exact: bool) -> Solution:
-    assignment = _expand(folded, rep_values)
+def _finish(folded: FoldedInstance, spins, method: str, exact: bool) -> Solution:
+    """Solution from one spin per free group, its energy re-evaluated exactly."""
+    values = dict(zip(folded.free_reps, spins))
+    values.update(folded.fixed_reps)
+    assignment = {v: values[rep] for rep, vs in folded.members.items() for v in vs}
     return Solution(
         assignment=assignment,
         energy=energy(folded.instance, assignment),
@@ -230,21 +247,13 @@ def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
     if nfree > cap:
         raise TooManyFreeGroups(f"{nfree} free groups exceeds the enumeration cap {cap}")
 
-    reps = folded.free_reps
-    idx = {r: i for i, r in enumerate(reps)}
-    denoms = [w.denominator for w in folded.pair_weights.values()]
-    for hp, hm in folded.unary.values():
-        denoms += [hp.denominator, hm.denominator]
-    scale = math.lcm(*denoms) if denoms else 1
-    pair_list = [
-        (idx[u], idx[v], int(4 * w * scale)) for (u, v), w in sorted(folded.pair_weights.items())
-    ]
-    hp_arr = np.array([int(folded.unary[r][0] * scale) for r in reps], dtype=object)
-    hm_arr = np.array([int(folded.unary[r][1] * scale) for r in reps], dtype=object)
-    bound = sum(abs(w) for _, _, w in pair_list) + int(
-        sum(max(abs(a), abs(b)) for a, b in zip(hp_arr, hm_arr))
+    pair_list = [(i, j, 4 * w) for i, j, w in folded.pairs]
+    hp_arr = np.array([hp for hp, _ in folded.unary], dtype=object)
+    hm_arr = np.array([hm for _, hm in folded.unary], dtype=object)
+    bound = sum(abs(w) for _, _, w in pair_list) + sum(
+        max(abs(hp), abs(hm)) for hp, hm in folded.unary
     )
-    # coefficients too large for int64 after scaling: same loop on python ints
+    # coefficients too large for int64: same loop on python ints
     dtype = np.int64 if bound < 2**62 else object
     hp_vec = hp_arr.astype(dtype)
     dif_vec = (hm_arr - hp_arr).astype(dtype)
@@ -266,26 +275,23 @@ def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
             best_val = e[k]
             best_index = start + k
 
-    rep_values = {
-        r: (-1 if (best_index >> (nfree - 1 - g)) & 1 else 1) for g, r in enumerate(reps)
-    }
-    return _finish(folded, rep_values, "enumeration", True)
+    spins = [-1 if (best_index >> (nfree - 1 - g)) & 1 else 1 for g in range(nfree)]
+    return _finish(folded, spins, "enumeration", True)
 
 
 # ---------------------------------------------------------------------------
 # min-cut
 
 
-def _gauge(free_reps: list, weights: Mapping) -> dict:
+def _gauge(n: int, pairs: list) -> list:
     """Deterministic sign flip making all free-free couplings nonnegative."""
-    adj: dict = {r: [] for r in free_reps}
-    for (u, v), w in sorted(weights.items()):
-        if w != 0:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-    sigma: dict = {}
-    for root in free_reps:
-        if root in sigma:
+    adj: list = [[] for _ in range(n)]
+    for i, j, w in pairs:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    sigma = [0] * n
+    for root in range(n):
+        if sigma[root]:
             continue
         sigma[root] = 1
         queue = deque([root])
@@ -293,7 +299,7 @@ def _gauge(free_reps: list, weights: Mapping) -> dict:
             u = queue.popleft()
             for v, w in adj[u]:
                 want = sigma[u] * (1 if w > 0 else -1)
-                if v not in sigma:
+                if not sigma[v]:
                     sigma[v] = want
                     queue.append(v)
                 elif sigma[v] != want:
@@ -305,58 +311,41 @@ def _gauge(free_reps: list, weights: Mapping) -> dict:
 
 
 def minimize_cut(folded: FoldedInstance) -> Solution:
-    """Global minimum via s/t min-cut; exact (integer-scaled capacities).
+    """Global minimum via s/t min-cut; exact (integer capacities).
 
-    Every folded coefficient is scaled to one common denominator once;
-    the gauge, the capacities and the constant are then Python ints,
+    The gauge, the capacities and the constant are the folded ints,
     divided by the scale once for the cross-check.  Requires nonnegative
     couplings between free groups, possibly after a deterministic gauge
     flip; otherwise raises :class:`FrustratedInstance`.
     """
-    reps = folded.free_reps
-    denoms = {folded.constant.denominator}
-    denoms.update(w.denominator for w in folded.pair_weights.values())
-    for hp, hm in folded.unary.values():
-        denoms.update((hp.denominator, hm.denominator))
-    scale = math.lcm(*denoms)
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    weights = {key: scaled(w) for key, w in folded.pair_weights.items()}
-    sigma = _gauge(reps, weights)
-
-    idx = {r: i for i, r in enumerate(reps)}
     n = folded.free_count
+    sigma = _gauge(n, folded.pairs)
     net = FlowNetwork(n + 2)  # s = n, t = n + 1
-    constant = scaled(folded.constant)
-    for r in reps:
-        hp, hm = (scaled(h) for h in folded.unary[r])
-        if sigma[r] < 0:
+    constant = folded.constant
+    for i, (hp, hm) in enumerate(folded.unary):
+        if sigma[i] < 0:
             hp, hm = hm, hp
         base = min(hp, hm)
         constant += base
         if hm - base:
-            net.add_edge(n, idx[r], hm - base)
+            net.add_edge(n, i, hm - base)
         if hp - base:
-            net.add_edge(idx[r], n + 1, hp - base)
-    for (u, v), w in sorted(weights.items()):
-        if sigma[u] * sigma[v] < 0:
+            net.add_edge(i, n + 1, hp - base)
+    for i, j, w in folded.pairs:
+        if sigma[i] != sigma[j]:
             # flipping one endpoint trades the broken and unbroken pair
             # energies: w(s_u - s_v)^2 = 4w + (-w)(t_u - t_v)^2
             constant += 4 * w
             w = -w
         if w < 0:
             raise FrustratedInstance("internal gauge failure")  # unreachable
-        if w:
-            net.add_edge(idx[u], idx[v], 4 * w)
-            net.add_edge(idx[v], idx[u], 4 * w)
+        net.add_edge(i, j, 4 * w, 4 * w)
 
     flow = net.max_flow(n, n + 1)
     side = net.source_side(n)
-    rep_values = {r: sigma[r] * (1 if idx[r] in side else -1) for r in reps}
-    solution = _finish(folded, rep_values, "mincut", True)
-    cut_energy = Fraction(constant + flow, scale)
+    spins = [s if i in side else -s for i, s in enumerate(sigma)]
+    solution = _finish(folded, spins, "mincut", True)
+    cut_energy = Fraction(constant + flow, folded.scale)
     if solution.energy != cut_energy:
         raise RuntimeError(
             f"min-cut value {cut_energy} disagrees with re-evaluated "
@@ -419,15 +408,14 @@ def minimize_anneal(
     state, but no optimality is claimed (``exact=False``).
     """
     nfree = folded.free_count
-    reps = folded.free_reps
-    idx = {r: i for i, r in enumerate(reps)}
+    scale = folded.scale
     adj: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
-    for (u, v), w in sorted(folded.pair_weights.items()):
-        w4 = float(4 * w)
-        adj[idx[u]].append((idx[v], w4))
-        adj[idx[v]].append((idx[u], w4))
-    hp = [float(folded.unary[r][0]) for r in reps]
-    hm = [float(folded.unary[r][1]) for r in reps]
+    for i, j, w in folded.pairs:
+        w4 = 4 * w / scale
+        adj[i].append((j, w4))
+        adj[j].append((i, w4))
+    hp = [h / scale for h, _ in folded.unary]
+    hm = [h / scale for _, h in folded.unary]
 
     rng = random.Random(seed)
     state = [1 if hp[i] <= hm[i] else -1 for i in range(nfree)]
@@ -451,5 +439,4 @@ def minimize_anneal(
                 cur += delta
                 if cur < best:
                     best, best_state = cur, list(state)
-    rep_values = {r: best_state[idx[r]] for r in reps}
-    return _finish(folded, rep_values, "annealing", False)
+    return _finish(folded, best_state, "annealing", False)

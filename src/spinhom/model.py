@@ -138,8 +138,13 @@ class LatticeModel:
 # parsing
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_fraction(text, locus: str) -> Fraction:
-    if isinstance(text, int):
+    if is_json_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(locus, f"expected a numeric string, got {text!r}")
@@ -156,7 +161,10 @@ def _parse_residue_key(key: str, dim: int, period: int, locus: str) -> Residue:
     try:
         coords = tuple(int(p) for p in parts)
     except ValueError:
-        raise SchemaError(locus, f"residue key {key!r} is not a tuple of integers") from None
+        coords = None
+    # int() also reads " 1", "+1" and "01"; only the canonical form is a key
+    if coords is None or ",".join(map(str, coords)) != key:
+        raise SchemaError(locus, f"residue key {key!r} is not a tuple of integers")
     for c in coords:
         if not 0 <= c < period:
             raise SchemaError(locus, f"residue key {key!r} outside [0, {period})^{dim}")
@@ -164,12 +172,9 @@ def _parse_residue_key(key: str, dim: int, period: int, locus: str) -> Residue:
 
 
 def _parse_offset(raw, dim: int, locus: str) -> Offset:
-    if not isinstance(raw, list) or len(raw) != dim:
+    if not isinstance(raw, list) or len(raw) != dim or not all(is_json_int(c) for c in raw):
         raise SchemaError(locus, f"offset {raw!r} must be a length-{dim} integer array")
-    try:
-        off = tuple(int(c) for c in raw)
-    except (TypeError, ValueError):
-        raise SchemaError(locus, f"offset {raw!r} must be a length-{dim} integer array") from None
+    off = tuple(raw)
     if all(c == 0 for c in off):
         raise SchemaError(locus, "offset must be nonzero")
     return off
@@ -194,11 +199,11 @@ def parse_model(document) -> LatticeModel:
     dim = doc["dimension"]
     period = doc["period"]
     nph = doc["num_phases"]
-    if not isinstance(dim, int) or dim < 1:
+    if not is_json_int(dim) or dim < 1:
         raise SchemaError("$.dimension", "must be a positive integer")
-    if not isinstance(period, int) or period < 1:
+    if not is_json_int(period) or period < 1:
         raise SchemaError("$.period", "must be a positive integer")
-    if not isinstance(nph, int) or nph < 1:
+    if not is_json_int(nph) or nph < 1:
         raise SchemaError("$.num_phases", "must be a positive integer")
 
     raw_labels = doc["labels"]
@@ -209,7 +214,7 @@ def parse_model(document) -> LatticeModel:
         res = _parse_residue_key(key, dim, period, f"$.labels[{key!r}]")
         if res in labels:
             raise SchemaError(f"$.labels[{key!r}]", "duplicate residue")
-        if not isinstance(val, int) or not 0 <= val <= nph:
+        if not is_json_int(val) or not 0 <= val <= nph:
             raise SchemaError(f"$.labels[{key!r}]", f"label must be an integer in [0, {nph}]")
         labels[res] = val
     if len(labels) != period**dim:
@@ -236,10 +241,13 @@ def parse_model(document) -> LatticeModel:
         neighborhoods.setdefault((phase, res), set()).add(off)
         weights[(res, off)] = w
 
-    for idx, entry in enumerate(doc.get("strong_bonds", [])):
-        add_bond(entry, idx, weak=False)
-    for idx, entry in enumerate(doc.get("weak_bonds", [])):
-        add_bond(entry, idx, weak=True)
+    for weak in (False, True):
+        key = "weak_bonds" if weak else "strong_bonds"
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise SchemaError(f"$.{key}", "must be an array")
+        for idx, entry in enumerate(entries):
+            add_bond(entry, idx, weak)
 
     forcing: dict[tuple[Residue, int], Fraction] = {}
     raw_forcing = doc.get("forcing", {})

@@ -319,9 +319,6 @@ class SurfaceTable:
             rows[(phase, nu)] = SurfaceRow(phase, nu, (0,), (Fraction(v),))
         return cls(num_phases, rows)
 
-    def directions(self) -> list[tuple[int, ...]]:
-        return sorted({nu for _, nu in self._rows})
-
     def row(self, phase: int, direction: Sequence) -> SurfaceRow:
         key = (phase, canonical_direction(direction))
         if key not in self._rows:

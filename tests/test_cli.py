@@ -237,6 +237,83 @@ def test_energy_rejects_boolean_rle(capsys):
     assert out.err.count("\n") == 1
 
 
+def run_usage_error(capsys, argv) -> str:
+    """Exit 2 with one ``error:`` line and nothing on stdout."""
+    code = run(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error:")
+    assert out.err.count("\n") == 1
+    return out.err
+
+
+@pytest.mark.parametrize(
+    "change, locus",
+    [
+        ({"dimension": True}, "$.dimension"),
+        ({"labels": {"0": 0, "1": True}}, "$.labels['1']"),
+        ({"strong_bonds": 5}, "$.strong_bonds"),
+        ({"strong_bonds": [{"from": "1", "offset": [2.7], "weight": "0.125"}]},
+         "$.strong_bonds[0].offset"),
+        ({"strong_bonds": [{"from": "1", "offset": [2], "weight": True}]},
+         "$.strong_bonds[0].weight"),
+    ],
+)
+def test_validate_rejects_coerced_model_fields(capsys, tmp_path, change, locus):
+    doc = fixture_document("chain_soft_even")
+    doc.update(change)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert locus in run_usage_error(capsys, ["validate", str(path)])
+
+
+def field_doc(**change) -> str:
+    doc = {"eps": "1/4", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[3, 1]]}
+    doc.update(change)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (field_doc(eps="0"), "eps: must be positive"),
+        (field_doc(eps="-1/8"), "eps: must be positive"),
+        (field_doc(omega={"lo": "0", "hi": ["1"]}), "omega.lo: expected an array"),
+        (field_doc(spins_rle=3), "spins_rle: expected an array"),
+    ],
+    ids=["eps-zero", "eps-negative", "lo-string", "rle-number"],
+)
+def test_energy_rejects_malformed_field(capsys, field, message):
+    assert message in run_usage_error(capsys, ["energy", CHAIN, "--field", field])
+
+
+@pytest.mark.parametrize(
+    "omega, target, message",
+    [
+        ('{"lo":"01","hi":["1","2"]}', SLAB_1D, "omega.lo: expected an array"),
+        (OMEGA_1D, '{"phases":7}', "phases: expected an array"),
+        (OMEGA_1D, '{"phases":[{"constant":true}]}', "phases[0].constant: must be +-1"),
+        (OMEGA_1D, '{"phases":[{"slab":3}]}', "phases[0].slab: expected an object"),
+        (OMEGA_1D, '{"phases":[{"slab":{"normal":"1","offset":"0"}}]}',
+         "phases[0].slab.normal: expected an array"),
+        (OMEGA_1D, '{"phases":[{"boxes":[{"lo":"0","hi":["1"]}]}]}',
+         "phases[0].boxes[0].lo: expected an array"),
+    ],
+    ids=["lo-string", "phases-number", "constant-true", "slab-number", "normal-string",
+         "box-lo-string"],
+)
+def test_gamma_eval_rejects_malformed_domain_and_target(capsys, omega, target, message):
+    argv = ["gamma-eval", ISLANDS, "--omega", omega, "--target", target, "--T", "8", "--M", "8"]
+    assert message in run_usage_error(capsys, argv)
+
+
+def test_converge_rejects_nonpositive_eps(capsys):
+    argv = ["converge", CHAIN, "--omega", OMEGA_1D, "--target", SLAB_1D,
+            "--eps", "1/8,0", "--M", "4"]
+    assert "eps must be positive" in run_usage_error(capsys, argv)
+
+
 def test_extend_subcommand(capsys, tmp_path):
     field = {
         "eps": "0.0625",

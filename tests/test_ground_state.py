@@ -1,7 +1,6 @@
 """Exact and approximate ground-state solvers against brute enumeration."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -101,12 +100,8 @@ def test_enum_matches_brute_force_on_signed_couplings():
 def scaled_bound(instance: GroundStateInstance) -> int:
     """Largest magnitude of the integer energies the enumeration evaluates."""
     folded = fold_instance(instance)
-    coeffs = list(folded.pair_weights.values())
-    coeffs += [h for pair in folded.unary.values() for h in pair]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    total = sum(4 * abs(w) for w in folded.pair_weights.values())
-    total += sum(max(abs(hp), abs(hm)) for hp, hm in folded.unary.values())
-    return int(total * scale)
+    total = sum(4 * abs(w) for _, _, w in folded.pairs)
+    return total + sum(max(abs(hp), abs(hm)) for hp, hm in folded.unary)
 
 
 def test_enum_exact_on_coefficients_beyond_int64():
@@ -132,6 +127,139 @@ def test_enum_exact_on_coefficients_beyond_int64():
         sol = minimize(inst, method="enum")
         assert sol.energy == ref, f"trial {trial}"
         assert sol.assignment == first, f"trial {trial}"
+
+
+def fraction_fold(instance: GroundStateInstance):
+    """The fold in exact rationals (test-only oracle): sorted free
+    representatives, free-free couplings keyed by representative pairs,
+    [h_plus, h_minus] per free representative, and the constant."""
+    rep_of = {v: v for v in instance.variables}
+    for g in instance.groups:
+        rep_of.update((v, min(g)) for v in g)
+    fixed_reps = {rep_of[v]: s for v, s in instance.fixed.items()}
+    free_reps = sorted(set(rep_of.values()) - set(fixed_reps))
+    unary = {r: [Fraction(0), Fraction(0)] for r in free_reps}
+    constant = Fraction(0)
+    for v, (hp, hm) in instance.unary_terms.items():
+        rep = rep_of[v]
+        if rep in fixed_reps:
+            constant += hp if fixed_reps[rep] > 0 else hm
+        else:
+            unary[rep][0] += hp
+            unary[rep][1] += hm
+    couplings: dict = {}
+    for u, v, w in instance.pair_terms:
+        ru, rv = rep_of[u], rep_of[v]
+        if ru == rv:
+            continue
+        if ru in fixed_reps and rv in fixed_reps:
+            if fixed_reps[ru] != fixed_reps[rv]:
+                constant += 4 * w
+        elif ru in fixed_reps or rv in fixed_reps:
+            free, s = (rv, fixed_reps[ru]) if ru in fixed_reps else (ru, fixed_reps[rv])
+            unary[free][1 if s > 0 else 0] += 4 * w
+        else:
+            key = (min(ru, rv), max(ru, rv))
+            couplings[key] = couplings.get(key, 0) + w
+    return free_reps, couplings, unary, constant
+
+
+def random_folding_instance(rng: random.Random) -> GroundStateInstance:
+    """Groups, fixed spins, repeated, cancelling and zero-weight pairs, and
+    denominators whose lcm is far past int64."""
+    n = rng.randrange(1, 10)
+    denoms = (1, 2, 3, 10, 2**61 - 1, 3**41)
+    weight = lambda: Fraction(rng.randrange(-5, 6), rng.choice(denoms))
+    variables = tuple((i,) for i in range(n))
+    pairs = []
+    for _ in range(rng.randrange(0, 3 * n)):
+        u, v = rng.sample(variables, 2) if n > 1 else (variables[0], variables[0])
+        w = weight()
+        pairs.append((u, v, w))
+        if rng.random() < 0.2:
+            pairs.append((v, u, -w))
+        if rng.random() < 0.1:
+            pairs.append((u, v, Fraction(0)))
+    unary = {v: (weight(), weight()) for v in variables if rng.random() < 0.6}
+    order = list(variables)
+    rng.shuffle(order)
+    groups = []
+    while len(order) >= 2 and rng.random() < 0.5:
+        size = rng.randrange(2, min(4, len(order)) + 1)
+        groups.append(frozenset(order[:size]))
+        order = order[size:]
+    fixed = {}
+    for g in groups:
+        if rng.random() < 0.4:
+            spin = rng.choice((1, -1))
+            fixed.update((v, spin) for v in g if rng.random() < 0.7)
+    for v in order:
+        if rng.random() < 0.25:
+            fixed[v] = rng.choice((1, -1))
+    return GroundStateInstance(variables=variables, pair_terms=tuple(pairs),
+                               unary_terms=unary, fixed=fixed, groups=tuple(groups))
+
+
+def test_fold_matches_fraction_oracle():
+    """Every folded int, divided by the scale, is the exact rational fold."""
+    rng = random.Random(808)
+    for trial in range(300):
+        inst = random_folding_instance(rng)
+        folded = fold_instance(inst)
+        reps, couplings, unary, constant = fraction_fold(inst)
+        scale = folded.scale
+        assert folded.free_reps == reps, f"trial {trial}"
+        assert all(type(w) is int for _, _, w in folded.pairs)
+        assert all(type(h) is int for pair in folded.unary for h in pair)
+        assert type(folded.constant) is int and type(scale) is int
+        assert folded.pairs == sorted(folded.pairs)
+        assert all(i < j for i, j, _ in folded.pairs)
+        got = {(reps[i], reps[j]): Fraction(w, scale) for i, j, w in folded.pairs}
+        assert got == {key: w for key, w in couplings.items() if w}, f"trial {trial}"
+        assert [[Fraction(h, scale) for h in pair] for pair in folded.unary] == [
+            unary[r] for r in reps
+        ], f"trial {trial}"
+        assert Fraction(folded.constant, scale) == constant, f"trial {trial}"
+
+
+def frustrated_grid(side: int, seed: int = 8) -> GroundStateInstance:
+    """Signed couplings on a triangulated grid, non-dyadic weights and
+    unaries, one fixed corner and one group."""
+    rng = random.Random(seed)
+    variables = tuple((i, j) for i in range(side) for j in range(side))
+    pairs = []
+    for i, j in variables:
+        for a, b in ((i + 1, j), (i, j + 1), (i + 1, j + 1)):
+            if a < side and b < side:
+                w = Fraction(rng.randrange(-9, 10), rng.choice((3, 7, 10)))
+                pairs.append(((i, j), (a, b), w))
+    unary = {v: (Fraction(rng.randrange(-5, 6), 9), Fraction(rng.randrange(-5, 6), 11))
+             for v in variables if rng.random() < 0.5}
+    return GroundStateInstance(variables=variables, pair_terms=tuple(pairs), unary_terms=unary,
+                               fixed={(0, 0): -1}, groups=(frozenset({(2, 2), (2, 3)}),))
+
+
+# annealed states of frustrated_grid(10), row by row, for seeds 0-2
+ANNEALED = {
+    0: ("---++--+--++--+++--+-+--++---+--++--+++++--+++++--+++---+++++++++-+--------+----+--+-+++-+------++-+",
+        Fraction(-1147978, 3465)),
+    1: ("---++--+--++--+-+--+-+--+-+--+--++-++++++--+++++--+++---+++++++++-+--------+----+---++++-+------++-+",
+        Fraction(-1168382, 3465)),
+    2: ("---++--+--++--+++--+-+--++-++---++------+--++++-+++-+---+++-+---+-+-----++++----+--+--++-+---+++---+",
+        Fraction(-26043, 77)),
+}
+
+
+def test_anneal_trajectory_is_pinned():
+    """The float coefficients and the visiting order fix the trajectory,
+    so a change to either moves these seed-dependent local minima."""
+    inst = frustrated_grid(10)
+    with pytest.raises(FrustratedInstance):
+        minimize(inst, method="cut")
+    for seed, (spins, value) in ANNEALED.items():
+        sol = minimize(inst, method="anneal", seed=seed)
+        assert "".join("+" if sol.assignment[v] > 0 else "-" for v in inst.variables) == spins
+        assert sol.energy == value
 
 
 def test_cut_on_signed_couplings_matches_or_reports_frustration():

@@ -268,3 +268,28 @@ def test_max_flow_matches_edmonds_karp_on_grid():
             for u, v, c in edges:
                 net.add_edge(u, v, c)
             assert (net.max_flow(s, t), net.source_side(s)) == want
+
+
+def test_undirected_edges_match_two_directed_edges():
+    """``add_edge(u, v, c, c)`` is one arc pair carrying c both ways: same
+    flow and source side as two directed edges and as Edmonds-Karp."""
+    rng = random.Random(59)
+    for trial in range(200):
+        n = rng.randrange(2, 10)
+        s, t = 0, n - 1
+        arcs = [(s, v, rng.randrange(0, 6)) for v in range(1, n) if rng.random() < 0.5]
+        arcs += [(u, t, rng.randrange(0, 6)) for u in range(n - 1) if rng.random() < 0.5]
+        links = [(u, v, rng.randrange(1, 5)) for u, v in itertools.combinations(range(1, n - 1), 2)
+                 if rng.random() < 0.5]
+        undirected, directed = FlowNetwork(n), FlowNetwork(n)
+        for u, v, c in arcs:
+            undirected.add_edge(u, v, c)
+            directed.add_edge(u, v, c)
+        for u, v, c in links:
+            undirected.add_edge(u, v, c, c)
+            directed.add_edge(u, v, c)
+            directed.add_edge(v, u, c)
+        want = edmonds_karp(n, arcs + links + [(v, u, c) for u, v, c in links], s, t)
+        for net in (undirected, directed):
+            assert (net.max_flow(s, t), net.source_side(s)) == want, f"trial {trial}"
+        assert len(undirected.to) == len(directed.to) - 2 * len(links)

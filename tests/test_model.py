@@ -135,6 +135,36 @@ def test_bad_weight_string():
         parse_model(doc)
 
 
+@pytest.mark.parametrize(
+    "mutate, locus",
+    [
+        (lambda d: d.__setitem__("dimension", True), "$.dimension"),
+        (lambda d: d.__setitem__("period", 2.0), "$.period"),
+        (lambda d: d.__setitem__("num_phases", True), "$.num_phases"),
+        (lambda d: d["labels"].__setitem__("1", True), "$.labels['1']"),
+        (lambda d: d["labels"].__setitem__("1", 1.0), "$.labels['1']"),
+        (lambda d: d["strong_bonds"][0].__setitem__("weight", True), "$.strong_bonds[0].weight"),
+        (lambda d: d["strong_bonds"][0].__setitem__("offset", [2.7]), "$.strong_bonds[0].offset"),
+        (lambda d: d["strong_bonds"][0].__setitem__("offset", ["2"]), "$.strong_bonds[0].offset"),
+        (lambda d: d["weak_bonds"][0].__setitem__("offset", [True]), "$.weak_bonds[0].offset"),
+        (lambda d: d.__setitem__("strong_bonds", 5), "$.strong_bonds"),
+        (lambda d: d.__setitem__("weak_bonds", {"0": []}), "$.weak_bonds"),
+        (lambda d: d.__setitem__("strong_bonds", [5]), "$.strong_bonds[0]"),
+        (lambda d: d.__setitem__("forcing", {"0": 5}), "$.forcing['0']"),
+        (lambda d: d.__setitem__("labels", {"0": 0, "01": 1}), "$.labels['01']"),
+        (lambda d: d["weak_bonds"][0].__setitem__("from", " 0"), "$.weak_bonds[0].from"),
+    ],
+)
+def test_no_silent_coercion(mutate, locus):
+    """Integer fields take JSON integers only (not booleans, floats or
+    strings), and arrays and objects must be what the schema says."""
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        parse_model(doc)
+    assert info.value.locus == locus
+
+
 def test_bad_residue_key():
     doc = minimal_doc()
     doc["labels"]["5"] = 1

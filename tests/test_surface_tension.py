@@ -290,7 +290,7 @@ def test_surface_table_round_trip():
     model = fixture_model("two_chains")
     s = classify(model)
     table = SurfaceTable.from_model(model, [(1,)], (4, 8), s)
-    assert table.directions() == [(1,)]
+    assert [(row.phase, row.direction) for row in table.rows()] == [(1, (1,)), (2, (1,))]
     assert table.value(1, (1,)) == 1
     assert table.value(2, (1,)) == 2
     assert table.total((1,)) == 3
