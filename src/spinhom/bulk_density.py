@@ -18,14 +18,17 @@ period grid.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .connectivity import ConnectivitySummary, classify, cube_sites, excluded_set
-from .ground_state import GroundStateInstance, Solution, minimize
-from .model import LatticeModel, Site
+import numpy as np
+
+from .connectivity import ConnectivitySummary, classify, cube_range, excluded_set
+from .ground_state import CellTerms, Solution, minimize
+from .model import LatticeModel, Residue, Site
 
 
 def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]:
@@ -37,36 +40,71 @@ def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]
     return states
 
 
+def _cube_residues(model: LatticeModel, m: int) -> np.ndarray:
+    """Residue number of every site of Q_M, in C (lexicographic) order.
+
+    Residues are numbered in sorted order, as ``model.residues()`` lists
+    them.
+    """
+    t = model.period
+    axis = np.array([c % t for c in cube_range(m)], dtype=np.int64)
+    res = np.zeros((), dtype=np.int64)
+    for _ in range(model.dimension):
+        res = res[..., None] * t + axis
+    return res.ravel()
+
+
+def _class_pairs(model: LatticeModel, m: int, res: Residue, off) -> tuple[np.ndarray, np.ndarray]:
+    """Sites of Q_M at residue ``res`` whose neighbour at ``off`` is in Q_M.
+
+    Returns the site numbers (C order) and those of the neighbours.  The
+    sites of one residue class form a grid of stride ``period`` along
+    every axis, so the class is cut out axis by axis.
+    """
+    t = model.period
+    lo = -(m // 2)
+    index = np.zeros((), dtype=np.int64)
+    step = 0
+    for r, o in zip(res, off):
+        a = np.arange((r - lo) % t, m, t)
+        a = a[(a + o >= 0) & (a + o < m)]
+        index = index[..., None] * m + a
+        step = step * m + o
+    src = index.ravel()
+    return src, src + step
+
+
 def hard_components_in_cube(
     model: LatticeModel, m: int, summary: ConnectivitySummary | None = None
-) -> list[tuple[int, frozenset]]:
-    """Connected pieces of each strong phase inside Q_M.
+) -> np.ndarray:
+    """Connected pieces of each strong phase inside Q_M, one label per site.
 
-    Connectivity uses strong bonds with both endpoints in the cube, so a
-    periodic component generally splinters near the boundary.
+    Sites are numbered in C (lexicographic) order.  A hard site's label
+    is the number of the smallest site of its component; soft sites get
+    -1.  Connectivity uses strong bonds with both endpoints in the cube,
+    so a periodic component generally splinters near the boundary.  The
+    components come from a union-find over the strong (residue, offset)
+    class arrays: roots hook onto smaller roots, and pointer jumping
+    flattens every tree between rounds.
     """
-    sites = cube_sites(model.dimension, m)
-    in_cube = set(sites)
-    seen: set[Site] = set()
-    out = []
-    for x in sites:
-        if x in seen:
-            continue
-        phase = model.label(model.residue_of(x))
-        if phase == 0:
-            continue
-        comp = {x}
-        queue = [x]
-        while queue:
-            u = queue.pop()
-            for off in model.strong_offsets(model.residue_of(u)):
-                v = tuple(a + b for a, b in zip(u, off))
-                if v in in_cube and v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        seen |= comp
-        out.append((phase, frozenset(comp)))
-    return out
+    residues = list(model.residues())
+    hard = np.array([model.labels[r] != 0 for r in residues])[_cube_residues(model, m)]
+    ends = [
+        _class_pairs(model, m, r, off)
+        for r in residues for off in sorted(model.strong_offsets(r))
+    ]
+    a = np.concatenate([src for src, _ in ends] + [np.empty(0, dtype=np.int64)])
+    b = np.concatenate([dst for _, dst in ends] + [np.empty(0, dtype=np.int64)])
+    parent = np.arange(hard.size, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        link = ra != rb
+        if not link.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[link], np.minimum(ra, rb)[link])
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    return np.where(hard, parent, -1)
 
 
 def build_phi_instance(
@@ -75,56 +113,75 @@ def build_phi_instance(
     states: Sequence[int],
     summary: ConnectivitySummary | None = None,
     pinned: Iterable[Site] = (),
-) -> GroundStateInstance:
-    """Quadratic instance whose minimum over Q_M defines phi_M(states).
+) -> CellTerms:
+    """Term arrays of the cube problem whose minimum over Q_M defines phi_M(states).
 
-    ``pinned`` sites (used by the island-corrected estimate) are frozen
-    at +1; they belong to finite components, so this never conflicts
-    with the phase states imposed on the infinite clusters.
+    Sites are numbered in C (lexicographic) order of Q_M.  A strong
+    component that meets the core of its phase is fixed at that phase's
+    state; every other component is one free group, and soft sites are
+    free on their own.  Each weak pair is taken once, from its
+    lexicographically smaller site, at twice the bond weight (the model
+    declares both orientations); forcing enters per residue.
+
+    ``pinned`` sites (used by the island-corrected estimate) are fixed
+    at +1 with their groups; they belong to finite components, so this
+    never conflicts with the phase states imposed on the infinite
+    clusters.
     """
     if m <= 0:
         raise ValueError("cube side must be positive")
     if summary is None:
         summary = classify(model)
     states = _check_states(model, states)
-    sites = cube_sites(model.dimension, m)
-    in_cube = set(sites)
+    d = model.dimension
+    residues = list(model.residues())
+    res_id = _cube_residues(model, m)
 
-    groups = []
-    fixed: dict[Site, int] = {}
-    for phase, comp in hard_components_in_cube(model, m, summary):
-        if any(summary.in_core(phase, x) for x in comp):
-            for x in comp:
-                fixed[x] = states[phase - 1]
-        if len(comp) > 1:
-            groups.append(comp)
-    for x in pinned:
-        x = tuple(x)
-        if x not in in_cube:
-            raise ValueError(f"pinned site {x} is outside the cube")
-        if fixed.get(x, 1) != 1:
-            raise ValueError(f"pinned site {x} conflicts with a phase state")
-        fixed[x] = 1
+    labels = hard_components_in_cube(model, m, summary)
+    hard = labels >= 0
+    group = np.where(hard, labels, np.arange(labels.size))
+    in_core = np.array([summary.in_core(model.labels[r], r) for r in residues])
+    held = np.zeros(labels.size, dtype=bool)
+    held[labels[hard & in_core[res_id]]] = True
+    phase = np.array([model.labels[r] for r in residues])[res_id[group]]
+    fixed = np.where(held[group], np.array((0,) + states)[phase], 0).astype(np.int8)
 
-    pair_terms = []
-    unary_terms = {}
-    for x in sites:
-        res = model.residue_of(x)
-        for off in model.weak_offsets(res):
-            y = tuple(a + b for a, b in zip(x, off))
-            if y in in_cube and x < y:
-                pair_terms.append((x, y, 2 * model.pair_weight(x, y)))
-        gp = model.forcing_value(x, 1)
-        gm = model.forcing_value(x, -1)
-        if gp or gm:
-            unary_terms[x] = (gp, gm)
+    pins = [tuple(x) for x in pinned]
+    if pins:
+        coords = np.array(pins, dtype=np.int64).reshape(len(pins), d) + m // 2
+        outside = ((coords < 0) | (coords >= m)).any(axis=1)
+        index = np.ravel_multi_index(np.where(outside[:, None], 0, coords).T, (m,) * d)
+        bad = np.flatnonzero(outside | (fixed[index] == -1))
+        if bad.size:
+            k = bad[0]
+            where = "is outside the cube" if outside[k] else "conflicts with a phase state"
+            raise ValueError(f"pinned site {pins[k]} {where}")
+        fixed[index] = 1
 
-    return GroundStateInstance(
-        variables=tuple(sites),
-        pair_terms=tuple(pair_terms),
-        unary_terms=unary_terms,
+    classes = [
+        (r, off) for r in residues for off in sorted(model.weak_offsets(r)) if off > (0,) * d
+    ]
+    ends = [_class_pairs(model, m, r, off) for r, off in classes]
+    bonds = [2 * model.weights[c] for c in classes]
+    h_plus = [model.forcing.get((r, 1), Fraction(0)) for r in residues]
+    h_minus = [model.forcing.get((r, -1), Fraction(0)) for r in residues]
+    scale = math.lcm(*(x.denominator for x in bonds + h_plus + h_minus))
+    scaled = lambda xs: tuple(x.numerator * (scale // x.denominator) for x in xs)
+    empty = [np.empty(0, dtype=np.int64)]
+    return CellTerms(
         fixed=fixed,
-        groups=tuple(groups),
+        group=group,
+        u=np.concatenate([src for src, _ in ends] + empty),
+        v=np.concatenate([dst for _, dst in ends] + empty),
+        pair_class=np.concatenate(
+            [np.full(src.size, k, dtype=np.int64) for k, (src, _) in enumerate(ends)] + empty
+        ),
+        weights=scaled(bonds),
+        site_class=res_id,
+        h_plus=scaled(h_plus),
+        h_minus=scaled(h_minus),
+        scale=scale,
+        sites=(cube_range(m),) * d,
     )
 
 

@@ -16,6 +16,7 @@ import itertools
 import json
 import multiprocessing
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -183,10 +184,24 @@ def _json_arg(text: str):
     return json.loads(text)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one ``warning: <message>`` line on stderr, without the
+    source location.  The line goes out in one write, flushed at once, so
+    lines from concurrent pool workers neither interleave nor get lost."""
+    sys.stderr.write(f"warning: {message}\n")
+    sys.stderr.flush()
+
+
+def _use_warning_lines() -> None:
+    """Print warnings through :func:`_warning_line`; run in every ``--jobs``
+    worker too, whatever the start method."""
+    warnings.showwarning = _warning_line
+
+
 def _run_tasks(fn, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+    with multiprocessing.Pool(min(jobs, len(tasks)), _use_warning_lines) as pool:
         return pool.map(fn, tasks)
 
 
@@ -580,6 +595,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = RunConfig.from_args(args)
+    with warnings.catch_warnings():
+        _use_warning_lines()
+        return _dispatch(cfg)
+
+
+def _dispatch(cfg: RunConfig) -> int:
     try:
         return HANDLERS[cfg.subcommand](cfg)
     except SchemaError as exc:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import geometry
 from .bulk_density import PhiTable, phi_solution
-from .connectivity import ConnectivitySummary, classify, coarsening_side, cube_sites
+from .connectivity import ConnectivitySummary, classify, coarsening_side
+from .ground_state import SiteValues
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction
 
@@ -101,28 +102,6 @@ class DomainSpec:
             _fraction(v, f"{locus}.hi[{i}]") for i, v in enumerate(_array(obj["hi"], f"{locus}.hi"))
         )
         return cls(lo, hi)
-
-
-class SiteValues(Mapping):
-    """Read-only site -> spin view of a spin grid."""
-
-    def __init__(self, spins: np.ndarray, ranges: Sequence[range]):
-        self._spins = spins
-        self._ranges = tuple(ranges)
-
-    def __getitem__(self, site) -> int:
-        if not isinstance(site, tuple) or len(site) != len(self._ranges):
-            raise KeyError(site)
-        index = tuple(c - r.start for c, r in zip(site, self._ranges))
-        if not all(0 <= i < n for i, n in zip(index, self._spins.shape)):
-            raise KeyError(site)
-        return int(self._spins[index])
-
-    def __iter__(self):
-        return itertools.product(*self._ranges)
-
-    def __len__(self) -> int:
-        return self._spins.size
 
 
 class SpinField:
@@ -809,12 +788,10 @@ def recovery_config(
         if states is None:
             continue
         if states not in blocks:
-            assignment = phi_solution(
+            blocks[states] = phi_solution(
                 model, m, states, summary, corrected=True,
                 method=method, cap=cap, allow_anneal=allow_anneal, seed=seed,
-            ).assignment
-            block = [assignment[k] for k in cube_sites(d, m)]
-            blocks[states] = np.array(block, dtype=np.int8).reshape((m,) * d)
+            ).spins.reshape((m,) * d)
         spins[cube] = blocks[states]
 
     core = _core_phases(model, summary, _residue_ids(model, ranges))

@@ -6,8 +6,14 @@ over +-1 variables, with optional fixed variables and equality groups
 4, everything reduces to a pseudo-boolean quadratic with exact rational
 coefficients.
 
+The cell builders emit an instance directly as :class:`CellTerms`: flat
+integer term arrays on one scale, with no per-site Python objects.  A
+:class:`GroundStateInstance` (sites, rational terms, fixed values and
+groups as Python objects) is the public adapter; :func:`fold_instance`
+converts it to term arrays first.
+
 :func:`minimize` folds an instance once (groups merged, fixed variables
-eliminated, every coefficient scaled to one integer scale) and hands the
+eliminated, terms summed per free group in numpy) and hands the
 :class:`FoldedInstance` to one of three solvers:
 
 * :func:`minimize_enum` - exhaustive, lexicographic tie-break, capped;
@@ -15,17 +21,21 @@ eliminated, every coefficient scaled to one integer scale) and hands the
   applies to instances whose free-free couplings are nonnegative, or can
   be made so by flipping a deterministic subset of variables (a gauge);
 * :func:`minimize_anneal` - seeded simulated annealing, no optimality
-  guarantee, energy of the returned state re-evaluated exactly.
+  guarantee.
+
+Every result's energy is re-evaluated exactly from the unfolded term
+arrays (:meth:`CellTerms.evaluate`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -82,8 +92,130 @@ class GroundStateInstance:
                 seen.add(v)
 
 
-@dataclass(frozen=True)
+class SiteValues(Mapping):
+    """Read-only site -> spin view of a spin grid over a box of ranges."""
+
+    def __init__(self, spins: np.ndarray, ranges: Sequence[range]):
+        self._spins = spins
+        self._ranges = tuple(ranges)
+
+    def __getitem__(self, site) -> int:
+        if not isinstance(site, tuple) or len(site) != len(self._ranges):
+            raise KeyError(site)
+        index = tuple(c - r.start for c, r in zip(site, self._ranges))
+        if not all(0 <= i < n for i, n in zip(index, self._spins.shape)):
+            raise KeyError(site)
+        return int(self._spins[index])
+
+    def __iter__(self):
+        return itertools.product(*self._ranges)
+
+    def __len__(self) -> int:
+        return self._spins.size
+
+
+class KeyedValues(Mapping):
+    """Read-only key -> spin view of a spin array, one key per entry.
+
+    ``keys`` is a sequence, or an (n, d) integer array whose rows are
+    site tuples; the key index is built on the first lookup.
+    """
+
+    def __init__(self, spins: np.ndarray, keys):
+        self._spins = spins
+        self._keys = keys
+        self._index: dict | None = None
+
+    def __getitem__(self, key) -> int:
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(self)}
+        return int(self._spins[self._index[key]])
+
+    def __iter__(self):
+        if isinstance(self._keys, np.ndarray):
+            return iter(map(tuple, self._keys.tolist()))
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._spins)
+
+
+@dataclass(frozen=True, eq=False)
+class CellTerms:
+    """A cell's energy as flat integer term arrays, before folding.
+
+    Sites are numbered ``0..n-1`` in cell order.  ``fixed[i]`` is the
+    spin site i is held at, or 0 when it is free.  ``group[i]`` is the
+    number of the first site of its equality group (i itself when it is
+    alone); a fixed member holds its whole group.  Pair k joins ``u[k]``
+    and ``v[k]`` with weight ``weights[pair_class[k]]``, a broken pair
+    costing four times it; site i pays ``h_plus[site_class[i]]`` at +1
+    and ``h_minus[site_class[i]]`` at -1.  Table entries are ints equal
+    to ``scale`` times their exact values.  ``sites`` names the sites:
+    a tuple of per-axis ranges for a box in C (lexicographic) order,
+    otherwise one key per site (a list, or an (n, d) integer array of
+    coordinates).
+    """
+
+    fixed: np.ndarray
+    group: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    pair_class: np.ndarray
+    weights: tuple[int, ...]
+    site_class: np.ndarray
+    h_plus: tuple[int, ...]
+    h_minus: tuple[int, ...]
+    scale: int
+    sites: object
+
+    @property
+    def size(self) -> int:
+        return len(self.fixed)
+
+    def key(self, i: int):
+        """The name of site i."""
+        if isinstance(self.sites, tuple):
+            index = np.unravel_index(i, [len(r) for r in self.sites])
+            return tuple(r[int(k)] for r, k in zip(self.sites, index))
+        key = self.sites[i]
+        return tuple(int(c) for c in key) if isinstance(key, np.ndarray) else key
+
+    def view(self, spins: np.ndarray) -> Mapping:
+        """Read-only site -> spin mapping over a spin array in cell order."""
+        if isinstance(self.sites, tuple):
+            return SiteValues(spins.reshape([len(r) for r in self.sites]), self.sites)
+        return KeyedValues(spins, self.sites)
+
+    def bound(self) -> int:
+        """Sum of the magnitudes of all terms: no partial sum of the
+        scaled energy, folded or not, exceeds it."""
+        pairs = np.bincount(self.pair_class, minlength=len(self.weights)).tolist()
+        sites = np.bincount(self.site_class, minlength=len(self.h_plus)).tolist()
+        total = 4 * sum(abs(w) * c for w, c in zip(self.weights, pairs))
+        hs = zip(self.h_plus, self.h_minus, sites)
+        return total + sum(max(abs(hp), abs(hm)) * c for hp, hm, c in hs)
+
+    def evaluate(self, spins: np.ndarray) -> Fraction:
+        """Exact energy of one spin per site: broken pairs and sites at
+        each spin are counted per class, each count weighted once."""
+        broken = spins[self.u] != spins[self.v]
+        up = spins > 0
+        pairs = np.bincount(self.pair_class[broken], minlength=len(self.weights))
+        plus = np.bincount(self.site_class[up], minlength=len(self.h_plus))
+        minus = np.bincount(self.site_class[~up], minlength=len(self.h_minus))
+        total = 4 * sum(w * c for w, c in zip(self.weights, pairs.tolist()))
+        total += sum(h * c for h, c in zip(self.h_plus, plus.tolist()))
+        total += sum(h * c for h, c in zip(self.h_minus, minus.tolist()))
+        return Fraction(total, self.scale)
+
+
+@dataclass(frozen=True, eq=False)
 class Solution:
+    """A minimizer: ``spins`` is a read-only int8 array in cell order and
+    ``assignment`` a read-only site -> spin view of it."""
+
+    spins: np.ndarray
     assignment: Mapping[Var, int]
     energy: Fraction
     method: str
@@ -117,22 +249,65 @@ def energy(instance: GroundStateInstance, assignment: Mapping[Var, int]) -> Frac
 # folding
 
 
+def _instance_terms(instance: GroundStateInstance) -> CellTerms:
+    """Term arrays of an instance, its variables numbered in sorted order."""
+    keys = sorted(instance.variables)
+    index = {v: i for i, v in enumerate(keys)}
+    group = np.arange(len(keys), dtype=np.int64)
+    for g in instance.groups:
+        members = [index[v] for v in g]
+        group[members] = min(members)
+    fixed = np.zeros(len(keys), dtype=np.int8)
+    for v, s in instance.fixed.items():
+        fixed[index[v]] = s
+    terms = [w for _, _, w in instance.pair_terms]
+    terms += [h for hs in instance.unary_terms.values() for h in hs]
+    scale = math.lcm(*(x.denominator for x in terms))
+
+    def classes(values) -> tuple[dict, np.ndarray]:
+        table: dict = {}
+        ids = [table.setdefault(x, len(table)) for x in values]
+        return table, np.array(ids, dtype=np.int64)
+
+    weights, pair_class = classes(w for _, _, w in instance.pair_terms)
+    unary, _ = classes([(Fraction(0), Fraction(0))] + list(instance.unary_terms.values()))
+    site_class = np.zeros(len(keys), dtype=np.int64)
+    for v, h in instance.unary_terms.items():
+        site_class[index[v]] = unary[h]
+    scaled = lambda x: x.numerator * (scale // x.denominator)
+    return CellTerms(
+        fixed=fixed,
+        group=group,
+        u=np.array([index[u] for u, _, _ in instance.pair_terms], dtype=np.int64),
+        v=np.array([index[v] for _, v, _ in instance.pair_terms], dtype=np.int64),
+        pair_class=pair_class,
+        weights=tuple(scaled(w) for w in weights),
+        site_class=site_class,
+        h_plus=tuple(scaled(hp) for hp, _ in unary),
+        h_minus=tuple(scaled(hm) for _, hm in unary),
+        scale=scale,
+        sites=keys,
+    )
+
+
 @dataclass
 class FoldedInstance:
     """An instance in solver form, on one integer scale.
 
-    Free groups are numbered ``0..free_count-1`` in ``free_reps`` order.
-    Every coefficient is an int equal to ``scale`` times its exact value:
-    ``pairs`` holds the nonzero couplings ``(i, j, w)`` with ``i < j``,
-    sorted, a broken pair costing ``4 w``; ``unary[i]`` is the
-    ``(h_plus, h_minus)`` of group i.
+    ``instance`` holds the unfolded term arrays.  Free groups are numbered
+    ``0..free_count-1`` in the order of their first sites, whose numbers
+    ``free_reps`` lists in increasing order.  ``node[i]`` is the free
+    group of site i, or -1 where the site is held at ``spin[i]`` (0 on
+    free sites).  Every coefficient is an int equal to ``scale`` times
+    its exact value: ``pairs`` holds the nonzero couplings ``(i, j, w)``
+    with ``i < j``, sorted, a broken pair costing ``4 w``; ``unary[i]`` is
+    the ``(h_plus, h_minus)`` of group i.
     """
 
-    instance: GroundStateInstance
-    rep_of: dict
-    members: dict           # rep -> sorted member list
-    free_reps: list         # sorted
-    fixed_reps: dict        # rep -> spin
+    instance: CellTerms
+    node: np.ndarray
+    spin: np.ndarray
+    free_reps: np.ndarray
     pairs: list
     unary: list
     constant: int
@@ -143,91 +318,86 @@ class FoldedInstance:
         return len(self.free_reps)
 
 
-def fold_instance(instance: GroundStateInstance) -> FoldedInstance:
-    """Merge groups, eliminate fixed variables and scale every term once.
+def fold_instance(instance: GroundStateInstance | CellTerms) -> FoldedInstance:
+    """Merge groups, eliminate fixed sites and sum every term on the scale.
 
-    ``scale`` is the lcm of the denominators of the input terms, so each
-    term becomes an int on its own and all sums are exact int sums.
+    A :class:`GroundStateInstance` is first converted to term arrays.
+    The sums run in int64 when the terms' :meth:`CellTerms.bound` stays
+    below 2**62, else in Python ints (``dtype=object``).
     """
-    rep_of: dict = {}
-    members: dict = {}
-    for g in instance.groups:
-        rep = min(g)
-        for v in g:
-            rep_of[v] = rep
-        members[rep] = sorted(g)
-    for v in instance.variables:
-        if v not in rep_of:
-            rep_of[v] = v
-            members[v] = [v]
+    terms = instance if isinstance(instance, CellTerms) else _instance_terms(instance)
+    n = terms.size
+    group, fixed = terms.group, terms.fixed
+    plus = np.bincount(group[fixed > 0], minlength=n) > 0
+    minus = np.bincount(group[fixed < 0], minlength=n) > 0
+    clash = np.flatnonzero(plus & minus)
+    if clash.size:
+        raise ValueError(f"group of {terms.key(int(clash[0]))!r} carries conflicting fixed values")
+    spin = (plus.astype(np.int8) - minus.astype(np.int8))[group]
+    free = spin == 0
+    free_reps, free_node = np.unique(group[free], return_inverse=True)
+    node = np.full(n, -1, dtype=np.int64)
+    node[free] = free_node
+    nfree = len(free_reps)
 
-    fixed_reps: dict = {}
-    for v, s in sorted(instance.fixed.items()):
-        rep = rep_of[v]
-        if fixed_reps.get(rep, s) != s:
-            raise ValueError(f"group of {rep!r} carries conflicting fixed values")
-        fixed_reps[rep] = s
+    dtype = np.int64 if terms.bound() < 2**62 else object
+    hp = np.array(terms.h_plus, dtype=dtype)[terms.site_class]
+    hm = np.array(terms.h_minus, dtype=dtype)[terms.site_class]
+    held = ~free
+    constant = int(np.where(spin[held] > 0, hp[held], hm[held]).sum())
+    unary_p = np.zeros(nfree, dtype=dtype)
+    unary_m = np.zeros(nfree, dtype=dtype)
+    np.add.at(unary_p, free_node, hp[free])
+    np.add.at(unary_m, free_node, hm[free])
 
-    free_reps = sorted(r for r in members if r not in fixed_reps)
-    index = {r: i for i, r in enumerate(free_reps)}
-    denominators = {w.denominator for _, _, w in instance.pair_terms}
-    for h in instance.unary_terms.values():
-        denominators.update(x.denominator for x in h)
-    scale = math.lcm(*denominators)
+    w = np.array(terms.weights, dtype=dtype)[terms.pair_class]
+    iu, iv = node[terms.u], node[terms.v]
+    su, sv = spin[terms.u], spin[terms.v]
+    constant += int(4 * w[(iu < 0) & (iv < 0) & (su != sv)].sum())
+    # w (x - s)^2 = 4w when the free end x takes -s
+    one = (iu < 0) != (iv < 0)
+    end = np.where(iu < 0, iv, iu)[one]
+    s = np.where(iu < 0, su, sv)[one]
+    w4 = 4 * w[one]
+    np.add.at(unary_m, end[s > 0], w4[s > 0])
+    np.add.at(unary_p, end[s < 0], w4[s < 0])
 
-    unary = [[0, 0] for _ in free_reps]
-    constant = 0
-    for v, (hp, hm) in instance.unary_terms.items():
-        rep = rep_of[v]
-        hp = hp.numerator * (scale // hp.denominator)
-        hm = hm.numerator * (scale // hm.denominator)
-        if rep in fixed_reps:
-            constant += hp if fixed_reps[rep] > 0 else hm
-        else:
-            h = unary[index[rep]]
-            h[0] += hp
-            h[1] += hm
-
-    couplings: dict = {}
-    for u, v, w in instance.pair_terms:
-        ru, rv = rep_of[u], rep_of[v]
-        if ru == rv:
-            continue
-        w = w.numerator * (scale // w.denominator)
-        fu, fv = ru in fixed_reps, rv in fixed_reps
-        if fu and fv:
-            if fixed_reps[ru] != fixed_reps[rv]:
-                constant += 4 * w
-        elif fu or fv:
-            free, s = (rv, fixed_reps[ru]) if fu else (ru, fixed_reps[rv])
-            # w (x - s)^2 = 4w when x = -s
-            unary[index[free]][1 if s > 0 else 0] += 4 * w
-        else:
-            i, j = index[ru], index[rv]
-            key = (i, j) if i < j else (j, i)
-            couplings[key] = couplings.get(key, 0) + w
+    inner = (iu >= 0) & (iv >= 0) & (iu != iv)
+    key = np.minimum(iu, iv)[inner] * nfree + np.maximum(iu, iv)[inner]
+    keys, at = np.unique(key, return_inverse=True)  # sorted: (i, j) in order
+    couplings = np.zeros(keys.size, dtype=dtype)
+    np.add.at(couplings, at, w[inner])
+    keep = couplings != 0
+    ij = keys[keep]
+    pairs = list(zip((ij // nfree).tolist(), (ij % nfree).tolist(), couplings[keep].tolist()))
 
     return FoldedInstance(
-        instance=instance,
-        rep_of=rep_of,
-        members=members,
+        instance=terms,
+        node=node,
+        spin=spin,
         free_reps=free_reps,
-        fixed_reps=fixed_reps,
-        pairs=sorted((i, j, w) for (i, j), w in couplings.items() if w),
-        unary=[tuple(h) for h in unary],
+        pairs=pairs,
+        unary=list(zip(unary_p.tolist(), unary_m.tolist())),
         constant=constant,
-        scale=scale,
+        scale=terms.scale,
     )
 
 
 def _finish(folded: FoldedInstance, spins, method: str, exact: bool) -> Solution:
-    """Solution from one spin per free group, its energy re-evaluated exactly."""
-    values = dict(zip(folded.free_reps, spins))
-    values.update(folded.fixed_reps)
-    assignment = {v: values[rep] for rep, vs in folded.members.items() for v in vs}
+    """Solution from one spin per free group, its energy re-evaluated
+    exactly from the unfolded term arrays."""
+    terms = folded.instance
+    values = folded.spin.copy()
+    free = folded.node >= 0
+    values[free] = np.array(spins, dtype=np.int8)[folded.node[free]]
+    held = terms.fixed != 0
+    if not np.array_equal(values[held], terms.fixed[held]):
+        raise RuntimeError("solution does not carry the spin of every fixed site")
+    values.flags.writeable = False
     return Solution(
-        assignment=assignment,
-        energy=energy(folded.instance, assignment),
+        spins=values,
+        assignment=terms.view(values),
+        energy=terms.evaluate(values),
         method=method,
         exact=exact,
     )
@@ -355,7 +525,7 @@ def minimize_cut(folded: FoldedInstance) -> Solution:
 
 
 def minimize(
-    instance: GroundStateInstance,
+    instance: GroundStateInstance | CellTerms,
     method: str = "auto",
     cap: int | None = None,
     allow_anneal: bool = False,

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .connectivity import ConnectivitySummary, classify, coarsening_side
-from .ground_state import GroundStateInstance, minimize
+from .ground_state import CellTerms, minimize
 from .model import LatticeModel
 
 
@@ -148,25 +148,24 @@ def cell_value(
             stacklevel=2,
         )
     frame = [_primitive(w) for w in orthogonal_frame(nu)]
-    instance = _cell_instance(model, summary.core_residues[phase], frame, side)
-    if not instance.variables:
+    terms = _cell_instance(model, summary.core_residues[phase], frame, side)
+    if not terms.size:
         raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
-    solution = minimize(instance, method="cut")
+    solution = minimize(terms, method="cut")
     return solution.energy / side ** (model.dimension - 1)
-
-
-def _site_tuples(grid_index: np.ndarray, bound: int) -> list[tuple[int, ...]]:
-    return list(map(tuple, (grid_index - bound).tolist()))
 
 
 def _cell_instance(
     model: LatticeModel, core: frozenset, frame: Sequence[tuple[int, ...]], side: int
-) -> GroundStateInstance:
-    """The cut problem of one cube: the core sites inside are free, their
-    strong neighbours outside are fixed to the sharp-interface datum.
+) -> CellTerms:
+    """The cut problem of one cube as term arrays: the core sites inside
+    are free, their strong neighbours outside are fixed to the
+    sharp-interface datum.
 
-    Pairs are built per (residue, offset) class on the cube grid; an
-    inner pair is taken once, from its lexicographically smaller site.
+    Inside sites come first, in lexicographic order, then the outside
+    ones, also sorted.  Pairs are built per (residue, offset) class on
+    the cube grid; an inner pair is taken once, from its
+    lexicographically smaller site.
     """
     d = model.dimension
     cell = (model.period,) * d
@@ -181,27 +180,47 @@ def _cell_instance(
     classes = [(res, off) for res in sorted(core) for off in sorted(model.strong_offsets(res))]
     pad = max((abs(c) for _, off in classes for c in off), default=0)
     padded = np.pad(inside, pad)
+    # inside sites and their neighbours as flat indices of the padded grid
+    flat = np.ravel_multi_index((sites + pad).T, padded.shape)
+    number = np.full(padded.size, -1, dtype=np.int64)
+    number[flat] = np.arange(flat.size)
+    strides = [math.prod(padded.shape[k + 1:]) for k in range(d)]
 
-    pair_terms = []
-    outer = [np.empty((0, d), dtype=np.int64)]
-    for res, off in classes:
-        weight = 2 * model.weights[(res, off)]
-        src = sites[site_class == np.ravel_multi_index(res, cell)]
-        dst = src + np.array(off, dtype=np.int64)
-        hit = padded[tuple((dst + pad).T)]
+    src, dst, pair_class = [], [], []
+    for k, (res, off) in enumerate(classes):
+        x = np.flatnonzero(site_class == np.ravel_multi_index(res, cell))
+        y = flat[x] + sum(o * stride for o, stride in zip(off, strides))
         if off < (0,) * d:
-            src, dst, hit = src[~hit], dst[~hit], hit[~hit]
-        xs = _site_tuples(src, bound)
-        ys = _site_tuples(dst, bound)
-        pair_terms += [(x, y, weight) for x, y in zip(xs, ys)]
-        outer.append(dst[~hit])
+            x, y = x[number[y] < 0], y[number[y] < 0]
+        src.append(x)
+        dst.append(y)
+        pair_class.append(np.full(x.size, k, dtype=np.int64))
+    empty = [np.empty(0, dtype=np.int64)]
+    src, dst = np.concatenate(src + empty), np.concatenate(dst + empty)
+    outer, outer_number = np.unique(dst[number[dst] < 0], return_inverse=True)
+    v = number[dst]
+    v[v < 0] = flat.size + outer_number
 
-    outer_sites = sorted(set(_site_tuples(np.concatenate(outer), bound)))
-    fixed = {y: 1 if sum(a * b for a, b in zip(y, frame[0])) > 0 else -1 for y in outer_sites}
-    return GroundStateInstance(
-        variables=tuple(_site_tuples(sites, bound)) + tuple(fixed),
-        pair_terms=tuple(pair_terms),
-        fixed=fixed,
+    outer_sites = np.array(np.unravel_index(outer, padded.shape), dtype=np.int64).T - pad - bound
+    normal = frame[0]
+    dtype = np.int64 if (bound + pad) * sum(abs(c) for c in normal) < 2**62 else object
+    above = (outer_sites.astype(dtype) * np.array(normal, dtype=dtype)).sum(axis=1) > 0
+    bonds = [2 * model.weights[c] for c in classes]
+    scale = math.lcm(*(w.denominator for w in bonds))
+    n = flat.size + outer.size
+    datum = np.where(above, 1, -1).astype(np.int8)
+    return CellTerms(
+        fixed=np.concatenate([np.zeros(flat.size, dtype=np.int8), datum]),
+        group=np.arange(n, dtype=np.int64),
+        u=src,
+        v=v,
+        pair_class=np.concatenate(pair_class + empty),
+        weights=tuple(w.numerator * (scale // w.denominator) for w in bonds),
+        site_class=np.zeros(n, dtype=np.int64),
+        h_plus=(0,),
+        h_minus=(0,),
+        scale=scale,
+        sites=np.concatenate([sites - bound, outer_sites]),
     )
 
 

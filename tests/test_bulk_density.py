@@ -2,15 +2,18 @@
 
 import itertools
 import json
+import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinhom import bulk_density
 from spinhom.bulk_density import (
     PhiTable,
     build_phi_instance,
+    hard_components_in_cube,
     island_error_constant,
     phi_bracket,
     phi_estimate,
@@ -18,26 +21,91 @@ from spinhom.bulk_density import (
     phi_solution,
     phi_tilde_m,
 )
-from spinhom.connectivity import classify
-from spinhom.ground_state import energy, fold_instance
+from spinhom.connectivity import classify, cube_sites, excluded_set
+from spinhom.ground_state import (
+    FrustratedInstance,
+    GroundStateInstance,
+    TooManyFreeGroups,
+    energy,
+    minimize,
+)
 from spinhom.model import parse_model
 
-from conftest import fixture_document, fixture_model
+from conftest import FIXTURE_NAMES, fixture_document, fixture_model, random_chain_model
+from test_ground_state import brute_argmin, group_assignments
+
+
+def reference_components(model, m):
+    """Per-site BFS over the strong bonds inside Q_M (test-only oracle):
+    (phase, frozenset of sites) per component, in order of first site."""
+    sites = cube_sites(model.dimension, m)
+    in_cube = set(sites)
+    seen = set()
+    out = []
+    for x in sites:
+        if x in seen:
+            continue
+        phase = model.label(x)
+        if phase == 0:
+            continue
+        comp = {x}
+        queue = [x]
+        while queue:
+            u = queue.pop()
+            for off in model.strong_offsets(model.residue_of(u)):
+                v = tuple(a + b for a, b in zip(u, off))
+                if v in in_cube and v not in comp:
+                    comp.add(v)
+                    queue.append(v)
+        seen |= comp
+        out.append((phase, frozenset(comp)))
+    return out
+
+
+def reference_phi_instance(model, m, states, summary, pinned=()):
+    """The per-site cube instance (test-only oracle): site tuples,
+    Fraction terms, a fixed dict and one group per strong component."""
+    sites = cube_sites(model.dimension, m)
+    in_cube = set(sites)
+    groups = []
+    fixed = {}
+    for phase, comp in reference_components(model, m):
+        if any(summary.in_core(phase, x) for x in comp):
+            for x in comp:
+                fixed[x] = states[phase - 1]
+        if len(comp) > 1:
+            groups.append(comp)
+    for x in pinned:
+        x = tuple(x)
+        if x not in in_cube:
+            raise ValueError(f"pinned site {x} is outside the cube")
+        if fixed.get(x, 1) != 1:
+            raise ValueError(f"pinned site {x} conflicts with a phase state")
+        fixed[x] = 1
+    pair_terms = []
+    unary_terms = {}
+    for x in sites:
+        for off in model.weak_offsets(model.residue_of(x)):
+            y = tuple(a + b for a, b in zip(x, off))
+            if y in in_cube and x < y:
+                pair_terms.append((x, y, 2 * model.pair_weight(x, y)))
+        gp = model.forcing_value(x, 1)
+        gm = model.forcing_value(x, -1)
+        if gp or gm:
+            unary_terms[x] = (gp, gm)
+    return GroundStateInstance(
+        variables=tuple(sites),
+        pair_terms=tuple(pair_terms),
+        unary_terms=unary_terms,
+        fixed=fixed,
+        groups=tuple(groups),
+    )
 
 
 def brute_phi(model, m, states, summary):
-    """Reference density by full enumeration of the folded free groups."""
-    inst = build_phi_instance(model, m, states, summary)
-    folded = fold_instance(inst)
-    reps = folded.free_reps
-    best = None
-    for bits in itertools.product((1, -1), repeat=len(reps)):
-        rep_values = dict(zip(reps, bits))
-        rep_values.update(folded.fixed_reps)
-        assignment = {v: rep_values[folded.rep_of[v]] for v in inst.variables}
-        e = energy(inst, assignment)
-        if best is None or e < best:
-            best = e
+    """Reference density by full enumeration of the oracle's free groups."""
+    inst = reference_phi_instance(model, m, states, summary)
+    best = min(energy(inst, assignment) for assignment in group_assignments(inst))
     return Fraction(best, m**model.dimension)
 
 
@@ -158,11 +226,16 @@ def test_phi_estimate_silent_on_nonnegative_weak_couplings():
 def test_phi_instance_structure_two_chains():
     model = fixture_model("two_chains")
     s = classify(model)
-    inst = build_phi_instance(model, 4, (1, -1), s)
-    assert set(inst.variables) == {(-2,), (-1,), (0,), (1,)}
+    terms = build_phi_instance(model, 4, (1, -1), s)
+    sites = [terms.key(i) for i in range(terms.size)]
+    assert set(sites) == {(-2,), (-1,), (0,), (1,)}
     # every site is hard here, pinned to the state of its phase
-    assert inst.fixed == {(-2,): -1, (0,): -1, (-1,): 1, (1,): 1}
-    assert set(inst.groups) == {
+    fixed = {x: int(spin) for x, spin in zip(sites, terms.fixed) if spin}
+    assert fixed == {(-2,): -1, (0,): -1, (-1,): 1, (1,): 1}
+    groups: dict = {}
+    for x, g in zip(sites, terms.group.tolist()):
+        groups.setdefault(g, set()).add(x)
+    assert {frozenset(g) for g in groups.values() if len(g) > 1} == {
         frozenset({(-2,), (0,)}),
         frozenset({(-1,), (1,)}),
     }
@@ -208,3 +281,189 @@ def test_phi_rejects_bad_state_vector():
         phi_m(model, 8, (1, 1))
     with pytest.raises(ValueError):
         phi_m(model, 8, (2,))
+
+
+# ---------------------------------------------------------------------------
+# the array builder against the per-site oracles
+
+ORACLE_SIDES = {1: (3, 6, 8, 11, 12, 13, 30), 2: (3, 6, 8, 13)}
+
+
+def solve_both(model, m, states, summary, corrected, method):
+    """(array-built solution, oracle solution), or the two exception types."""
+    pinned = excluded_set(model, m, summary) if corrected else ()
+    inst = reference_phi_instance(model, m, states, summary, pinned)
+    out = []
+    for solve in (
+        lambda: phi_solution(model, m, states, summary, corrected=corrected, method=method),
+        lambda: minimize(inst, method=method),
+    ):
+        try:
+            out.append(solve())
+        except (TooManyFreeGroups, FrustratedInstance) as exc:
+            out.append(type(exc))
+    return out
+
+
+def assert_same_solution(got, want, sites):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.energy == want.energy
+    assert (got.method, got.exact) == (want.method, want.exact)
+    assert dict(got.assignment) == dict(want.assignment)
+    assert got.spins.dtype == np.int8 and not got.spins.flags.writeable
+    assert got.spins.tolist() == [want.assignment[x] for x in sites]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_array_build_matches_per_site_oracle(name):
+    """Energy and full assignment of every cube solve, plain and island-corrected."""
+    model = fixture_model(name)
+    s = classify(model)
+    for m in ORACLE_SIDES[model.dimension]:
+        sites = cube_sites(model.dimension, m)
+        for states in itertools.product((1, -1), repeat=model.num_phases):
+            for corrected in (False, True):
+                for method in ("auto", "cut", "enum"):
+                    if corrected and 0 < m <= s.island_radius:
+                        with pytest.warns(UserWarning, match="island radius"):
+                            got, want = solve_both(model, m, states, s, corrected, method)
+                    else:
+                        got, want = solve_both(model, m, states, s, corrected, method)
+                    assert_same_solution(got, want, sites)
+
+
+def random_signed_model(rng: random.Random):
+    """Period-3 chain: two soft residues between hard sites, signed weak
+    bonds between neighbours and between soft sites three apart, so the
+    free-free couplings need a gauge and may be frustrated."""
+    weight = lambda: str(Fraction(rng.randrange(-4, 5), 8))
+    strong = str(Fraction(rng.randrange(1, 5), 8))
+    weak = []
+    for res, off in (("0", 1), ("1", 1), ("2", 1), ("0", 3), ("1", 3)):
+        w = weight()
+        back = str((int(res) + off) % 3)
+        weak += [
+            {"from": res, "offset": [off], "weight": w},
+            {"from": back, "offset": [-off], "weight": w},
+        ]
+    return parse_model({
+        "dimension": 1, "period": 3, "num_phases": 1,
+        "labels": {"0": 0, "1": 0, "2": 1},
+        "strong_bonds": [
+            {"from": "2", "offset": [3], "weight": strong},
+            {"from": "2", "offset": [-3], "weight": strong},
+        ],
+        "weak_bonds": weak,
+        "forcing": {r: {"plus": weight(), "minus": weight()} for r in ("0", "1")},
+    })
+
+
+def test_array_build_matches_oracle_on_random_signed_models():
+    rng = random.Random(1313)
+    outcomes = set()
+    for trial in range(80):
+        if trial % 2:
+            model = random_chain_model(rng, nonneg_weak=False)
+        else:
+            model = random_signed_model(rng)
+        s = classify(model)
+        m = rng.choice((4, 5, 7, 9, 12))
+        states = tuple(rng.choice((1, -1)) for _ in range(model.num_phases))
+        sites = cube_sites(1, m)
+        for method in ("enum", "cut"):
+            got, want = solve_both(model, m, states, s, False, method)
+            assert_same_solution(got, want, sites)
+            outcomes.add(want if isinstance(want, type) else want.method)
+    assert outcomes == {"enumeration", "mincut", FrustratedInstance}
+
+
+def test_huge_denominators_take_the_object_path_exactly():
+    doc = fixture_document("chain_soft_even")
+    big, other = 2**61 - 1, 3**41
+    for k, bond in enumerate(doc["weak_bonds"]):
+        bond["weight"] = f"{3 + k // 2}/{big}"
+    doc["forcing"] = {"0": {"plus": f"1/{other}", "minus": f"-2/{other}"}}
+    model = parse_model(doc)
+    s = classify(model)
+    for m in (5, 8):
+        for states in ((1,), (-1,)):
+            terms = build_phi_instance(model, m, states, s)
+            assert terms.bound() >= 2**62
+            inst = reference_phi_instance(model, m, states, s)
+            best, first = brute_argmin(inst)
+            for method in ("enum", "cut"):
+                sol = phi_solution(model, m, states, s, method=method)
+                assert sol.energy == best
+                assert dict(sol.assignment) == dict(minimize(inst, method=method).assignment)
+            assert dict(phi_solution(model, m, states, s, method="enum").assignment) == first
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_union_find_labels_are_the_bfs_components(name):
+    model = fixture_model(name)
+    for m in ORACLE_SIDES[model.dimension] + (31,):
+        labels = hard_components_in_cube(model, m)
+        sites = cube_sites(model.dimension, m)
+        assert labels.shape == (len(sites),)
+        comps: dict = {}
+        for x, label in zip(sites, labels.tolist()):
+            if label >= 0:
+                comps.setdefault(label, set()).add(x)
+        want = reference_components(model, m)
+        assert {frozenset(c) for c in comps.values()} == {c for _, c in want}
+        # a component's label is the number of its smallest site
+        assert all(sites[label] == min(c) for label, c in comps.items())
+        assert all(model.label(x) == 0 for x, label in zip(sites, labels.tolist()) if label < 0)
+
+
+def test_pinned_site_errors():
+    model = fixture_model("islands_1d")
+    s = classify(model)
+    core = next(x for x in cube_sites(1, 8) if s.in_core(1, x))
+    with pytest.raises(ValueError, match=r"pinned site \(9,\) is outside the cube"):
+        build_phi_instance(model, 8, (1,), s, pinned=[(9,)])
+    with pytest.raises(ValueError, match=rf"pinned site \({core[0]},\) conflicts"):
+        build_phi_instance(model, 8, (-1,), s, pinned=[core])
+    # pinned at +1 on a +1 cluster is no conflict
+    build_phi_instance(model, 8, (1,), s, pinned=[core])
+
+
+def random_strong_graph_2d(rng: random.Random):
+    """Period-3 planar model with a random set of hard residues and random
+    symmetric strong bonds among them (up to range 2): islands, strips
+    and spanning clusters all occur."""
+    residues = list(itertools.product(range(3), repeat=2))
+    labels = {r: int(rng.random() < 0.6) for r in residues}
+    labels[(0, 0)] = 1
+    strong = set()
+    for r in residues:
+        if not labels[r]:
+            continue
+        for off in itertools.product(range(-2, 3), repeat=2):
+            target = tuple((a + b) % 3 for a, b in zip(r, off))
+            if any(off) and labels[target] and rng.random() < 0.25:
+                strong.add((r, off))
+                strong.add((target, tuple(-c for c in off)))
+    key = lambda r: ",".join(map(str, r))
+    return parse_model({
+        "dimension": 2, "period": 3, "num_phases": 1,
+        "labels": {key(r): lab for r, lab in labels.items()},
+        "strong_bonds": [
+            {"from": key(r), "offset": list(off), "weight": "1"} for r, off in sorted(strong)
+        ],
+    })
+
+
+def test_union_find_labels_on_random_strong_graphs():
+    rng = random.Random(1414)
+    for trial in range(40):
+        model = random_strong_graph_2d(rng)
+        m = rng.choice((5, 9, 14))
+        sites = cube_sites(2, m)
+        labels = hard_components_in_cube(model, m).tolist()
+        for phase, comp in reference_components(model, m):
+            first = min(comp)
+            assert {labels[sites.index(x)] for x in comp} == {sites.index(first)}, trial
+        assert sum(label >= 0 for label in labels) == sum(model.label(x) != 0 for x in sites)

@@ -388,3 +388,29 @@ def test_examples_filter(capsys):
 def test_examples_unknown_filter_fails(capsys):
     assert run(["examples", "--only", "zzz-no-such-check"]) == 1
     capsys.readouterr()
+
+
+WARNING_ARGVS = {
+    "doubling": ["phi", str(FIXTURES.joinpath("chain_soft_even_anti.json")), "--M", "4,8,12,16,24"],
+    "coarsening": ["fhom", str(FIXTURES.joinpath("diagonal_2d.json")), "--normal", "1,2", "--T", "1,2"],
+    "island-radius": ["phi", ISLANDS, "--M", "1,8"],
+}
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind", sorted(WARNING_ARGVS))
+def test_warnings_print_one_line_without_source_location(capfd, kind, jobs):
+    """Each warning is one ``warning: `` line, also from --jobs workers,
+    and names no source file (which would change with every edit)."""
+    code = run(WARNING_ARGVS[kind] + ["--jobs", jobs])
+    out = capfd.readouterr()
+    assert code == 0
+    lines = out.err.splitlines()
+    assert lines
+    assert all(line.startswith("warning: ") for line in lines), lines
+    assert all(line.count("warning: ") == 1 for line in lines), lines
+    assert not any(".py" in line for line in lines), lines
+    if kind == "doubling":
+        # seven failing side pairs for each of the two phase states
+        assert len(lines) == 14

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinhom import ground_state
@@ -55,17 +56,31 @@ def random_instance(rng: random.Random, n: int, signed: bool, with_structure: bo
     )
 
 
+def free_keys(folded) -> list:
+    """The first site of every free group, named as the instance names it."""
+    return [folded.instance.key(int(r)) for r in folded.free_reps]
+
+
+def spread(folded, bits) -> np.ndarray:
+    """Spins of all sites, in cell order, from one spin per free group."""
+    spins = folded.spin.copy()
+    free = folded.node >= 0
+    spins[free] = np.array(bits, dtype=np.int8)[folded.node[free]]
+    return spins
+
+
+def group_assignments(instance: GroundStateInstance):
+    """Every assignment constant on the folded groups, free groups
+    enumerated lexicographically (+1 before -1)."""
+    folded = fold_instance(instance)
+    for bits in itertools.product((1, -1), repeat=folded.free_count):
+        yield dict(folded.instance.view(spread(folded, bits)))
+
+
 def brute_argmin(instance: GroundStateInstance) -> tuple[Fraction, dict]:
     """Minimum energy and the first minimizer in lexicographic order (+1 before -1)."""
-    folded = fold_instance(instance)
-    reps = folded.free_reps
     best = best_assignment = None
-    for bits in itertools.product((1, -1), repeat=len(reps)):
-        assignment = dict(instance.fixed)
-        rep_values = dict(zip(reps, bits))
-        rep_values.update(folded.fixed_reps)
-        for v in instance.variables:
-            assignment[v] = rep_values[folded.rep_of[v]]
+    for assignment in group_assignments(instance):
         e = energy(instance, assignment)
         if best is None or e < best:
             best, best_assignment = e, assignment
@@ -208,7 +223,7 @@ def test_fold_matches_fraction_oracle():
         folded = fold_instance(inst)
         reps, couplings, unary, constant = fraction_fold(inst)
         scale = folded.scale
-        assert folded.free_reps == reps, f"trial {trial}"
+        assert free_keys(folded) == reps, f"trial {trial}"
         assert all(type(w) is int for _, _, w in folded.pairs)
         assert all(type(h) is int for pair in folded.unary for h in pair)
         assert type(folded.constant) is int and type(scale) is int

@@ -192,11 +192,19 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
     for direction in directions:
         frame = [_primitive(w) for w in orthogonal_frame(direction)]
         for side in sides:
-            instance = _cell_instance(model, core, frame, side)
+            terms = _cell_instance(model, core, frame, side)
             variables, pair_terms, fixed = reference_cell_instance(model, 1, summary, direction, side)
-            assert instance.variables == variables
-            assert sorted(instance.pair_terms) == sorted(pair_terms)
-            assert dict(instance.fixed) == fixed
+            sites = [terms.key(i) for i in range(terms.size)]
+            assert tuple(sites) == variables
+            got_pairs = [
+                (sites[u], sites[v], Fraction(terms.weights[k], terms.scale))
+                for u, v, k in zip(terms.u.tolist(), terms.v.tolist(), terms.pair_class.tolist())
+            ]
+            assert sorted(got_pairs) == sorted(pair_terms)
+            assert {x: int(spin) for x, spin in zip(sites, terms.fixed) if spin} == fixed
+            # every site is its own group, and no site carries a forcing term
+            assert terms.group.tolist() == list(range(terms.size))
+            assert set(terms.h_plus) == set(terms.h_minus) == {0}
 
 
 def test_cell_value_invariant_under_direction_rescaling():
