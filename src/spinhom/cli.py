@@ -108,6 +108,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _fraction_list(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(part) for part in text.split(","))
@@ -508,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--method", choices=["auto", "enum", "cut", "anneal"], default="auto")
-    solver.add_argument("--enum-cap", type=int, help="largest exhaustive search, in free groups")
+    solver.add_argument("--enum-cap", type=_cap, help="largest exhaustive search, in free groups")
     solver.add_argument("--anneal", action="store_true",
                         help="fall back to annealing on frustrated instances")
     solver.add_argument("--seed", type=int, default=0, help="annealing seed")

@@ -16,7 +16,10 @@ converts it to term arrays first.
 eliminated, terms summed per free group in numpy) and hands the
 :class:`FoldedInstance` to one of three solvers:
 
-* :func:`minimize_enum` - exhaustive, lexicographic tie-break, capped;
+* :func:`minimize_enum` - exact min-sum elimination of the free groups
+  in fold order, lexicographic tie-break, capped; it costs
+  ``n * 2**(width + 1)``, ``width`` being the widest context (the
+  earlier groups coupled to a group or a later one);
 * :func:`minimize_cut`  - s/t min-cut, exact via integer Dinic;
   applies to instances whose free-free couplings are nonnegative, or can
   be made so by flipping a deterministic subset of variables (a gauge);
@@ -44,7 +47,6 @@ from .maxflow import FlowNetwork
 Var = Hashable
 
 DEFAULT_ENUM_CAP = 24
-_CHUNK = 1 << 18
 
 
 class TooManyFreeGroups(RuntimeError):
@@ -404,49 +406,84 @@ def _finish(folded: FoldedInstance, spins, method: str, exact: bool) -> Solution
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration
+# exact elimination
+
+
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
+
+
+def _eliminate(value, ctx: tuple, after: tuple, g: int, unary: tuple, below: list):
+    """One backward step of the elimination.
+
+    ``value`` holds, per spin assignment of ``after`` (the context of
+    g + 1), the least energy of the terms reaching groups > g.  Returns
+    two tables over ``ctx``, the context of g: where g is strictly better
+    at -1, and the least energy of the terms reaching groups >= g.
+    ``q1`` is freed on return, before the next step allocates.
+    """
+    shape = [2 if i in after else 1 for i in ctx]
+    split = bool(after) and after[-1] == g  # then g is value's last axis
+    q0, q1 = (np.empty((2,) * len(ctx), dtype=value.dtype) for _ in range(2))
+    for b, (table, h) in enumerate(zip((q0, q1), unary)):
+        table[...] = (value[..., b] if split else value).reshape(shape)
+        table += h
+        for i, w4 in below:
+            # the pair is broken where x_i takes the other spin
+            table[(slice(None),) * ctx.index(i) + (1 - b,)] += w4
+    return q1 < q0, np.minimum(q0, q1, out=q0)
 
 
 def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
-    """Global minimum by exhaustive search over free groups.
+    """Global minimum over the free groups by exact min-sum elimination
+    in fold order (nonserial dynamic programming).
 
-    Tie-break: lexicographically smallest assignment over the sorted free
-    representatives with +1 ordered before -1.
+    The context of group g is the set of groups i < g coupled to some
+    j >= g.  A backward pass from g = n-1 to 0 builds, over g's context,
+    the least energy of the terms reaching groups >= g with g at +1
+    (``q0``) and at -1 (``q1``), keeps where -1 is strictly better, and
+    passes ``min(q0, q1)`` on.  A forward pass then reads each group's
+    spin off its context's spins.  Ties go to +1, so the result is the
+    lexicographically smallest minimizer over the free groups in fold
+    order.  The cost is ``n * 2**(width + 1)``, ``width`` being the
+    widest context; a step whose two tables would hold more than
+    ``2**DEFAULT_ENUM_CAP`` entries raises :class:`TooManyFreeGroups`,
+    whatever the cap.
     """
+    _check_cap(cap)
     nfree = folded.free_count
     if nfree > cap:
         raise TooManyFreeGroups(f"{nfree} free groups exceeds the enumeration cap {cap}")
 
-    pair_list = [(i, j, 4 * w) for i, j, w in folded.pairs]
-    hp_arr = np.array([hp for hp, _ in folded.unary], dtype=object)
-    hm_arr = np.array([hm for _, hm in folded.unary], dtype=object)
-    bound = sum(abs(w) for _, _, w in pair_list) + sum(
-        max(abs(hp), abs(hm)) for hp, hm in folded.unary
-    )
-    # coefficients too large for int64: same loop on python ints
+    below: list = [[] for _ in range(nfree)]  # below[j]: (i, 4w) of pairs i < j
+    reach = list(range(nfree))  # reach[i]: the last group coupled to i
+    for i, j, w in folded.pairs:
+        below[j].append((i, 4 * w))
+        reach[i] = max(reach[i], j)
+    contexts = [()]
+    for g in range(nfree):
+        contexts.append(tuple(i for i in (*contexts[g], g) if reach[i] > g))
+    width = max(map(len, contexts))
+    if width >= DEFAULT_ENUM_CAP:
+        raise TooManyFreeGroups(
+            f"{nfree} free groups need elimination tables of 2**{width + 1} entries, "
+            f"more than 2**{DEFAULT_ENUM_CAP}"
+        )
+    bound = sum(abs(w4) for pairs in below for _, w4 in pairs)
+    bound += sum(max(abs(hp), abs(hm)) for hp, hm in folded.unary)
+    # coefficients too large for int64: same tables of python ints
     dtype = np.int64 if bound < 2**62 else object
-    hp_vec = hp_arr.astype(dtype)
-    dif_vec = (hm_arr - hp_arr).astype(dtype)
-    base = hp_vec.sum()
 
-    best_val = None
-    best_index = None
-    for start in range(0, 1 << nfree, _CHUNK):
-        stop = min(start + _CHUNK, 1 << nfree)
-        ids = np.arange(start, stop, dtype=np.int64)
-        bits = [((ids >> (nfree - 1 - g)) & 1).astype(dtype, copy=False) for g in range(nfree)]
-        e = np.full(ids.shape, base, dtype=dtype)
-        for g in range(nfree):
-            e += bits[g] * dif_vec[g]
-        for i, j, w4 in pair_list:
-            e += (bits[i] ^ bits[j]) * w4
-        k = int(np.argmin(e))
-        if best_val is None or e[k] < best_val:
-            best_val = e[k]
-            best_index = start + k
-
-    spins = [-1 if (best_index >> (nfree - 1 - g)) & 1 else 1 for g in range(nfree)]
-    return _finish(folded, spins, "enumeration", True)
+    value = np.zeros((), dtype=dtype)
+    choose: list = [None] * nfree
+    for g in reversed(range(nfree)):
+        choose[g], value = _eliminate(value, contexts[g], contexts[g + 1], g,
+                                      folded.unary[g], below[g])
+    bits: list = []
+    for g in range(nfree):
+        bits.append(int(choose[g][tuple(bits[i] for i in contexts[g])]))
+    return _finish(folded, [1 - 2 * b for b in bits], "enumeration", True)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +570,8 @@ def minimize(
 ) -> Solution:
     """Fold ``instance`` once and dispatch it to a solver.
 
-    ``cap`` defaults to :data:`DEFAULT_ENUM_CAP`.  ``auto`` enumerates
+    ``cap`` defaults to :data:`DEFAULT_ENUM_CAP` and must be nonnegative
+    (else :class:`ValueError`).  ``auto`` enumerates
     when the free-group count fits under the cap, otherwise runs the
     min-cut; frustrated instances then fall back to annealing only when
     ``allow_anneal`` is set, else the frustration error propagates with
@@ -543,6 +581,7 @@ def minimize(
         raise ValueError(f"unknown method {method!r}")
     if cap is None:
         cap = DEFAULT_ENUM_CAP
+    _check_cap(cap)
     folded = fold_instance(instance)
     if method == "enum" or (method == "auto" and folded.free_count <= cap):
         return minimize_enum(folded, cap)

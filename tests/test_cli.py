@@ -198,6 +198,31 @@ def test_phi_enum_past_cap_exits_with_hint(capsys):
     assert out.err.count("\n") == 1
 
 
+def test_phi_enum_refuses_wide_cell_under_raised_cap(capsys, tmp_path):
+    # 28 x 28 soft sites coupled two rows apart: each elimination context
+    # spans a row, far past what the tables may hold
+    model = frustrated_model_path(tmp_path)
+    code = run(["phi", model, "--M", "56", "--z", "-1", "--method", "enum", "--enum-cap", "1000"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: 784 free groups need elimination tables of 2**")
+    assert "--method cut" in out.err
+    assert out.err.count("\n") == 1
+
+
+def test_phi_enum_solves_long_chain_under_raised_cap(capsys):
+    model = str(FIXTURES.joinpath("chain_two_weak_scales.json"))
+    argv = ["phi", model, "--M", "100,101", "--z", "-1"]
+    cut = run_ok(capsys, argv + ["--method", "cut"])
+    assert run_ok(capsys, argv + ["--method", "enum", "--enum-cap", "200"]) == cut
+
+
+@pytest.mark.parametrize("cap", ["-1", "x"])
+def test_phi_rejects_bad_enum_cap(capsys, cap):
+    assert run(["phi", CHAIN, "--M", "4", "--enum-cap", cap]) == 2
+    assert "--enum-cap: expected a nonnegative integer" in capsys.readouterr().err
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     argv = ["phi", TWO, "--M", "4,8"]
     stdout = run_ok(capsys, argv)

@@ -77,14 +77,24 @@ def group_assignments(instance: GroundStateInstance):
         yield dict(folded.instance.view(spread(folded, bits)))
 
 
+def brute_spins(instance: GroundStateInstance) -> tuple[Fraction, np.ndarray]:
+    """Minimum energy and the spins, in cell order, of the first minimizer
+    in lexicographic order over the free groups (+1 before -1)."""
+    folded = fold_instance(instance)
+    keys = [folded.instance.key(i) for i in range(folded.instance.size)]
+    best = best_spins = None
+    for bits in itertools.product((1, -1), repeat=folded.free_count):
+        spins = spread(folded, bits)
+        e = energy(instance, dict(zip(keys, spins.tolist())))
+        if best is None or e < best:
+            best, best_spins = e, spins
+    return best, best_spins
+
+
 def brute_argmin(instance: GroundStateInstance) -> tuple[Fraction, dict]:
     """Minimum energy and the first minimizer in lexicographic order (+1 before -1)."""
-    best = best_assignment = None
-    for assignment in group_assignments(instance):
-        e = energy(instance, assignment)
-        if best is None or e < best:
-            best, best_assignment = e, assignment
-    return best, best_assignment
+    best, spins = brute_spins(instance)
+    return best, dict(fold_instance(instance).instance.view(spins))
 
 
 def brute_minimum(instance: GroundStateInstance) -> Fraction:
@@ -363,6 +373,121 @@ def test_fixed_member_pins_whole_group():
     sol = minimize(inst, method="enum")
     assert sol.assignment[(1,)] == 1
     assert sol.energy == 5
+
+
+def assert_enum_is_lexicographic_argmin(instance: GroundStateInstance, label=""):
+    ref, spins = brute_spins(instance)
+    sol = minimize(instance, method="enum")
+    assert sol.energy == ref, label
+    assert sol.spins.tolist() == spins.tolist(), label
+    assert sol.exact and sol.method == "enumeration"
+
+
+def tied_instance(rng: random.Random, n: int, density: float) -> GroundStateInstance:
+    """Signed couplings and forcing from {-1, 0, 1} / 2 on n variables, a
+    fixed variable and a group when n allows: many minimizers tie."""
+    small = lambda: Fraction(rng.randrange(-1, 2), 2)
+    variables = tuple((i,) for i in range(n))
+    pairs = tuple((u, v, small()) for u, v in itertools.combinations(variables, 2)
+                  if rng.random() < density)
+    unary = {}
+    for v in variables:
+        if rng.random() < 0.5:
+            h = small()
+            unary[v] = (h, h) if rng.random() < 0.5 else (h, small())
+    fixed = {(0,): rng.choice((1, -1))} if n >= 3 and rng.random() < 0.3 else {}
+    groups = (frozenset({(1,), (n - 1,)}),) if n >= 3 and rng.random() < 0.3 else ()
+    return GroundStateInstance(variables=variables, pair_terms=pairs, unary_terms=unary,
+                               fixed=fixed, groups=groups)
+
+
+def test_enum_is_lexicographic_argmin_with_ties():
+    rng = random.Random(1212)
+    for trial in range(200):
+        n = rng.randrange(0, 10) if trial % 50 else 12
+        inst = tied_instance(rng, n, density=rng.choice((0.15, 0.4, 0.9)))
+        assert_enum_is_lexicographic_argmin(inst, f"trial {trial}")
+
+
+@pytest.mark.parametrize("denominators", [(5, 7), (2**61 - 1, 3**41)])
+def test_enum_on_complete_graph(denominators):
+    """Every context is every earlier group: the widest tables there are.
+    Denominators of 2**61 - 1 and 3**41 put the scaled terms past 2**62."""
+    rng = random.Random(1313)
+    weight = lambda: Fraction(rng.randrange(-3, 4), rng.choice(denominators))
+    variables = tuple((i,) for i in range(11))
+    pairs = tuple((u, v, weight()) for u, v in itertools.combinations(variables, 2))
+    unary = {v: (weight(), Fraction(0)) for v in variables}
+    inst = GroundStateInstance(variables=variables, pair_terms=pairs, unary_terms=unary)
+    assert (scaled_bound(inst) >= 2**62) == (denominators[0] > 2**60)
+    assert_enum_is_lexicographic_argmin(inst)
+
+
+def grid_instance(rng: random.Random, rows: int, cols: int) -> GroundStateInstance:
+    """Signed bonds to the right, below and diagonally below on a grid
+    numbered row by row, as a 2D cube cell is."""
+    variables = tuple((i, j) for i in range(rows) for j in range(cols))
+    pairs = []
+    for i, j in variables:
+        for a, b in ((i, j + 1), (i + 1, j), (i + 1, j - 1)):
+            if a < rows and 0 <= b < cols:
+                pairs.append(((i, j), (a, b), Fraction(rng.randrange(-3, 4), 4)))
+    unary = {v: (Fraction(rng.randrange(-2, 3), 3), Fraction(rng.randrange(-2, 3), 3))
+             for v in variables if rng.random() < 0.5}
+    return GroundStateInstance(variables=variables, pair_terms=tuple(pairs), unary_terms=unary)
+
+
+def test_enum_on_grid_order():
+    rng = random.Random(1414)
+    for trial in range(3):
+        assert_enum_is_lexicographic_argmin(grid_instance(rng, 3, 4), f"trial {trial}")
+
+
+def test_enum_without_free_groups():
+    sol = minimize(GroundStateInstance(variables=()), method="enum")
+    assert sol.energy == 0 and sol.spins.size == 0
+    inst = GroundStateInstance(variables=((0,),), unary_terms={(0,): (Fraction(1), Fraction(0))},
+                               fixed={(0,): 1})
+    assert minimize(inst, method="enum", cap=0).energy == 1
+
+
+def chain_instance(rng: random.Random, n: int) -> GroundStateInstance:
+    """A chain with nonnegative bonds to the next two variables."""
+    variables = tuple((i,) for i in range(n))
+    pairs = tuple(((i,), (j,), Fraction(rng.randrange(0, 10), 8))
+                  for i in range(n) for j in (i + 1, i + 2) if j < n)
+    unary = {v: (Fraction(rng.randrange(-9, 10), 5), Fraction(rng.randrange(-9, 10), 5))
+             for v in variables}
+    return GroundStateInstance(variables=variables, pair_terms=pairs, unary_terms=unary)
+
+
+def test_enum_solves_long_narrow_chain_under_raised_cap():
+    """40 free groups, far past any exhaustive walk, but each context
+    holds two groups; the min-cut checks the value."""
+    rng = random.Random(1515)
+    for trial in range(5):
+        inst = chain_instance(rng, 40)
+        sol = minimize(inst, method="enum", cap=40)
+        assert sol.method == "enumeration"
+        assert sol.energy == minimize(inst, method="cut").energy, f"trial {trial}"
+
+
+def test_enum_refuses_wide_contexts_under_raised_cap():
+    """A complete graph of 40 groups needs tables of 2**40 entries."""
+    variables = tuple((i,) for i in range(40))
+    pairs = tuple((u, v, Fraction(1)) for u, v in itertools.combinations(variables, 2))
+    inst = GroundStateInstance(variables=variables, pair_terms=pairs)
+    with pytest.raises(TooManyFreeGroups, match=r"tables of 2\*\*40 entries"):
+        minimize(inst, method="enum", cap=40)
+
+
+def test_negative_cap_rejected():
+    inst = random_instance(random.Random(1616), 4, signed=False)
+    for method in ("auto", "enum", "cut"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            minimize(inst, method=method, cap=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ground_state.minimize_enum(fold_instance(inst), -1)
 
 
 def test_enum_cap_enforced():
