@@ -58,7 +58,6 @@ from .ground_state import (
     Solution,
     fold_instance,
     minimize,
-    minimize_anneal,
     minimize_cut,
     minimize_enum,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "load_model",
     "load_target",
     "minimize",
-    "minimize_anneal",
     "minimize_cut",
     "minimize_enum",
     "parse_model",

@@ -192,19 +192,16 @@ def phi_solution(
     summary: ConnectivitySummary | None = None,
     corrected: bool = False,
     method: str = "auto",
-    cap: int | None = None,
-    allow_anneal: bool = False,
-    seed: int = 0,
 ) -> Solution:
     if summary is None:
         summary = classify(model)
     pinned = excluded_set(model, m, summary) if corrected else ()
     instance = build_phi_instance(model, m, states, summary, pinned)
-    return minimize(instance, method=method, cap=cap, allow_anneal=allow_anneal, seed=seed)
+    return minimize(instance, method=method)
 
 
 def phi_m(model, m, states, summary=None, **solver) -> Fraction:
-    """Plain finite-cube density phi_M(states), exact unless annealed."""
+    """Plain finite-cube density phi_M(states), an exact cell minimum."""
     sol = phi_solution(model, m, states, summary, corrected=False, **solver)
     return sol.energy / Fraction(m**model.dimension)
 

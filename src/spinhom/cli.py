@@ -66,10 +66,7 @@ class RunConfig:
     fmt: str
     out: str | None
     jobs: int
-    enum_cap: int | None
     method: str
-    allow_anneal: bool
-    seed: int
     options: argparse.Namespace
 
     @classmethod
@@ -79,22 +76,14 @@ class RunConfig:
             model_path=getattr(args, "model", None),
             fmt=getattr(args, "format", None) or DEFAULT_FORMAT.get(args.command, "json"),
             out=getattr(args, "out", None),
-            jobs=max(1, getattr(args, "jobs", 1) or 1),
-            enum_cap=getattr(args, "enum_cap", None),
+            jobs=getattr(args, "jobs", 1),
             method=getattr(args, "method", "auto"),
-            allow_anneal=getattr(args, "anneal", False),
-            seed=getattr(args, "seed", 0),
             options=args,
         )
 
     @property
     def solver(self) -> dict:
-        return dict(
-            method=self.method,
-            cap=self.enum_cap,
-            allow_anneal=self.allow_anneal,
-            seed=self.seed,
-        )
+        return dict(method=self.method)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +97,13 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _cap(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -272,7 +261,8 @@ def cmd_fhom(cfg: RunConfig) -> int:
     model = load_model(cfg.model_path)
     summary = classify(model)
     direction = cfg.options.normal
-    phases = [cfg.options.phase] if cfg.options.phase else list(range(1, model.num_phases + 1))
+    phase = cfg.options.phase
+    phases = [phase] if phase is not None else list(range(1, model.num_phases + 1))
     sides = cfg.options.sides
     tasks = [(model, summary, j, direction, t) for j in phases for t in sides]
     values = _run_tasks(_cell_task, tasks, cfg.jobs)
@@ -514,14 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output to a file instead of stdout")
 
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    jobs.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
 
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--method", choices=["auto", "enum", "cut", "anneal"], default="auto")
-    solver.add_argument("--enum-cap", type=_cap, help="largest exhaustive search, in free groups")
-    solver.add_argument("--anneal", action="store_true",
-                        help="fall back to annealing on frustrated instances")
-    solver.add_argument("--seed", type=int, default=0, help="annealing seed")
+    solver.add_argument("--method", choices=["auto", "enum", "cut"], default="auto",
+                        help="exact cell solver: elimination, min-cut, or auto (default)")
 
     p = sub.add_parser("validate", parents=[common], help="check a model file")
     p.add_argument("model")
@@ -616,11 +603,9 @@ def _dispatch(cfg: RunConfig) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FrustratedInstance as exc:
-        print(f"error: {exc} (pass --anneal to accept approximate minima)", file=sys.stderr)
-        return 2
-    except TooManyFreeGroups as exc:
-        print(f"error: {exc} (use --method cut for large cells)", file=sys.stderr)
+    except (FrustratedInstance, TooManyFreeGroups) as exc:
+        hint = "" if cfg.method == "auto" else " (use --method auto)"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except NotImplementedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import intlattice
 from .model import LatticeModel, Residue, Site, Violation

@@ -753,9 +753,6 @@ def recovery_config(
     m: int,
     summary: ConnectivitySummary | None = None,
     method: str = "auto",
-    cap: int | None = None,
-    allow_anneal: bool = False,
-    seed: int = 0,
 ) -> SpinField:
     """Candidate minimizer: traces on the infinite clusters, optimal fill inside.
 
@@ -789,8 +786,7 @@ def recovery_config(
             continue
         if states not in blocks:
             blocks[states] = phi_solution(
-                model, m, states, summary, corrected=True,
-                method=method, cap=cap, allow_anneal=allow_anneal, seed=seed,
+                model, m, states, summary, corrected=True, method=method,
             ).spins.reshape((m,) * d)
         spins[cube] = blocks[states]
 
@@ -852,9 +848,6 @@ def converge_report(
     surface_side: int | None = None,
     phi_side: int | None = None,
     method: str = "auto",
-    cap: int | None = None,
-    allow_anneal: bool = False,
-    seed: int = 0,
 ) -> ConvergenceReport:
     """Energies of recovery fields along shrinking eps against the limit value.
 
@@ -878,15 +871,14 @@ def converge_report(
         need = math.ceil(1 / eps_list[-1])
         t = model.period
         phi_side = max(m, -(-need // t) * t)
-    solver = dict(method=method, cap=cap, allow_anneal=allow_anneal, seed=seed)
     directions = _target_directions(target, omega.dimension)
     surface = SurfaceTable.from_model(model, directions, surface_side, summary) \
         if directions else SurfaceTable(model.num_phases, {})
-    phi = PhiTable.from_model(model, [phi_side], summary, **solver)
+    phi = PhiTable.from_model(model, [phi_side], summary, method=method)
     reference = f_hom(model, omega, target, surface, phi)
     rows = []
     for eps in eps_list:
-        field = recovery_config(model, omega, target, eps, m, summary, **solver)
+        field = recovery_config(model, omega, target, eps, m, summary, method=method)
         value = f_eps(model, field)
         rows.append(ConvergenceRow(eps=eps, energy=value, gap=abs(value - reference)))
     return ConvergenceReport(

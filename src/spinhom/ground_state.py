@@ -14,18 +14,19 @@ converts it to term arrays first.
 
 :func:`minimize` folds an instance once (groups merged, fixed variables
 eliminated, terms summed per free group in numpy) and hands the
-:class:`FoldedInstance` to one of three solvers:
+:class:`FoldedInstance` to one of two exact solvers:
 
-* :func:`minimize_enum` - exact min-sum elimination of the free groups
-  in fold order, lexicographic tie-break, capped; it costs
-  ``n * 2**(width + 1)``, ``width`` being the widest context (the
-  earlier groups coupled to a group or a later one);
+* :func:`minimize_enum` - min-sum elimination of the free groups in
+  fold order, lexicographic tie-break; it costs ``n * 2**(width + 1)``,
+  ``width`` being the widest context (the earlier groups coupled to a
+  group or a later one), and refuses a cell whose tables would pass
+  ``2**DEFAULT_ENUM_CAP`` entries;
 * :func:`minimize_cut`  - s/t min-cut, exact via integer Dinic;
   applies to instances whose free-free couplings are nonnegative, or can
-  be made so by flipping a deterministic subset of variables (a gauge);
-* :func:`minimize_anneal` - seeded simulated annealing, no optimality
-  guarantee.
+  be made so by flipping a deterministic subset of variables (a gauge).
 
+A frustrated instance too wide to eliminate is refused: its minimum is
+NP-hard in general, and no approximate value is returned in its place.
 Every result's energy is re-evaluated exactly from the unfolded term
 arrays (:meth:`CellTerms.evaluate`).
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -221,7 +221,6 @@ class Solution:
     assignment: Mapping[Var, int]
     energy: Fraction
     method: str
-    exact: bool
 
 
 def energy(instance: GroundStateInstance, assignment: Mapping[Var, int]) -> Fraction:
@@ -385,7 +384,7 @@ def fold_instance(instance: GroundStateInstance | CellTerms) -> FoldedInstance:
     )
 
 
-def _finish(folded: FoldedInstance, spins, method: str, exact: bool) -> Solution:
+def _finish(folded: FoldedInstance, spins, method: str) -> Solution:
     """Solution from one spin per free group, its energy re-evaluated
     exactly from the unfolded term arrays."""
     terms = folded.instance
@@ -401,17 +400,11 @@ def _finish(folded: FoldedInstance, spins, method: str, exact: bool) -> Solution
         assignment=terms.view(values),
         energy=terms.evaluate(values),
         method=method,
-        exact=exact,
     )
 
 
 # ---------------------------------------------------------------------------
 # exact elimination
-
-
-def _check_cap(cap: int) -> None:
-    if cap < 0:
-        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
 
 
 def _eliminate(value, ctx: tuple, after: tuple, g: int, unary: tuple, below: list):
@@ -435,7 +428,7 @@ def _eliminate(value, ctx: tuple, after: tuple, g: int, unary: tuple, below: lis
     return q1 < q0, np.minimum(q0, q1, out=q0)
 
 
-def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
+def minimize_enum(folded: FoldedInstance) -> Solution:
     """Global minimum over the free groups by exact min-sum elimination
     in fold order (nonserial dynamic programming).
 
@@ -448,14 +441,10 @@ def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
     lexicographically smallest minimizer over the free groups in fold
     order.  The cost is ``n * 2**(width + 1)``, ``width`` being the
     widest context; a step whose two tables would hold more than
-    ``2**DEFAULT_ENUM_CAP`` entries raises :class:`TooManyFreeGroups`,
-    whatever the cap.
+    ``2**DEFAULT_ENUM_CAP`` entries raises :class:`TooManyFreeGroups`
+    before anything is allocated.
     """
-    _check_cap(cap)
     nfree = folded.free_count
-    if nfree > cap:
-        raise TooManyFreeGroups(f"{nfree} free groups exceeds the enumeration cap {cap}")
-
     below: list = [[] for _ in range(nfree)]  # below[j]: (i, 4w) of pairs i < j
     reach = list(range(nfree))  # reach[i]: the last group coupled to i
     for i, j, w in folded.pairs:
@@ -483,7 +472,7 @@ def minimize_enum(folded: FoldedInstance, cap: int) -> Solution:
     bits: list = []
     for g in range(nfree):
         bits.append(int(choose[g][tuple(bits[i] for i in contexts[g])]))
-    return _finish(folded, [1 - 2 * b for b in bits], "enumeration", True)
+    return _finish(folded, [1 - 2 * b for b in bits], "enumeration")
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +500,7 @@ def _gauge(n: int, pairs: list) -> list:
                     queue.append(v)
                 elif sigma[v] != want:
                     raise FrustratedInstance(
-                        "free-free couplings are frustrated (no gauge makes them "
-                        "nonnegative); use minimize_enum or minimize_anneal"
+                        "free-free couplings are frustrated: no gauge makes them nonnegative"
                     )
     return sigma
 
@@ -551,7 +539,7 @@ def minimize_cut(folded: FoldedInstance) -> Solution:
     flow = net.max_flow(n, n + 1)
     side = net.source_side(n)
     spins = [s if i in side else -s for i, s in enumerate(sigma)]
-    solution = _finish(folded, spins, "mincut", True)
+    solution = _finish(folded, spins, "mincut")
     cut_energy = Fraction(constant + flow, folded.scale)
     if solution.energy != cut_energy:
         raise RuntimeError(
@@ -561,91 +549,27 @@ def minimize_cut(folded: FoldedInstance) -> Solution:
     return solution
 
 
-def minimize(
-    instance: GroundStateInstance | CellTerms,
-    method: str = "auto",
-    cap: int | None = None,
-    allow_anneal: bool = False,
-    seed: int = 0,
-) -> Solution:
-    """Fold ``instance`` once and dispatch it to a solver.
+def minimize(instance: GroundStateInstance | CellTerms, method: str = "auto") -> Solution:
+    """Fold ``instance`` once and dispatch it to an exact solver.
 
-    ``cap`` defaults to :data:`DEFAULT_ENUM_CAP` and must be nonnegative
-    (else :class:`ValueError`).  ``auto`` enumerates
-    when the free-group count fits under the cap, otherwise runs the
-    min-cut; frustrated instances then fall back to annealing only when
-    ``allow_anneal`` is set, else the frustration error propagates with
-    a hint.
+    ``enum`` and ``cut`` name the solver.  ``auto`` enumerates when there
+    are at most :data:`DEFAULT_ENUM_CAP` free groups, otherwise runs the
+    min-cut, and eliminates the same folded instance when the min-cut
+    finds it frustrated.  A frustrated instance too wide to eliminate
+    raises :class:`TooManyFreeGroups`.
     """
-    if method not in ("auto", "enum", "cut", "anneal"):
+    if method not in ("auto", "enum", "cut"):
         raise ValueError(f"unknown method {method!r}")
-    if cap is None:
-        cap = DEFAULT_ENUM_CAP
-    _check_cap(cap)
     folded = fold_instance(instance)
-    if method == "enum" or (method == "auto" and folded.free_count <= cap):
-        return minimize_enum(folded, cap)
+    if method == "enum" or (method == "auto" and folded.free_count <= DEFAULT_ENUM_CAP):
+        return minimize_enum(folded)
     if method == "cut":
         return minimize_cut(folded)
-    if method == "anneal":
-        return minimize_anneal(folded, seed=seed)
     try:
         return minimize_cut(folded)
     except FrustratedInstance:
-        if allow_anneal:
-            return minimize_anneal(folded, seed=seed)
-        raise FrustratedInstance(
-            "instance is too large to enumerate and its couplings are frustrated; "
-            "pass --anneal (allow_anneal=True) to accept an approximate minimum"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# simulated annealing
-
-
-def minimize_anneal(
-    folded: FoldedInstance,
-    seed: int = 0,
-    sweeps: int = 400,
-    t_start: float = 3.0,
-    t_end: float = 0.05,
-) -> Solution:
-    """Metropolis annealing over free groups; deterministic for a given seed.
-
-    The returned energy is the exact re-evaluation of the best visited
-    state, but no optimality is claimed (``exact=False``).
-    """
-    nfree = folded.free_count
-    scale = folded.scale
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(nfree)]
-    for i, j, w in folded.pairs:
-        w4 = 4 * w / scale
-        adj[i].append((j, w4))
-        adj[j].append((i, w4))
-    hp = [h / scale for h, _ in folded.unary]
-    hm = [h / scale for _, h in folded.unary]
-
-    rng = random.Random(seed)
-    state = [1 if hp[i] <= hm[i] else -1 for i in range(nfree)]
-
-    def total(st):
-        e = sum(hp[i] if st[i] > 0 else hm[i] for i in range(nfree))
-        e += sum(w4 for i in range(nfree) for j, w4 in adj[i] if j > i and st[i] != st[j])
-        return e
-
-    cur = total(state)
-    best, best_state = cur, list(state)
-    ratio = t_end / t_start
-    for sweep in range(sweeps):
-        temp = t_start * ratio ** (sweep / max(sweeps - 1, 1))
-        for i in range(nfree):
-            delta = (hm[i] - hp[i]) if state[i] > 0 else (hp[i] - hm[i])
-            for j, w4 in adj[i]:
-                delta += w4 if state[i] == state[j] else -w4
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                state[i] = -state[i]
-                cur += delta
-                if cur < best:
-                    best, best_state = cur, list(state)
-    return _finish(folded, best_state, "annealing", False)
+        pass
+    try:
+        return minimize_enum(folded)
+    except TooManyFreeGroups as exc:
+        raise TooManyFreeGroups(f"couplings are frustrated and {exc}") from None

@@ -15,9 +15,9 @@ minimisation and the structural inequalities can be asserted exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Residue = tuple[int, ...]
 Site = tuple[int, ...]

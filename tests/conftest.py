@@ -28,6 +28,26 @@ def fixture_model(name: str) -> LatticeModel:
     return parse_model(fixture_document(name))
 
 
+def frus1d_document() -> dict:
+    """The frustrated chain ``frus1d``: period 2, soft residue 0, a strong
+    chain at +-2 on residue 1 (weight 1/8), antiferromagnetic weak bonds
+    on residue 0 at +-2 (-1/8) and +-4 (-1/16), so that every three soft
+    sites 0, 2, 4 form a frustrated triangle, and weak bonds 1/8 at +-1
+    on both residues."""
+    def bonds(res, offset, weight):
+        return [{"from": res, "offset": [s * offset], "weight": weight} for s in (1, -1)]
+
+    return {
+        "dimension": 1,
+        "period": 2,
+        "num_phases": 1,
+        "labels": {"0": 0, "1": 1},
+        "strong_bonds": bonds("1", 2, "1/8"),
+        "weak_bonds": (bonds("0", 2, "-1/8") + bonds("0", 4, "-1/16")
+                       + bonds("0", 1, "1/8") + bonds("1", 1, "1/8")),
+    }
+
+
 @pytest.fixture(params=FIXTURE_NAMES)
 def any_model(request):
     return fixture_model(request.param)

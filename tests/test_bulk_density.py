@@ -245,7 +245,7 @@ def test_phi_solution_exact_with_no_free_sites():
     model = fixture_model("two_chains")
     s = classify(model)
     sol = phi_solution(model, 8, (1, -1), s)
-    assert sol.exact
+    assert sol.method == "enumeration"
     assert Fraction(sol.energy, 8) == Fraction(7, 8)
 
 
@@ -310,7 +310,7 @@ def assert_same_solution(got, want, sites):
         assert got is want
         return
     assert got.energy == want.energy
-    assert (got.method, got.exact) == (want.method, want.exact)
+    assert got.method == want.method
     assert dict(got.assignment) == dict(want.assignment)
     assert got.spins.dtype == np.int8 and not got.spins.flags.writeable
     assert got.spins.tolist() == [want.assignment[x] for x in sites]

@@ -8,7 +8,7 @@ import pytest
 from spinhom.cli import run
 from spinhom.gamma_limit import load_field
 
-from conftest import FIXTURES, fixture_document
+from conftest import FIXTURES, fixture_document, frus1d_document
 
 CHAIN = str(FIXTURES.joinpath("chain_soft_even.json"))
 TWO = str(FIXTURES.joinpath("two_chains.json"))
@@ -129,6 +129,14 @@ def test_fhom_single_phase(capsys):
     assert all(line.startswith("2,") for line in lines[1:])
 
 
+@pytest.mark.parametrize("phase", ["0", "-1", "3"])
+def test_fhom_rejects_phase_out_of_range(capsys, phase):
+    assert run(["fhom", TWO, "--normal", "1", "--T", "4", "--phase", phase]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: phase must be in 1..2, got {phase}\n"
+
+
 def test_fhom_jobs_do_not_change_output(capsys):
     argv = ["fhom", INCLUSIONS, "--normal", "1,0", "--T", "4,8"]
     serial = run_ok(capsys, argv + ["--jobs", "1"])
@@ -184,43 +192,65 @@ def test_phi_frustrated_cut_exits_with_hint(capsys, tmp_path):
     code = run(["phi", model, "--M", "4", "--z", "-1", "--method", "cut"])
     out = capsys.readouterr()
     assert code == 2
-    assert "anneal" in out.err
-    assert run(["phi", model, "--M", "4", "--z", "-1", "--method", "anneal"]) == 0
+    assert out.err == ("error: free-free couplings are frustrated: no gauge makes them "
+                       "nonnegative (use --method auto)\n")
+    assert run(["phi", model, "--M", "4", "--z", "-1", "--method", "auto"]) == 0
     capsys.readouterr()
 
 
-def test_phi_enum_past_cap_exits_with_hint(capsys):
-    code = run(["phi", INCLUSIONS, "--M", "16", "--z", "-1", "--method", "enum", "--enum-cap", "4"])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.err.startswith("error: 64 free groups exceeds the enumeration cap 4")
-    assert "--method cut" in out.err
-    assert out.err.count("\n") == 1
-
-
-def test_phi_enum_refuses_wide_cell_under_raised_cap(capsys, tmp_path):
+def test_phi_refuses_wide_frustrated_cell(capsys, tmp_path):
     # 28 x 28 soft sites coupled two rows apart: each elimination context
     # spans a row, far past what the tables may hold
     model = frustrated_model_path(tmp_path)
-    code = run(["phi", model, "--M", "56", "--z", "-1", "--method", "enum", "--enum-cap", "1000"])
+    code = run(["phi", model, "--M", "56", "--z", "-1"])
     out = capsys.readouterr()
     assert code == 2
-    assert out.err.startswith("error: 784 free groups need elimination tables of 2**")
-    assert "--method cut" in out.err
+    assert out.err.startswith("error: couplings are frustrated and 784 free groups need "
+                              "elimination tables of 2**")
     assert out.err.count("\n") == 1
 
 
-def test_phi_enum_solves_long_chain_under_raised_cap(capsys):
+def test_phi_enum_refuses_wide_cell(capsys, tmp_path):
+    model = frustrated_model_path(tmp_path)
+    code = run(["phi", model, "--M", "56", "--z", "-1", "--method", "enum"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: 784 free groups need elimination tables of 2**")
+    assert out.err.endswith(" (use --method auto)\n")
+    assert out.err.count("\n") == 1
+
+
+def test_phi_enum_solves_long_chain(capsys):
     model = str(FIXTURES.joinpath("chain_two_weak_scales.json"))
     argv = ["phi", model, "--M", "100,101", "--z", "-1"]
     cut = run_ok(capsys, argv + ["--method", "cut"])
-    assert run_ok(capsys, argv + ["--method", "enum", "--enum-cap", "200"]) == cut
+    assert run_ok(capsys, argv + ["--method", "enum"]) == cut
 
 
-@pytest.mark.parametrize("cap", ["-1", "x"])
-def test_phi_rejects_bad_enum_cap(capsys, cap):
-    assert run(["phi", CHAIN, "--M", "4", "--enum-cap", cap]) == 2
-    assert "--enum-cap: expected a nonnegative integer" in capsys.readouterr().err
+def test_phi_auto_eliminates_frustrated_chain(capsys, tmp_path):
+    model = tmp_path / "frus1d.json"
+    model.write_text(json.dumps(frus1d_document()))
+    argv = ["phi", str(model), "--M", "8,60", "--z", "-1"]
+    auto = run_ok(capsys, argv)
+    assert run_ok(capsys, argv + ["--method", "enum"]) == auto
+    assert run(argv + ["--method", "cut"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["--enum-cap", "100"], ["--anneal"], ["--seed", "1"],
+                                  ["--method", "anneal"]])
+def test_phi_rejects_deleted_solver_flags(capsys, flag):
+    assert run(["phi", CHAIN, "--M", "4", *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_rejects_nonpositive_jobs(capsys, jobs):
+    assert run(["phi", CHAIN, "--M", "4", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"error: argument --jobs: expected a positive integer, got '{jobs}'")
+    assert sum("error:" in line for line in err) == 1
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

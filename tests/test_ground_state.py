@@ -1,4 +1,4 @@
-"""Exact and approximate ground-state solvers against brute enumeration."""
+"""Exact ground-state solvers against brute enumeration."""
 
 import itertools
 import random
@@ -108,7 +108,7 @@ def test_cut_matches_brute_force_on_nonnegative_couplings():
         ref = brute_minimum(inst)
         sol = minimize(inst, method="cut")
         assert sol.energy == ref, f"trial {trial}"
-        assert sol.exact and sol.method == "mincut"
+        assert sol.method == "mincut"
         assert energy(inst, sol.assignment) == sol.energy
 
 
@@ -264,27 +264,31 @@ def frustrated_grid(side: int, seed: int = 8) -> GroundStateInstance:
                                fixed={(0, 0): -1}, groups=(frozenset({(2, 2), (2, 3)}),))
 
 
-# annealed states of frustrated_grid(10), row by row, for seeds 0-2
-ANNEALED = {
-    0: ("---++--+--++--+++--+-+--++---+--++--+++++--+++++--+++---+++++++++-+--------+----+--+-+++-+------++-+",
-        Fraction(-1147978, 3465)),
-    1: ("---++--+--++--+-+--+-+--+-+--+--++-++++++--+++++--+++---+++++++++-+--------+----+---++++-+------++-+",
-        Fraction(-1168382, 3465)),
-    2: ("---++--+--++--+++--+-+--++-++---++------+--++++-+++-+---+++-+---+-+-----++++----+--+--++-+---+++---+",
-        Fraction(-26043, 77)),
-}
+def transposed(instance: GroundStateInstance) -> GroundStateInstance:
+    """The same instance with sites (i, j) renamed (j, i): another fold order."""
+    t = lambda v: (v[1], v[0])
+    return GroundStateInstance(
+        variables=tuple(map(t, instance.variables)),
+        pair_terms=tuple((t(u), t(v), w) for u, v, w in instance.pair_terms),
+        unary_terms={t(v): h for v, h in instance.unary_terms.items()},
+        fixed={t(v): s for v, s in instance.fixed.items()},
+        groups=tuple(frozenset(map(t, g)) for g in instance.groups),
+    )
 
 
-def test_anneal_trajectory_is_pinned():
-    """The float coefficients and the visiting order fix the trajectory,
-    so a change to either moves these seed-dependent local minima."""
+def test_auto_eliminates_frustrated_grid():
+    """100 sites, past the enumeration cap, frustrated, and of width 11 in
+    row order: ``auto`` eliminates it.  The minimum lies below the best of
+    three seeded simulated-annealing runs on this grid, -26043/77, and
+    does not depend on the fold order."""
     inst = frustrated_grid(10)
     with pytest.raises(FrustratedInstance):
         minimize(inst, method="cut")
-    for seed, (spins, value) in ANNEALED.items():
-        sol = minimize(inst, method="anneal", seed=seed)
-        assert "".join("+" if sol.assignment[v] > 0 else "-" for v in inst.variables) == spins
-        assert sol.energy == value
+    sol = minimize(inst)
+    assert sol.method == "enumeration"
+    assert sol.energy == Fraction(-172031, 495) <= Fraction(-26043, 77)
+    assert energy(inst, sol.assignment) == sol.energy
+    assert minimize(transposed(inst)).energy == sol.energy
 
 
 def test_cut_on_signed_couplings_matches_or_reports_frustration():
@@ -341,11 +345,10 @@ def test_solution_on_all_fixed_instance():
         pair_terms=(((0,), (1,), Fraction(1, 2)),),
         fixed={(0,): 1, (1,): -1},
     )
-    for method in ("enum", "cut", "anneal"):
+    for method in ("enum", "cut"):
         sol = minimize(inst, method=method)
         assert sol.energy == 2
         assert sol.assignment == {(0,): 1, (1,): -1}
-        assert sol.exact == (method != "anneal")
 
 
 def test_groups_force_rigid_moves():
@@ -380,7 +383,7 @@ def assert_enum_is_lexicographic_argmin(instance: GroundStateInstance, label="")
     sol = minimize(instance, method="enum")
     assert sol.energy == ref, label
     assert sol.spins.tolist() == spins.tolist(), label
-    assert sol.exact and sol.method == "enumeration"
+    assert sol.method == "enumeration"
 
 
 def tied_instance(rng: random.Random, n: int, density: float) -> GroundStateInstance:
@@ -448,7 +451,7 @@ def test_enum_without_free_groups():
     assert sol.energy == 0 and sol.spins.size == 0
     inst = GroundStateInstance(variables=((0,),), unary_terms={(0,): (Fraction(1), Fraction(0))},
                                fixed={(0,): 1})
-    assert minimize(inst, method="enum", cap=0).energy == 1
+    assert minimize(inst, method="enum").energy == 1
 
 
 def chain_instance(rng: random.Random, n: int) -> GroundStateInstance:
@@ -461,50 +464,69 @@ def chain_instance(rng: random.Random, n: int) -> GroundStateInstance:
     return GroundStateInstance(variables=variables, pair_terms=pairs, unary_terms=unary)
 
 
-def test_enum_solves_long_narrow_chain_under_raised_cap():
+def frustrated_chain(rng: random.Random, n: int) -> GroundStateInstance:
+    """A chain with negative bonds to the next two variables: every
+    triangle of three neighbours is frustrated."""
+    variables = tuple((i,) for i in range(n))
+    pairs = tuple(((i,), (j,), Fraction(-rng.randrange(1, 10), 8))
+                  for i in range(n) for j in (i + 1, i + 2) if j < n)
+    unary = {v: (Fraction(rng.randrange(-9, 10), 5), Fraction(0)) for v in variables}
+    return GroundStateInstance(variables=variables, pair_terms=pairs, unary_terms=unary)
+
+
+def test_enum_solves_long_narrow_chain():
     """40 free groups, far past any exhaustive walk, but each context
     holds two groups; the min-cut checks the value."""
     rng = random.Random(1515)
     for trial in range(5):
         inst = chain_instance(rng, 40)
-        sol = minimize(inst, method="enum", cap=40)
+        sol = minimize(inst, method="enum")
         assert sol.method == "enumeration"
         assert sol.energy == minimize(inst, method="cut").energy, f"trial {trial}"
 
 
-def test_enum_refuses_wide_contexts_under_raised_cap():
+def test_enum_refuses_wide_contexts():
     """A complete graph of 40 groups needs tables of 2**40 entries."""
     variables = tuple((i,) for i in range(40))
     pairs = tuple((u, v, Fraction(1)) for u, v in itertools.combinations(variables, 2))
     inst = GroundStateInstance(variables=variables, pair_terms=pairs)
-    with pytest.raises(TooManyFreeGroups, match=r"tables of 2\*\*40 entries"):
-        minimize(inst, method="enum", cap=40)
-
-
-def test_negative_cap_rejected():
-    inst = random_instance(random.Random(1616), 4, signed=False)
-    for method in ("auto", "enum", "cut"):
-        with pytest.raises(ValueError, match="nonnegative"):
-            minimize(inst, method=method, cap=-1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        ground_state.minimize_enum(fold_instance(inst), -1)
+    with pytest.raises(TooManyFreeGroups, match=r"^40 free groups need elimination tables of 2\*\*40 entries"):
+        minimize(inst, method="enum")
+    assert minimize(inst).method == "mincut"
 
 
 def test_enum_cap_enforced():
+    """``auto`` enumerates up to DEFAULT_ENUM_CAP free groups and runs the
+    min-cut past it; ``enum`` takes a narrow cell of any size."""
     rng = random.Random(505)
-    inst = random_instance(rng, 8, signed=False, with_structure=False)
-    with pytest.raises(TooManyFreeGroups):
-        minimize(inst, method="enum", cap=4)
-    sol = minimize(inst, method="auto", cap=4)
-    assert sol.method == "mincut"
-    assert sol.energy == brute_minimum(inst)
+    for n, method in ((ground_state.DEFAULT_ENUM_CAP, "enumeration"),
+                      (ground_state.DEFAULT_ENUM_CAP + 1, "mincut")):
+        inst = chain_instance(rng, n)
+        sol = minimize(inst)
+        assert sol.method == method
+        assert sol.energy == minimize(inst, method="enum").energy
+
+
+def test_unknown_method_rejected():
+    inst = random_instance(random.Random(1616), 4, signed=False)
+    with pytest.raises(ValueError, match="unknown method 'anneal'"):
+        minimize(inst, method="anneal")
+
+
+FOLD_CASES = {
+    None: lambda: random_instance(random.Random(909), 6, signed=False),
+    "chain40": lambda: chain_instance(random.Random(910), 40),
+    "frustrated40": lambda: frustrated_chain(random.Random(911), 40),
+}
 
 
 @pytest.mark.parametrize(
-    "method, cap",
-    [("auto", None), ("auto", 2), ("enum", None), ("cut", None), ("anneal", None)],
+    "method, case, solver",
+    [("auto", None, "enumeration"), ("enum", None, "enumeration"), ("cut", None, "mincut"),
+     ("auto", "chain40", "mincut"), ("auto", "frustrated40", "enumeration")],
+    ids=["auto-None", "enum-None", "cut-None", "auto-chain40", "auto-frustrated40"],
 )
-def test_minimize_folds_once(monkeypatch, method, cap):
+def test_minimize_folds_once(monkeypatch, method, case, solver):
     folds = []
     real = ground_state.fold_instance
 
@@ -513,40 +535,20 @@ def test_minimize_folds_once(monkeypatch, method, cap):
         return real(instance)
 
     monkeypatch.setattr(ground_state, "fold_instance", counting)
-    inst = random_instance(random.Random(909), 6, signed=False)
-    minimize(inst, method=method, cap=cap)
+    inst = FOLD_CASES[case]()
+    assert minimize(inst, method=method).method == solver
     assert folds == [inst]
 
 
 def test_auto_raises_on_large_frustrated_without_anneal():
-    # odd antiferromagnetic triangle, forced past the enum cap
-    inst = GroundStateInstance(
-        variables=((0,), (1,), (2,)),
-        pair_terms=(
-            ((0,), (1,), Fraction(-1)),
-            ((1,), (2,), Fraction(-1)),
-            ((0,), (2,), Fraction(-1)),
-        ),
-    )
-    with pytest.raises(FrustratedInstance, match="anneal"):
-        minimize(inst, method="auto", cap=1)
-    sol = minimize(inst, method="auto", cap=1, allow_anneal=True)
-    assert sol.method == "annealing"
-    assert not sol.exact
-    assert sol.energy == brute_minimum(inst)  # tiny instance, annealing lands exactly
-
-
-def test_anneal_never_beats_exact_and_is_seed_stable():
-    rng = random.Random(606)
-    for _ in range(30):
-        inst = random_instance(rng, rng.randrange(2, 9), signed=True)
-        ref = brute_minimum(inst)
-        a1 = minimize(inst, method="anneal", seed=11)
-        a2 = minimize(inst, method="anneal", seed=11)
-        assert a1.energy >= ref
-        assert a1.energy == a2.energy
-        assert a1.assignment == a2.assignment
-        assert energy(inst, a1.assignment) == a1.energy
+    """A frustrated cell whose contexts pass 24 groups has no exact solver:
+    ``auto`` refuses it with one message instead of guessing."""
+    inst = frustrated_grid(30)
+    with pytest.raises(FrustratedInstance):
+        minimize(inst, method="cut")
+    with pytest.raises(TooManyFreeGroups, match=r"^couplings are frustrated and 898 free groups "
+                                                r"need elimination tables of 2\*\*"):
+        minimize(inst)
 
 
 def test_instance_validation():
