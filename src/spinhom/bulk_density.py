@@ -18,7 +18,6 @@ period grid.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +25,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectivity import ConnectivitySummary, classify, cube_range, excluded_set
-from .ground_state import CellTerms, Solution, minimize
-from .model import LatticeModel, Residue, Site
+from .connectivity import (
+    ConnectivitySummary,
+    class_pairs,
+    classify,
+    components,
+    core_phases,
+    cube_range,
+    excluded_set,
+    residue_ids,
+)
+from .ground_state import CellTerms, Solution, minimize, scaled_tables
+from .model import LatticeModel, Site
 
 
 def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]:
@@ -40,40 +48,6 @@ def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]
     return states
 
 
-def _cube_residues(model: LatticeModel, m: int) -> np.ndarray:
-    """Residue number of every site of Q_M, in C (lexicographic) order.
-
-    Residues are numbered in sorted order, as ``model.residues()`` lists
-    them.
-    """
-    t = model.period
-    axis = np.array([c % t for c in cube_range(m)], dtype=np.int64)
-    res = np.zeros((), dtype=np.int64)
-    for _ in range(model.dimension):
-        res = res[..., None] * t + axis
-    return res.ravel()
-
-
-def _class_pairs(model: LatticeModel, m: int, res: Residue, off) -> tuple[np.ndarray, np.ndarray]:
-    """Sites of Q_M at residue ``res`` whose neighbour at ``off`` is in Q_M.
-
-    Returns the site numbers (C order) and those of the neighbours.  The
-    sites of one residue class form a grid of stride ``period`` along
-    every axis, so the class is cut out axis by axis.
-    """
-    t = model.period
-    lo = -(m // 2)
-    index = np.zeros((), dtype=np.int64)
-    step = 0
-    for r, o in zip(res, off):
-        a = np.arange((r - lo) % t, m, t)
-        a = a[(a + o >= 0) & (a + o < m)]
-        index = index[..., None] * m + a
-        step = step * m + o
-    src = index.ravel()
-    return src, src + step
-
-
 def hard_components_in_cube(
     model: LatticeModel, m: int, summary: ConnectivitySummary | None = None
 ) -> np.ndarray:
@@ -83,28 +57,20 @@ def hard_components_in_cube(
     is the number of the smallest site of its component; soft sites get
     -1.  Connectivity uses strong bonds with both endpoints in the cube,
     so a periodic component generally splinters near the boundary.  The
-    components come from a union-find over the strong (residue, offset)
-    class arrays: roots hook onto smaller roots, and pointer jumping
-    flattens every tree between rounds.
+    components come from :func:`connectivity.components` over the strong
+    (residue, offset) class pairs.
     """
+    box = (cube_range(m),) * model.dimension
     residues = list(model.residues())
-    hard = np.array([model.labels[r] != 0 for r in residues])[_cube_residues(model, m)]
+    hard = np.array([model.labels[r] != 0 for r in residues])[residue_ids(model, box)]
     ends = [
-        _class_pairs(model, m, r, off)
+        class_pairs(model, box, r, off)
         for r in residues for off in sorted(model.strong_offsets(r))
     ]
-    a = np.concatenate([src for src, _ in ends] + [np.empty(0, dtype=np.int64)])
-    b = np.concatenate([dst for _, dst in ends] + [np.empty(0, dtype=np.int64)])
-    parent = np.arange(hard.size, dtype=np.int64)
-    while True:
-        ra, rb = parent[a], parent[b]
-        link = ra != rb
-        if not link.any():
-            break
-        np.minimum.at(parent, np.maximum(ra, rb)[link], np.minimum(ra, rb)[link])
-        while not np.array_equal(up := parent[parent], parent):
-            parent = up
-    return np.where(hard, parent, -1)
+    empty = [np.empty(0, dtype=np.int64)]
+    a = np.concatenate([src for src, _ in ends] + empty)
+    b = np.concatenate([dst for _, dst in ends] + empty)
+    return np.where(hard, components(hard.size, a, b), -1)
 
 
 def build_phi_instance(
@@ -134,15 +100,15 @@ def build_phi_instance(
         summary = classify(model)
     states = _check_states(model, states)
     d = model.dimension
+    box = (cube_range(m),) * d
     residues = list(model.residues())
-    res_id = _cube_residues(model, m)
+    res_id = residue_ids(model, box)
 
     labels = hard_components_in_cube(model, m, summary)
     hard = labels >= 0
     group = np.where(hard, labels, np.arange(labels.size))
-    in_core = np.array([summary.in_core(model.labels[r], r) for r in residues])
     held = np.zeros(labels.size, dtype=bool)
-    held[labels[hard & in_core[res_id]]] = True
+    held[labels[(core_phases(model, summary) > 0)[res_id]]] = True
     phase = np.array([model.labels[r] for r in residues])[res_id[group]]
     fixed = np.where(held[group], np.array((0,) + states)[phase], 0).astype(np.int8)
 
@@ -161,27 +127,25 @@ def build_phi_instance(
     classes = [
         (r, off) for r in residues for off in sorted(model.weak_offsets(r)) if off > (0,) * d
     ]
-    ends = [_class_pairs(model, m, r, off) for r, off in classes]
-    bonds = [2 * model.weights[c] for c in classes]
-    h_plus = [model.forcing.get((r, 1), Fraction(0)) for r in residues]
-    h_minus = [model.forcing.get((r, -1), Fraction(0)) for r in residues]
-    scale = math.lcm(*(x.denominator for x in bonds + h_plus + h_minus))
-    scaled = lambda xs: tuple(x.numerator * (scale // x.denominator) for x in xs)
+    ends = [class_pairs(model, box, r, off) for r, off in classes]
+    scale, weights, h_plus, h_minus = scaled_tables(
+        [2 * model.weights[c] for c in classes],
+        [model.forcing.get((r, 1), Fraction(0)) for r in residues],
+        [model.forcing.get((r, -1), Fraction(0)) for r in residues],
+    )
     empty = [np.empty(0, dtype=np.int64)]
     return CellTerms(
         fixed=fixed,
         group=group,
         u=np.concatenate([src for src, _ in ends] + empty),
         v=np.concatenate([dst for _, dst in ends] + empty),
-        pair_class=np.concatenate(
-            [np.full(src.size, k, dtype=np.int64) for k, (src, _) in enumerate(ends)] + empty
-        ),
-        weights=scaled(bonds),
+        pair_class=np.repeat(np.arange(len(ends)), [src.size for src, _ in ends]),
+        weights=weights,
         site_class=res_id,
-        h_plus=scaled(h_plus),
-        h_minus=scaled(h_minus),
+        h_plus=h_plus,
+        h_minus=h_minus,
         scale=scale,
-        sites=(cube_range(m),) * d,
+        sites=box,
     )
 
 

@@ -21,10 +21,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import intlattice
-from .model import LatticeModel, Residue, Site, Violation
+from .model import LatticeModel, Offset, Residue, Site, Violation
 
 CLASS_FINITE = "finite"
 CLASS_UNIQUE = "infinite-unique"
@@ -177,7 +179,8 @@ def classify(model: LatticeModel) -> ConnectivitySummary:
 
 
 # ---------------------------------------------------------------------------
-# cube conventions
+# cubes, and boxes of sites: one range of coordinates per axis, sites
+# numbered in C (lexicographic) order
 
 
 def cube_range(m: int) -> range:
@@ -188,6 +191,66 @@ def cube_range(m: int) -> range:
 
 def cube_sites(dim: int, m: int) -> list[Site]:
     return list(product(cube_range(m), repeat=dim))
+
+
+def residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
+    """Residue number of every site of a box, in C order.
+
+    Residues are numbered in C order over the period cell, the order in
+    which ``model.residues()`` lists them.
+    """
+    t = model.period
+    res = np.zeros((), dtype=np.int64)
+    for r in ranges:
+        res = res[..., None] * t + np.arange(r.start, r.stop) % t
+    return res.ravel()
+
+
+def core_phases(model: LatticeModel, summary: ConnectivitySummary) -> np.ndarray:
+    """Per residue number, the hard phase whose core holds the residue, else 0."""
+    cores = summary.core_residues
+    return np.array([j if r in cores.get(j, ()) else 0 for r, j in sorted(model.labels.items())])
+
+
+def class_pairs(
+    model: LatticeModel, ranges: Sequence[range], res: Residue, off: Offset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sites of a box at residue ``res`` whose neighbour at ``off`` is in the box.
+
+    Returns the site numbers (C order) and those of the neighbours.  The
+    sites of one residue class form a grid of stride ``period`` along
+    every axis, so the class is cut out axis by axis.
+    """
+    t = model.period
+    index = np.zeros((), dtype=np.int64)
+    step = 0
+    for r, o, axis in zip(res, off, ranges):
+        n = len(axis)
+        a = np.arange((r - axis.start) % t, n, t)
+        a = a[(a + o >= 0) & (a + o < n)]
+        index = index[..., None] * n + a
+        step = step * n + o
+    src = index.ravel()
+    return src, src + step
+
+
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the sites 0..n-1 joined by the pairs (a[k], b[k]).
+
+    Returns one label per site, the smallest site number of its
+    component.  Union-find over the pair arrays: roots hook onto smaller
+    roots, and pointer jumping flattens every tree between rounds.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        link = ra != rb
+        if not link.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[link], np.minimum(ra, rb)[link])
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    return parent
 
 
 def _in_shrunk_cube(site: Site, side: Fraction) -> bool:
@@ -252,50 +315,32 @@ def coarsening_side(
     """Smallest multiple M of the period such that core sites sharing an
     M-cube are always connected within the concentric 3M-cube.
 
-    Tested over all period^d translation classes of the cube lattice.
+    Tested over all period^d translation classes of the cube lattice:
+    for each, the strong components of the core sites of the 3M box come
+    from :func:`components` over the core's strong classes.
     """
     if summary is None:
         summary = classify(model)
     core = summary.core_residues.get(phase, frozenset())
     if not core:
         raise ValueError(f"phase {phase} has no infinite-unique component")
-    t = model.period
-    dim = model.dimension
-
-    def neighbors(site: Site):
-        res = tuple(c % t for c in site)
-        for off in model.strong_offsets(res):
-            yield tuple(a + b for a, b in zip(site, off))
-
+    t, d = model.period, model.dimension
+    in_core = core_phases(model, summary) == phase
+    classes = [(r, off) for r in sorted(core) for off in sorted(model.strong_offsets(r))]
     for mult in range(1, cap_multiple + 1):
         m = mult * t
-        ok = True
-        for shift in product(range(t), repeat=dim):
-            inner = [
-                tuple(c + s for c, s in zip(site, shift))
-                for site in product(range(m), repeat=dim)
-                if tuple((c + s) % t for c, s in zip(site, shift)) in core
-            ]
-            if len(inner) <= 1:
-                continue
-            big_lo = [s - m for s in shift]
-            big_hi = [s + 2 * m for s in shift]  # exclusive
-
-            def in_big(site: Site) -> bool:
-                return all(a <= c < b for c, a, b in zip(site, big_lo, big_hi))
-
-            seen = {inner[0]}
-            queue = deque([inner[0]])
-            while queue:
-                cur = queue.popleft()
-                for nxt in neighbors(cur):
-                    if nxt not in seen and in_big(nxt) and summary.in_core(phase, nxt):
-                        seen.add(nxt)
-                        queue.append(nxt)
-            if not all(site in seen for site in inner):
-                ok = False
+        inner = (slice(m, 2 * m),) * d
+        for shift in product(range(t), repeat=d):
+            box = [range(s - m, s + 2 * m) for s in shift]
+            on_core = in_core[residue_ids(model, box)]
+            ends = [class_pairs(model, box, r, off) for r, off in classes]
+            a, b = (np.concatenate(x) for x in zip(*ends))
+            keep = on_core[b]  # join core sites through core sites only
+            labels = components(on_core.size, a[keep], b[keep]).reshape((3 * m,) * d)
+            core_labels = labels[inner][on_core.reshape(labels.shape)[inner]]
+            if (core_labels != core_labels[:1]).any():
                 break
-        if ok:
+        else:
             return m
     raise RuntimeError(
         f"coarsening side of phase {phase} exceeds {cap_multiple} periods; "

@@ -24,7 +24,14 @@ import numpy as np
 
 from . import geometry
 from .bulk_density import PhiTable, phi_solution
-from .connectivity import ConnectivitySummary, classify, coarsening_side
+from .connectivity import (
+    ConnectivitySummary,
+    class_pairs,
+    classify,
+    coarsening_side,
+    core_phases,
+    residue_ids,
+)
 from .ground_state import SiteValues
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction
@@ -213,76 +220,51 @@ def save_field(field: SpinField, path) -> None:
 # the scaled discrete energy
 
 
-def _residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
-    """Per-site index of the residue class in C order over the period cell."""
-    t = model.period
-    axes = np.ix_(*(np.arange(r.start, r.stop) % t for r in ranges))
-    return np.ravel_multi_index(axes, (t,) * model.dimension)
-
-
-def _residue_id(model: LatticeModel, residue: Residue) -> int:
-    return int(np.ravel_multi_index(residue, (model.period,) * model.dimension))
-
-
-def _broken_pairs(
-    model: LatticeModel, field: SpinField, offsets, rid: np.ndarray
-) -> dict[Offset, np.ndarray]:
-    """Per offset, the ordered pairs (x, x + offset) inside the domain with
-    opposite spins, counted by the residue class of x."""
-    spins = field.spins
-    classes = model.period**model.dimension
-    out = {}
-    for off in offsets:
-        src, dst = [], []
-        for n, o in zip(spins.shape, off):
-            lo, hi = max(0, -o), min(n, n - o)
-            src.append(slice(lo, max(lo, hi)))
-            dst.append(slice(lo + o, max(lo, hi) + o))
-        broken = spins[tuple(src)] != spins[tuple(dst)]
-        out[off] = np.bincount(rid[tuple(src)][broken], minlength=classes)
-    return out
-
-
 def f_eps(model: LatticeModel, field: SpinField, omega: DomainSpec | None = None) -> Fraction:
     """Exact scaled energy of a spin field (ordered-pair convention).
 
-    Broken bonds and spins are counted per residue class on the spin
-    grid; each count is weighted by its exact coupling or forcing value
-    once.
+    Broken bonds are counted per (residue, offset) class over the class
+    pairs of the spin grid, and spins per residue class; each count is
+    weighted by its exact coupling or forcing value once.
     """
     if omega is not None and omega != field.omega:
         raise ValueError("field domain does not match the requested domain")
     if field.omega.dimension != model.dimension:
         raise ValueError("field dimension does not match the model")
-    rid = _residue_ids(model, field.ranges)
-    broken = _broken_pairs(model, field, {off for _, off in model.weights}, rid)
     strong = Fraction(0)
     weak = Fraction(0)
     for (res, off), w in model.weights.items():
-        count = int(broken[off][_residue_id(model, res)])
+        count = _broken(model, field, res, off)
         if off in model.strong_offsets(res):
             strong += 4 * w * count
         else:
             weak += 4 * w * count
-    classes = model.period**model.dimension
-    spins = {s: np.bincount(rid[field.spins == s], minlength=classes) for s in (1, -1)}
+    number = {res: k for k, res in enumerate(model.residues())}
+    rid = residue_ids(model, field.ranges)
+    spins = field.spins.ravel()
+    counts = {s: np.bincount(rid[spins == s], minlength=len(number)).tolist() for s in (1, -1)}
     forcing = Fraction(0)
     for (res, s), g in model.forcing.items():
-        forcing += g * int(spins[s][_residue_id(model, res)])
+        forcing += g * counts[s][number[res]]
     d = model.dimension
     eps = field.eps
     return eps ** (d - 1) * strong + eps**d * (weak + forcing)
 
 
+def _broken(model: LatticeModel, field: SpinField, res: Residue, off: Offset) -> int:
+    """Pairs of one (residue, offset) class inside the domain joining opposite spins."""
+    src, dst = class_pairs(model, field.ranges, res, off)
+    spins = field.spins.ravel()
+    return int(np.count_nonzero(spins[src] != spins[dst]))
+
+
 def count_broken_strong(model: LatticeModel, field: SpinField) -> int:
     """Unordered strong bonds inside the domain joining opposite spins."""
-    strong = [
-        (res, off) for res in model.residues() for off in model.strong_offsets(res)
+    return sum(
+        _broken(model, field, res, off)
+        for res in model.residues() for off in model.strong_offsets(res)
         if off > (0,) * model.dimension
-    ]
-    rid = _residue_ids(model, field.ranges)
-    broken = _broken_pairs(model, field, {off for _, off in strong}, rid)
-    return sum(int(broken[off][_residue_id(model, res)]) for res, off in strong)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +285,6 @@ def _cubes(ranges: Sequence[range], m: int, keep):
         ])
     for cube in itertools.product(*axes):
         yield tuple(z for z, _ in cube), tuple(sl for _, sl in cube)
-
-
-def _core_phases(model: LatticeModel, summary: ConnectivitySummary, rid: np.ndarray) -> np.ndarray:
-    """Per site, the hard phase whose infinite cluster holds it, else 0."""
-    table = np.zeros(model.period**model.dimension, dtype=np.int64)
-    for res in model.residues():
-        lab = model.labels[res]
-        if lab > 0 and res in summary.core_residues.get(lab, frozenset()):
-            table[_residue_id(model, res)] = lab
-    return table[rid]
 
 
 @dataclass(frozen=True)
@@ -344,14 +316,15 @@ def extend(
     """
     if m <= 0 or m % model.period:
         raise ValueError(f"cube side must be a positive multiple of {model.period}")
+    model.check_phase(phase)
     if summary is None:
         summary = classify(model)
     side = coarsening_side(model, phase, summary)
     if m < side:
         raise ValueError(f"cube side {m} is below the coarsening side {side} of phase {phase}")
     ranges = field.ranges
-    core = _core_phases(model, summary, _residue_ids(model, ranges)) == phase
     spins = field.spins.copy()
+    core = core_phases(model, summary)[residue_ids(model, ranges)].reshape(spins.shape) == phase
     marked = []
 
     def inside(i: int, first: int) -> bool:
@@ -790,7 +763,7 @@ def recovery_config(
             ).spins.reshape((m,) * d)
         spins[cube] = blocks[states]
 
-    core = _core_phases(model, summary, _residue_ids(model, ranges))
+    core = core_phases(model, summary)[residue_ids(model, ranges)].reshape(spins.shape)
     for j, phase in enumerate(target.phases, start=1):
         on_core = core == j
         if on_core.any():

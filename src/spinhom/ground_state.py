@@ -212,6 +212,14 @@ class CellTerms:
         return Fraction(total, self.scale)
 
 
+def scaled_tables(*tables: Sequence[Fraction]) -> tuple:
+    """One integer scale for rational tables: the scale (the least common
+    multiple of every denominator), then each table as ints equal to
+    ``scale`` times its entries."""
+    scale = math.lcm(*(x.denominator for table in tables for x in table))
+    return scale, *(tuple(x.numerator * (scale // x.denominator) for x in t) for t in tables)
+
+
 @dataclass(frozen=True, eq=False)
 class Solution:
     """A minimizer: ``spins`` is a read-only int8 array in cell order and
@@ -261,9 +269,6 @@ def _instance_terms(instance: GroundStateInstance) -> CellTerms:
     fixed = np.zeros(len(keys), dtype=np.int8)
     for v, s in instance.fixed.items():
         fixed[index[v]] = s
-    terms = [w for _, _, w in instance.pair_terms]
-    terms += [h for hs in instance.unary_terms.values() for h in hs]
-    scale = math.lcm(*(x.denominator for x in terms))
 
     def classes(values) -> tuple[dict, np.ndarray]:
         table: dict = {}
@@ -275,17 +280,19 @@ def _instance_terms(instance: GroundStateInstance) -> CellTerms:
     site_class = np.zeros(len(keys), dtype=np.int64)
     for v, h in instance.unary_terms.items():
         site_class[index[v]] = unary[h]
-    scaled = lambda x: x.numerator * (scale // x.denominator)
+    scale, weights, h_plus, h_minus = scaled_tables(
+        weights, [hp for hp, _ in unary], [hm for _, hm in unary]
+    )
     return CellTerms(
         fixed=fixed,
         group=group,
         u=np.array([index[u] for u, _, _ in instance.pair_terms], dtype=np.int64),
         v=np.array([index[v] for _, v, _ in instance.pair_terms], dtype=np.int64),
         pair_class=pair_class,
-        weights=tuple(scaled(w) for w in weights),
+        weights=weights,
         site_class=site_class,
-        h_plus=tuple(scaled(hp) for hp, _ in unary),
-        h_minus=tuple(scaled(hm) for _, hm in unary),
+        h_plus=h_plus,
+        h_minus=h_minus,
         scale=scale,
         sites=keys,
     )

@@ -99,6 +99,11 @@ class LatticeModel:
         off = tuple(b - a for a, b in zip(site, other))
         return self.weights.get((self.residue_of(site), off))
 
+    def check_phase(self, phase: int) -> None:
+        """Raise ValueError unless ``phase`` numbers a hard phase."""
+        if not 1 <= phase <= self.num_phases:
+            raise ValueError(f"phase must be in 1..{self.num_phases}, got {phase}")
+
     def forcing_value(self, site: Site, spin: int) -> Fraction:
         if spin not in (1, -1):
             raise ValueError(f"spin must be +1 or -1, got {spin}")

@@ -25,8 +25,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectivity import ConnectivitySummary, classify, coarsening_side
-from .ground_state import CellTerms, minimize
+from .connectivity import (
+    ConnectivitySummary,
+    class_pairs,
+    classify,
+    coarsening_side,
+    core_phases,
+    residue_ids,
+)
+from .ground_state import CellTerms, minimize, scaled_tables
 from .model import LatticeModel
 
 
@@ -127,8 +134,7 @@ def cell_value(
     Warns (but still computes) when the side is too small for the cube
     coarse graining of the phase to be meaningful.
     """
-    if not 1 <= phase <= model.num_phases:
-        raise ValueError(f"phase must be in 1..{model.num_phases}, got {phase}")
+    model.check_phase(phase)
     if side <= 0:
         raise ValueError("cube side must be positive")
     if summary is None:
@@ -148,7 +154,7 @@ def cell_value(
             stacklevel=2,
         )
     frame = [_primitive(w) for w in orthogonal_frame(nu)]
-    terms = _cell_instance(model, summary.core_residues[phase], frame, side)
+    terms = _cell_instance(model, core_phases(model, summary) == phase, frame, side)
     if not terms.size:
         raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
     solution = minimize(terms, method="cut")
@@ -156,71 +162,63 @@ def cell_value(
 
 
 def _cell_instance(
-    model: LatticeModel, core: frozenset, frame: Sequence[tuple[int, ...]], side: int
+    model: LatticeModel, in_core: np.ndarray, frame: Sequence[tuple[int, ...]], side: int
 ) -> CellTerms:
     """The cut problem of one cube as term arrays: the core sites inside
     are free, their strong neighbours outside are fixed to the
     sharp-interface datum.
 
-    Inside sites come first, in lexicographic order, then the outside
-    ones, also sorted.  Pairs are built per (residue, offset) class on
-    the cube grid; an inner pair is taken once, from its
+    ``in_core`` tells, per residue number, whether the residue belongs
+    to the phase's core.  Inside sites come first, in lexicographic
+    order, then the outside ones, also sorted.  Pairs are the strong
+    class pairs of a box that holds the cube and its neighbours, kept
+    where the source is inside; an inner pair is taken once, from its
     lexicographically smaller site.
     """
     d = model.dimension
-    cell = (model.period,) * d
-    bound = math.isqrt(d * side * side) // 2 + 2
-    in_core = np.zeros(cell, dtype=bool)
-    for res in core:
-        in_core[res] = True
-    axis_residues = np.arange(-bound, bound + 1) % model.period
-    inside = _cube_mask(frame, side, bound) & in_core[np.ix_(*(axis_residues,) * d)]
-    sites = np.argwhere(inside)  # grid indices, lexicographic
-    site_class = np.ravel_multi_index(axis_residues[sites].T, cell)
-    classes = [(res, off) for res in sorted(core) for off in sorted(model.strong_offsets(res))]
+    classes = [
+        (res, off) for res, core in zip(model.residues(), in_core) if core
+        for off in sorted(model.strong_offsets(res))
+    ]
     pad = max((abs(c) for _, off in classes for c in off), default=0)
-    padded = np.pad(inside, pad)
-    # inside sites and their neighbours as flat indices of the padded grid
-    flat = np.ravel_multi_index((sites + pad).T, padded.shape)
-    number = np.full(padded.size, -1, dtype=np.int64)
-    number[flat] = np.arange(flat.size)
-    strides = [math.prod(padded.shape[k + 1:]) for k in range(d)]
+    bound = math.isqrt(d * side * side) // 2 + 2 + pad
+    box = (range(-bound, bound + 1),) * d
+    inside = _cube_mask(frame, side, bound).ravel() & in_core[residue_ids(model, box)]
+    flat = np.flatnonzero(inside)  # lexicographic
 
-    src, dst, pair_class = [], [], []
-    for k, (res, off) in enumerate(classes):
-        x = np.flatnonzero(site_class == np.ravel_multi_index(res, cell))
-        y = flat[x] + sum(o * stride for o, stride in zip(off, strides))
-        if off < (0,) * d:
-            x, y = x[number[y] < 0], y[number[y] < 0]
-        src.append(x)
-        dst.append(y)
-        pair_class.append(np.full(x.size, k, dtype=np.int64))
-    empty = [np.empty(0, dtype=np.int64)]
-    src, dst = np.concatenate(src + empty), np.concatenate(dst + empty)
-    outer, outer_number = np.unique(dst[number[dst] < 0], return_inverse=True)
-    v = number[dst]
-    v[v < 0] = flat.size + outer_number
+    src, dst = [], []
+    for res, off in classes:
+        x, y = class_pairs(model, box, res, off)
+        keep = inside[x] & ~inside[y] if off < (0,) * d else inside[x]
+        src.append(x[keep])
+        dst.append(y[keep])
+    pair_class = np.repeat(np.arange(len(classes)), [x.size for x in src])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    outside = ~inside[dst]
+    outer, outer_number = np.unique(dst[outside], return_inverse=True)
+    v = np.searchsorted(flat, dst)
+    v[outside] = flat.size + outer_number
+    shape = (len(box[0]),) * d
+    sites = np.stack(np.unravel_index(np.concatenate([flat, outer]), shape), axis=1) - bound
 
-    outer_sites = np.array(np.unravel_index(outer, padded.shape), dtype=np.int64).T - pad - bound
     normal = frame[0]
-    dtype = np.int64 if (bound + pad) * sum(abs(c) for c in normal) < 2**62 else object
-    above = (outer_sites.astype(dtype) * np.array(normal, dtype=dtype)).sum(axis=1) > 0
-    bonds = [2 * model.weights[c] for c in classes]
-    scale = math.lcm(*(w.denominator for w in bonds))
-    n = flat.size + outer.size
+    dtype = np.int64 if bound * sum(abs(c) for c in normal) < 2**62 else object
+    above = (sites[flat.size:].astype(dtype) * np.array(normal, dtype=dtype)).sum(axis=1) > 0
+    scale, weights = scaled_tables([2 * model.weights[c] for c in classes])
+    n = len(sites)
     datum = np.where(above, 1, -1).astype(np.int8)
     return CellTerms(
         fixed=np.concatenate([np.zeros(flat.size, dtype=np.int8), datum]),
         group=np.arange(n, dtype=np.int64),
-        u=src,
+        u=np.searchsorted(flat, src),
         v=v,
-        pair_class=np.concatenate(pair_class + empty),
-        weights=tuple(w.numerator * (scale // w.denominator) for w in bonds),
+        pair_class=pair_class,
+        weights=weights,
         site_class=np.zeros(n, dtype=np.int64),
         h_plus=(0,),
         h_minus=(0,),
         scale=scale,
-        sites=np.concatenate([sites - bound, outer_sites]),
+        sites=sites,
     )
 
 

@@ -388,6 +388,15 @@ def test_extend_subcommand(capsys, tmp_path):
     assert extended.values == {(k,): 1 for k in range(1, 16)}
 
 
+@pytest.mark.parametrize("phase", ["0", "2", "-1"])
+def test_extend_rejects_phase_out_of_range(capsys, phase):
+    field = '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[15, 1]]}'
+    assert run(["extend", CHAIN, "--field", field, "--phase", phase, "--M", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: phase must be in 1..1, got {phase}\n"
+
+
 def test_gamma_eval_subcommand(capsys):
     out = run_ok(
         capsys,

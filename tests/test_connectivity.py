@@ -4,20 +4,27 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from spinhom.connectivity import (
     CLASS_FINITE,
     CLASS_UNIQUE,
+    class_pairs,
     classify,
     coarsening_side,
+    components,
+    core_phases,
     cube_range,
     cube_sites,
     excluded_set,
+    residue_ids,
 )
+from spinhom.model import parse_model
 
-from conftest import fixture_model, random_chain_model
+from conftest import FIXTURE_NAMES, fixture_model, random_chain_model
 
 
 def strong_component(model, start, window):
@@ -279,3 +286,154 @@ def test_coarsening_side_rejects_coreless_phase():
     assert any(v.rule == "unique-infinite-component" for v in s.violations)
     with pytest.raises(ValueError, match="no infinite-unique component"):
         coarsening_side(model, 2, s)
+
+
+def bfs_coarsening_side(model, phase, summary, cap_multiple=64):
+    """The per-site build of :func:`coarsening_side`: the smallest multiple
+    of the period whose cubes pass the breadth-first check above."""
+    if not summary.core_residues.get(phase):
+        raise ValueError(f"phase {phase} has no infinite-unique component")
+    for mult in range(1, cap_multiple + 1):
+        if verify_coarsening_property(model, phase, mult * model.period, summary):
+            return mult * model.period
+    raise RuntimeError(
+        f"coarsening side of phase {phase} exceeds {cap_multiple} periods; "
+        "the core connects too slowly for cube-based coarsening"
+    )
+
+
+def random_periodic_model(rng):
+    """One hard phase on a random sublattice of period 2-4 in d = 1 or 2,
+    with random symmetric strong bonds of length up to the period (twice
+    the period in d = 1)."""
+    d = rng.choice((1, 2))
+    t = rng.choice((2, 3, 4))
+    residues = list(product(range(t), repeat=d))
+    labels = {r: int(rng.random() < 0.75) for r in residues}
+    if d == 1:
+        offsets = [(k,) for k in range(1, 2 * t + 1)]
+    else:
+        offsets = [(a, b) for a in range(t + 1) for b in range(-t, t + 1)
+                   if (a, b) > (0, 0) and a + abs(b) <= t]
+    bonds = set()
+    for r in residues:
+        for off in offsets:
+            r2 = tuple((a + b) % t for a, b in zip(r, off))
+            if labels[r] and labels[r2] and rng.random() < 0.25:
+                bonds |= {(r, off), (r2, tuple(-c for c in off))}
+    key = lambda r: ",".join(map(str, r))
+    return parse_model({
+        "dimension": d, "period": t, "num_phases": 1,
+        "labels": {key(r): lab for r, lab in labels.items()},
+        "strong_bonds": [{"from": key(r), "offset": list(off), "weight": "1/8"}
+                         for r, off in sorted(bonds)],
+    })
+
+
+def random_cored_models(count, seed):
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        model = random_periodic_model(rng)
+        summary = classify(model)
+        if summary.core_residues.get(1):
+            models.append((model, summary))
+    return models
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_coarsening_side_matches_bfs_on_fixtures(name):
+    model = fixture_model(name)
+    summary = classify(model)
+    for phase in summary.core_residues:
+        if summary.core_residues[phase]:
+            want = bfs_coarsening_side(model, phase, summary)
+            assert coarsening_side(model, phase, summary) == want
+
+
+def test_coarsening_side_matches_bfs_on_random_models():
+    sides = []
+    for model, summary in random_cored_models(30, seed=7):
+        want = bfs_coarsening_side(model, 1, summary)
+        assert coarsening_side(model, 1, summary) == want
+        sides.append((model.period, want))
+    assert any(side > period for period, side in sides)
+    assert any(side == period for period, side in sides)
+
+
+def test_coarsening_side_cap_error_matches_bfs():
+    model, summary = next(
+        (m, s) for m, s in random_cored_models(30, seed=7)
+        if bfs_coarsening_side(m, 1, s) > m.period
+    )
+    cap = bfs_coarsening_side(model, 1, summary) // model.period - 1
+    with pytest.raises(RuntimeError) as want:
+        bfs_coarsening_side(model, 1, summary, cap_multiple=cap)
+    with pytest.raises(RuntimeError) as got:
+        coarsening_side(model, 1, summary, cap_multiple=cap)
+    assert str(got.value) == str(want.value)
+
+
+def brute_class_pairs(t, ranges, res, off):
+    """Per site of the box at residue ``res`` whose neighbour at ``off`` is
+    in the box, both site numbers in C order."""
+    sites = list(product(*ranges))
+    number = {site: i for i, site in enumerate(sites)}
+    pairs = []
+    for site in sites:
+        nxt = tuple(c + o for c, o in zip(site, off))
+        if all(c % t == r for c, r in zip(site, res)) and nxt in number:
+            pairs.append((number[site], number[nxt]))
+    return pairs
+
+
+def test_class_pairs_match_per_site_scan():
+    rng = random.Random(3)
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        t = rng.randint(1, 4)
+        ranges = [range(lo, lo + rng.randint(0, 7)) for lo in (rng.randint(-9, 5) for _ in range(d))]
+        res = tuple(rng.randrange(t) for _ in range(d))
+        off = tuple(rng.choice((0, rng.randint(-5, 5))) for _ in range(d))
+        src, dst = class_pairs(SimpleNamespace(period=t, dimension=d), ranges, res, off)
+        assert list(zip(src.tolist(), dst.tolist())) == brute_class_pairs(t, ranges, res, off)
+
+
+def test_residue_ids_match_residue_order():
+    for name in ("soft_inclusions_2d", "islands_1d"):
+        model = fixture_model(name)
+        ranges = [range(-5, 3), range(2, 9)][: model.dimension]
+        order = {r: k for k, r in enumerate(model.residues())}
+        want = [order[model.residue_of(site)] for site in product(*ranges)]
+        assert residue_ids(model, ranges).tolist() == want
+
+
+def test_core_phases_per_residue(any_model):
+    summary = classify(any_model)
+    want = [
+        next((j for j, core in summary.core_residues.items() if r in core), 0)
+        for r in any_model.residues()
+    ]
+    assert core_phases(any_model, summary).tolist() == want
+
+
+def test_components_label_each_site_with_its_smallest_member():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 40)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        a, b = (np.array(x, dtype=np.int64) for x in zip(*edges)) if edges else (
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        adjacent = {i: set() for i in range(n)}
+        for u, v in edges:
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        want = []
+        for i in range(n):
+            seen, queue = {i}, deque([i])
+            while queue:
+                for nxt in adjacent[queue.popleft()] - seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+            want.append(min(seen))
+        assert components(n, a, b).tolist() == want

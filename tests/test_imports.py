@@ -38,3 +38,50 @@ def test_detects_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level private function or class that
+    no other top-level statement of any of ``sources`` mentions.
+
+    A mention is a name or an attribute read, or an imported name; uses
+    inside the definition itself (recursion) do not count.
+    """
+    defined = []
+    mentions = []  # (module, defining statement's name or None, mentioned name)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    mentions.append((module, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    mentions.append((module, owner, node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    mentions += [(module, owner, alias.name) for alias in node.names]
+    return [
+        (module, name) for module, name in defined
+        if not any(n == name and (m, o) != (module, name) for m, o, n in mentions)
+    ]
+
+
+def test_detects_unreferenced_private_definitions():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\nclass _Gone:\n    pass\n\nx = _used()\n",
+        "b": "from a import _imported\n\ndef _imported():\n    pass\n\ndef __dunder__():\n    pass\n",
+    }
+    assert unreferenced_private(sources) == [("a", "_dead"), ("a", "_Gone")]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text() for p in Path(spinhom.__file__).parent.glob("*.py")}
+    assert unreferenced_private(sources) == []
+
+
+def test_public_names_resolve():
+    assert sorted(set(spinhom.__all__)) == sorted(spinhom.__all__)
+    assert [name for name in spinhom.__all__ if not hasattr(spinhom, name)] == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinhom.connectivity import classify
+from spinhom.connectivity import classify, core_phases
 from spinhom.model import parse_model
 from spinhom.surface_tension import (
     SurfaceTable,
@@ -188,11 +188,11 @@ def cubic_model_3d():
 def test_cell_instance_matches_per_site_build(name, directions, sides):
     model = cubic_model_3d() if name == "cubic_3d" else fixture_model(name)
     summary = classify(model)
-    core = summary.core_residues[1]
+    in_core = core_phases(model, summary) == 1
     for direction in directions:
         frame = [_primitive(w) for w in orthogonal_frame(direction)]
         for side in sides:
-            terms = _cell_instance(model, core, frame, side)
+            terms = _cell_instance(model, in_core, frame, side)
             variables, pair_terms, fixed = reference_cell_instance(model, 1, summary, direction, side)
             sites = [terms.key(i) for i in range(terms.size)]
             assert tuple(sites) == variables
