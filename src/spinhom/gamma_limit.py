@@ -332,13 +332,15 @@ def extend(
         return ranges[i].start <= first - m and first + 2 * m <= ranges[i].stop
 
     for z, cube in _cubes(ranges, m, inside):
-        core_values = np.unique(field.spins[cube][core[cube]])
-        if len(core_values) == 1:
-            spins[cube] = core_values[0]
-        elif len(core_values):
-            marked.append(z)
-        else:
+        core_values = field.spins[cube][core[cube]]
+        if not core_values.size:
             raise RuntimeError(f"cube {z} contains no phase-{phase} cluster sites")
+        # min/max rather than np.unique, which imports numpy.ma on numpy 2
+        low = core_values.min()
+        if low == core_values.max():
+            spins[cube] = low
+        else:
+            marked.append(z)
     return ExtensionResult(
         field=SpinField(field.eps, field.omega, spins),
         phase=phase,

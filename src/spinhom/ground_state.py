@@ -21,9 +21,10 @@ eliminated, terms summed per free group in numpy) and hands the
   ``width`` being the widest context (the earlier groups coupled to a
   group or a later one), and refuses a cell whose tables would pass
   ``2**DEFAULT_ENUM_CAP`` entries;
-* :func:`minimize_cut`  - s/t min-cut, exact via integer Dinic;
-  applies to instances whose free-free couplings are nonnegative, or can
-  be made so by flipping a deterministic subset of variables (a gauge).
+* :func:`minimize_cut`  - s/t min-cut, exact via integer
+  Boykov-Kolmogorov max-flow; applies to instances whose free-free
+  couplings are nonnegative, or can be made so by flipping a
+  deterministic subset of variables (a gauge).
 
 A frustrated instance too wide to eliminate is refused: its minimum is
 NP-hard in general, and no approximate value is returned in its place.
@@ -488,6 +489,8 @@ def minimize_enum(folded: FoldedInstance) -> Solution:
 
 def _gauge(n: int, pairs: list) -> list:
     """Deterministic sign flip making all free-free couplings nonnegative."""
+    if all(w > 0 for _, _, w in pairs):
+        return [1] * n  # what the search below returns on such pairs
     adj: list = [[] for _ in range(n)]
     for i, j, w in pairs:
         adj[i].append((j, w))

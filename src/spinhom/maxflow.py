@@ -1,17 +1,33 @@
-"""Dinic max-flow on integer capacities.
+"""Boykov-Kolmogorov max-flow on integer capacities.
 
 Capacities are Python ints (callers scale exact rationals to a common
 denominator first), so flow values are exact.
 
+:meth:`FlowNetwork.max_flow` grows a search tree from the source and
+one from the sink over residual arcs.  Where the trees touch, it
+augments along the joined path; each tree arc the augmentation
+saturates cuts its child off as an orphan, which re-attaches to a
+neighbour of its own tree that still reaches the root, or else leaves
+the tree.  The trees survive between augmentations, so a thin cut
+through a large network (the surface cells) costs a few short walks per
+augmentation instead of one search of the whole network per phase
+(Boykov and Kolmogorov, IEEE PAMI 26, 2004).  The worst case is
+pseudo-polynomial, O(m n^2 |C|) for a cut of value |C|; integer
+capacities still guarantee that it stops at the exact maximum.
+
 The set of nodes :meth:`FlowNetwork.source_side` reaches after
 :meth:`FlowNetwork.max_flow` is the same for every maximum flow: it is
 the smallest source set of a minimum cut.  So the cut it reports does
-not depend on the order in which augmenting paths are found.
+not depend on the algorithm or on the order in which augmenting paths
+are found.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+_ROOT = -1  # parent marker of s and t
+_ORPHAN = -2  # parent marker of a node cut off from its root
 
 
 class FlowNetwork:
@@ -30,71 +46,92 @@ class FlowNetwork:
         self.to.append(u)
         self.cap.append(rcap)
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        """Residual distances from s; nodes past t's level stay unlabelled
-        (-1) since no shortest path uses them.  None when t is unreachable."""
-        adj, to, cap = self.adj, self.to, self.cap
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            nxt = level[u] + 1
-            for eid in adj[u]:
-                if cap[eid] > 0:
-                    v = to[eid]
-                    if level[v] < 0:
-                        level[v] = nxt
-                        if v == t:
-                            return level
-                        q.append(v)
-        return None
-
-    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
-        """Augment along shortest paths until none is left (one Dinic phase).
-
-        The current path survives an augmentation up to its first
-        saturated edge, and the search resumes from that edge's tail.
-        """
-        adj, to, cap = self.adj, self.to, self.cap
-        ptr = [0] * self.n
-        total = 0
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                bottleneck = min([cap[eid] for eid in path])
-                cut = -1
-                for i, eid in enumerate(path):
-                    cap[eid] -= bottleneck
-                    cap[eid ^ 1] += bottleneck
-                    if cut < 0 and cap[eid] == 0:
-                        cut = i
-                total += bottleneck
-                del path[cut:]
-                u = to[path[-1]] if path else s
-                continue
-            edges = adj[u]
-            want = level[u] + 1
-            for i in range(ptr[u], len(edges)):
-                eid = edges[i]
-                if cap[eid] > 0 and level[to[eid]] == want:
-                    ptr[u] = i
-                    path.append(eid)
-                    u = to[eid]
-                    break
-            else:
-                if u == s:
-                    return total
-                level[u] = -1  # dead end, prune
-                path.pop()
-                u = to[path[-1]] if path else s
-                ptr[u] += 1
-
     def max_flow(self, s: int, t: int) -> int:
+        """Push a maximum s-t flow into the residual capacities ``cap``
+        and return its value."""
+        adj, to, cap = self.adj, self.to, self.cap
+        # tree: +1 source tree, -1 sink tree, 0 free.  parent[v] is the arc
+        # from v to its parent; the source tree needs residual capacity on
+        # its reverse (parent -> v), the sink tree on the arc itself.
+        tree = [0] * self.n
+        parent = [_ROOT] * self.n
+        tree[s], tree[t] = 1, -1
+        active = deque([s, t])
+        queued = [False] * self.n
+        queued[s] = queued[t] = True
         flow = 0
-        while (level := self._bfs(s, t)) is not None:
-            flow += self._blocking_flow(s, t, level)
+        while active:
+            u = active[0]
+            side = tree[u]
+            bridge = -1  # an arc from the source tree into the sink tree
+            for eid in adj[u] if side else ():
+                if cap[eid if side > 0 else eid ^ 1] > 0:
+                    v = to[eid]
+                    if not tree[v]:
+                        tree[v] = side
+                        parent[v] = eid ^ 1
+                        if not queued[v]:
+                            queued[v] = True
+                            active.append(v)
+                    elif tree[v] != side:
+                        bridge = eid if side > 0 else eid ^ 1
+                        break
+            if bridge < 0:
+                # u is exhausted, or was freed while queued
+                active.popleft()
+                queued[u] = False
+                continue
+
+            # augment along s ~> to[bridge ^ 1] -> to[bridge] ~> t;
+            # u stays at the head of the queue and is scanned again
+            path = [bridge]
+            v = to[bridge ^ 1]
+            while parent[v] != _ROOT:
+                path.append(parent[v] ^ 1)
+                v = to[parent[v]]
+            v = to[bridge]
+            while parent[v] != _ROOT:
+                path.append(parent[v])
+                v = to[parent[v]]
+            push = min([cap[eid] for eid in path])
+            flow += push
+            # the orphans nearest the roots go first: a deeper one checked
+            # earlier would see its candidates' chains end at the shallower
+            # orphan and leave the tree for nothing
+            orphans = deque()
+            for eid in path:
+                cap[eid] -= push
+                cap[eid ^ 1] += push
+                if not cap[eid] and eid != bridge:
+                    child = to[eid] if tree[to[eid]] > 0 else to[eid ^ 1]
+                    parent[child] = _ORPHAN
+                    orphans.appendleft(child)
+
+            while orphans:
+                v = orphans.popleft()
+                side = tree[v]
+                for eid in adj[v]:
+                    w = to[eid]
+                    if tree[w] == side and cap[eid ^ 1 if side > 0 else eid] > 0:
+                        x = w  # adopt w if its parent chain still reaches the root
+                        while parent[x] >= 0:
+                            x = to[parent[x]]
+                        if parent[x] == _ROOT:
+                            parent[v] = eid
+                            break
+                else:
+                    # no valid parent: v leaves the tree, its neighbours there
+                    # may grow into the gap and its children are orphaned
+                    tree[v] = 0
+                    for eid in adj[v]:
+                        w = to[eid]
+                        if tree[w] == side:
+                            if cap[eid ^ 1 if side > 0 else eid] > 0 and not queued[w]:
+                                queued[w] = True
+                                active.append(w)
+                            if parent[w] == eid ^ 1:
+                                parent[w] = _ORPHAN
+                                orphans.append(w)
         return flow
 
     def source_side(self, s: int) -> set[int]:

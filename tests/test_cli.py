@@ -1,10 +1,14 @@
 """Command line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spinhom
 from spinhom.cli import run
 from spinhom.gamma_limit import load_field
 
@@ -386,6 +390,24 @@ def test_extend_subcommand(capsys, tmp_path):
     assert doc["marked"] == []
     extended = load_field(dst)
     assert extended.values == {(k,): 1 for k in range(1, 16)}
+
+
+def test_extend_leaves_numpy_ma_unimported(tmp_path):
+    """``np.unique`` imports ``numpy.ma`` on numpy 2 (tens of ms and about
+    2 MiB per process); ``extend`` compares the cube's min and max instead."""
+    script = (
+        "import sys\n"
+        "from spinhom.cli import run\n"
+        f"code = run(['extend', {CHAIN!r}, '--field', sys.argv[1], '--phase', '1', '--M', '4'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    field = '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[7, 1], [8, -1]]}'
+    env = dict(os.environ, PYTHONPATH=str(Path(spinhom.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script, field], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, check=True)
+    # the second cube holds both values and is marked
+    assert '"marked_count": 1' in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("phase", ["0", "2", "-1"])

@@ -135,6 +135,24 @@ GOLDEN = {
             "1,\"1,2\",37,34/37\n"
         ),
     ),
+    # the benchmark's side: one min-cut on about 8k nodes per row
+    "fhom_oblique_128": (
+        ["fhom", "diagonal_2d.json", "--normal", "3,5", "--T", "128"],
+        0,
+        (
+            "phase,normal,side,value\n"
+            "1,\"3,5\",128,0.859375\n"
+        ),
+    ),
+    "fhom_inclusions_128": (
+        ["fhom", "soft_inclusions_2d.json", "--normal", "1/2,-1/3", "--T", "64,128"],
+        0,
+        (
+            "phase,normal,side,value\n"
+            "1,\"0.5,-1/3\",64,0.703125\n"
+            "1,\"0.5,-1/3\",128,0.703125\n"
+        ),
+    ),
     "converge": (
         ["converge", "soft_inclusions_2d.json", "--omega", "{\"lo\":[\"0\",\"0\"],\"hi\":[\"1\",\"1\"]}", "--target", "{\"phases\":[{\"boxes\":[{\"lo\":[\"0.25\",\"0.25\"],\"hi\":[\"0.75\",\"0.75\"]}]}]}", "--eps", "1/16,1/32", "--M", "4", "--phi-side", "8"],
         0,

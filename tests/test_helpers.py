@@ -293,3 +293,81 @@ def test_undirected_edges_match_two_directed_edges():
         for net in (undirected, directed):
             assert (net.max_flow(s, t), net.source_side(s)) == want, f"trial {trial}"
         assert len(undirected.to) == len(directed.to) - 2 * len(links)
+
+
+def flow_and_oracle(n, edges, s, t):
+    """(max flow, source side) from :class:`FlowNetwork` and from
+    :func:`edmonds_karp`, for arcs ``(u, v, cap, rcap)`` as passed to
+    ``add_edge``."""
+    net = FlowNetwork(n)
+    for edge in edges:
+        net.add_edge(*edge)
+    arcs = [(u, v, c) for u, v, c, _ in edges] + [(v, u, rc) for u, v, _, rc in edges]
+    return (net.max_flow(s, t), net.source_side(s)), edmonds_karp(n, arcs, s, t)
+
+
+@pytest.mark.parametrize("top", [4, 2**70], ids=["small", "huge"])
+def test_max_flow_on_surface_cell_shaped_networks(top):
+    """A diagonal grid with symmetric couplings, source arcs on the boundary
+    half above an oblique line and sink arcs on the other half, as in the
+    surface cell: many augmentations through a thin cut."""
+    rng = random.Random(top % 1009)
+    side = 30
+    node = lambda i, j: i * side + j
+    s, t = side * side, side * side + 1
+    for normal in ((1, 2), (2, -1), (3, 5)):
+        edges = []
+        for i in range(side):
+            for j in range(side):
+                for a, b in ((i + 1, j + 1), (i + 1, j - 1)):
+                    if a < side and 0 <= b < side:
+                        c = rng.randint(1, top)
+                        edges.append((node(i, j), node(a, b), c, c))
+                if i in (0, side - 1) or j in (0, side - 1):
+                    above = normal[0] * (2 * i - side + 1) + normal[1] * (2 * j - side + 1) > 0
+                    c = rng.randint(1, top)
+                    edges.append((s, node(i, j), c, 0) if above else (node(i, j), t, c, 0))
+        got, want = flow_and_oracle(side * side + 2, edges, s, t)
+        assert got == want, f"normal {normal}"
+
+
+@pytest.mark.parametrize("top", [5, 2**70], ids=["small", "huge"])
+def test_max_flow_with_terminal_arcs_on_many_nodes(top):
+    """Terminal arcs on 30% of the nodes: augmentations orphan whole
+    subtrees, which must be re-adopted or freed and regrown."""
+    rng = random.Random(top % 1013)
+    for trial in range(8):
+        rows, cols = rng.randrange(3, 25), rng.randrange(3, 25)
+        s, t = rows * cols, rows * cols + 1
+        edges = []
+        for i in range(rows):
+            for j in range(cols):
+                u = i * cols + j
+                if i + 1 < rows:
+                    edges.append((u, u + cols, rng.randint(0, top), rng.randint(0, top)))
+                if j + 1 < cols:
+                    edges.append((u, u + 1, rng.randint(0, top), rng.randint(0, top)))
+                if rng.random() < 0.3:
+                    c = rng.randint(1, top)
+                    edges.append((s, u, c, 0) if rng.random() < 0.5 else (u, t, c, 0))
+        got, want = flow_and_oracle(rows * cols + 2, edges, s, t)
+        assert got == want, f"trial {trial}"
+
+
+@pytest.mark.parametrize(
+    "n, edges, flow, side",
+    [
+        (2, [], 0, {0}),
+        # the sink is out of reach
+        (4, [(0, 1, 5, 0), (2, 3, 5, 0), (2, 1, 7, 0)], 0, {0, 1}),
+        (2, [(0, 1, 2**80, 0)], 2**80, {0}),
+        (3, [(0, 1, 3, 0), (0, 1, 4, 0), (1, 2, 2, 1), (1, 2, 6, 0), (0, 2, 1, 0)], 8, {0}),
+        (3, [(0, 1, 0, 0), (1, 2, 5, 0), (0, 2, 0, 9)], 0, {0}),
+        (4, [(0, 1, 2, 0), (1, 3, 0, 0), (1, 2, 2, 0), (2, 3, 1, 0)], 1, {0, 1, 2}),
+    ],
+    ids=["no-arcs", "unreachable-sink", "direct-arc", "parallel-arcs", "zero-capacity",
+         "zero-capacity-path"],
+)
+def test_max_flow_edge_cases(n, edges, flow, side):
+    got, want = flow_and_oracle(n, edges, 0, n - 1)
+    assert got == want == (flow, side)
