@@ -14,7 +14,6 @@ import csv
 import io
 import itertools
 import json
-import multiprocessing
 import sys
 import warnings
 from dataclasses import dataclass
@@ -44,7 +43,13 @@ from .gamma_limit import (
 )
 from .ground_state import FrustratedInstance, TooManyFreeGroups
 from .model import SchemaError, load_model, number_str, parse_model, validate
-from .surface_tension import SurfaceTable, cell_value, fhom_total
+from .surface_tension import (
+    SurfaceTable,
+    _cell_value,
+    _coarsening_side,
+    cell_value,
+    fhom_total,
+)
 
 
 DEFAULT_FORMAT = {
@@ -200,6 +205,8 @@ def _use_warning_lines() -> None:
 def _run_tasks(fn, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    import multiprocessing  # only a pool pays for the import
+
     with multiprocessing.Pool(min(jobs, len(tasks)), _use_warning_lines) as pool:
         return pool.map(fn, tasks)
 
@@ -253,8 +260,8 @@ def cmd_components(cfg: RunConfig) -> int:
 
 
 def _cell_task(task):
-    model, summary, phase, direction, side = task
-    return cell_value(model, phase, direction, side, summary)
+    model, summary, phase, direction, side, needed = task
+    return _cell_value(model, phase, direction, side, summary, needed)
 
 
 def cmd_fhom(cfg: RunConfig) -> int:
@@ -264,12 +271,14 @@ def cmd_fhom(cfg: RunConfig) -> int:
     phase = cfg.options.phase
     phases = [phase] if phase is not None else list(range(1, model.num_phases + 1))
     sides = cfg.options.sides
-    tasks = [(model, summary, j, direction, t) for j in phases for t in sides]
+    # the coarsening side, which only warns, once per phase
+    needed = {j: _coarsening_side(model, j, summary) for j in phases}
+    tasks = [(model, summary, j, direction, t, needed[j]) for j in phases for t in sides]
     values = _run_tasks(_cell_task, tasks, cfg.jobs)
-    rows = [[j, _vec(direction), t, v] for (_, _, j, _, t), v in zip(tasks, values)]
+    rows = [[j, _vec(direction), t, v] for (_, _, j, _, t, _), v in zip(tasks, values)]
     estimates = {}
     for j in phases:
-        per_phase = [v for (_, _, jj, _, _), v in zip(tasks, values) if jj == j]
+        per_phase = [v for (_, _, jj, _, _, _), v in zip(tasks, values) if jj == j]
         entry = {"estimate": per_phase[-1]}
         if len(per_phase) >= 2:
             entry["increment"] = abs(per_phase[-1] - per_phase[-2])

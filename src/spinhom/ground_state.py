@@ -13,8 +13,9 @@ groups as Python objects) is the public adapter; :func:`fold_instance`
 converts it to term arrays first.
 
 :func:`minimize` folds an instance once (groups merged, fixed variables
-eliminated, terms summed per free group in numpy) and hands the
-:class:`FoldedInstance` to one of two exact solvers:
+eliminated, terms summed per free group in numpy, couplings and forcing
+kept as integer arrays) and hands the :class:`FoldedInstance` to one of
+two exact solvers:
 
 * :func:`minimize_enum` - min-sum elimination of the free groups in
   fold order, lexicographic tie-break; it costs ``n * 2**(width + 1)``,
@@ -24,7 +25,13 @@ eliminated, terms summed per free group in numpy) and hands the
 * :func:`minimize_cut`  - s/t min-cut, exact via integer
   Boykov-Kolmogorov max-flow; applies to instances whose free-free
   couplings are nonnegative, or can be made so by flipping a
-  deterministic subset of variables (a gauge).
+  deterministic subset of variables (a gauge sigma).  The gauge, the
+  terminal capacities and the constant are computed on the folded
+  arrays.  A free group with no free-free coupling is decided directly:
+  it takes sigma when its forcing makes -sigma dearer, and -sigma
+  otherwise, ties included, which is the smallest minimum-cut source
+  set.  Only the coupled groups enter the flow network, built from arc
+  arrays in one pass.
 
 A frustrated instance too wide to eliminate is refused: its minimum is
 NP-hard in general, and no approximate value is returned in its place.
@@ -307,18 +314,25 @@ class FoldedInstance:
     ``0..free_count-1`` in the order of their first sites, whose numbers
     ``free_reps`` lists in increasing order.  ``node[i]`` is the free
     group of site i, or -1 where the site is held at ``spin[i]`` (0 on
-    free sites).  Every coefficient is an int equal to ``scale`` times
-    its exact value: ``pairs`` holds the nonzero couplings ``(i, j, w)``
-    with ``i < j``, sorted, a broken pair costing ``4 w``; ``unary[i]`` is
-    the ``(h_plus, h_minus)`` of group i.
+    free sites).  Every coefficient is an integer equal to ``scale``
+    times its exact value.  Coupling k joins groups ``pair_i[k] <
+    pair_j[k]`` with the nonzero weight ``pair_w[k]``, a broken pair
+    costing ``4 * pair_w[k]``; the pairs are sorted by ``(i, j)``.  Group
+    g pays ``h_plus[g]`` at +1 and ``h_minus[g]`` at -1.  The group
+    numbers are int64; the weights and the forcing are int64, or Python
+    ints (``dtype=object``) when the terms' :meth:`CellTerms.bound`
+    reaches 2**62.  ``constant`` is the energy of the held sites alone.
     """
 
     instance: CellTerms
     node: np.ndarray
     spin: np.ndarray
     free_reps: np.ndarray
-    pairs: list
-    unary: list
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_w: np.ndarray
+    h_plus: np.ndarray
+    h_minus: np.ndarray
     constant: int
     scale: int
 
@@ -378,15 +392,17 @@ def fold_instance(instance: GroundStateInstance | CellTerms) -> FoldedInstance:
     np.add.at(couplings, at, w[inner])
     keep = couplings != 0
     ij = keys[keep]
-    pairs = list(zip((ij // nfree).tolist(), (ij % nfree).tolist(), couplings[keep].tolist()))
 
     return FoldedInstance(
         instance=terms,
         node=node,
         spin=spin,
         free_reps=free_reps,
-        pairs=pairs,
-        unary=list(zip(unary_p.tolist(), unary_m.tolist())),
+        pair_i=ij // nfree,
+        pair_j=ij % nfree,
+        pair_w=couplings[keep],
+        h_plus=unary_p,
+        h_minus=unary_m,
         constant=constant,
         scale=terms.scale,
     )
@@ -455,7 +471,8 @@ def minimize_enum(folded: FoldedInstance) -> Solution:
     nfree = folded.free_count
     below: list = [[] for _ in range(nfree)]  # below[j]: (i, 4w) of pairs i < j
     reach = list(range(nfree))  # reach[i]: the last group coupled to i
-    for i, j, w in folded.pairs:
+    pairs = zip(folded.pair_i.tolist(), folded.pair_j.tolist(), folded.pair_w.tolist())
+    for i, j, w in pairs:
         below[j].append((i, 4 * w))
         reach[i] = max(reach[i], j)
     contexts = [()]
@@ -467,8 +484,9 @@ def minimize_enum(folded: FoldedInstance) -> Solution:
             f"{nfree} free groups need elimination tables of 2**{width + 1} entries, "
             f"more than 2**{DEFAULT_ENUM_CAP}"
         )
+    unary = list(zip(folded.h_plus.tolist(), folded.h_minus.tolist()))
     bound = sum(abs(w4) for pairs in below for _, w4 in pairs)
-    bound += sum(max(abs(hp), abs(hm)) for hp, hm in folded.unary)
+    bound += sum(max(abs(hp), abs(hm)) for hp, hm in unary)
     # coefficients too large for int64: same tables of python ints
     dtype = np.int64 if bound < 2**62 else object
 
@@ -476,7 +494,7 @@ def minimize_enum(folded: FoldedInstance) -> Solution:
     choose: list = [None] * nfree
     for g in reversed(range(nfree)):
         choose[g], value = _eliminate(value, contexts[g], contexts[g + 1], g,
-                                      folded.unary[g], below[g])
+                                      unary[g], below[g])
     bits: list = []
     for g in range(nfree):
         bits.append(int(choose[g][tuple(bits[i] for i in contexts[g])]))
@@ -487,14 +505,17 @@ def minimize_enum(folded: FoldedInstance) -> Solution:
 # min-cut
 
 
-def _gauge(n: int, pairs: list) -> list:
-    """Deterministic sign flip making all free-free couplings nonnegative."""
-    if all(w > 0 for _, _, w in pairs):
-        return [1] * n  # what the search below returns on such pairs
+def _gauge(folded: FoldedInstance) -> np.ndarray:
+    """Deterministic sign flip, one int8 per free group, making all
+    free-free couplings nonnegative."""
+    n = folded.free_count
+    positive = folded.pair_w > 0
+    if positive.all():
+        return np.ones(n, dtype=np.int8)  # what the search below returns on such pairs
     adj: list = [[] for _ in range(n)]
-    for i, j, w in pairs:
-        adj[i].append((j, w))
-        adj[j].append((i, w))
+    for i, j, same in zip(folded.pair_i.tolist(), folded.pair_j.tolist(), positive.tolist()):
+        adj[i].append((j, same))
+        adj[j].append((i, same))
     sigma = [0] * n
     for root in range(n):
         if sigma[root]:
@@ -503,8 +524,8 @@ def _gauge(n: int, pairs: list) -> list:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v, w in adj[u]:
-                want = sigma[u] * (1 if w > 0 else -1)
+            for v, same in adj[u]:
+                want = sigma[u] if same else -sigma[u]
                 if not sigma[v]:
                     sigma[v] = want
                     queue.append(v)
@@ -512,44 +533,76 @@ def _gauge(n: int, pairs: list) -> list:
                     raise FrustratedInstance(
                         "free-free couplings are frustrated: no gauge makes them nonnegative"
                     )
-    return sigma
+    return np.array(sigma, dtype=np.int8)
+
+
+def _cut_network(nodes: np.ndarray, hp: np.ndarray, hm: np.ndarray,
+                 pair_i: np.ndarray, pair_j: np.ndarray, w4: np.ndarray) -> FlowNetwork:
+    """The flow network of the coupled groups ``nodes``, renumbered
+    ``0..m-1``, with s = m and t = m + 1.
+
+    A group costing ``hm > 0`` off the source side gets the arc s -> g,
+    one costing ``hp > 0`` on it the arc g -> t; then each coupling is
+    one arc pair carrying ``w4`` both ways.  Terminal arcs come in group
+    order and the couplings after them in pair order, which fixes the
+    search order of the max-flow.
+    """
+    m = nodes.size
+    number = np.full(len(hp), -1, dtype=np.int64)
+    number[nodes] = np.arange(m)
+    hp, hm = hp[nodes], hm[nodes]
+    from_s = hm > 0
+    own = np.flatnonzero(from_s | (hp > 0))
+    from_s = from_s[own]
+    return FlowNetwork(
+        m + 2,
+        np.concatenate([np.where(from_s, m, own), number[pair_i]]),
+        np.concatenate([np.where(from_s, own, m + 1), number[pair_j]]),
+        np.concatenate([np.where(from_s, hm[own], hp[own]), w4]),
+        np.concatenate([np.zeros(own.size, dtype=w4.dtype), w4]),
+    )
 
 
 def minimize_cut(folded: FoldedInstance) -> Solution:
     """Global minimum via s/t min-cut; exact (integer capacities).
 
-    The gauge, the capacities and the constant are the folded ints,
+    The gauge, the capacities and the constant are the folded integers,
     divided by the scale once for the cross-check.  Requires nonnegative
     couplings between free groups, possibly after a deterministic gauge
-    flip; otherwise raises :class:`FrustratedInstance`.
+    flip sigma; otherwise raises :class:`FrustratedInstance`.  A group
+    with no coupling is decided on its own: it takes sigma exactly when
+    -sigma costs more, so a tie goes to -sigma, as in the smallest
+    minimum-cut source set.  Only the coupled groups enter the flow
+    network.
     """
     n = folded.free_count
-    sigma = _gauge(n, folded.pairs)
-    net = FlowNetwork(n + 2)  # s = n, t = n + 1
-    constant = folded.constant
-    for i, (hp, hm) in enumerate(folded.unary):
-        if sigma[i] < 0:
-            hp, hm = hm, hp
-        base = min(hp, hm)
-        constant += base
-        if hm - base:
-            net.add_edge(n, i, hm - base)
-        if hp - base:
-            net.add_edge(i, n + 1, hp - base)
-    for i, j, w in folded.pairs:
-        if sigma[i] != sigma[j]:
-            # flipping one endpoint trades the broken and unbroken pair
-            # energies: w(s_u - s_v)^2 = 4w + (-w)(t_u - t_v)^2
-            constant += 4 * w
-            w = -w
-        if w < 0:
-            raise FrustratedInstance("internal gauge failure")  # unreachable
-        net.add_edge(i, j, 4 * w, 4 * w)
+    pair_i, pair_j, pair_w = folded.pair_i, folded.pair_j, folded.pair_w
+    sigma = _gauge(folded)
+    # in the gauge, group g costs hp at sigma[g] and hm at -sigma[g]
+    flip = sigma < 0
+    hp = np.where(flip, folded.h_minus, folded.h_plus)
+    hm = np.where(flip, folded.h_plus, folded.h_minus)
+    base = np.minimum(hp, hm)
+    hp -= base
+    hm -= base
+    # flipping one endpoint trades the broken and unbroken pair energies:
+    # w(s_u - s_v)^2 = 4w + (-w)(t_u - t_v)^2
+    mixed = sigma[pair_i] != sigma[pair_j]
+    constant = folded.constant + int(base.sum()) + 4 * int(pair_w[mixed].sum())
+    w = np.where(mixed, -pair_w, pair_w)
+    if (w < 0).any():
+        raise FrustratedInstance("internal gauge failure")  # unreachable
 
-    flow = net.max_flow(n, n + 1)
-    side = net.source_side(n)
-    spins = [s if i in side else -s for i, s in enumerate(sigma)]
-    solution = _finish(folded, spins, "mincut")
+    coupled = np.zeros(n, dtype=bool)
+    coupled[pair_i] = coupled[pair_j] = True
+    nodes = np.flatnonzero(coupled)
+    source = hm > 0  # decides the uncoupled groups
+    net = _cut_network(nodes, hp, hm, pair_i, pair_j, 4 * w)
+    flow = net.max_flow(nodes.size, nodes.size + 1)
+    reached = np.zeros(nodes.size + 2, dtype=bool)
+    reached[list(net.source_side(nodes.size))] = True
+    source[nodes] = reached[:nodes.size]
+    solution = _finish(folded, np.where(source, sigma, -sigma), "mincut")
     cut_energy = Fraction(constant + flow, folded.scale)
     if solution.energy != cut_energy:
         raise RuntimeError(

@@ -1,7 +1,9 @@
 """Boykov-Kolmogorov max-flow on integer capacities.
 
-Capacities are Python ints (callers scale exact rationals to a common
-denominator first), so flow values are exact.
+A :class:`FlowNetwork` is built in one numpy pass from arrays of arc
+pairs (tails, heads, capacities both ways); the search then runs on
+Python lists.  Capacities are Python ints (callers scale exact
+rationals to a common denominator first), so flow values are exact.
 
 :meth:`FlowNetwork.max_flow` grows a search tree from the source and
 one from the sink over residual arcs.  Where the trees touch, it
@@ -26,25 +28,40 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 _ROOT = -1  # parent marker of s and t
 _ORPHAN = -2  # parent marker of a node cut off from its root
 
 
 class FlowNetwork:
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        # flat edge arrays: to, cap (residual), paired reverse edge is idx ^ 1
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    """A network on nodes ``0..n-1`` built from arc-pair arrays.
 
-    def add_edge(self, u: int, v: int, cap: int, rcap: int = 0):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rcap)
+    Arc pair k runs ``tail[k] -> head[k]`` with capacity ``cap[k]`` and
+    back with ``rcap[k]`` (a scalar applies to every pair): an undirected
+    coupling is one pair with the same capacity each way.  Arc ``2k``
+    is the forward arc and ``2k + 1`` its reverse, so the arc paired with
+    ``eid`` is ``eid ^ 1``.  ``to[eid]`` is the head of arc eid, ``cap``
+    its residual capacity as a Python int, and ``adj[u]`` the arcs
+    leaving u in increasing arc order (one stable sort by tail), so the
+    search order follows the order of the pairs.
+    """
+
+    def __init__(self, n: int, tail, head, cap, rcap=0):
+        tail = np.asarray(tail, dtype=np.int64)
+        head = np.asarray(head, dtype=np.int64)
+        ends = np.empty(2 * tail.size, dtype=np.int64)
+        ends[0::2], ends[1::2] = tail, head  # the tail of every arc
+        to = np.empty_like(ends)
+        to[0::2], to[1::2] = head, tail
+        caps = np.empty(ends.size, dtype=object)  # Python ints, however large
+        caps[0::2], caps[1::2] = cap, rcap
+        order = np.argsort(ends, kind="stable").tolist()
+        stops = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        self.n = n
+        self.to: list[int] = to.tolist()
+        self.cap: list[int] = caps.tolist()
+        self.adj: list[list[int]] = [order[a:b] for a, b in zip([0, *stops], stops)]
 
     def max_flow(self, s: int, t: int) -> int:
         """Push a maximum s-t flow into the residual capacities ``cap``

@@ -122,6 +122,17 @@ def _cube_mask(frame: Sequence[tuple[int, ...]], side: int, bound: int) -> np.nd
     return mask
 
 
+def _coarsening_side(model: LatticeModel, phase: int, summary: ConnectivitySummary) -> int | None:
+    """The coarsening side of a phase, or None when the phase has no core
+    or its core connects too slowly to have one."""
+    if not summary.core_residues.get(phase):
+        return None
+    try:
+        return coarsening_side(model, phase, summary)
+    except RuntimeError:
+        return None
+
+
 def cell_value(
     model: LatticeModel,
     phase: int,
@@ -134,24 +145,36 @@ def cell_value(
     Warns (but still computes) when the side is too small for the cube
     coarse graining of the phase to be meaningful.
     """
+    if summary is None:
+        summary = classify(model)
+    needed = _coarsening_side(model, phase, summary)
+    return _cell_value(model, phase, direction, side, summary, needed, stacklevel=3)
+
+
+def _cell_value(
+    model: LatticeModel,
+    phase: int,
+    direction: Sequence,
+    side: int,
+    summary: ConnectivitySummary,
+    needed: int | None,
+    stacklevel: int = 2,
+) -> Fraction:
+    """:func:`cell_value` with the coarsening side of the phase given, so
+    that callers solving many cells compute it once per phase.  The
+    warning names the frame ``stacklevel`` levels up."""
     model.check_phase(phase)
     if side <= 0:
         raise ValueError("cube side must be positive")
-    if summary is None:
-        summary = classify(model)
     if not summary.core_residues.get(phase):
         raise ValueError(f"phase {phase} has no infinite-unique component")
     nu = _rational_vector(direction)
     if len(nu) != model.dimension:
         raise ValueError(f"direction must have {model.dimension} coordinates")
-    try:
-        needed = coarsening_side(model, phase, summary)
-    except RuntimeError:
-        needed = None
     if needed is not None and side < needed:
         warnings.warn(
             f"cube side {side} is below the coarsening side {needed} of phase {phase}",
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     frame = [_primitive(w) for w in orthogonal_frame(nu)]
     terms = _cell_instance(model, core_phases(model, summary) == phase, frame, side)
@@ -258,11 +281,14 @@ def _surface_rows(
     direction: Sequence,
     sides: tuple[int, ...],
     summary: ConnectivitySummary,
+    needed: Mapping[int, int | None],
 ) -> list[SurfaceRow]:
-    """Cell values of each phase in one direction, at every side."""
+    """Cell values of each phase in one direction, at every side;
+    ``needed`` maps each phase to its coarsening side."""
     rows = []
     for phase in phases:
-        values = tuple(cell_value(model, phase, direction, t, summary) for t in sides)
+        values = tuple(_cell_value(model, phase, direction, t, summary, needed[phase])
+                       for t in sides)
         rows.append(SurfaceRow(phase, canonical_direction(direction), sides, values))
     return rows
 
@@ -278,7 +304,8 @@ def fhom_estimate(
     sides = _check_sides(sides)
     if summary is None:
         summary = classify(model)
-    return _surface_rows(model, [phase], direction, sides, summary)[0]
+    needed = {phase: _coarsening_side(model, phase, summary)}
+    return _surface_rows(model, [phase], direction, sides, summary, needed)[0]
 
 
 def fhom_total(
@@ -291,7 +318,9 @@ def fhom_total(
     if summary is None:
         summary = classify(model)
     sides = _check_sides(sides)
-    rows = _surface_rows(model, range(1, model.num_phases + 1), direction, sides, summary)
+    phases = range(1, model.num_phases + 1)
+    needed = {j: _coarsening_side(model, j, summary) for j in phases}
+    rows = _surface_rows(model, phases, direction, sides, summary, needed)
     return sum((row.estimate for row in rows), Fraction(0))
 
 
@@ -319,9 +348,11 @@ class SurfaceTable:
         if summary is None:
             summary = classify(model)
         phases = range(1, model.num_phases + 1)
+        needed = {j: _coarsening_side(model, j, summary) for j in phases}
         rows = {}
         for direction in directions:
-            for row in _surface_rows(model, phases, canonical_direction(direction), sides, summary):
+            nu = canonical_direction(direction)
+            for row in _surface_rows(model, phases, nu, sides, summary, needed):
                 rows[(row.phase, row.direction)] = row
         return cls(model.num_phases, rows)
 

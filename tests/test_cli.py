@@ -410,6 +410,16 @@ def test_extend_leaves_numpy_ma_unimported(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+def test_cli_import_leaves_multiprocessing_unimported(tmp_path):
+    """Only a ``--jobs`` pool needs ``multiprocessing`` (about 10 ms to
+    import), so ``import spinhom.cli`` does not load it."""
+    script = "import sys\nimport spinhom.cli\nprint('multiprocessing' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(spinhom.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, check=True)
+    assert done.stdout == "False\n"
+
+
 @pytest.mark.parametrize("phase", ["0", "2", "-1"])
 def test_extend_rejects_phase_out_of_range(capsys, phase):
     field = '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[15, 1]]}'

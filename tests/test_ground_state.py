@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinhom import ground_state
+from spinhom.bulk_density import build_phi_instance
 from spinhom.ground_state import (
     FrustratedInstance,
     GroundStateInstance,
@@ -16,6 +17,8 @@ from spinhom.ground_state import (
     fold_instance,
     minimize,
 )
+
+from conftest import fixture_model
 
 
 def random_instance(rng: random.Random, n: int, signed: bool, with_structure: bool = True):
@@ -125,8 +128,9 @@ def test_enum_matches_brute_force_on_signed_couplings():
 def scaled_bound(instance: GroundStateInstance) -> int:
     """Largest magnitude of the integer energies the enumeration evaluates."""
     folded = fold_instance(instance)
-    total = sum(4 * abs(w) for _, _, w in folded.pairs)
-    return total + sum(max(abs(hp), abs(hm)) for hp, hm in folded.unary)
+    total = sum(4 * abs(w) for w in folded.pair_w.tolist())
+    unary = zip(folded.h_plus.tolist(), folded.h_minus.tolist())
+    return total + sum(max(abs(hp), abs(hm)) for hp, hm in unary)
 
 
 def test_enum_exact_on_coefficients_beyond_int64():
@@ -234,14 +238,19 @@ def test_fold_matches_fraction_oracle():
         reps, couplings, unary, constant = fraction_fold(inst)
         scale = folded.scale
         assert free_keys(folded) == reps, f"trial {trial}"
-        assert all(type(w) is int for _, _, w in folded.pairs)
-        assert all(type(h) is int for pair in folded.unary for h in pair)
+        for array in (folded.pair_w, folded.h_plus, folded.h_minus):
+            assert array.dtype in (np.int64, object)
+            assert all(type(x) is int for x in array.tolist())
+        assert folded.pair_i.dtype == folded.pair_j.dtype == np.int64
         assert type(folded.constant) is int and type(scale) is int
-        assert folded.pairs == sorted(folded.pairs)
-        assert all(i < j for i, j, _ in folded.pairs)
-        got = {(reps[i], reps[j]): Fraction(w, scale) for i, j, w in folded.pairs}
+        ij = list(zip(folded.pair_i.tolist(), folded.pair_j.tolist()))
+        assert ij == sorted(ij)
+        assert all(i < j for i, j in ij)
+        got = {(reps[i], reps[j]): Fraction(w, scale)
+               for (i, j), w in zip(ij, folded.pair_w.tolist())}
         assert got == {key: w for key, w in couplings.items() if w}, f"trial {trial}"
-        assert [[Fraction(h, scale) for h in pair] for pair in folded.unary] == [
+        forcing = zip(folded.h_plus.tolist(), folded.h_minus.tolist())
+        assert [[Fraction(h, scale) for h in pair] for pair in forcing] == [
             unary[r] for r in reps
         ], f"trial {trial}"
         assert Fraction(folded.constant, scale) == constant, f"trial {trial}"
@@ -424,6 +433,83 @@ def test_enum_on_complete_graph(denominators):
     inst = GroundStateInstance(variables=variables, pair_terms=pairs, unary_terms=unary)
     assert (scaled_bound(inst) >= 2**62) == (denominators[0] > 2**60)
     assert_enum_is_lexicographic_argmin(inst)
+
+
+def gauged_instance(rng: random.Random, n: int, denominators) -> GroundStateInstance:
+    """Unfrustrated signed couplings on the first variables: nonnegative
+    weights times the signs of a hidden gauge.  The other variables are
+    coupled to nothing free (some only to a fixed variable), and about
+    half of them carry equal forcing at both spins."""
+    value = lambda lo, hi: Fraction(rng.randrange(lo, hi), rng.choice(denominators))
+    variables = tuple((i,) for i in range(n))
+    hidden = [rng.choice((1, -1)) for _ in range(n)]
+    coupled = rng.randrange(0, n + 1)
+    pairs = [((u,), (v,), value(1, 4) * hidden[u] * hidden[v])
+             for u, v in itertools.combinations(range(coupled), 2) if rng.random() < 0.5]
+    fixed = {}
+    if coupled < n and rng.random() < 0.5:
+        fixed[(n - 1,)] = rng.choice((1, -1))
+        pairs += [((u,), (n - 1,), value(-3, 4)) for u in range(coupled, n - 1)
+                  if rng.random() < 0.3]
+    unary = {}
+    for v in variables:
+        h = value(-3, 4)
+        unary[v] = (h, h) if v[0] >= coupled and rng.random() < 0.5 else (h, value(-3, 4))
+    return GroundStateInstance(variables=variables, pair_terms=tuple(pairs),
+                               unary_terms=unary, fixed=fixed)
+
+
+@pytest.mark.parametrize("denominators", [(2, 4), (2**61 - 1, 3**41)], ids=["int64", "object"])
+def test_cut_takes_the_spins_every_minimizer_shares(denominators):
+    """With the gauge sigma, the groups the min-cut puts at +sigma are
+    exactly those at +sigma in every minimizer (the smallest minimum-cut
+    source set), uncoupled groups and forcing ties included: a tie goes
+    to -sigma."""
+    rng = random.Random(1515)
+    kinds = set()
+    for trial in range(150):
+        inst = gauged_instance(rng, rng.randrange(1, 10), denominators)
+        folded = fold_instance(inst)
+        sigma = ground_state._gauge(folded).tolist()
+        keys = [folded.instance.key(i) for i in range(folded.instance.size)]
+        best, shared = None, None
+        for bits in itertools.product((1, -1), repeat=folded.free_count):
+            e = energy(inst, dict(zip(keys, spread(folded, bits).tolist())))
+            plus = {g for g, (b, s) in enumerate(zip(bits, sigma)) if b == s}
+            if best is None or e < best:
+                best, shared = e, plus
+            elif e == best:
+                shared &= plus
+        sol = minimize(inst, method="cut")
+        cut = {g for g, s in enumerate(sigma) if sol.spins[folded.free_reps[g]] == s}
+        assert sol.energy == best, f"trial {trial}"
+        assert cut == shared, f"trial {trial}"
+        kinds.add("object" if folded.h_plus.dtype == object else "int64")
+        if -1 in sigma:
+            kinds.add("gauge")
+        if folded.h_plus.size and (folded.h_plus == folded.h_minus).any():
+            kinds.add("tie")
+    assert {"gauge", "tie"} <= kinds
+    assert ("object" in kinds) == (denominators[0] > 2**60)
+
+
+def test_cut_on_bulk_cube_cell_needs_no_flow_network(monkeypatch):
+    """The soft sites of soft_inclusions_2d touch only the held matrix, so
+    every free group is uncoupled: the network keeps s and t alone."""
+    networks = []
+
+    class Recording(ground_state.FlowNetwork):
+        def __init__(self, *args):
+            super().__init__(*args)
+            networks.append(self)
+
+    monkeypatch.setattr(ground_state, "FlowNetwork", Recording)
+    m = 16
+    terms = build_phi_instance(fixture_model("soft_inclusions_2d"), m, (-1,))
+    sol = minimize(terms, method="cut")
+    assert fold_instance(terms).free_count == 64
+    assert [(net.n, len(net.to) // 2) for net in networks] == [(2, 0)]
+    assert sol.energy / m**2 == Fraction(33, 10) - Fraction(3, 10 * m)
 
 
 def grid_instance(rng: random.Random, rows: int, cols: int) -> GroundStateInstance:

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinhom.geometry import (
@@ -146,6 +147,27 @@ def brute_min_cut(n, edges, s, t):
     return best
 
 
+def network(n, edges):
+    """:class:`FlowNetwork` of the arc pairs ``(u, v, cap)`` or
+    ``(u, v, cap, rcap)``, in order."""
+    tail, head, cap, rcap = ([e[k] if k < len(e) else 0 for e in edges] for k in range(4))
+    return FlowNetwork(n, tail, head, cap, rcap)
+
+
+def test_network_from_arrays():
+    """Arc pair k is arcs 2k (forward) and 2k + 1 (reverse); each node's
+    arcs are in arc order, and a scalar reverse capacity applies to all."""
+    net = FlowNetwork(3, np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([5, 6, 7]))
+    assert net.n == 3
+    assert net.to == [1, 0, 2, 1, 2, 0]
+    assert net.cap == [5, 0, 6, 0, 7, 0]
+    assert net.adj == [[0, 4], [1, 2], [3, 5]]
+    huge = FlowNetwork(2, [0], [1], [3], [2**80])
+    assert huge.cap == [3, 2**80] and all(type(c) is int for c in huge.cap)
+    empty = FlowNetwork(2, [], [], [])
+    assert (empty.to, empty.cap, empty.adj) == ([], [], [[], []])
+
+
 def test_max_flow_matches_brute_cut():
     rng = random.Random(31)
     for _ in range(60):
@@ -155,9 +177,7 @@ def test_max_flow_matches_brute_cut():
             for v in range(n):
                 if u != v and rng.random() < 0.4:
                     edges.append((u, v, rng.randrange(0, 9)))
-        net = FlowNetwork(n)
-        for u, v, c in edges:
-            net.add_edge(u, v, c)
+        net = network(n, edges)
         flow = net.max_flow(0, n - 1)
         assert flow == brute_min_cut(n, edges, 0, n - 1)
         # source side certifies the cut value
@@ -168,13 +188,9 @@ def test_max_flow_matches_brute_cut():
 
 
 def test_max_flow_simple_paths():
-    net = FlowNetwork(4)
-    net.add_edge(0, 1, 3)
-    net.add_edge(1, 3, 2)
-    net.add_edge(0, 2, 2)
-    net.add_edge(2, 3, 4)
+    net = FlowNetwork(4, [0, 1, 0, 2], [1, 3, 2, 3], [3, 2, 2, 4])
     assert net.max_flow(0, 3) == 4
-    net = FlowNetwork(2)
+    net = FlowNetwork(2, [], [], [])
     assert net.max_flow(0, 1) == 0
     assert net.source_side(0) == {0}
 
@@ -207,9 +223,7 @@ def test_source_side_is_smallest_min_cut_source_set():
                 if u != v and rng.random() < 0.45:
                     # small capacities make ties between cuts common
                     edges.append((u, v, rng.randrange(0, 4)))
-        net = FlowNetwork(n)
-        for u, v, c in edges:
-            net.add_edge(u, v, c)
+        net = network(n, edges)
         net.max_flow(0, n - 1)
         assert net.source_side(0) == smallest_min_cut_side(n, edges, 0, n - 1)
 
@@ -264,15 +278,13 @@ def test_max_flow_matches_edmonds_karp_on_grid():
         for order in range(2):
             if order:
                 rng.shuffle(edges)
-            net = FlowNetwork(side * side + 2)
-            for u, v, c in edges:
-                net.add_edge(u, v, c)
+            net = network(side * side + 2, edges)
             assert (net.max_flow(s, t), net.source_side(s)) == want
 
 
 def test_undirected_edges_match_two_directed_edges():
-    """``add_edge(u, v, c, c)`` is one arc pair carrying c both ways: same
-    flow and source side as two directed edges and as Edmonds-Karp."""
+    """An arc pair ``(u, v, c, c)`` carries c both ways: same flow and
+    source side as two directed arc pairs and as Edmonds-Karp."""
     rng = random.Random(59)
     for trial in range(200):
         n = rng.randrange(2, 10)
@@ -281,14 +293,8 @@ def test_undirected_edges_match_two_directed_edges():
         arcs += [(u, t, rng.randrange(0, 6)) for u in range(n - 1) if rng.random() < 0.5]
         links = [(u, v, rng.randrange(1, 5)) for u, v in itertools.combinations(range(1, n - 1), 2)
                  if rng.random() < 0.5]
-        undirected, directed = FlowNetwork(n), FlowNetwork(n)
-        for u, v, c in arcs:
-            undirected.add_edge(u, v, c)
-            directed.add_edge(u, v, c)
-        for u, v, c in links:
-            undirected.add_edge(u, v, c, c)
-            directed.add_edge(u, v, c)
-            directed.add_edge(v, u, c)
+        undirected = network(n, arcs + [(u, v, c, c) for u, v, c in links])
+        directed = network(n, arcs + [arc for u, v, c in links for arc in ((u, v, c), (v, u, c))])
         want = edmonds_karp(n, arcs + links + [(v, u, c) for u, v, c in links], s, t)
         for net in (undirected, directed):
             assert (net.max_flow(s, t), net.source_side(s)) == want, f"trial {trial}"
@@ -297,11 +303,8 @@ def test_undirected_edges_match_two_directed_edges():
 
 def flow_and_oracle(n, edges, s, t):
     """(max flow, source side) from :class:`FlowNetwork` and from
-    :func:`edmonds_karp`, for arcs ``(u, v, cap, rcap)`` as passed to
-    ``add_edge``."""
-    net = FlowNetwork(n)
-    for edge in edges:
-        net.add_edge(*edge)
+    :func:`edmonds_karp`, for arc pairs ``(u, v, cap, rcap)``."""
+    net = network(n, edges)
     arcs = [(u, v, c) for u, v, c, _ in edges] + [(v, u, rc) for u, v, _, rc in edges]
     return (net.max_flow(s, t), net.source_side(s)), edmonds_karp(n, arcs, s, t)
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinhom import surface_tension
+from spinhom.cli import run
 from spinhom.connectivity import classify, core_phases
 from spinhom.model import parse_model
 from spinhom.surface_tension import (
@@ -21,7 +23,7 @@ from spinhom.surface_tension import (
     orthogonal_frame,
 )
 
-from conftest import fixture_model
+from conftest import FIXTURES, fixture_model
 
 
 def in_frame_cube(site, frame, side) -> bool:
@@ -279,6 +281,29 @@ def test_cell_value_warns_below_coarsening_side():
     s = classify(model)
     with pytest.warns(UserWarning, match="coarsening"):
         cell_value(model, 1, (1,), 2, s)
+
+
+def test_coarsening_side_computed_once_per_phase(monkeypatch):
+    """It depends on the model and the phase only, so ``fhom`` and
+    ``SurfaceTable.from_model`` compute it once per phase, not per side
+    or direction."""
+    calls = []
+    real = surface_tension.coarsening_side
+
+    def counting(model, phase, summary=None):
+        calls.append(phase)
+        return real(model, phase, summary)
+
+    monkeypatch.setattr(surface_tension, "coarsening_side", counting)
+    SurfaceTable.from_model(fixture_model("diagonal_2d"), [(1, 0), (1, 1)], (2, 4, 8))
+    assert calls == [1]
+    calls.clear()
+    SurfaceTable.from_model(fixture_model("two_chains"), [(1,)], (4, 8))
+    assert calls == [1, 2]
+    calls.clear()
+    assert run(["fhom", str(FIXTURES.joinpath("two_chains.json")), "--normal", "1",
+                "--T", "4,8,16", "--jobs", "1"]) == 0
+    assert calls == [1, 2]
 
 
 def test_fhom_estimate_requires_increasing_sides():
