@@ -155,24 +155,23 @@ def phi_solution(
     states: Sequence[int],
     summary: ConnectivitySummary | None = None,
     corrected: bool = False,
-    method: str = "auto",
 ) -> Solution:
     if summary is None:
         summary = classify(model)
     pinned = excluded_set(model, m, summary) if corrected else ()
     instance = build_phi_instance(model, m, states, summary, pinned)
-    return minimize(instance, method=method)
+    return minimize(instance)
 
 
-def phi_m(model, m, states, summary=None, **solver) -> Fraction:
+def phi_m(model, m, states, summary=None) -> Fraction:
     """Plain finite-cube density phi_M(states), an exact cell minimum."""
-    sol = phi_solution(model, m, states, summary, corrected=False, **solver)
+    sol = phi_solution(model, m, states, summary, corrected=False)
     return sol.energy / Fraction(m**model.dimension)
 
 
-def phi_tilde_m(model, m, states, summary=None, **solver) -> Fraction:
+def phi_tilde_m(model, m, states, summary=None) -> Fraction:
     """Island-corrected density; upper bound for the limit density."""
-    sol = phi_solution(model, m, states, summary, corrected=True, **solver)
+    sol = phi_solution(model, m, states, summary, corrected=True)
     return sol.energy / Fraction(m**model.dimension)
 
 
@@ -217,7 +216,7 @@ class PhiRow:
     upper: Fraction
 
 
-def phi_bracket(model, m, states, summary=None, **solver) -> PhiRow:
+def phi_bracket(model, m, states, summary=None) -> PhiRow:
     """Both finite-cube estimates at one side, with the sandwich bracket.
 
     With island radius 0 the excluded set is empty, so the corrected cube
@@ -225,11 +224,11 @@ def phi_bracket(model, m, states, summary=None, **solver) -> PhiRow:
     """
     if summary is None:
         summary = classify(model)
-    plain = phi_m(model, m, states, summary, **solver)
+    plain = phi_m(model, m, states, summary)
     if summary.island_radius == 0:
         corrected = plain
     else:
-        corrected = phi_tilde_m(model, m, states, summary, **solver)
+        corrected = phi_tilde_m(model, m, states, summary)
     c = island_error_constant(model, summary)
     return PhiRow(m=m, plain=plain, corrected=corrected,
                   lower=plain, upper=corrected + c / m)
@@ -240,7 +239,6 @@ def phi_estimate(
     states: Sequence[int],
     m_list: Sequence[int],
     summary: ConnectivitySummary | None = None,
-    **solver,
 ) -> list[PhiRow]:
     """Estimates over increasing cube sides, checking the doubling inequality.
 
@@ -259,7 +257,7 @@ def phi_estimate(
         raise ValueError("cube sides must be strictly increasing")
     if summary is None:
         summary = classify(model)
-    rows = [phi_bracket(model, m, states, summary, **solver) for m in m_list]
+    rows = [phi_bracket(model, m, states, summary) for m in m_list]
     t = model.period
     for i, small in enumerate(rows):
         for big in rows[i + 1 :]:
@@ -299,13 +297,12 @@ class PhiTable:
         model: LatticeModel,
         sides: Sequence[int],
         summary: ConnectivitySummary | None = None,
-        **solver,
     ) -> "PhiTable":
         if summary is None:
             summary = classify(model)
         rows = {}
         for states in itertools.product((1, -1), repeat=model.num_phases):
-            rows[states] = phi_estimate(model, states, sides, summary, **solver)
+            rows[states] = phi_estimate(model, states, sides, summary)
         return cls(model.num_phases, rows)
 
     def states(self) -> list[tuple[int, ...]]:

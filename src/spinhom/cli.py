@@ -16,7 +16,6 @@ import itertools
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -41,13 +40,15 @@ from .gamma_limit import (
     f_hom,
     save_field,
 )
-from .ground_state import FrustratedInstance, TooManyFreeGroups
-from .model import SchemaError, load_model, number_str, parse_model, validate
+from .ground_state import TooManyFreeGroups
+from .model import load_model, number_str, parse_model, validate
 from .surface_tension import (
+    SurfaceRow,
     SurfaceTable,
     _cell_value,
     _coarsening_side,
-    cell_value,
+    canonical_direction,
+    fhom_estimate,
     fhom_total,
 )
 
@@ -62,33 +63,6 @@ DEFAULT_FORMAT = {
     "gamma-eval": "json",
     "converge": "csv",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    model_path: str | None
-    fmt: str
-    out: str | None
-    jobs: int
-    method: str
-    options: argparse.Namespace
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            subcommand=args.command,
-            model_path=getattr(args, "model", None),
-            fmt=getattr(args, "format", None) or DEFAULT_FORMAT.get(args.command, "json"),
-            out=getattr(args, "out", None),
-            jobs=getattr(args, "jobs", 1),
-            method=getattr(args, "method", "auto"),
-            options=args,
-        )
-
-    @property
-    def solver(self) -> dict:
-        return dict(method=self.method)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +131,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render(cfg: RunConfig, header: list[str], rows: list[list], meta: dict) -> str:
-    if cfg.fmt == "csv":
+def _render(fmt: str, header: list[str], rows: list[list], meta: dict) -> str:
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -221,17 +195,17 @@ def _witness_str(witness) -> str:
     return str(witness)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     report = validate(model)
     rows = [[v.rule, _witness_str(v.witness), v.message] for v in report.violations]
-    text = _render(cfg, ["rule", "witness", "message"], rows, {"passed": report.passed})
-    _emit(text, cfg.out)
+    text = _render(args.format, ["rule", "witness", "message"], rows, {"passed": report.passed})
+    _emit(text, args.out)
     return 0 if report.passed else 1
 
 
-def cmd_components(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
+def cmd_components(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     summary = classify(model)
     rows = []
     for phase in sorted(summary.components):
@@ -252,10 +226,11 @@ def cmd_components(cfg: RunConfig) -> int:
         },
     }
     text = _render(
-        cfg, ["phase", "classification", "residues", "displacement_rank", "lift_diameter"],
+        args.format,
+        ["phase", "classification", "residues", "displacement_rank", "lift_diameter"],
         rows, meta,
     )
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -264,66 +239,67 @@ def _cell_task(task):
     return _cell_value(model, phase, direction, side, summary, needed)
 
 
-def cmd_fhom(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
+def cmd_fhom(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     summary = classify(model)
-    direction = cfg.options.normal
-    phase = cfg.options.phase
+    direction = args.normal
+    phase = args.phase
     phases = [phase] if phase is not None else list(range(1, model.num_phases + 1))
-    sides = cfg.options.sides
+    sides = args.sides
     # the coarsening side, which only warns, once per phase
     needed = {j: _coarsening_side(model, j, summary) for j in phases}
     tasks = [(model, summary, j, direction, t, needed[j]) for j in phases for t in sides]
-    values = _run_tasks(_cell_task, tasks, cfg.jobs)
+    values = _run_tasks(_cell_task, tasks, args.jobs)
     rows = [[j, _vec(direction), t, v] for (_, _, j, _, t, _), v in zip(tasks, values)]
+    nu, n = canonical_direction(direction), len(sides)
     estimates = {}
-    for j in phases:
-        per_phase = [v for (_, _, jj, _, _, _), v in zip(tasks, values) if jj == j]
-        entry = {"estimate": per_phase[-1]}
-        if len(per_phase) >= 2:
-            entry["increment"] = abs(per_phase[-1] - per_phase[-2])
+    for k, j in enumerate(phases):
+        row = SurfaceRow(j, nu, tuple(sides), tuple(values[k * n:(k + 1) * n]))
+        entry = {"estimate": row.estimate}
+        if row.increment is not None:
+            entry["increment"] = row.increment
         estimates[str(j)] = entry
     meta = {"direction": _vec(direction), "estimates": estimates}
     if len(phases) == model.num_phases:
         meta["total"] = sum((estimates[str(j)]["estimate"] for j in phases), Fraction(0))
-    text = _render(cfg, ["phase", "normal", "side", "value"], rows, meta)
-    _emit(text, cfg.out)
+    text = _render(args.format, ["phase", "normal", "side", "value"], rows, meta)
+    _emit(text, args.out)
     return 0
 
 
 def _phi_task(task):
-    model, summary, states, sides, solver = task
-    return phi_estimate(model, states, sides, summary, **solver)
+    model, summary, states, sides = task
+    return phi_estimate(model, states, sides, summary)
 
 
-def cmd_phi(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
+def cmd_phi(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     summary = classify(model)
-    sides = cfg.options.sides
-    if cfg.options.z is not None:
-        states_list = [cfg.options.z]
+    sides = args.sides
+    if args.z is not None:
+        states_list = [args.z]
     else:
         states_list = list(itertools.product((1, -1), repeat=model.num_phases))
-    tasks = [(model, summary, states, sides, cfg.solver) for states in states_list]
-    results = _run_tasks(_phi_task, tasks, cfg.jobs)
+    tasks = [(model, summary, states, sides) for states in states_list]
+    results = _run_tasks(_phi_task, tasks, args.jobs)
     rows = []
     for states, phi_rows in zip(states_list, results):
         for row in phi_rows:
             rows.append([_vec(states), row.m, row.plain, row.corrected, row.lower, row.upper])
     meta = {"island_error_constant": island_error_constant(model, summary)}
     text = _render(
-        cfg, ["z", "m", "phi", "phi_corrected", "lower", "upper"], rows, meta
+        args.format, ["z", "m", "phi", "phi_corrected", "lower", "upper"], rows, meta
     )
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_energy(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
-    field = SpinField.from_json_dict(_json_arg(cfg.options.field))
+def cmd_energy(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    field = SpinField.from_json_dict(_json_arg(args.field))
     omega = None
-    if cfg.options.omega:
-        omega = DomainSpec.from_json_dict(_json_arg(cfg.options.omega))
+    if args.omega:
+        omega = DomainSpec.from_json_dict(_json_arg(args.omega))
     value = f_eps(model, field, omega)
     obj = {
         "eps": field.eps,
@@ -331,28 +307,28 @@ def cmd_energy(cfg: RunConfig) -> int:
         "energy": value,
         "broken_strong": count_broken_strong(model, field),
     }
-    if cfg.fmt == "csv":
-        text = _render(cfg, ["eps", "sites", "energy", "broken_strong"],
+    if args.format == "csv":
+        text = _render(args.format, ["eps", "sites", "energy", "broken_strong"],
                        [[obj["eps"], obj["sites"], obj["energy"], obj["broken_strong"]]], {})
     else:
         text = _json_text(obj)
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_extend(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
-    field = SpinField.from_json_dict(_json_arg(cfg.options.field))
-    result = extend(model, cfg.options.phase, field, cfg.options.m)
+def cmd_extend(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    field = SpinField.from_json_dict(_json_arg(args.field))
+    result = extend(model, args.phase, field, args.m)
     obj = {
         "phase": result.phase,
         "m": result.m,
         "marked_count": result.marked_count,
         "marked": [list(z) for z in result.marked],
     }
-    if cfg.out:
-        save_field(result.field, cfg.out)
-        obj["out"] = cfg.out
+    if args.out:
+        save_field(result.field, args.out)
+        obj["out"] = args.out
         sys.stdout.write(_json_text(obj))
     else:
         obj["field"] = result.field.to_json_dict()
@@ -360,17 +336,14 @@ def cmd_extend(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gamma_eval(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
+def cmd_gamma_eval(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     summary = classify(model)
-    omega = DomainSpec.from_json_dict(_json_arg(cfg.options.omega))
-    target = MultiphaseField.from_json_dict(_json_arg(cfg.options.target))
+    omega = DomainSpec.from_json_dict(_json_arg(args.omega))
+    target = MultiphaseField.from_json_dict(_json_arg(args.target))
     directions = _target_directions(target, omega.dimension)
-    if directions:
-        surface = SurfaceTable.from_model(model, directions, cfg.options.sides, summary)
-    else:
-        surface = SurfaceTable(model.num_phases, {})
-    phi = PhiTable.from_model(model, cfg.options.m_list, summary, **cfg.solver)
+    surface = SurfaceTable.from_model(model, directions, args.sides, summary)
+    phi = PhiTable.from_model(model, args.m_list, summary)
     value = f_hom(model, omega, target, surface, phi)
     obj = {
         "value": value,
@@ -382,22 +355,21 @@ def cmd_gamma_eval(cfg: RunConfig) -> int:
             {"z": _vec(states), "value": phi.value(states)} for states in phi.states()
         ],
     }
-    if cfg.fmt == "csv":
-        text = _render(cfg, ["value"], [[value]], {})
+    if args.format == "csv":
+        text = _render(args.format, ["value"], [[value]], {})
     else:
         text = _json_text(obj)
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
-    omega = DomainSpec.from_json_dict(_json_arg(cfg.options.omega))
-    target = MultiphaseField.from_json_dict(_json_arg(cfg.options.target))
+def cmd_converge(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    omega = DomainSpec.from_json_dict(_json_arg(args.omega))
+    target = MultiphaseField.from_json_dict(_json_arg(args.target))
     report = converge_report(
-        model, omega, target, cfg.options.eps, cfg.options.m,
-        surface_side=cfg.options.surface_side, phi_side=cfg.options.phi_side,
-        **cfg.solver,
+        model, omega, target, args.eps, args.m,
+        surface_side=args.surface_side, phi_side=args.phi_side,
     )
     rows = [[row.eps, row.energy, row.gap, report.reference] for row in report.rows]
     meta = {
@@ -408,8 +380,8 @@ def cmd_converge(cfg: RunConfig) -> int:
         "decreasing": report.decreasing,
         "final_relative": report.final_relative,
     }
-    text = _render(cfg, ["eps", "energy", "gap", "reference"], rows, meta)
-    _emit(text, cfg.out)
+    text = _render(args.format, ["eps", "energy", "gap", "reference"], rows, meta)
+    _emit(text, args.out)
     return 0
 
 
@@ -452,11 +424,11 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     elif kind == "fhom":
         phase = check["phase"]
         sides = check["sides"]
-        values = [cell_value(model, phase, check["normal"], t, summary) for t in sides]
+        value = fhom_estimate(model, phase, check["normal"], sides, summary).estimate
         target = Fraction(check["target"])
         tol = Fraction(check["tol"])
-        ok = abs(values[-1] - target) <= tol
-        detail = f"f_{sides[-1]}({_vec(check['normal'])}) = {number_str(values[-1])}"
+        ok = abs(value - target) <= tol
+        detail = f"f_{sides[-1]}({_vec(check['normal'])}) = {number_str(value)}"
     elif kind == "fhom_total":
         sides = check["sides"]
         total = fhom_total(model, check["normal"], sides, summary)
@@ -473,9 +445,9 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     return ok, detail
 
 
-def cmd_examples(cfg: RunConfig) -> int:
+def cmd_examples(args: argparse.Namespace) -> int:
     checks = json.loads(_fixture_dir().joinpath("expected.json").read_text())
-    only = cfg.options.only
+    only = args.only
     cache: dict = {}
     failures = 0
     ran = 0
@@ -515,10 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
 
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--method", choices=["auto", "enum", "cut"], default="auto",
-                        help="exact cell solver: elimination, min-cut, or auto (default)")
-
     p = sub.add_parser("validate", parents=[common], help="check a model file")
     p.add_argument("model")
 
@@ -534,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cube sides, comma-separated")
     p.add_argument("--phase", type=int, help="restrict to one phase (default: all)")
 
-    p = sub.add_parser("phi", parents=[common, jobs, solver],
+    p = sub.add_parser("phi", parents=[common, jobs],
                        help="bulk density estimates on finite cubes")
     p.add_argument("model")
     p.add_argument("--M", dest="sides", type=_int_list, required=True,
@@ -553,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", dest="m", type=int, required=True)
     p.add_argument("--out", help="write the extended field to a file")
 
-    p = sub.add_parser("gamma-eval", parents=[common, solver],
+    p = sub.add_parser("gamma-eval", parents=[common],
                        help="evaluate the limit functional on a target")
     p.add_argument("model")
     p.add_argument("--omega", required=True, help="domain JSON (path or inline)")
@@ -563,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", dest="m_list", type=_int_list, required=True,
                    help="bulk density cube sides")
 
-    p = sub.add_parser("converge", parents=[common, solver],
+    p = sub.add_parser("converge", parents=[common],
                        help="recovery-sequence energies against the limit value")
     p.add_argument("model")
     p.add_argument("--omega", required=True)
@@ -600,26 +568,18 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig.from_args(args)
+    if getattr(args, "format", None) is None:
+        args.format = DEFAULT_FORMAT.get(args.command, "json")
     with warnings.catch_warnings():
         _use_warning_lines()
-        return _dispatch(cfg)
+        return _dispatch(args)
 
 
-def _dispatch(cfg: RunConfig) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
     try:
-        return HANDLERS[cfg.subcommand](cfg)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FrustratedInstance, TooManyFreeGroups) as exc:
-        hint = "" if cfg.method == "auto" else " (use --method auto)"
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return 2
-    except NotImplementedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+        return HANDLERS[args.command](args)
+    except (TooManyFreeGroups, NotImplementedError, OSError, ValueError, KeyError) as exc:
+        # ValueError covers schema, JSON and frustration errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

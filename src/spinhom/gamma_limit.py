@@ -727,7 +727,6 @@ def recovery_config(
     eps,
     m: int,
     summary: ConnectivitySummary | None = None,
-    method: str = "auto",
 ) -> SpinField:
     """Candidate minimizer: traces on the infinite clusters, optimal fill inside.
 
@@ -761,7 +760,7 @@ def recovery_config(
             continue
         if states not in blocks:
             blocks[states] = phi_solution(
-                model, m, states, summary, corrected=True, method=method,
+                model, m, states, summary, corrected=True
             ).spins.reshape((m,) * d)
         spins[cube] = blocks[states]
 
@@ -822,7 +821,6 @@ def converge_report(
     summary: ConnectivitySummary | None = None,
     surface_side: int | None = None,
     phi_side: int | None = None,
-    method: str = "auto",
 ) -> ConvergenceReport:
     """Energies of recovery fields along shrinking eps against the limit value.
 
@@ -847,13 +845,12 @@ def converge_report(
         t = model.period
         phi_side = max(m, -(-need // t) * t)
     directions = _target_directions(target, omega.dimension)
-    surface = SurfaceTable.from_model(model, directions, surface_side, summary) \
-        if directions else SurfaceTable(model.num_phases, {})
-    phi = PhiTable.from_model(model, [phi_side], summary, method=method)
+    surface = SurfaceTable.from_model(model, directions, surface_side, summary)
+    phi = PhiTable.from_model(model, [phi_side], summary)
     reference = f_hom(model, omega, target, surface, phi)
     rows = []
     for eps in eps_list:
-        field = recovery_config(model, omega, target, eps, m, summary, method=method)
+        field = recovery_config(model, omega, target, eps, m, summary)
         value = f_eps(model, field)
         rows.append(ConvergenceRow(eps=eps, energy=value, gap=abs(value - reference)))
     return ConvergenceReport(

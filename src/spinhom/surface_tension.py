@@ -342,6 +342,9 @@ class SurfaceTable:
         sides: Sequence[int] | int,
         summary: ConnectivitySummary | None = None,
     ) -> "SurfaceTable":
+        directions = [canonical_direction(direction) for direction in directions]
+        if not directions:
+            return cls(model.num_phases, {})
         if isinstance(sides, int):
             sides = (sides,)
         sides = tuple(sides)
@@ -350,8 +353,7 @@ class SurfaceTable:
         phases = range(1, model.num_phases + 1)
         needed = {j: _coarsening_side(model, j, summary) for j in phases}
         rows = {}
-        for direction in directions:
-            nu = canonical_direction(direction)
+        for nu in directions:
             for row in _surface_rows(model, phases, nu, sides, summary, needed):
                 rows[(row.phase, row.direction)] = row
         return cls(model.num_phases, rows)

@@ -185,9 +185,9 @@ def test_phi_bracket_solves_each_distinct_cube_once(monkeypatch, name, solves):
     instances = []
     real = bulk_density.minimize
 
-    def counting(instance, **solver):
+    def counting(instance):
         instances.append(instance)
-        return real(instance, **solver)
+        return real(instance)
 
     monkeypatch.setattr(bulk_density, "minimize", counting)
     row = phi_bracket(fixture_model(name), 12, (-1,))
@@ -292,12 +292,10 @@ ORACLE_SIDES = {1: (3, 6, 8, 11, 12, 13, 30), 2: (3, 6, 8, 13)}
 def solve_both(model, m, states, summary, corrected, method):
     """(array-built solution, oracle solution), or the two exception types."""
     pinned = excluded_set(model, m, summary) if corrected else ()
+    terms = build_phi_instance(model, m, states, summary, pinned)
     inst = reference_phi_instance(model, m, states, summary, pinned)
     out = []
-    for solve in (
-        lambda: phi_solution(model, m, states, summary, corrected=corrected, method=method),
-        lambda: minimize(inst, method=method),
-    ):
+    for solve in (lambda: minimize(terms, method=method), lambda: minimize(inst, method=method)):
         try:
             out.append(solve())
         except (TooManyFreeGroups, FrustratedInstance) as exc:
@@ -394,10 +392,11 @@ def test_huge_denominators_take_the_object_path_exactly():
             inst = reference_phi_instance(model, m, states, s)
             best, first = brute_argmin(inst)
             for method in ("enum", "cut"):
-                sol = phi_solution(model, m, states, s, method=method)
+                sol = minimize(terms, method=method)
                 assert sol.energy == best
                 assert dict(sol.assignment) == dict(minimize(inst, method=method).assignment)
-            assert dict(phi_solution(model, m, states, s, method="enum").assignment) == first
+            assert dict(minimize(terms, method="enum").assignment) == first
+            assert phi_solution(model, m, states, s).energy == best
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -1,7 +1,9 @@
 """Command line interface: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import spinhom
-from spinhom.cli import run
+from spinhom.bulk_density import build_phi_instance
+from spinhom.cli import build_parser, run
 from spinhom.gamma_limit import load_field
+from spinhom.ground_state import FrustratedInstance, TooManyFreeGroups, minimize
+from spinhom.model import load_model, number_str
 
 from conftest import FIXTURES, fixture_document, frus1d_document
 
@@ -191,15 +196,19 @@ def test_phi_bad_side_list(capsys):
     capsys.readouterr()
 
 
-def test_phi_frustrated_cut_exits_with_hint(capsys, tmp_path):
-    model = frustrated_model_path(tmp_path)
-    code = run(["phi", model, "--M", "4", "--z", "-1", "--method", "cut"])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.err == ("error: free-free couplings are frustrated: no gauge makes them "
-                       "nonnegative (use --method auto)\n")
-    assert run(["phi", model, "--M", "4", "--z", "-1", "--method", "auto"]) == 0
-    capsys.readouterr()
+def phi_column(out: str) -> list[str]:
+    return [line.split(",")[2] for line in out.splitlines()[1:]]
+
+
+def test_phi_eliminates_frustrated_cell(capsys, tmp_path):
+    """The min-cut refuses the frustrated cell; ``phi`` eliminates it."""
+    path = frustrated_model_path(tmp_path)
+    terms = build_phi_instance(load_model(path), 4, (-1,))
+    with pytest.raises(FrustratedInstance, match="^free-free couplings are frustrated: "
+                                                 "no gauge makes them nonnegative$"):
+        minimize(terms, method="cut")
+    out = run_ok(capsys, ["phi", path, "--M", "4", "--z", "-1"])
+    assert phi_column(out) == [number_str(minimize(terms, method="enum").energy / 16)]
 
 
 def test_phi_refuses_wide_frustrated_cell(capsys, tmp_path):
@@ -214,31 +223,34 @@ def test_phi_refuses_wide_frustrated_cell(capsys, tmp_path):
     assert out.err.count("\n") == 1
 
 
-def test_phi_enum_refuses_wide_cell(capsys, tmp_path):
-    model = frustrated_model_path(tmp_path)
-    code = run(["phi", model, "--M", "56", "--z", "-1", "--method", "enum"])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.err.startswith("error: 784 free groups need elimination tables of 2**")
-    assert out.err.endswith(" (use --method auto)\n")
-    assert out.err.count("\n") == 1
+def test_phi_enum_refuses_wide_cell(tmp_path):
+    """The cell ``phi`` refuses above: elimination alone refuses it too."""
+    terms = build_phi_instance(load_model(frustrated_model_path(tmp_path)), 56, (-1,))
+    with pytest.raises(TooManyFreeGroups,
+                       match=r"^784 free groups need elimination tables of 2\*\*"):
+        minimize(terms, method="enum")
 
 
 def test_phi_enum_solves_long_chain(capsys):
-    model = str(FIXTURES.joinpath("chain_two_weak_scales.json"))
-    argv = ["phi", model, "--M", "100,101", "--z", "-1"]
-    cut = run_ok(capsys, argv + ["--method", "cut"])
-    assert run_ok(capsys, argv + ["--method", "enum"]) == cut
+    path = str(FIXTURES.joinpath("chain_two_weak_scales.json"))
+    out = run_ok(capsys, ["phi", path, "--M", "100,101", "--z", "-1"])
+    model = load_model(path)
+    for m, printed in zip((100, 101), phi_column(out), strict=True):
+        terms = build_phi_instance(model, m, (-1,))
+        cut = minimize(terms, method="cut").energy
+        assert minimize(terms, method="enum").energy == cut
+        assert printed == number_str(cut / m)
 
 
 def test_phi_auto_eliminates_frustrated_chain(capsys, tmp_path):
     model = tmp_path / "frus1d.json"
     model.write_text(json.dumps(frus1d_document()))
-    argv = ["phi", str(model), "--M", "8,60", "--z", "-1"]
-    auto = run_ok(capsys, argv)
-    assert run_ok(capsys, argv + ["--method", "enum"]) == auto
-    assert run(argv + ["--method", "cut"]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    out = run_ok(capsys, ["phi", str(model), "--M", "8,60", "--z", "-1"])
+    for m, printed in zip((8, 60), phi_column(out), strict=True):
+        terms = build_phi_instance(load_model(str(model)), m, (-1,))
+        assert printed == number_str(minimize(terms, method="enum").energy / m)
+        with pytest.raises(FrustratedInstance):
+            minimize(terms, method="cut")
 
 
 @pytest.mark.parametrize("flag", [["--enum-cap", "100"], ["--anneal"], ["--seed", "1"],
@@ -510,3 +522,26 @@ def test_warnings_print_one_line_without_source_location(capfd, kind, jobs):
     if kind == "doubling":
         # seven failing side pairs for each of the two phase states
         assert len(lines) == 14
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            flags.update(o for o in action.option_strings if o.startswith("--"))
+    return flags
+
+
+def test_readme_names_exactly_the_accepted_flags():
+    """The CLI sections of the README name every long flag the parser
+    accepts and no other (``--help`` aside)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = ""
+    for title in ("Quick tour (CLI)", "CLI reference"):
+        start = readme.index(f"\n## {title}\n")
+        text += readme[start:readme.index("\n## ", start + 1)]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    assert named == parser_flags(build_parser())

@@ -88,8 +88,9 @@ GOLDEN = {
             "\"-1,-1\",8,0,0,0,0\n"
         ),
     ),
+    # at most 24 free groups: eliminated
     "inclusions_enum": (
-        ["phi", "soft_inclusions_2d.json", "--M", "3,8", "--z", "-1", "--method", "enum"],
+        ["phi", "soft_inclusions_2d.json", "--M", "3,8", "--z", "-1"],
         0,
         (
             "z,m,phi,phi_corrected,lower,upper\n"
@@ -97,18 +98,9 @@ GOLDEN = {
             "-1,8,3.2625,3.2625,3.2625,3.2625\n"
         ),
     ),
-    "inclusions_enum_cap": (
-        ["phi", "soft_inclusions_2d.json", "--M", "3,8,13", "--z", "-1", "--method", "enum"],
-        0,
-        (
-            "z,m,phi,phi_corrected,lower,upper\n"
-            "-1,3,166/45,166/45,166/45,166/45\n"
-            "-1,8,3.2625,3.2625,3.2625,3.2625\n"
-            "-1,13,204/65,204/65,204/65,204/65\n"
-        ),
-    ),
+    # 49 free groups at M = 13: the min-cut
     "inclusions_cut": (
-        ["phi", "soft_inclusions_2d.json", "--M", "3,8,13", "--z", "-1", "--method", "cut"],
+        ["phi", "soft_inclusions_2d.json", "--M", "3,8,13", "--z", "-1"],
         0,
         (
             "z,m,phi,phi_corrected,lower,upper\n"
@@ -116,6 +108,12 @@ GOLDEN = {
             "-1,8,3.2625,3.2625,3.2625,3.2625\n"
             "-1,13,204/65,204/65,204/65,204/65\n"
         ),
+    ),
+    # the solver is not an option
+    "method_flag": (
+        ["phi", "soft_inclusions_2d.json", "--M", "3", "--z", "-1", "--method", "cut"],
+        2,
+        "",
     ),
     "frus1d": (
         ["phi", "frus1d.json", "--M", "8,60", "--z", "-1"],
@@ -174,8 +172,3 @@ def test_cli_transcript(capsys, tmp_path, name):
         model.write_text(json.dumps(BUILT[argv[1]]()))
     assert run([argv[0], str(model), *argv[2:]]) == code
     assert capsys.readouterr().out == "".join(stdout)
-
-
-def test_enum_transcript_matches_cut():
-    """Elimination and min-cut print the same bytes on the 49-group cell."""
-    assert GOLDEN["inclusions_enum_cap"][2] == GOLDEN["inclusions_cut"][2]

@@ -593,6 +593,44 @@ def test_enum_cap_enforced():
         assert sol.energy == minimize(inst, method="enum").energy
 
 
+def complete_graph(rng: random.Random, n: int, frustrated: bool) -> GroundStateInstance:
+    """Every pair of n variables coupled: positive weights, or signs drawn
+    at random (frustrated in all but a vanishing fraction of draws)."""
+    variables = tuple((i,) for i in range(n))
+    sign = lambda: rng.choice((1, -1)) if frustrated else 1
+    pairs = tuple((u, v, Fraction(rng.randrange(1, 5), 4) * sign())
+                  for u, v in itertools.combinations(variables, 2))
+    unary = {v: (Fraction(rng.randrange(-4, 5), 4), Fraction(0)) for v in variables}
+    return GroundStateInstance(variables=variables, pair_terms=pairs, unary_terms=unary)
+
+
+def test_auto_solves_whatever_a_forced_solver_solves():
+    """Past 24 free groups, ``minimize`` returns the energy of elimination
+    or of the min-cut whenever either returns, and refuses with
+    :class:`TooManyFreeGroups` only when both refuse."""
+    rng = random.Random(1717)
+    outcomes = set()
+    for trial in range(24):
+        if trial % 3 == 0:
+            inst = frustrated_chain(rng, rng.randrange(25, 61))
+        else:
+            inst = complete_graph(rng, rng.randrange(25, 41), frustrated=trial % 3 == 2)
+        energies = {}
+        for name, solve in (("enum", ground_state.minimize_enum),
+                            ("cut", ground_state.minimize_cut)):
+            try:
+                energies[name] = solve(fold_instance(inst)).energy
+            except (FrustratedInstance, TooManyFreeGroups):
+                pass
+        outcomes.add(tuple(sorted(energies)))
+        if energies:
+            assert {minimize(inst).energy} == set(energies.values()), f"trial {trial}"
+        else:
+            with pytest.raises(TooManyFreeGroups):
+                minimize(inst)
+    assert outcomes == {("enum",), ("cut",), ()}
+
+
 def test_unknown_method_rejected():
     inst = random_instance(random.Random(1616), 4, signed=False)
     with pytest.raises(ValueError, match="unknown method 'anneal'"):

@@ -283,10 +283,7 @@ def test_cell_value_warns_below_coarsening_side():
         cell_value(model, 1, (1,), 2, s)
 
 
-def test_coarsening_side_computed_once_per_phase(monkeypatch):
-    """It depends on the model and the phase only, so ``fhom`` and
-    ``SurfaceTable.from_model`` compute it once per phase, not per side
-    or direction."""
+def counting_coarsening_side(monkeypatch) -> list:
     calls = []
     real = surface_tension.coarsening_side
 
@@ -295,6 +292,14 @@ def test_coarsening_side_computed_once_per_phase(monkeypatch):
         return real(model, phase, summary)
 
     monkeypatch.setattr(surface_tension, "coarsening_side", counting)
+    return calls
+
+
+def test_coarsening_side_computed_once_per_phase(monkeypatch):
+    """It depends on the model and the phase only, so ``fhom`` and
+    ``SurfaceTable.from_model`` compute it once per phase, not per side
+    or direction."""
+    calls = counting_coarsening_side(monkeypatch)
     SurfaceTable.from_model(fixture_model("diagonal_2d"), [(1, 0), (1, 1)], (2, 4, 8))
     assert calls == [1]
     calls.clear()
@@ -304,6 +309,23 @@ def test_coarsening_side_computed_once_per_phase(monkeypatch):
     assert run(["fhom", str(FIXTURES.joinpath("two_chains.json")), "--normal", "1",
                 "--T", "4,8,16", "--jobs", "1"]) == 0
     assert calls == [1, 2]
+
+
+def test_examples_compute_coarsening_side_once_per_checked_phase(monkeypatch, capsys):
+    """Four ``fhom`` checks of one phase each and one ``fhom_total`` check
+    over the two phases of ``two_chains``: six phases, not eleven sides."""
+    calls = counting_coarsening_side(monkeypatch)
+    assert run(["examples"]) == 0
+    assert capsys.readouterr().out.endswith("15/15 checks passed\n")
+    assert len(calls) == 6
+
+
+def test_surface_table_without_directions_is_empty(monkeypatch):
+    calls = counting_coarsening_side(monkeypatch)
+    table = SurfaceTable.from_model(fixture_model("two_chains"), [], (4, 8))
+    assert table.rows() == []
+    assert table.num_phases == 2
+    assert calls == []
 
 
 def test_fhom_estimate_requires_increasing_sides():
