@@ -26,9 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .connectivity import (
-    ConnectivitySummary,
     class_pairs,
-    classify,
     components,
     core_phases,
     cube_range,
@@ -48,9 +46,7 @@ def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]
     return states
 
 
-def hard_components_in_cube(
-    model: LatticeModel, m: int, summary: ConnectivitySummary | None = None
-) -> np.ndarray:
+def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
     """Connected pieces of each strong phase inside Q_M, one label per site.
 
     Sites are numbered in C (lexicographic) order.  A hard site's label
@@ -77,7 +73,6 @@ def build_phi_instance(
     model: LatticeModel,
     m: int,
     states: Sequence[int],
-    summary: ConnectivitySummary | None = None,
     pinned: Iterable[Site] = (),
 ) -> CellTerms:
     """Term arrays of the cube problem whose minimum over Q_M defines phi_M(states).
@@ -96,19 +91,17 @@ def build_phi_instance(
     """
     if m <= 0:
         raise ValueError("cube side must be positive")
-    if summary is None:
-        summary = classify(model)
     states = _check_states(model, states)
     d = model.dimension
     box = (cube_range(m),) * d
     residues = list(model.residues())
     res_id = residue_ids(model, box)
 
-    labels = hard_components_in_cube(model, m, summary)
+    labels = hard_components_in_cube(model, m)
     hard = labels >= 0
     group = np.where(hard, labels, np.arange(labels.size))
     held = np.zeros(labels.size, dtype=bool)
-    held[labels[(core_phases(model, summary) > 0)[res_id]]] = True
+    held[labels[(core_phases(model) > 0)[res_id]]] = True
     phase = np.array([model.labels[r] for r in residues])[res_id[group]]
     fixed = np.where(held[group], np.array((0,) + states)[phase], 0).astype(np.int8)
 
@@ -153,40 +146,33 @@ def phi_solution(
     model: LatticeModel,
     m: int,
     states: Sequence[int],
-    summary: ConnectivitySummary | None = None,
     corrected: bool = False,
 ) -> Solution:
-    if summary is None:
-        summary = classify(model)
-    pinned = excluded_set(model, m, summary) if corrected else ()
-    instance = build_phi_instance(model, m, states, summary, pinned)
+    pinned = excluded_set(model, m) if corrected else ()
+    instance = build_phi_instance(model, m, states, pinned)
     return minimize(instance)
 
 
-def phi_m(model, m, states, summary=None) -> Fraction:
+def phi_m(model, m, states) -> Fraction:
     """Plain finite-cube density phi_M(states), an exact cell minimum."""
-    sol = phi_solution(model, m, states, summary, corrected=False)
+    sol = phi_solution(model, m, states, corrected=False)
     return sol.energy / Fraction(m**model.dimension)
 
 
-def phi_tilde_m(model, m, states, summary=None) -> Fraction:
+def phi_tilde_m(model, m, states) -> Fraction:
     """Island-corrected density; upper bound for the limit density."""
-    sol = phi_solution(model, m, states, summary, corrected=True)
+    sol = phi_solution(model, m, states, corrected=True)
     return sol.energy / Fraction(m**model.dimension)
 
 
-def island_error_constant(
-    model: LatticeModel, summary: ConnectivitySummary | None = None
-) -> Fraction:
+def island_error_constant(model: LatticeModel) -> Fraction:
     """Explicit c with  phi_tilde_M - c / M <= phi <= phi_tilde_M.
 
     c = 2^d R (P a + 2 g) where R is the island radius, P the maximal
     weak degree, a the largest weak coupling magnitude and g the largest
     forcing magnitude.  Zero when the model has no finite components.
     """
-    if summary is None:
-        summary = classify(model)
-    radius = summary.island_radius
+    radius = model.summary.island_radius
     if radius == 0:
         return Fraction(0)
     weak = [
@@ -216,20 +202,18 @@ class PhiRow:
     upper: Fraction
 
 
-def phi_bracket(model, m, states, summary=None) -> PhiRow:
+def phi_bracket(model, m, states) -> PhiRow:
     """Both finite-cube estimates at one side, with the sandwich bracket.
 
     With island radius 0 the excluded set is empty, so the corrected cube
     problem is the plain one: it is solved once and ``corrected = plain``.
     """
-    if summary is None:
-        summary = classify(model)
-    plain = phi_m(model, m, states, summary)
-    if summary.island_radius == 0:
+    plain = phi_m(model, m, states)
+    if model.summary.island_radius == 0:
         corrected = plain
     else:
-        corrected = phi_tilde_m(model, m, states, summary)
-    c = island_error_constant(model, summary)
+        corrected = phi_tilde_m(model, m, states)
+    c = island_error_constant(model)
     return PhiRow(m=m, plain=plain, corrected=corrected,
                   lower=plain, upper=corrected + c / m)
 
@@ -238,7 +222,6 @@ def phi_estimate(
     model: LatticeModel,
     states: Sequence[int],
     m_list: Sequence[int],
-    summary: ConnectivitySummary | None = None,
 ) -> list[PhiRow]:
     """Estimates over increasing cube sides, checking the doubling inequality.
 
@@ -255,9 +238,7 @@ def phi_estimate(
         raise ValueError("at least one cube side required")
     if any(a >= b for a, b in zip(m_list, m_list[1:])):
         raise ValueError("cube sides must be strictly increasing")
-    if summary is None:
-        summary = classify(model)
-    rows = [phi_bracket(model, m, states, summary) for m in m_list]
+    rows = [phi_bracket(model, m, states) for m in m_list]
     t = model.period
     for i, small in enumerate(rows):
         for big in rows[i + 1 :]:
@@ -292,17 +273,10 @@ class PhiTable:
                 raise ValueError(f"no rows for states {states}")
 
     @classmethod
-    def from_model(
-        cls,
-        model: LatticeModel,
-        sides: Sequence[int],
-        summary: ConnectivitySummary | None = None,
-    ) -> "PhiTable":
-        if summary is None:
-            summary = classify(model)
+    def from_model(cls, model: LatticeModel, sides: Sequence[int]) -> "PhiTable":
         rows = {}
         for states in itertools.product((1, -1), repeat=model.num_phases):
-            rows[states] = phi_estimate(model, states, sides, summary)
+            rows[states] = phi_estimate(model, states, sides)
         return cls(model.num_phases, rows)
 
     def states(self) -> list[tuple[int, ...]]:

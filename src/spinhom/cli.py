@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -27,29 +28,27 @@ from .bulk_density import (
     phi_estimate,
     PhiTable,
 )
-from .connectivity import classify
 from .gamma_limit import (
     DomainSpec,
     MultiphaseField,
     SpinField,
-    _target_directions,
     converge_report,
     count_broken_strong,
     extend,
     f_eps,
     f_hom,
     save_field,
+    target_directions,
 )
 from .ground_state import TooManyFreeGroups
 from .model import load_model, number_str, parse_model, validate
 from .surface_tension import (
     SurfaceRow,
     SurfaceTable,
-    _cell_value,
-    _coarsening_side,
     canonical_direction,
+    cell_value,
+    check_cells,
     fhom_estimate,
-    fhom_total,
 )
 
 
@@ -164,25 +163,43 @@ def _json_arg(text: str):
 
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
     """A warning as one ``warning: <message>`` line on stderr, without the
-    source location.  The line goes out in one write, flushed at once, so
-    lines from concurrent pool workers neither interleave nor get lost."""
+    source location."""
     sys.stderr.write(f"warning: {message}\n")
-    sys.stderr.flush()
 
 
-def _use_warning_lines() -> None:
-    """Print warnings through :func:`_warning_line`; run in every ``--jobs``
-    worker too, whatever the start method."""
-    warnings.showwarning = _warning_line
+def _recorded(fn, task):
+    """``fn(task)`` in a pool worker: its result or error, and the
+    warnings it raised, for the parent to replay."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = fn(task), None
+        except Exception as exc:
+            result, error = None, exc
+    return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _run_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(task) for task in tasks]``, over a pool of ``jobs`` processes
+    when that is more than one, with the stderr of a serial run: the
+    parent replays each task's warnings in task order, de-duplicated per
+    source location as a serial run does (one registry per source file),
+    and raises the first task error after the warnings before it."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
     import multiprocessing  # only a pool pays for the import
 
-    with multiprocessing.Pool(min(jobs, len(tasks)), _use_warning_lines) as pool:
-        return pool.map(fn, tasks)
+    with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+        outcomes = pool.map(functools.partial(_recorded, fn), tasks)
+    registries: dict[str, dict] = {}
+    for _, error, caught in outcomes:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(
+                message, category, filename, lineno, registry=registries.setdefault(filename, {})
+            )
+        if error is not None:
+            raise error
+    return [result for result, _, _ in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +223,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_components(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    summary = classify(model)
+    summary = model.summary
     rows = []
     for phase in sorted(summary.components):
         for comp in summary.components[phase]:
@@ -235,22 +252,19 @@ def cmd_components(args: argparse.Namespace) -> int:
 
 
 def _cell_task(task):
-    model, summary, phase, direction, side, needed = task
-    return _cell_value(model, phase, direction, side, summary, needed)
+    return cell_value(*task)
 
 
 def cmd_fhom(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    summary = classify(model)
     direction = args.normal
     phase = args.phase
     phases = [phase] if phase is not None else list(range(1, model.num_phases + 1))
     sides = args.sides
-    # the coarsening side, which only warns, once per phase
-    needed = {j: _coarsening_side(model, j, summary) for j in phases}
-    tasks = [(model, summary, j, direction, t, needed[j]) for j in phases for t in sides]
-    values = _run_tasks(_cell_task, tasks, args.jobs)
-    rows = [[j, _vec(direction), t, v] for (_, _, j, _, t, _), v in zip(tasks, values)]
+    cells = [(j, direction, t) for j in phases for t in sides]
+    check_cells(model, cells)
+    values = _run_tasks(_cell_task, [(model, *cell) for cell in cells], args.jobs)
+    rows = [[j, _vec(direction), t, v] for (j, _, t), v in zip(cells, values)]
     nu, n = canonical_direction(direction), len(sides)
     estimates = {}
     for k, j in enumerate(phases):
@@ -268,25 +282,23 @@ def cmd_fhom(args: argparse.Namespace) -> int:
 
 
 def _phi_task(task):
-    model, summary, states, sides = task
-    return phi_estimate(model, states, sides, summary)
+    return phi_estimate(*task)
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    summary = classify(model)
+    # before the pool, so that the workers receive the model's summary
+    meta = {"island_error_constant": island_error_constant(model)}
     sides = args.sides
     if args.z is not None:
         states_list = [args.z]
     else:
         states_list = list(itertools.product((1, -1), repeat=model.num_phases))
-    tasks = [(model, summary, states, sides) for states in states_list]
-    results = _run_tasks(_phi_task, tasks, args.jobs)
+    results = _run_tasks(_phi_task, [(model, states, sides) for states in states_list], args.jobs)
     rows = []
     for states, phi_rows in zip(states_list, results):
         for row in phi_rows:
             rows.append([_vec(states), row.m, row.plain, row.corrected, row.lower, row.upper])
-    meta = {"island_error_constant": island_error_constant(model, summary)}
     text = _render(
         args.format, ["z", "m", "phi", "phi_corrected", "lower", "upper"], rows, meta
     )
@@ -338,12 +350,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_gamma_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    summary = classify(model)
     omega = DomainSpec.from_json_dict(_json_arg(args.omega))
     target = MultiphaseField.from_json_dict(_json_arg(args.target))
-    directions = _target_directions(target, omega.dimension)
-    surface = SurfaceTable.from_model(model, directions, args.sides, summary)
-    phi = PhiTable.from_model(model, args.m_list, summary)
+    directions = target_directions(target, omega.dimension)
+    surface = SurfaceTable.from_model(model, directions, args.sides)
+    phi = PhiTable.from_model(model, args.m_list)
     value = f_hom(model, omega, target, surface, phi)
     obj = {
         "value": value,
@@ -396,14 +407,13 @@ def _fixture_dir():
 def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     name = check["fixture"]
     if name not in cache:
-        model = parse_model(json.loads(_fixture_dir().joinpath(name).read_text()))
-        cache[name] = (model, classify(model))
-    model, summary = cache[name]
+        cache[name] = parse_model(json.loads(_fixture_dir().joinpath(name).read_text()))
+    model = cache[name]
     kind = check["kind"]
     if kind == "phi":
         states = tuple(check["states"])
         m = check["m"]
-        row = phi_bracket(model, m, states, summary)
+        row = phi_bracket(model, m, states)
         plain, corrected = row.plain, row.corrected
         target = Fraction(check["target"])
         tol = Fraction(check["tol"])
@@ -412,9 +422,9 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     elif kind == "phi_sandwich":
         states = tuple(check["states"])
         m = check["m"]
-        row = phi_bracket(model, m, states, summary)
+        row = phi_bracket(model, m, states)
         plain, corrected = row.plain, row.corrected
-        c = island_error_constant(model, summary)
+        c = island_error_constant(model)
         ok = corrected - c / m <= plain <= corrected
         target, tol = None, None
         detail = (
@@ -424,14 +434,14 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     elif kind == "fhom":
         phase = check["phase"]
         sides = check["sides"]
-        value = fhom_estimate(model, phase, check["normal"], sides, summary).estimate
+        value = fhom_estimate(model, phase, check["normal"], sides).estimate
         target = Fraction(check["target"])
         tol = Fraction(check["tol"])
         ok = abs(value - target) <= tol
         detail = f"f_{sides[-1]}({_vec(check['normal'])}) = {number_str(value)}"
     elif kind == "fhom_total":
         sides = check["sides"]
-        total = fhom_total(model, check["normal"], sides, summary)
+        total = SurfaceTable.from_model(model, [check["normal"]], sides).total(check["normal"])
         target = Fraction(check["target"])
         tol = Fraction(check["tol"])
         ok = abs(total - target) <= tol
@@ -571,7 +581,7 @@ def run(argv=None) -> int:
     if getattr(args, "format", None) is None:
         args.format = DEFAULT_FORMAT.get(args.command, "json")
     with warnings.catch_warnings():
-        _use_warning_lines()
+        warnings.showwarning = _warning_line
         return _dispatch(args)
 
 

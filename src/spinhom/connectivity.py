@@ -206,9 +206,9 @@ def residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
     return res.ravel()
 
 
-def core_phases(model: LatticeModel, summary: ConnectivitySummary) -> np.ndarray:
+def core_phases(model: LatticeModel) -> np.ndarray:
     """Per residue number, the hard phase whose core holds the residue, else 0."""
-    cores = summary.core_residues
+    cores = model.summary.core_residues
     return np.array([j if r in cores.get(j, ()) else 0 for r, j in sorted(model.labels.items())])
 
 
@@ -261,18 +261,14 @@ def _in_shrunk_cube(site: Site, side: Fraction) -> bool:
     return all(-half <= c < half for c in site)
 
 
-def excluded_set(
-    model: LatticeModel, m: int, summary: ConnectivitySummary | None = None
-) -> frozenset[Site]:
+def excluded_set(model: LatticeModel, m: int) -> frozenset[Site]:
     """Island copies near the boundary of the centered cube of side m.
 
     Returns the sites (clipped to the cube) of every finite-component
     copy that meets the cube but stays clear of the concentric cube of
     side m - R, where R is the island radius.
     """
-    if summary is None:
-        summary = classify(model)
-    radius = summary.island_radius
+    radius = model.summary.island_radius
     if radius == 0:
         return frozenset()
     if m <= radius:
@@ -286,7 +282,7 @@ def excluded_set(
     hi = lo + m  # exclusive
     inner_side = Fraction(m) - radius
     out: set[Site] = set()
-    for comp in summary.islands():
+    for comp in model.summary.islands():
         sites = comp.lift_sites or ()
         mins = [min(s[i] for s in sites) for i in range(model.dimension)]
         maxs = [max(s[i] for s in sites) for i in range(model.dimension)]
@@ -306,12 +302,7 @@ def excluded_set(
     return frozenset(out)
 
 
-def coarsening_side(
-    model: LatticeModel,
-    phase: int,
-    summary: ConnectivitySummary | None = None,
-    cap_multiple: int = 64,
-) -> int:
+def coarsening_side(model: LatticeModel, phase: int, cap_multiple: int = 64) -> int:
     """Smallest multiple M of the period such that core sites sharing an
     M-cube are always connected within the concentric 3M-cube.
 
@@ -319,13 +310,11 @@ def coarsening_side(
     for each, the strong components of the core sites of the 3M box come
     from :func:`components` over the core's strong classes.
     """
-    if summary is None:
-        summary = classify(model)
-    core = summary.core_residues.get(phase, frozenset())
+    core = model.summary.core_residues.get(phase, frozenset())
     if not core:
         raise ValueError(f"phase {phase} has no infinite-unique component")
     t, d = model.period, model.dimension
-    in_core = core_phases(model, summary) == phase
+    in_core = core_phases(model) == phase
     classes = [(r, off) for r in sorted(core) for off in sorted(model.strong_offsets(r))]
     for mult in range(1, cap_multiple + 1):
         m = mult * t

@@ -24,14 +24,7 @@ import numpy as np
 
 from . import geometry
 from .bulk_density import PhiTable, phi_solution
-from .connectivity import (
-    ConnectivitySummary,
-    class_pairs,
-    classify,
-    coarsening_side,
-    core_phases,
-    residue_ids,
-)
+from .connectivity import class_pairs, coarsening_side, core_phases, residue_ids
 from .ground_state import SiteValues
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction
@@ -304,7 +297,6 @@ def extend(
     phase: int,
     field: SpinField,
     m: int,
-    summary: ConnectivitySummary | None = None,
 ) -> ExtensionResult:
     """Coarse-grain a field over cubes of side m.
 
@@ -317,14 +309,12 @@ def extend(
     if m <= 0 or m % model.period:
         raise ValueError(f"cube side must be a positive multiple of {model.period}")
     model.check_phase(phase)
-    if summary is None:
-        summary = classify(model)
-    side = coarsening_side(model, phase, summary)
+    side = coarsening_side(model, phase)
     if m < side:
         raise ValueError(f"cube side {m} is below the coarsening side {side} of phase {phase}")
     ranges = field.ranges
     spins = field.spins.copy()
-    core = core_phases(model, summary)[residue_ids(model, ranges)].reshape(spins.shape) == phase
+    core = core_phases(model)[residue_ids(model, ranges)].reshape(spins.shape) == phase
     marked = []
 
     def inside(i: int, first: int) -> bool:
@@ -726,7 +716,6 @@ def recovery_config(
     target: MultiphaseField,
     eps,
     m: int,
-    summary: ConnectivitySummary | None = None,
 ) -> SpinField:
     """Candidate minimizer: traces on the infinite clusters, optimal fill inside.
 
@@ -740,8 +729,6 @@ def recovery_config(
         raise ValueError(f"cube side must be a positive multiple of {model.period}")
     if len(target.phases) != model.num_phases:
         raise ValueError("target phase count does not match the model")
-    if summary is None:
-        summary = classify(model)
     eps = Fraction(eps)
     ranges = omega.site_ranges(eps)
     spins = np.ones(tuple(len(r) for r in ranges), dtype=np.int8)
@@ -759,12 +746,10 @@ def recovery_config(
         if states is None:
             continue
         if states not in blocks:
-            blocks[states] = phi_solution(
-                model, m, states, summary, corrected=True
-            ).spins.reshape((m,) * d)
+            blocks[states] = phi_solution(model, m, states, corrected=True).spins.reshape((m,) * d)
         spins[cube] = blocks[states]
 
-    core = core_phases(model, summary)[residue_ids(model, ranges)].reshape(spins.shape)
+    core = core_phases(model)[residue_ids(model, ranges)].reshape(spins.shape)
     for j, phase in enumerate(target.phases, start=1):
         on_core = core == j
         if on_core.any():
@@ -801,7 +786,9 @@ class ConvergenceReport:
         return self.rows[-1].gap / abs(self.reference)
 
 
-def _target_directions(target: MultiphaseField, dimension: int) -> list[tuple[int, ...]]:
+def target_directions(target: MultiphaseField, dimension: int) -> list[tuple[int, ...]]:
+    """Canonical normals of the interfaces of ``target``: the normal of
+    each slab, and the coordinate axes when some phase has boxes."""
     dirs: set[tuple[int, ...]] = set()
     for p in target.phases:
         if isinstance(p, Slab):
@@ -818,7 +805,6 @@ def converge_report(
     target: MultiphaseField,
     eps_list: Sequence,
     m: int,
-    summary: ConnectivitySummary | None = None,
     surface_side: int | None = None,
     phi_side: int | None = None,
 ) -> ConvergenceReport:
@@ -836,21 +822,19 @@ def converge_report(
         raise ValueError("eps list must be strictly decreasing")
     if eps_list[-1] <= 0:
         raise ValueError("eps must be positive")
-    if summary is None:
-        summary = classify(model)
     if surface_side is None:
         surface_side = m
     if phi_side is None:
         need = math.ceil(1 / eps_list[-1])
         t = model.period
         phi_side = max(m, -(-need // t) * t)
-    directions = _target_directions(target, omega.dimension)
-    surface = SurfaceTable.from_model(model, directions, surface_side, summary)
-    phi = PhiTable.from_model(model, [phi_side], summary)
+    directions = target_directions(target, omega.dimension)
+    surface = SurfaceTable.from_model(model, directions, surface_side)
+    phi = PhiTable.from_model(model, [phi_side])
     reference = f_hom(model, omega, target, surface, phi)
     rows = []
     for eps in eps_list:
-        field = recovery_config(model, omega, target, eps, m, summary)
+        field = recovery_config(model, omega, target, eps, m)
         value = f_eps(model, field)
         rows.append(ConvergenceRow(eps=eps, energy=value, gap=abs(value - reference)))
     return ConvergenceReport(

@@ -14,10 +14,14 @@ minimisation and the structural inequalities can be asserted exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .connectivity import ConnectivitySummary
 
 Residue = tuple[int, ...]
 Site = tuple[int, ...]
@@ -123,6 +127,14 @@ class LatticeModel:
         if not self.labels:
             return 0
         return max(len(self.weak_offsets(r)) for r in self.labels)
+
+    @functools.cached_property
+    def summary(self) -> ConnectivitySummary:
+        """The periodic components of the hard phases
+        (:func:`connectivity.classify`), computed once per model object."""
+        from . import connectivity  # local import; connectivity imports model
+
+        return connectivity.classify(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeModel):
@@ -396,9 +408,7 @@ def validate(model: LatticeModel) -> ValidationReport:
             structural_ok = False
 
     if structural_ok:
-        from . import connectivity  # local import; connectivity imports model
-
-        summary = connectivity.classify(model)
+        summary = model.summary
         out.extend(summary.violations)
         floor = model.coercivity_floor
         for j in range(1, model.num_phases + 1):

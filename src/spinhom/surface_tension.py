@@ -25,14 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectivity import (
-    ConnectivitySummary,
-    class_pairs,
-    classify,
-    coarsening_side,
-    core_phases,
-    residue_ids,
-)
+from .connectivity import class_pairs, coarsening_side, core_phases, residue_ids
 from .ground_state import CellTerms, minimize, scaled_tables
 from .model import LatticeModel
 
@@ -122,62 +115,54 @@ def _cube_mask(frame: Sequence[tuple[int, ...]], side: int, bound: int) -> np.nd
     return mask
 
 
-def _coarsening_side(model: LatticeModel, phase: int, summary: ConnectivitySummary) -> int | None:
-    """The coarsening side of a phase, or None when the phase has no core
-    or its core connects too slowly to have one."""
-    if not summary.core_residues.get(phase):
-        return None
-    try:
-        return coarsening_side(model, phase, summary)
-    except RuntimeError:
-        return None
-
-
-def cell_value(
-    model: LatticeModel,
-    phase: int,
-    direction: Sequence,
-    side: int,
-    summary: ConnectivitySummary | None = None,
-) -> Fraction:
-    """Surface tension estimate of one phase at one cube side.
-
-    Warns (but still computes) when the side is too small for the cube
-    coarse graining of the phase to be meaningful.
-    """
-    if summary is None:
-        summary = classify(model)
-    needed = _coarsening_side(model, phase, summary)
-    return _cell_value(model, phase, direction, side, summary, needed, stacklevel=3)
-
-
-def _cell_value(
-    model: LatticeModel,
-    phase: int,
-    direction: Sequence,
-    side: int,
-    summary: ConnectivitySummary,
-    needed: int | None,
-    stacklevel: int = 2,
-) -> Fraction:
-    """:func:`cell_value` with the coarsening side of the phase given, so
-    that callers solving many cells compute it once per phase.  The
-    warning names the frame ``stacklevel`` levels up."""
+def _check_cell(
+    model: LatticeModel, phase: int, direction: Sequence, side: int
+) -> tuple[Fraction, ...]:
+    """The direction of a cell as a rational vector; raises ValueError
+    unless the phase, the direction and the side make a cell."""
     model.check_phase(phase)
     if side <= 0:
         raise ValueError("cube side must be positive")
-    if not summary.core_residues.get(phase):
+    if not model.summary.core_residues.get(phase):
         raise ValueError(f"phase {phase} has no infinite-unique component")
     nu = _rational_vector(direction)
     if len(nu) != model.dimension:
         raise ValueError(f"direction must have {model.dimension} coordinates")
-    if needed is not None and side < needed:
-        warnings.warn(
-            f"cube side {side} is below the coarsening side {needed} of phase {phase}",
-            stacklevel=stacklevel,
-        )
+    return nu
+
+
+def check_cells(model: LatticeModel, cells: Iterable[tuple[int, Sequence, int]]) -> None:
+    """Check the cells ``(phase, direction, side)`` in order, as
+    :func:`cell_value` does, before any of them is solved.
+
+    Raises ValueError at the first invalid cell.  Warns when a side is
+    below the coarsening side of its phase, too small for the cube
+    coarse graining of the phase to be meaningful; the coarsening side
+    is computed once per phase, and a phase whose core connects too
+    slowly to have one is not warned about.
+    """
+    coarsening: dict[int, int | None] = {}
+    for phase, direction, side in cells:
+        _check_cell(model, phase, direction, side)
+        if phase not in coarsening:
+            try:
+                coarsening[phase] = coarsening_side(model, phase)
+            except RuntimeError:
+                coarsening[phase] = None
+        if coarsening[phase] is not None and side < coarsening[phase]:
+            warnings.warn(
+                f"cube side {side} is below the coarsening side {coarsening[phase]} of phase {phase}"
+            )
+
+
+def cell_value(model: LatticeModel, phase: int, direction: Sequence, side: int) -> Fraction:
+    """Surface tension estimate of one phase at one cube side.
+
+    Does not warn about the coarsening side; :func:`check_cells` does.
+    """
+    nu = _check_cell(model, phase, direction, side)
     frame = [_primitive(w) for w in orthogonal_frame(nu)]
-    terms = _cell_instance(model, core_phases(model, summary) == phase, frame, side)
+    terms = _cell_instance(model, core_phases(model) == phase, frame, side)
     if not terms.size:
         raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
     solution = minimize(terms, method="cut")
@@ -275,53 +260,20 @@ def _check_sides(sides: Sequence[int]) -> tuple[int, ...]:
     return sides
 
 
-def _surface_rows(
-    model: LatticeModel,
-    phases: Iterable[int],
-    direction: Sequence,
-    sides: tuple[int, ...],
-    summary: ConnectivitySummary,
-    needed: Mapping[int, int | None],
-) -> list[SurfaceRow]:
-    """Cell values of each phase in one direction, at every side;
-    ``needed`` maps each phase to its coarsening side."""
-    rows = []
-    for phase in phases:
-        values = tuple(_cell_value(model, phase, direction, t, summary, needed[phase])
-                       for t in sides)
-        rows.append(SurfaceRow(phase, canonical_direction(direction), sides, values))
-    return rows
+def _surface_row(
+    model: LatticeModel, phase: int, direction: Sequence, sides: tuple[int, ...]
+) -> SurfaceRow:
+    values = tuple(cell_value(model, phase, direction, t) for t in sides)
+    return SurfaceRow(phase, canonical_direction(direction), sides, values)
 
 
 def fhom_estimate(
-    model: LatticeModel,
-    phase: int,
-    direction: Sequence,
-    sides: Sequence[int],
-    summary: ConnectivitySummary | None = None,
+    model: LatticeModel, phase: int, direction: Sequence, sides: Sequence[int]
 ) -> SurfaceRow:
     """Cell values along at least two increasing sides; no extrapolation."""
     sides = _check_sides(sides)
-    if summary is None:
-        summary = classify(model)
-    needed = {phase: _coarsening_side(model, phase, summary)}
-    return _surface_rows(model, [phase], direction, sides, summary, needed)[0]
-
-
-def fhom_total(
-    model: LatticeModel,
-    direction: Sequence,
-    sides: Sequence[int],
-    summary: ConnectivitySummary | None = None,
-) -> Fraction:
-    """Sum over the phases of the per-phase estimates in one direction."""
-    if summary is None:
-        summary = classify(model)
-    sides = _check_sides(sides)
-    phases = range(1, model.num_phases + 1)
-    needed = {j: _coarsening_side(model, j, summary) for j in phases}
-    rows = _surface_rows(model, phases, direction, sides, summary, needed)
-    return sum((row.estimate for row in rows), Fraction(0))
+    check_cells(model, [(phase, direction, t) for t in sides])
+    return _surface_row(model, phase, direction, sides)
 
 
 class SurfaceTable:
@@ -336,11 +288,7 @@ class SurfaceTable:
 
     @classmethod
     def from_model(
-        cls,
-        model: LatticeModel,
-        directions: Iterable[Sequence],
-        sides: Sequence[int] | int,
-        summary: ConnectivitySummary | None = None,
+        cls, model: LatticeModel, directions: Iterable[Sequence], sides: Sequence[int] | int
     ) -> "SurfaceTable":
         directions = [canonical_direction(direction) for direction in directions]
         if not directions:
@@ -348,14 +296,9 @@ class SurfaceTable:
         if isinstance(sides, int):
             sides = (sides,)
         sides = tuple(sides)
-        if summary is None:
-            summary = classify(model)
         phases = range(1, model.num_phases + 1)
-        needed = {j: _coarsening_side(model, j, summary) for j in phases}
-        rows = {}
-        for nu in directions:
-            for row in _surface_rows(model, phases, nu, sides, summary, needed):
-                rows[(row.phase, row.direction)] = row
+        check_cells(model, [(j, nu, t) for nu in directions for j in phases for t in sides])
+        rows = {(j, nu): _surface_row(model, j, nu, sides) for nu in directions for j in phases}
         return cls(model.num_phases, rows)
 
     @classmethod

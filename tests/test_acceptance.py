@@ -48,10 +48,9 @@ def report(criterion: int, ok: bool, detail: str):
 
 def test_criterion_01_soft_chain_bracket():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     t0 = time.perf_counter()
-    aligned = phi_bracket(model, 64, (1,), s)
-    forced = phi_bracket(model, 64, (-1,), s)
+    aligned = phi_bracket(model, 64, (1,))
+    forced = phi_bracket(model, 64, (-1,))
     elapsed = time.perf_counter() - t0
     ok = (
         abs(aligned.plain) <= TOL
@@ -79,11 +78,10 @@ def test_criterion_02_antiferromagnetic_background():
 
 def test_criterion_03_two_phase_chain():
     model = fixture_model("two_chains")
-    s = classify(model)
-    opposed = phi_m(model, 64, (1, -1), s)
-    aligned = phi_m(model, 64, (1, 1), s)
-    surface = SurfaceTable.from_model(model, [(1,)], (4, 8), s)
-    phi = PhiTable.from_model(model, [8], s)
+    opposed = phi_m(model, 64, (1, -1))
+    aligned = phi_m(model, 64, (1, 1))
+    surface = SurfaceTable.from_model(model, [(1,)], (4, 8))
+    phi = PhiTable.from_model(model, [8])
     omega = DomainSpec((Fraction(0),), (Fraction(1),))
     target = MultiphaseField(
         (Slab((Fraction(1),), Fraction(1, 2)), Slab((Fraction(1),), Fraction(1, 2)))
@@ -100,18 +98,16 @@ def test_criterion_03_two_phase_chain():
 
 def test_criterion_04_two_weak_scales():
     model = fixture_model("chain_two_weak_scales")
-    s = classify(model)
-    aligned = phi_m(model, 64, (1,), s)
-    forced = phi_m(model, 64, (-1,), s)
+    aligned = phi_m(model, 64, (1,))
+    forced = phi_m(model, 64, (-1,))
     ok = aligned == 0 and abs(forced - Fraction(13, 4)) <= TOL
     report(4, ok, f"phi_64(+1) = {aligned}, phi_64(-1) = {forced} (target 3.25)")
 
 
 def test_criterion_05_inclusion_lattice_wall():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
     t0 = time.perf_counter()
-    row = fhom_estimate(model, 1, (1, 0), (8, 16, 32), s)
+    row = fhom_estimate(model, 1, (1, 0), (8, 16, 32))
     elapsed = time.perf_counter() - t0
     ok = abs(row.estimate - Fraction(1, 2)) <= TOL and elapsed < 30.0
     report(
@@ -124,9 +120,8 @@ def test_criterion_05_inclusion_lattice_wall():
 
 def test_criterion_06_diagonal_lattice_walls():
     model = fixture_model("diagonal_2d")
-    s = classify(model)
-    axis = fhom_estimate(model, 1, (1, 0), (16, 32), s).estimate
-    diag = fhom_estimate(model, 1, (1, 1), (16, 32), s).estimate
+    axis = fhom_estimate(model, 1, (1, 0), (16, 32)).estimate
+    diag = fhom_estimate(model, 1, (1, 1), (16, 32)).estimate
     ok = abs(axis - 1) <= TOL and abs(float(diag) - 2**-0.5) <= 0.05
     report(
         6,
@@ -140,8 +135,7 @@ def test_criterion_07_structural_inequalities():
     checked = 0
     for name in FIXTURE_NAMES:
         model = fixture_model(name)
-        s = classify(model)
-        c = island_error_constant(model, s)
+        c = island_error_constant(model)
         nonneg_weak = all(
             model.pair_weight(res, tuple(a + b for a, b in zip(res, off))) >= 0
             for res in model.labels
@@ -151,24 +145,23 @@ def test_criterion_07_structural_inequalities():
         pair = (2 * model.period, 4 * model.period)
         for states in itertools.product((1, -1), repeat=model.num_phases):
             for m in (4, 8):
-                plain = phi_m(model, m, states, s)
-                corrected = phi_tilde_m(model, m, states, s)
+                plain = phi_m(model, m, states)
+                corrected = phi_tilde_m(model, m, states)
                 assert corrected >= plain, (name, states, m)
                 assert plain >= corrected - Fraction(c, m), (name, states, m)
                 checked += 1
             if nonneg_weak:
-                small, big = (phi_m(model, m, states, s) for m in pair)
+                small, big = (phi_m(model, m, states) for m in pair)
                 assert big >= small, (name, states, pair)
     rng = random.Random(20260819)
     for _ in range(50):
         model = random_chain_model(rng, nonneg_weak=True)
-        s = classify(model)
-        c = island_error_constant(model, s)
+        c = island_error_constant(model)
         for states in itertools.product((1, -1), repeat=model.num_phases):
             values = {}
             for m in (4, 8):
-                plain = phi_m(model, m, states, s)
-                corrected = phi_tilde_m(model, m, states, s)
+                plain = phi_m(model, m, states)
+                corrected = phi_tilde_m(model, m, states)
                 assert corrected >= plain
                 assert plain >= corrected - Fraction(c, m)
                 values[m] = plain
@@ -208,11 +201,11 @@ def test_criterion_09_extension_bound():
         values = {k: rng.choice([1, -1]) for k in omega.sites(eps)}
         field = SpinField(eps, omega, values)
         broken = count_broken_strong(model, field)
-        res = extend(model, 1, field, 4, s)
+        res = extend(model, 1, field, 4)
         assert res.marked_count <= 9 * broken
         if broken:
             worst = max(worst, Fraction(res.marked_count, broken))
-        again = extend(model, 1, res.field, 4, s)
+        again = extend(model, 1, res.field, 4)
         assert again.field.values == res.field.values
         assert again.marked == res.marked
         for k, v in field.values.items():
@@ -228,11 +221,10 @@ def test_criterion_09_extension_bound():
 
 def test_criterion_10_convergence_trend():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     omega = DomainSpec((Fraction(0),), (Fraction(1),))
     target = MultiphaseField((Slab((Fraction(1),), Fraction(1, 2)),))
     eps_list = (Fraction(1, 32), Fraction(1, 64), Fraction(1, 128))
-    rep = converge_report(model, omega, target, eps_list, 4, s)
+    rep = converge_report(model, omega, target, eps_list, 4)
     gaps = [row.gap for row in rep.rows]
     strictly = all(b < a for a, b in zip(gaps, gaps[1:]))
     ok = strictly and rep.final_relative <= Fraction(1, 10)

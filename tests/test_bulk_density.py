@@ -125,38 +125,36 @@ CASES = [
 def test_phi_matches_enumeration_and_frozen_value(name, states, m, expected):
     model = fixture_model(name)
     s = classify(model)
-    value = phi_m(model, m, states, s)
+    value = phi_m(model, m, states)
     assert value == expected
     assert value == brute_phi(model, m, states, s)
 
 
 def test_phi_tilde_dominates_phi(any_model):
     model = any_model
-    s = classify(model)
     m = 8 if model.dimension == 1 else 4
     for states in itertools.product((1, -1), repeat=model.num_phases):
-        assert phi_tilde_m(model, m, states, s) >= phi_m(model, m, states, s)
+        assert phi_tilde_m(model, m, states) >= phi_m(model, m, states)
 
 
 def test_bracket_orders_lower_below_upper(any_model):
     model = any_model
-    s = classify(model)
     m = 8 if model.dimension == 1 else 4
     for states in itertools.product((1, -1), repeat=model.num_phases):
-        row = phi_bracket(model, m, states, s)
+        row = phi_bracket(model, m, states)
         assert row.m == m
         assert row.lower == row.plain
         assert row.lower <= row.upper
-        c = island_error_constant(model, s)
+        c = island_error_constant(model)
         assert row.upper == row.corrected + Fraction(c, m)
 
 
 def test_island_error_constant_values():
     for name in ("chain_soft_even", "two_chains", "soft_inclusions_2d", "diagonal_2d"):
         model = fixture_model(name)
-        assert island_error_constant(model, classify(model)) == 0
+        assert island_error_constant(model) == 0
     model = fixture_model("islands_1d")
-    assert island_error_constant(model, classify(model)) == Fraction(21, 10)
+    assert island_error_constant(model) == Fraction(21, 10)
 
 
 def test_island_error_constant_ignores_strong_weights():
@@ -164,18 +162,17 @@ def test_island_error_constant_ignores_strong_weights():
     for bond in doc["strong_bonds"]:
         bond["weight"] = "1000"
     model = parse_model(doc)
-    assert island_error_constant(model, classify(model)) == Fraction(21, 10)
+    assert island_error_constant(model) == Fraction(21, 10)
 
 
 def test_island_correction_sandwich_at_fixed_size():
     model = fixture_model("islands_1d")
-    s = classify(model)
     m = 12
-    plain = phi_m(model, m, (-1,), s)
-    corrected = phi_tilde_m(model, m, (-1,), s)
+    plain = phi_m(model, m, (-1,))
+    corrected = phi_tilde_m(model, m, (-1,))
     assert plain == 0
     assert corrected == Fraction(7, 120)
-    c = island_error_constant(model, s)
+    c = island_error_constant(model)
     assert corrected - Fraction(c, m) <= plain <= corrected
 
 
@@ -205,9 +202,8 @@ def test_phi_estimate_requires_increasing_sizes():
 
 def test_phi_estimate_rows_and_doubling_warning():
     model = fixture_model("chain_soft_even_anti")
-    s = classify(model)
     with pytest.warns(UserWarning, match="doubling"):
-        rows = phi_estimate(model, (-1,), (4, 8), s)
+        rows = phi_estimate(model, (-1,), (4, 8))
     assert [r.m for r in rows] == [4, 8]
     assert rows[0].plain == Fraction(-3, 4)
     assert rows[1].plain == Fraction(-7, 8)
@@ -215,18 +211,16 @@ def test_phi_estimate_rows_and_doubling_warning():
 
 def test_phi_estimate_silent_on_nonnegative_weak_couplings():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = phi_estimate(model, (-1,), (4, 8, 16), s)
+        rows = phi_estimate(model, (-1,), (4, 8, 16))
     values = [r.plain for r in rows]
     assert values == sorted(values)
 
 
 def test_phi_instance_structure_two_chains():
     model = fixture_model("two_chains")
-    s = classify(model)
-    terms = build_phi_instance(model, 4, (1, -1), s)
+    terms = build_phi_instance(model, 4, (1, -1))
     sites = [terms.key(i) for i in range(terms.size)]
     assert set(sites) == {(-2,), (-1,), (0,), (1,)}
     # every site is hard here, pinned to the state of its phase
@@ -243,16 +237,14 @@ def test_phi_instance_structure_two_chains():
 
 def test_phi_solution_exact_with_no_free_sites():
     model = fixture_model("two_chains")
-    s = classify(model)
-    sol = phi_solution(model, 8, (1, -1), s)
+    sol = phi_solution(model, 8, (1, -1))
     assert sol.method == "enumeration"
     assert Fraction(sol.energy, 8) == Fraction(7, 8)
 
 
 def test_phi_table_enumerates_all_states():
     model = fixture_model("two_chains")
-    s = classify(model)
-    table = PhiTable.from_model(model, [4, 8], s)
+    table = PhiTable.from_model(model, [4, 8])
     assert table.states() == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     assert table.value((1, -1)) == Fraction(7, 8)
     assert table.value((1, 1)) == 0
@@ -268,7 +260,7 @@ def test_phi_accepts_any_positive_size():
     # the cube minimization is well defined off the period grid too
     model = fixture_model("chain_soft_even")
     s = classify(model)
-    assert phi_m(model, 7, (-1,), s) == brute_phi(model, 7, (-1,), s)
+    assert phi_m(model, 7, (-1,)) == brute_phi(model, 7, (-1,), s)
     with pytest.raises(ValueError):
         phi_m(model, 0, (-1,))
     with pytest.raises(ValueError):
@@ -291,8 +283,8 @@ ORACLE_SIDES = {1: (3, 6, 8, 11, 12, 13, 30), 2: (3, 6, 8, 13)}
 
 def solve_both(model, m, states, summary, corrected, method):
     """(array-built solution, oracle solution), or the two exception types."""
-    pinned = excluded_set(model, m, summary) if corrected else ()
-    terms = build_phi_instance(model, m, states, summary, pinned)
+    pinned = excluded_set(model, m) if corrected else ()
+    terms = build_phi_instance(model, m, states, pinned)
     inst = reference_phi_instance(model, m, states, summary, pinned)
     out = []
     for solve in (lambda: minimize(terms, method=method), lambda: minimize(inst, method=method)):
@@ -387,7 +379,7 @@ def test_huge_denominators_take_the_object_path_exactly():
     s = classify(model)
     for m in (5, 8):
         for states in ((1,), (-1,)):
-            terms = build_phi_instance(model, m, states, s)
+            terms = build_phi_instance(model, m, states)
             assert terms.bound() >= 2**62
             inst = reference_phi_instance(model, m, states, s)
             best, first = brute_argmin(inst)
@@ -396,7 +388,7 @@ def test_huge_denominators_take_the_object_path_exactly():
                 assert sol.energy == best
                 assert dict(sol.assignment) == dict(minimize(inst, method=method).assignment)
             assert dict(minimize(terms, method="enum").assignment) == first
-            assert phi_solution(model, m, states, s).energy == best
+            assert phi_solution(model, m, states).energy == best
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -422,11 +414,11 @@ def test_pinned_site_errors():
     s = classify(model)
     core = next(x for x in cube_sites(1, 8) if s.in_core(1, x))
     with pytest.raises(ValueError, match=r"pinned site \(9,\) is outside the cube"):
-        build_phi_instance(model, 8, (1,), s, pinned=[(9,)])
+        build_phi_instance(model, 8, (1,), pinned=[(9,)])
     with pytest.raises(ValueError, match=rf"pinned site \({core[0]},\) conflicts"):
-        build_phi_instance(model, 8, (-1,), s, pinned=[core])
+        build_phi_instance(model, 8, (-1,), pinned=[core])
     # pinned at +1 on a +1 cluster is no conflict
-    build_phi_instance(model, 8, (1,), s, pinned=[core])
+    build_phi_instance(model, 8, (1,), pinned=[core])
 
 
 def random_strong_graph_2d(rng: random.Random):

@@ -153,6 +153,29 @@ def test_fhom_jobs_do_not_change_output(capsys):
     assert serial == parallel
 
 
+def test_jobs_report_a_task_error_as_a_serial_run_does(capsys, tmp_path):
+    argv = ["phi", frustrated_model_path(tmp_path), "--M", "4,56"]
+    serial = (run(argv + ["--jobs", "1"]), capsys.readouterr())
+    assert serial[0] == 2
+    assert serial[1].err.startswith("error: couplings are frustrated")
+    assert (run(argv + ["--jobs", "2"]), capsys.readouterr()) == serial
+
+
+def test_phi_classifies_the_model_once(monkeypatch, capsys):
+    calls = []
+    real = spinhom.connectivity.classify
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    for name, module in list(sys.modules.items()):  # every import site
+        if name.startswith("spinhom") and getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", counting)
+    run_ok(capsys, ["phi", ISLANDS, "--M", "4,8"])
+    assert len(calls) == 1
+
+
 def test_phi_csv_bytes(capsys):
     expected = (
         "z,m,phi,phi_corrected,lower,upper\n"
@@ -502,7 +525,15 @@ WARNING_ARGVS = {
     "doubling": ["phi", str(FIXTURES.joinpath("chain_soft_even_anti.json")), "--M", "4,8,12,16,24"],
     "coarsening": ["fhom", str(FIXTURES.joinpath("diagonal_2d.json")), "--normal", "1,2", "--T", "1,2"],
     "island-radius": ["phi", ISLANDS, "--M", "1,8"],
+    "island-radius-two-states": ["phi", ISLANDS, "--M", "1,2"],
 }
+
+
+def stderr_of(capfd, argv) -> str:
+    code = run(argv)
+    err = capfd.readouterr().err
+    assert code == 0, err
+    return err
 
 
 @pytest.mark.filterwarnings("default::UserWarning")
@@ -510,11 +541,12 @@ WARNING_ARGVS = {
 @pytest.mark.parametrize("kind", sorted(WARNING_ARGVS))
 def test_warnings_print_one_line_without_source_location(capfd, kind, jobs):
     """Each warning is one ``warning: `` line, also from --jobs workers,
-    and names no source file (which would change with every edit)."""
-    code = run(WARNING_ARGVS[kind] + ["--jobs", jobs])
-    out = capfd.readouterr()
-    assert code == 0
-    lines = out.err.splitlines()
+    and names no source file (which would change with every edit).
+    Stderr is the serial run's, in the same order, run after run."""
+    serial = stderr_of(capfd, WARNING_ARGVS[kind] + ["--jobs", "1"])
+    for _ in range(5):
+        assert stderr_of(capfd, WARNING_ARGVS[kind] + ["--jobs", jobs]) == serial
+    lines = serial.splitlines()
     assert lines
     assert all(line.startswith("warning: ") for line in lines), lines
     assert all(line.count("warning: ") == 1 for line in lines), lines

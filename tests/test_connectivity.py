@@ -116,6 +116,12 @@ def test_islands_fixture_summary():
     assert s.core_residues[1] == frozenset({(0,)})
 
 
+def test_model_carries_its_summary():
+    model = fixture_model("islands_1d")
+    assert model.summary is model.summary
+    assert model.summary == classify(model)
+
+
 def test_triple_island_radius():
     from spinhom.model import parse_model
 
@@ -178,7 +184,7 @@ def brute_excluded(model, m, summary):
 def test_excluded_set_matches_brute_scan(m):
     model = fixture_model("islands_1d")
     s = classify(model)
-    assert excluded_set(model, m, s) == brute_excluded(model, m, s)
+    assert excluded_set(model, m) == brute_excluded(model, m, s)
 
 
 @pytest.mark.parametrize("m", [6, 12, 18])
@@ -187,14 +193,14 @@ def test_excluded_set_triple_island(m):
 
     model = parse_model(triple_island_doc())
     s = classify(model)
-    assert excluded_set(model, m, s) == brute_excluded(model, m, s)
+    assert excluded_set(model, m) == brute_excluded(model, m, s)
 
 
 def test_excluded_set_empty_without_islands(any_model):
     model = any_model
     s = classify(model)
     if s.island_radius == 0:
-        assert excluded_set(model, 8 if model.dimension == 1 else 4, s) == frozenset()
+        assert excluded_set(model, 8 if model.dimension == 1 else 4) == frozenset()
 
 
 def test_excluded_set_small_cube_warns():
@@ -227,7 +233,7 @@ def test_single_site_islands_are_never_excluded():
     s = classify(model)
     assert [c.lift_sites for c in s.islands()] == [((1, 1),)]
     assert s.island_radius == 0
-    assert excluded_set(model, 8, s) == frozenset()
+    assert excluded_set(model, 8) == frozenset()
 
 
 def verify_coarsening_property(model, phase, m, summary):
@@ -269,7 +275,7 @@ def verify_coarsening_property(model, phase, m, summary):
 def test_coarsening_side_property(name, phase):
     model = fixture_model(name)
     s = classify(model)
-    m = coarsening_side(model, phase, s)
+    m = coarsening_side(model, phase)
     assert m % model.period == 0
     assert verify_coarsening_property(model, phase, m, s)
 
@@ -285,7 +291,7 @@ def test_coarsening_side_rejects_coreless_phase():
     assert not s.passed
     assert any(v.rule == "unique-infinite-component" for v in s.violations)
     with pytest.raises(ValueError, match="no infinite-unique component"):
-        coarsening_side(model, 2, s)
+        coarsening_side(model, 2)
 
 
 def bfs_coarsening_side(model, phase, summary, cap_multiple=64):
@@ -348,14 +354,14 @@ def test_coarsening_side_matches_bfs_on_fixtures(name):
     for phase in summary.core_residues:
         if summary.core_residues[phase]:
             want = bfs_coarsening_side(model, phase, summary)
-            assert coarsening_side(model, phase, summary) == want
+            assert coarsening_side(model, phase) == want
 
 
 def test_coarsening_side_matches_bfs_on_random_models():
     sides = []
     for model, summary in random_cored_models(30, seed=7):
         want = bfs_coarsening_side(model, 1, summary)
-        assert coarsening_side(model, 1, summary) == want
+        assert coarsening_side(model, 1) == want
         sides.append((model.period, want))
     assert any(side > period for period, side in sides)
     assert any(side == period for period, side in sides)
@@ -370,7 +376,7 @@ def test_coarsening_side_cap_error_matches_bfs():
     with pytest.raises(RuntimeError) as want:
         bfs_coarsening_side(model, 1, summary, cap_multiple=cap)
     with pytest.raises(RuntimeError) as got:
-        coarsening_side(model, 1, summary, cap_multiple=cap)
+        coarsening_side(model, 1, cap_multiple=cap)
     assert str(got.value) == str(want.value)
 
 
@@ -414,7 +420,7 @@ def test_core_phases_per_residue(any_model):
         next((j for j, core in summary.core_residues.items() if r in core), 0)
         for r in any_model.residues()
     ]
-    assert core_phases(any_model, summary).tolist() == want
+    assert core_phases(any_model).tolist() == want
 
 
 def test_components_label_each_site_with_its_smallest_member():

@@ -242,7 +242,7 @@ def test_extend_matches_per_site_reference(name, omega, eps, m):
         for p_plus in (0.5, 0.95):
             values = {k: 1 if rng.random() < p_plus else -1 for k in omega.sites(eps)}
             field = SpinField(eps, omega, values)
-            res = extend(model, phase, field, m, s)
+            res = extend(model, phase, field, m)
             assert (res.field.values, res.marked) == brute_extend(model, phase, field, m, s)
 
 
@@ -264,13 +264,13 @@ def test_extend_fills_cubes_and_preserves_core():
         values = {k: rng.choice([1, -1]) for k in SQUARE.sites(eps)}
         field = SpinField(eps, SQUARE, values)
         broken = count_broken_strong(model, field)
-        res = extend(model, 1, field, 4, s)
+        res = extend(model, 1, field, 4)
         assert res.marked_count <= 9 * broken
         # core spins survive extension everywhere
         for k, v in field.values.items():
             if s.in_core(1, k):
                 assert res.field.values[k] == v
-        again = extend(model, 1, res.field, 4, s)
+        again = extend(model, 1, res.field, 4)
         assert again.field.values == res.field.values
         assert again.marked == res.marked
 
@@ -283,7 +283,7 @@ def test_extend_on_core_constant_field_marks_nothing():
     values = {}
     for k in SQUARE.sites(eps):
         values[k] = 1 if s.in_core(1, k) else rng.choice([1, -1])
-    res = extend(model, 1, SpinField(eps, SQUARE, values), 4, s)
+    res = extend(model, 1, SpinField(eps, SQUARE, values), 4)
     assert res.marked == ()
     # every processed cube is overwritten by the core value
     filled = [k for k, v in res.field.values.items() if v != values[k]]
@@ -334,9 +334,8 @@ def test_target_json_round_trip(tmp_path):
 
 def test_f_hom_two_phase_slab_exact():
     model = fixture_model("two_chains")
-    s = classify(model)
-    surface = SurfaceTable.from_model(model, [(1,)], (4, 8), s)
-    phi = PhiTable.from_model(model, [8], s)
+    surface = SurfaceTable.from_model(model, [(1,)], (4, 8))
+    phi = PhiTable.from_model(model, [8])
     target = MultiphaseField(
         (Slab((Fraction(1),), Fraction(1, 2)), Slab((Fraction(1),), Fraction(1, 2)))
     )
@@ -345,9 +344,8 @@ def test_f_hom_two_phase_slab_exact():
 
 def test_f_hom_mixed_slab_and_constant():
     model = fixture_model("two_chains")
-    s = classify(model)
-    surface = SurfaceTable.from_model(model, [(1,)], (4, 8), s)
-    phi = PhiTable.from_model(model, [8], s)
+    surface = SurfaceTable.from_model(model, [(1,)], (4, 8))
+    phi = PhiTable.from_model(model, [8])
     target = MultiphaseField((Slab((Fraction(1),), Fraction(1, 2)), Constant(1)))
     # one wall of phase 1 plus half a box of the opposed-state density 7/8
     assert f_hom(model, UNIT, target, surface, phi) == Fraction(23, 16)
@@ -355,28 +353,25 @@ def test_f_hom_mixed_slab_and_constant():
 
 def test_f_hom_constant_target_is_bulk_only():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     omega = DomainSpec((Fraction(0),), (Fraction(2),))
     surface = SurfaceTable(model.num_phases, {})
-    phi = PhiTable.from_model(model, [8], s)
+    phi = PhiTable.from_model(model, [8])
     target = MultiphaseField((Constant(-1),))
     assert f_hom(model, omega, target, surface, phi) == Fraction(27, 10)
 
 
 def test_f_hom_axis_slab_2d():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
-    surface = SurfaceTable.from_model(model, [(1, 0)], (4, 8), s)
-    phi = PhiTable.from_model(model, [8], s)
+    surface = SurfaceTable.from_model(model, [(1, 0)], (4, 8))
+    phi = PhiTable.from_model(model, [8])
     target = MultiphaseField((Slab((Fraction(1), Fraction(0)), Fraction(1, 2)),))
     assert f_hom(model, SQUARE, target, surface, phi) == Fraction(341, 160)
 
 
 def test_f_hom_box_target_2d():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
-    surface = SurfaceTable.from_model(model, [(1, 0), (0, 1)], (4, 8), s)
-    phi = PhiTable.from_model(model, [8], s)
+    surface = SurfaceTable.from_model(model, [(1, 0), (0, 1)], (4, 8))
+    phi = PhiTable.from_model(model, [8])
     box = Box((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)))
     target = MultiphaseField((Boxes((box,)),))
     assert f_hom(model, SQUARE, target, surface, phi) == Fraction(1103, 320)
@@ -384,9 +379,8 @@ def test_f_hom_box_target_2d():
 
 def test_f_hom_oblique_slab_2d():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
-    surface = SurfaceTable.from_model(model, [(1, 1)], (4, 8), s)
-    phi = PhiTable.from_model(model, [8], s)
+    surface = SurfaceTable.from_model(model, [(1, 1)], (4, 8))
+    phi = PhiTable.from_model(model, [8])
     target = MultiphaseField((Slab((Fraction(1), Fraction(1)), Fraction(1)),))
     value = f_hom(model, SQUARE, target, surface, phi)
     wall = surface.value(1, (1, 1))
@@ -396,10 +390,9 @@ def test_f_hom_oblique_slab_2d():
 
 def test_recovery_config_energy_and_shape():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     target = MultiphaseField((Slab((Fraction(1),), Fraction(1, 2)),))
     eps = Fraction(1, 16)
-    rec = recovery_config(model, UNIT, target, eps, 4, s)
+    rec = recovery_config(model, UNIT, target, eps, 4)
     assert rec.eps == eps
     assert f_eps(model, rec) == Fraction(67, 40)
     # hard sites away from the interface carry the target state
@@ -448,7 +441,7 @@ CROSSED_LINES = parse_model({
 def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, target, eps, m):
     s = classify(model)
     field = MultiphaseField((target,))
-    rec = recovery_config(model, omega, field, eps, m, s)
+    rec = recovery_config(model, omega, field, eps, m)
     half = m // 2
     cached = {}
     pasted = 0
@@ -467,7 +460,7 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
             assert rec.values[k] == 1, k
             continue
         if states not in cached:
-            cached[states] = phi_solution(model, m, states, s, corrected=True).assignment
+            cached[states] = phi_solution(model, m, states, corrected=True).assignment
         assert rec.values[k] == cached[states][tuple(a - b * m for a, b in zip(k, z))], k
         pasted += 1
     assert pasted and len(cached) == 2
@@ -475,17 +468,15 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
 
 def test_converge_report_quick():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     target = MultiphaseField((Slab((Fraction(1),), Fraction(1, 2)),))
     report = converge_report(
-        model, UNIT, target, (Fraction(1, 8), Fraction(1, 16)), 4, s
-    )
+        model, UNIT, target, (Fraction(1, 8), Fraction(1, 16)), 4)
     assert report.m == 4
     assert report.phi_side == 16
     assert report.reference == Fraction(27, 16)
     assert [r.eps for r in report.rows] == [Fraction(1, 8), Fraction(1, 16)]
     # the recovery energy of each row is reproducible
-    rec = recovery_config(model, UNIT, target, Fraction(1, 8), 4, s)
+    rec = recovery_config(model, UNIT, target, Fraction(1, 8), 4)
     assert report.rows[0].energy == f_eps(model, rec)
     assert report.rows[0].gap == abs(report.rows[0].energy - report.reference)
     assert report.decreasing

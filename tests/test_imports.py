@@ -1,4 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Import and signature hygiene of the package modules.
+
+Every name a module imports is used in it, every private definition is
+used, no module imports another's private names, and no function takes
+a value the model already carries (``summary``) or that the surface
+layer works out itself (``needed``, the coarsening side).
+"""
 
 import ast
 from pathlib import Path
@@ -85,3 +91,52 @@ def test_no_unreferenced_private_definitions():
 def test_public_names_resolve():
     assert sorted(set(spinhom.__all__)) == sorted(spinhom.__all__)
     assert [name for name in spinhom.__all__ if not hasattr(spinhom, name)] == []
+
+
+def parameters_named(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """(line, function) of each function or lambda with a parameter in ``names``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            name = getattr(node, "name", "<lambda>")
+            out += [(node.lineno, name) for p in params if p.arg in names]
+    return out
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each underscore name imported from a package module,
+    by a relative import or from ``spinhom``; dunder names are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "spinhom"
+        ):
+            out += [
+                (node.lineno, alias.name) for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            ]
+    return out
+
+
+def test_detects_threaded_parameters_and_private_imports():
+    source = (
+        "from . import __version__\nfrom .a import _x, y\nfrom spinhom.b import _z\n"
+        "from os import _exit\ndef f(model, *, summary=None):\n    return lambda needed: needed\n"
+    )
+    assert parameters_named(source, {"summary", "needed"}) == [(5, "f"), (6, "<lambda>")]
+    assert private_imports(source) == [(2, "_x"), (3, "_z")]
+
+
+PACKAGE = sorted(Path(spinhom.__file__).parent.glob("*.py"))
+
+
+def test_no_function_takes_a_summary_or_a_coarsening_side():
+    found = {p.name: parameters_named(p.read_text(), {"summary", "needed"}) for p in PACKAGE}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_no_module_imports_private_names_of_another():
+    found = {p.name: private_imports(p.read_text()) for p in PACKAGE}
+    assert {name: hits for name, hits in found.items() if hits} == {}

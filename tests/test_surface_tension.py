@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,8 @@ from spinhom.surface_tension import (
     _primitive,
     canonical_direction,
     cell_value,
+    check_cells,
     fhom_estimate,
-    fhom_total,
     orthogonal_frame,
 )
 
@@ -190,7 +191,7 @@ def cubic_model_3d():
 def test_cell_instance_matches_per_site_build(name, directions, sides):
     model = cubic_model_3d() if name == "cubic_3d" else fixture_model(name)
     summary = classify(model)
-    in_core = core_phases(model, summary) == 1
+    in_core = core_phases(model) == 1
     for direction in directions:
         frame = [_primitive(w) for w in orthogonal_frame(direction)]
         for side in sides:
@@ -211,85 +212,93 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
 
 def test_cell_value_invariant_under_direction_rescaling():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
-    base = cell_value(model, 1, (1, 0), 4, s)
-    assert cell_value(model, 1, (2, 0), 4, s) == base
-    assert cell_value(model, 1, (Fraction(1, 3), 0), 4, s) == base
+    base = cell_value(model, 1, (1, 0), 4)
+    assert cell_value(model, 1, (2, 0), 4) == base
+    assert cell_value(model, 1, (Fraction(1, 3), 0), 4) == base
     model = fixture_model("diagonal_2d")
-    s = classify(model)
-    base = cell_value(model, 1, (1, 1), 8, s)
-    assert cell_value(model, 1, (3, 3), 8, s) == base
-    assert cell_value(model, 1, (Fraction(1, 2), Fraction(1, 2)), 8, s) == base
+    base = cell_value(model, 1, (1, 1), 8)
+    assert cell_value(model, 1, (3, 3), 8) == base
+    assert cell_value(model, 1, (Fraction(1, 2), Fraction(1, 2)), 8) == base
 
 
 def test_cell_value_symmetric_under_direction_flip():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
-    assert cell_value(model, 1, (1, 0), 4, s) == cell_value(model, 1, (-1, 0), 4, s)
-    assert cell_value(model, 1, (1, 1), 4, s) == cell_value(model, 1, (-1, -1), 4, s)
+    assert cell_value(model, 1, (1, 0), 4) == cell_value(model, 1, (-1, 0), 4)
+    assert cell_value(model, 1, (1, 1), 4) == cell_value(model, 1, (-1, -1), 4)
 
 
 def test_chain_wall_cost_independent_of_side():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     for side in (2, 3, 4, 7, 10):
-        assert cell_value(model, 1, (1,), side, s) == 1
+        assert cell_value(model, 1, (1,), side) == 1
 
 
 def test_two_chain_wall_costs():
     model = fixture_model("two_chains")
-    s = classify(model)
-    assert cell_value(model, 1, (1,), 4, s) == 1
-    assert cell_value(model, 2, (1,), 4, s) == 2
-    assert fhom_total(model, (1,), (4, 8), s) == 3
+    assert cell_value(model, 1, (1,), 4) == 1
+    assert cell_value(model, 2, (1,), 4) == 2
+    assert SurfaceTable.from_model(model, [(1,)], (4, 8)).total((1,)) == 3
 
 
 def test_inclusion_lattice_axis_wall():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
     for side in (4, 8, 12):
-        assert cell_value(model, 1, (1, 0), side, s) == Fraction(1, 2)
-        assert cell_value(model, 1, (0, 1), side, s) == Fraction(1, 2)
+        assert cell_value(model, 1, (1, 0), side) == Fraction(1, 2)
+        assert cell_value(model, 1, (0, 1), side) == Fraction(1, 2)
 
 
 def test_diagonal_lattice_walls_decrease_with_side():
     model = fixture_model("diagonal_2d")
-    s = classify(model)
-    axis = [cell_value(model, 1, (1, 0), side, s) for side in (8, 16, 32)]
+    axis = [cell_value(model, 1, (1, 0), side) for side in (8, 16, 32)]
     assert axis == [Fraction(9, 8), Fraction(17, 16), Fraction(33, 32)]
-    diag = [cell_value(model, 1, (1, 1), side, s) for side in (8, 16, 32)]
+    diag = [cell_value(model, 1, (1, 1), side) for side in (8, 16, 32)]
     assert diag == [Fraction(5, 8), Fraction(11, 16), Fraction(23, 32)]
 
 
 def test_cell_value_argument_errors():
     model = fixture_model("soft_inclusions_2d")
-    s = classify(model)
     with pytest.raises(ValueError):
-        cell_value(model, 0, (1, 0), 4, s)
+        cell_value(model, 0, (1, 0), 4)
     with pytest.raises(ValueError):
-        cell_value(model, 3, (1, 0), 4, s)
+        cell_value(model, 3, (1, 0), 4)
     with pytest.raises(ValueError):
-        cell_value(model, 1, (0, 0), 4, s)
+        cell_value(model, 1, (0, 0), 4)
     with pytest.raises(ValueError):
-        cell_value(model, 1, (1,), 4, s)
+        cell_value(model, 1, (1,), 4)
     with pytest.raises(ValueError):
-        cell_value(model, 1, (1, 0), 0, s)
+        cell_value(model, 1, (1, 0), 0)
 
 
-def test_cell_value_warns_below_coarsening_side():
+def test_fhom_estimate_warns_below_coarsening_side():
+    """The coarsening check before the cells warns; a lone cell solve does not."""
     model = fixture_model("islands_1d")
-    s = classify(model)
     with pytest.warns(UserWarning, match="coarsening"):
-        cell_value(model, 1, (1,), 2, s)
+        fhom_estimate(model, 1, (1,), (2, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cell_value(model, 1, (1,), 2) == 1
+
+
+def test_check_cells_warns_in_order_and_stops_at_the_first_invalid_cell():
+    model = fixture_model("two_chains")
+    cells = [(1, (1,), 1), (2, (1,), 1), (2, (1,), 4), (1, (1, 0), 4), (3, (1,), 4)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="direction must have 1 coordinates"):
+            check_cells(model, cells)
+    assert [str(w.message) for w in caught] == [
+        "cube side 1 is below the coarsening side 2 of phase 1",
+        "cube side 1 is below the coarsening side 2 of phase 2",
+    ]
 
 
 def counting_coarsening_side(monkeypatch) -> list:
     calls = []
     real = surface_tension.coarsening_side
 
-    def counting(model, phase, summary=None):
+    def counting(model, phase):
         calls.append(phase)
-        return real(model, phase, summary)
+        return real(model, phase)
 
     monkeypatch.setattr(surface_tension, "coarsening_side", counting)
     return calls
@@ -330,12 +339,11 @@ def test_surface_table_without_directions_is_empty(monkeypatch):
 
 def test_fhom_estimate_requires_increasing_sides():
     model = fixture_model("chain_soft_even")
-    s = classify(model)
     with pytest.raises(ValueError):
-        fhom_estimate(model, 1, (1,), (4,), s)
+        fhom_estimate(model, 1, (1,), (4,))
     with pytest.raises(ValueError):
-        fhom_estimate(model, 1, (1,), (8, 4), s)
-    row = fhom_estimate(model, 1, (1,), (2, 4, 8), s)
+        fhom_estimate(model, 1, (1,), (8, 4))
+    row = fhom_estimate(model, 1, (1,), (2, 4, 8))
     assert row.estimate == 1
     assert row.increment == 0
     assert row.sides == (2, 4, 8)
@@ -343,8 +351,7 @@ def test_fhom_estimate_requires_increasing_sides():
 
 def test_surface_table_round_trip():
     model = fixture_model("two_chains")
-    s = classify(model)
-    table = SurfaceTable.from_model(model, [(1,)], (4, 8), s)
+    table = SurfaceTable.from_model(model, [(1,)], (4, 8))
     assert [(row.phase, row.direction) for row in table.rows()] == [(1, (1,)), (2, (1,))]
     assert table.value(1, (1,)) == 1
     assert table.value(2, (1,)) == 2
