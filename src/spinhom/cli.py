@@ -48,6 +48,7 @@ from .surface_tension import (
     canonical_direction,
     cell_value,
     check_cells,
+    check_sides,
     fhom_estimate,
 )
 
@@ -260,7 +261,7 @@ def cmd_fhom(args: argparse.Namespace) -> int:
     direction = args.normal
     phase = args.phase
     phases = [phase] if phase is not None else list(range(1, model.num_phases + 1))
-    sides = args.sides
+    sides = check_sides(args.sides)
     cells = [(j, direction, t) for j in phases for t in sides]
     check_cells(model, cells)
     values = _run_tasks(_cell_task, [(model, *cell) for cell in cells], args.jobs)
@@ -509,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normal", type=_fraction_list, required=True,
                    help="interface normal, comma-separated rationals")
     p.add_argument("--T", dest="sides", type=_int_list, required=True,
-                   help="cube sides, comma-separated")
+                   help="cube sides, comma-separated, increasing")
     p.add_argument("--phase", type=int, help="restrict to one phase (default: all)")
 
     p = sub.add_parser("phi", parents=[common, jobs],

@@ -264,20 +264,32 @@ def count_broken_strong(model: LatticeModel, field: SpinField) -> int:
 # cubes of side m: cube z covers the sites z*m - m//2 + [0, m) on every axis
 
 
-def _cubes(ranges: Sequence[range], m: int, keep):
-    """Cubes whose first site on every axis passes ``keep(axis, first)``,
-    in lexicographic order of z, each with its slice of the site grid.
-    ``keep`` must reject every cube that reaches past the sites."""
+def _cube_axes(ranges: Sequence[range], m: int, before: int, after: int) -> list[range]:
+    """Per axis, the z of the cubes whose sites, widened by ``before``
+    sites below and ``after`` sites above, all lie in the axis range.
+
+    The condition is an interval in z, so the kept cubes of every axis
+    form one contiguous run and tile one box of the site grid.
+    """
     half = m // 2
-    axes = []
-    for i, r in enumerate(ranges):
-        axes.append([
-            (z, slice(z * m - half - r.start, z * m - half - r.start + m))
-            for z in range((r.start + half) // m, (r.stop - 1 + half) // m + 1)
-            if keep(i, z * m - half)
-        ])
-    for cube in itertools.product(*axes):
-        yield tuple(z for z, _ in cube), tuple(sl for _, sl in cube)
+    return [
+        range(-(-(r.start + half + before) // m), (r.stop - m - after + half) // m + 1)
+        for r in ranges
+    ]
+
+
+def _cube_view(array: np.ndarray, ranges: Sequence[range], m: int, axes: Sequence[range]) -> np.ndarray:
+    """The cubes ``axes`` (per-axis z runs) of a site array as a view of
+    shape (n_1, ..., n_d, m, ..., m): cube index first, site in the cube
+    last.  Writing to the view writes to ``array``."""
+    half = m // 2
+    d = len(axes)
+    box = array[tuple(
+        slice(z.start * m - half - r.start, z.stop * m - half - r.start)
+        for z, r in zip(axes, ranges)
+    )]
+    split = box.reshape([k for z in axes for k in (len(z), m)])
+    return split.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
 
 
 @dataclass(frozen=True)
@@ -303,8 +315,12 @@ def extend(
     On every cube whose concentric 3m cube lies fully inside the domain
     and where the field is constant on the infinite cluster of the given
     phase, the field is overwritten by that constant; such cubes where
-    the cluster values disagree are reported as marked and left as they
-    are, as is everything near the boundary.
+    the cluster values disagree are reported as marked, in lexicographic
+    order of z, and left as they are, as is everything near the boundary.
+
+    The kept cubes tile one box of the site grid, taken as a view of
+    shape (n_1, ..., n_d, m, ..., m); the minimum and maximum of the
+    cluster spins of every cube are two reductions over its last d axes.
     """
     if m <= 0 or m % model.period:
         raise ValueError(f"cube side must be a positive multiple of {model.period}")
@@ -315,27 +331,28 @@ def extend(
     ranges = field.ranges
     spins = field.spins.copy()
     core = core_phases(model)[residue_ids(model, ranges)].reshape(spins.shape) == phase
-    marked = []
-
-    def inside(i: int, first: int) -> bool:
-        # the concentric cube of side 3m lies within the sites
-        return ranges[i].start <= first - m and first + 2 * m <= ranges[i].stop
-
-    for z, cube in _cubes(ranges, m, inside):
-        core_values = field.spins[cube][core[cube]]
-        if not core_values.size:
-            raise RuntimeError(f"cube {z} contains no phase-{phase} cluster sites")
-        # min/max rather than np.unique, which imports numpy.ma on numpy 2
-        low = core_values.min()
-        if low == core_values.max():
-            spins[cube] = low
-        else:
-            marked.append(z)
+    # the concentric cube of side 3m lies within the sites
+    axes = _cube_axes(ranges, m, m, m)
+    d = len(axes)
+    cube_core = _cube_view(core, ranges, m, axes)
+    cube_spins = _cube_view(field.spins, ranges, m, axes)
+    within = tuple(range(d, 2 * d))
+    # +-2 where there is no cluster site: never the minimum or maximum of +-1
+    low = np.where(cube_core, cube_spins, 2).min(axis=within)
+    high = np.where(cube_core, cube_spins, -2).max(axis=within)
+    origin = np.array([a.start for a in axes], dtype=np.int64)  # z of the grid's first cube
+    empty = np.argwhere(low == 2)
+    if empty.size:
+        z = tuple((empty[0] + origin).tolist())
+        raise RuntimeError(f"cube {z} contains no phase-{phase} cluster sites")
+    uniform = low == high
+    _cube_view(spins, ranges, m, axes)[uniform] = low[uniform].reshape((-1,) + (1,) * d)
+    marked = tuple(map(tuple, (np.argwhere(~uniform) + origin).tolist()))
     return ExtensionResult(
         field=SpinField(field.eps, field.omega, spins),
         phase=phase,
         m=m,
-        marked=tuple(marked),
+        marked=marked,
     )
 
 
@@ -358,15 +375,6 @@ class Slab:
         dot = sum(a * b for a, b in zip(x, self.normal))
         return 1 if dot > self.offset else -1
 
-    def constant_on_box(self, lo: Sequence[Fraction], hi: Sequence[Fraction]) -> int | None:
-        corners = itertools.product(*zip(lo, hi))
-        dots = [sum(a * b for a, b in zip(c, self.normal)) for c in corners]
-        if min(dots) > self.offset:
-            return 1
-        if max(dots) <= self.offset:
-            return -1
-        return None
-
     def integer_normal(self) -> tuple[int, ...]:
         scale = math.lcm(*(c.denominator for c in self.normal))
         return tuple(int(c * scale) for c in self.normal)
@@ -384,6 +392,27 @@ class Slab:
         axes = np.ix_(*(np.arange(r.start, r.stop).astype(dtype) for r in ranges))
         dot = sum(c * k for c, k in zip(normal, axes))
         return np.where(dot > threshold, 1, -1).astype(np.int8)
+
+    def on_cubes(self, eps: Fraction, firsts: Sequence[np.ndarray], m: int) -> np.ndarray:
+        """Per cube of a grid, +1 or -1 where ``value_at`` is that constant
+        on the cube's closed footprint, 0 where it is not, as int8.
+
+        The cubes are the products of the per-axis footprints
+        eps [f, f + m], f in the integer array ``firsts[i]``.  The extremes
+        of <x, normal> over a footprint sit at its corners, so they are
+        sums of per-axis extremes; +1 where the minimum exceeds the offset,
+        -1 where the maximum does not, compared as in :meth:`on_lattice`.
+        """
+        normal = self.integer_normal()
+        scale = math.lcm(*(c.denominator for c in self.normal))
+        bound = max((int(np.abs(f).max()) for f in firsts if f.size), default=0) + m
+        reach = sum(abs(c) for c in normal) * bound
+        threshold = max(-reach - 1, min(reach, math.floor(self.offset * scale / eps)))
+        dtype = np.int64 if reach < 2**62 else object
+        axes = np.ix_(*(f.astype(dtype) for f in firsts))
+        low = sum(c * f + min(0, c * m) for c, f in zip(normal, axes))
+        high = sum(c * f + max(0, c * m) for c, f in zip(normal, axes))
+        return np.where(low > threshold, 1, np.where(high <= threshold, -1, 0)).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -435,14 +464,37 @@ class Boxes:
             )] = 1
         return out
 
-    def constant_on_box(self, lo, hi) -> int | None:
-        outside_all = True
+    def on_cubes(self, eps: Fraction, firsts: Sequence[np.ndarray], m: int) -> np.ndarray:
+        """Per cube of a grid, as :meth:`Slab.on_cubes`: +1 where one box
+        contains the cube's closed footprint, -1 where every box is apart
+        from it, 0 otherwise.  A footprint that touches a box face from
+        inside counts as contained, one that touches it from outside as
+        apart.
+
+        On each axis eps [f, f + m] lies in [lo, hi] iff
+        ceil(lo / eps) <= f and f + m <= floor(hi / eps), and is apart from
+        it iff f + m <= floor(lo / eps) or ceil(hi / eps) <= f; containing
+        is an AND of the axis tests, being apart an OR.
+        """
+        shape = tuple(len(f) for f in firsts)
+        # every f and f + m lie in (-reach, reach): clipping a bound there keeps the tests
+        reach = max((int(np.abs(f).max()) for f in firsts if f.size), default=0) + m + 1
+
+        def clip(bound: int) -> int:
+            return max(-reach, min(reach, bound))
+
+        axes = np.ix_(*firsts)
+        contained = np.zeros(shape, dtype=bool)
+        apart = np.ones(shape, dtype=bool)
         for b in self.boxes:
-            if all(a >= c and bb <= d for a, bb, c, d in zip(lo, hi, b.lo, b.hi)):
-                return 1
-            if not any(bb <= c or d <= a for a, bb, c, d in zip(lo, hi, b.lo, b.hi)):
-                outside_all = False
-        return -1 if outside_all else None
+            inside = np.ones(shape, dtype=bool)
+            outside = np.zeros(shape, dtype=bool)
+            for lo, hi, f in zip(b.lo, b.hi, axes):
+                inside = inside & (clip(math.ceil(lo / eps)) <= f) & (f + m <= clip(math.floor(hi / eps)))
+                outside = outside | (f + m <= clip(math.floor(lo / eps))) | (clip(math.ceil(hi / eps)) <= f)
+            contained |= inside
+            apart &= outside
+        return np.where(contained, 1, np.where(apart, -1, 0)).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -459,8 +511,8 @@ class Constant:
     def on_lattice(self, eps: Fraction, ranges: Sequence[range]) -> np.ndarray:
         return np.full(tuple(len(r) for r in ranges), self.value, dtype=np.int8)
 
-    def constant_on_box(self, lo, hi) -> int:
-        return self.value
+    def on_cubes(self, eps: Fraction, firsts: Sequence[np.ndarray], m: int) -> np.ndarray:
+        return np.full(tuple(len(f) for f in firsts), self.value, dtype=np.int8)
 
 
 PhaseTarget = Slab | Boxes | Constant
@@ -476,15 +528,6 @@ class MultiphaseField:
 
     def value_at(self, x: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(p.value_at(x) for p in self.phases)
-
-    def constant_on_box(self, lo, hi) -> tuple[int, ...] | None:
-        out = []
-        for p in self.phases:
-            v = p.constant_on_box(lo, hi)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
 
     def to_json_dict(self) -> dict:
         phases = []
@@ -716,38 +759,54 @@ def recovery_config(
     target: MultiphaseField,
     eps,
     m: int,
+    *,
+    blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] | None = None,
 ) -> SpinField:
     """Candidate minimizer: traces on the infinite clusters, optimal fill inside.
 
-    Each cube of side m whose continuum footprint sits strictly inside
-    the domain and on which every phase target is constant receives a
-    translated copy of the island-corrected cube minimizer for the local
-    phase states; sites of the infinite clusters always carry the target
-    trace; everything else defaults to +1.
+    Each cube of side m whose closed continuum footprint sits strictly
+    inside the domain and on which every phase target is constant
+    receives a translated copy of the island-corrected cube minimizer for
+    the local phase states; sites of the infinite clusters always carry
+    the target trace; everything else defaults to +1.
+
+    A footprint eps [f, f + m] is strictly inside the domain iff its end
+    sites f and f + m are sites, so the kept cubes tile one box of the
+    site grid, taken as a view of shape (n_1, ..., n_d, m, ..., m).  Each
+    phase target classifies the whole cube grid at once
+    (:meth:`Slab.on_cubes`, :meth:`Boxes.on_cubes`); a cube is pasted
+    when no phase reads 0 there, one ``view[mask] = block`` per distinct
+    tuple of phase states.
+
+    ``blocks`` caches the cube minimizers by (m, states); a caller that
+    builds several fields of one model, as :func:`converge_report` does,
+    passes one dict to solve each block once.
     """
     if m <= 0 or m % model.period:
         raise ValueError(f"cube side must be a positive multiple of {model.period}")
     if len(target.phases) != model.num_phases:
         raise ValueError("target phase count does not match the model")
     eps = Fraction(eps)
+    if blocks is None:
+        blocks = {}
     ranges = omega.site_ranges(eps)
     spins = np.ones(tuple(len(r) for r in ranges), dtype=np.int8)
-    half = m // 2
     d = omega.dimension
 
-    def inside(i: int, first: int) -> bool:
-        return omega.lo[i] < eps * first and eps * (first + m) < omega.hi[i]
-
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for z, cube in _cubes(ranges, m, inside):
-        foot_lo = tuple(eps * (c * m - half) for c in z)
-        foot_hi = tuple(eps * (c * m - half + m) for c in z)
-        states = target.constant_on_box(foot_lo, foot_hi)
-        if states is None:
-            continue
-        if states not in blocks:
-            blocks[states] = phi_solution(model, m, states, corrected=True).spins.reshape((m,) * d)
-        spins[cube] = blocks[states]
+    axes = _cube_axes(ranges, m, 0, 1)
+    firsts = [np.arange(a.start, a.stop, dtype=np.int64) * m - m // 2 for a in axes]
+    states = np.stack([p.on_cubes(eps, firsts, m) for p in target.phases])
+    todo = (states != 0).all(axis=0)
+    view = _cube_view(spins, ranges, m, axes)
+    while todo.any():
+        # the distinct state tuples in the order of their first cube
+        column = states[(slice(None), *np.unravel_index(np.argmax(todo), todo.shape))]
+        key = tuple(column.tolist())
+        paste = todo & (states == column.reshape((-1,) + (1,) * d)).all(axis=0)
+        if (m, key) not in blocks:
+            blocks[m, key] = phi_solution(model, m, key, corrected=True).spins.reshape((m,) * d)
+        view[paste] = blocks[m, key]
+        todo &= ~paste
 
     core = core_phases(model)[residue_ids(model, ranges)].reshape(spins.shape)
     for j, phase in enumerate(target.phases, start=1):
@@ -833,8 +892,9 @@ def converge_report(
     phi = PhiTable.from_model(model, [phi_side])
     reference = f_hom(model, omega, target, surface, phi)
     rows = []
+    blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     for eps in eps_list:
-        field = recovery_config(model, omega, target, eps, m)
+        field = recovery_config(model, omega, target, eps, m, blocks=blocks)
         value = f_eps(model, field)
         rows.append(ConvergenceRow(eps=eps, energy=value, gap=abs(value - reference)))
     return ConvergenceReport(

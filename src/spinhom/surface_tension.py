@@ -131,19 +131,39 @@ def _check_cell(
     return nu
 
 
+def _check_core_sites(model: LatticeModel, phase: int, nu: Sequence[Fraction], side: int) -> None:
+    """Raises ValueError when the cube of the cell holds no core site of
+    the phase.
+
+    Only sides up to ceil(sqrt(d) P) build the cube mask: a larger cube
+    holds the axis-aligned cube [-P/2, P/2)^d, whose sites stand for
+    every residue, so it holds a core site of every phase.
+    """
+    d = model.dimension
+    if side > math.isqrt(d * model.period**2 - 1) + 1:
+        return
+    frame = [_primitive(w) for w in orthogonal_frame(nu)]
+    bound = math.isqrt(d * side * side) // 2 + 2
+    box = (range(-bound, bound + 1),) * d
+    in_core = (core_phases(model) == phase)[residue_ids(model, box)]
+    if not (_cube_mask(frame, side, bound).ravel() & in_core).any():
+        raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
+
+
 def check_cells(model: LatticeModel, cells: Iterable[tuple[int, Sequence, int]]) -> None:
     """Check the cells ``(phase, direction, side)`` in order, as
     :func:`cell_value` does, before any of them is solved.
 
-    Raises ValueError at the first invalid cell.  Warns when a side is
-    below the coarsening side of its phase, too small for the cube
-    coarse graining of the phase to be meaningful; the coarsening side
-    is computed once per phase, and a phase whose core connects too
-    slowly to have one is not warned about.
+    Raises ValueError at the first invalid cell, after the warning of
+    that cell.  Warns when a side is below the coarsening side of its
+    phase, too small for the cube coarse graining of the phase to be
+    meaningful; the coarsening side is computed once per phase, and a
+    phase whose core connects too slowly to have one is not warned
+    about.
     """
     coarsening: dict[int, int | None] = {}
     for phase, direction, side in cells:
-        _check_cell(model, phase, direction, side)
+        nu = _check_cell(model, phase, direction, side)
         if phase not in coarsening:
             try:
                 coarsening[phase] = coarsening_side(model, phase)
@@ -153,6 +173,7 @@ def check_cells(model: LatticeModel, cells: Iterable[tuple[int, Sequence, int]])
             warnings.warn(
                 f"cube side {side} is below the coarsening side {coarsening[phase]} of phase {phase}"
             )
+        _check_core_sites(model, phase, nu, side)
 
 
 def cell_value(model: LatticeModel, phase: int, direction: Sequence, side: int) -> Fraction:
@@ -161,10 +182,9 @@ def cell_value(model: LatticeModel, phase: int, direction: Sequence, side: int) 
     Does not warn about the coarsening side; :func:`check_cells` does.
     """
     nu = _check_cell(model, phase, direction, side)
+    _check_core_sites(model, phase, nu, side)
     frame = [_primitive(w) for w in orthogonal_frame(nu)]
     terms = _cell_instance(model, core_phases(model) == phase, frame, side)
-    if not terms.size:
-        raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
     solution = minimize(terms, method="cut")
     return solution.energy / side ** (model.dimension - 1)
 
@@ -251,10 +271,9 @@ class SurfaceRow:
         return abs(self.values[-1] - self.values[-2])
 
 
-def _check_sides(sides: Sequence[int]) -> tuple[int, ...]:
+def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
+    """The cube sides as a tuple; raises ValueError unless they strictly increase."""
     sides = tuple(sides)
-    if len(sides) < 2:
-        raise ValueError("at least two cube sides required")
     if any(a >= b for a, b in zip(sides, sides[1:])):
         raise ValueError("cube sides must be strictly increasing")
     return sides
@@ -271,7 +290,9 @@ def fhom_estimate(
     model: LatticeModel, phase: int, direction: Sequence, sides: Sequence[int]
 ) -> SurfaceRow:
     """Cell values along at least two increasing sides; no extrapolation."""
-    sides = _check_sides(sides)
+    sides = check_sides(sides)
+    if len(sides) < 2:
+        raise ValueError("at least two cube sides required")
     check_cells(model, [(phase, direction, t) for t in sides])
     return _surface_row(model, phase, direction, sides)
 

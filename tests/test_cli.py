@@ -556,6 +556,27 @@ def test_warnings_print_one_line_without_source_location(capfd, kind, jobs):
         assert len(lines) == 14
 
 
+@pytest.mark.parametrize("sides", ["1,2,2,3", "4,2"])
+def test_fhom_rejects_sides_that_do_not_increase(capsys, sides):
+    assert run(["fhom", ISLANDS, "--normal", "1", "--T", sides]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cube sides must be strictly increasing\n"
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_fhom_reports_an_empty_cube_after_its_own_warning(capfd):
+    """Phase 1's cube of side 1 holds no phase-1 site: its warning, then
+    its error, and nothing about phase 2."""
+    assert run(["fhom", TWO, "--normal", "1", "--T", "1"]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "warning: cube side 1 is below the coarsening side 2 of phase 1\n"
+        "error: phase 1 has no cluster sites in the cube of side 1\n"
+    )
+
+
 def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
     flags = set()
     for action in parser._actions:

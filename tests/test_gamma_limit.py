@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinhom import gamma_limit
 from spinhom.bulk_density import PhiTable, phi_solution
 from spinhom.connectivity import classify
 from spinhom.gamma_limit import (
@@ -31,6 +32,7 @@ from spinhom.surface_tension import SurfaceTable
 from spinhom.model import SchemaError, parse_model
 
 from conftest import FIXTURE_NAMES, fixture_model
+from test_helpers import constant_on_box
 
 UNIT = DomainSpec((Fraction(0),), (Fraction(1),))
 SQUARE = DomainSpec((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
@@ -232,6 +234,8 @@ def brute_extend(model, phase, field, m, summary):
          Fraction(1, 32), 4),
         ("islands_1d", DomainSpec((Fraction(-1, 3),), (Fraction(5, 4),)), Fraction(1, 64), 8),
         ("two_chains", UNIT, Fraction(1, 48), 4),
+        # sites 5..50: the 3m cubes of z = 2 and z = 5 overshoot them by one site
+        ("islands_1d", DomainSpec((Fraction(1, 16),), (Fraction(51, 64),)), Fraction(1, 64), 8),
     ],
 )
 def test_extend_matches_per_site_reference(name, omega, eps, m):
@@ -295,8 +299,13 @@ def test_slab_geometry():
     slab = Slab((Fraction(1), Fraction(1)), Fraction(1))
     assert slab.value_at((Fraction(1), Fraction(1))) == 1
     assert slab.value_at((Fraction(1, 2), Fraction(1, 2))) == -1  # boundary is -1
-    assert slab.constant_on_box((Fraction(2), Fraction(2)), (Fraction(3), Fraction(3))) == 1
-    assert slab.constant_on_box((Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))) is None
+    # the footprints [2, 3]^2 and [0, 2]^2 of cubes of side 1 and 2 at eps 1
+    one = [np.array([2]), np.array([2])]
+    two = [np.array([0]), np.array([0])]
+    assert slab.on_cubes(Fraction(1), one, 1).tolist() == [[1]]
+    assert slab.on_cubes(Fraction(1), two, 2).tolist() == [[0]]
+    assert constant_on_box(slab, (Fraction(2), Fraction(2)), (Fraction(3), Fraction(3))) == 1
+    assert constant_on_box(slab, (Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))) is None
     assert Slab((Fraction(3, 5), Fraction(4, 5)), Fraction(0)).integer_normal() == (3, 4)
     with pytest.raises(ValueError):
         Slab((Fraction(0), Fraction(0)), Fraction(1))
@@ -455,7 +464,7 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
         hi = tuple(eps * (c * m - half + m) for c in z)
         states = None
         if all(a < b for a, b in zip(omega.lo, lo)) and all(a < b for a, b in zip(hi, omega.hi)):
-            states = field.constant_on_box(lo, hi)
+            states = constant_on_box(field, lo, hi)
         if states is None:
             assert rec.values[k] == 1, k
             continue
@@ -481,6 +490,25 @@ def test_converge_report_quick():
     assert report.rows[0].gap == abs(report.rows[0].energy - report.reference)
     assert report.decreasing
     assert report.final_relative < Fraction(1, 10)
+
+
+def test_converge_report_solves_each_block_once(monkeypatch):
+    model = fixture_model("two_chains")
+    target = MultiphaseField((Slab((Fraction(1),), Fraction(1, 3)), Constant(-1)))
+    eps_list = (Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))
+    calls = []
+
+    def counted(model, m, states, **kwargs):
+        calls.append((m, states))
+        return phi_solution(model, m, states, **kwargs)
+
+    monkeypatch.setattr(gamma_limit, "phi_solution", counted)
+    report = converge_report(model, UNIT, target, eps_list, 4, phi_side=8)
+    # one solve per (m, states) for the whole report, not one per eps
+    assert sorted(calls) == [(4, (-1, -1)), (4, (1, -1))]
+    # the shared blocks change no field
+    for eps, row in zip(eps_list, report.rows):
+        assert row.energy == f_eps(model, recovery_config(model, UNIT, target, eps, 4))
 
 
 def test_converge_report_rejects_empty_eps():

@@ -160,6 +160,132 @@ GOLDEN = {
             "0.03125,3.313671875,0.133203125,3.446875\n"
         ),
     ),
+    # an oblique slab: pasted cubes on both sides of a rational line
+    "converge_oblique": (
+        ["converge", "diagonal_2d.json", "--omega", "{\"lo\":[\"0\",\"0\"],\"hi\":[\"1\",\"1\"]}", "--target", "{\"phases\":[{\"slab\":{\"normal\":[\"-1/3\",\"1/2\"],\"offset\":\"-1/10\"}}]}", "--eps", "1/16,1/32", "--M", "4", "--phi-side", "8"],
+        0,
+        (
+            "eps,energy,gap,reference\n"
+            "0.0625,0.8583984375,0.3452926934415974,1.2036911309415974\n"
+            "0.03125,0.912841796875,0.2908493340665974,1.2036911309415974\n"
+        ),
+    ),
+    # a slab and a constant: pasted cubes carry two phase states
+    "converge_two_phase": (
+        ["converge", "two_chains.json", "--omega", "{\"lo\":[\"0\"],\"hi\":[\"1\"]}", "--target", "{\"phases\":[{\"slab\":{\"normal\":[\"1\"],\"offset\":\"1/3\"}},{\"constant\":-1}]}", "--eps", "1/32,1/64", "--M", "4", "--phi-side", "8"],
+        0,
+        (
+            "eps,energy,gap,reference\n"
+            "0.03125,1.65625,7/96,19/12\n"
+            "0.015625,1.640625,11/192,19/12\n"
+        ),
+    ),
+    # marked cubes (2, 3), (3, 5), (5, 2) in lexicographic order; a soft
+    # -1 at (16, 16) is filled with +1 and a soft +1 at (24, 24) with -1
+    "extend_marked": (
+        ["extend", "soft_inclusions_2d.json", "--field", "{\"eps\":\"0.03125\",\"omega\":{\"lo\":[\"0\",\"0\"],\"hi\":[\"1\",\"1\"]},\"spins_rle\":[[1,-1],[195,1],[1,-1],[195,1],[1,-1],[87,1],[1,-1],[114,1],[1,-1],[76,1],[4,-1],[27,1],[4,-1],[27,1],[2,-1],[1,1],[1,-1],[27,1],[4,-1],[192,1]]}", "--phase", "1", "--M", "4"],
+        0,
+        (
+            "{\n"
+            " \"field\": {\n"
+            "  \"eps\": \"0.03125\",\n"
+            "  \"omega\": {\n"
+            "   \"hi\": [\n"
+            "    \"1\",\n"
+            "    \"1\"\n"
+            "   ],\n"
+            "   \"lo\": [\n"
+            "    \"0\",\n"
+            "    \"0\"\n"
+            "   ]\n"
+            "  },\n"
+            "  \"spins_rle\": [\n"
+            "   [\n"
+            "    1,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    195,\n"
+            "    1\n"
+            "   ],\n"
+            "   [\n"
+            "    1,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    195,\n"
+            "    1\n"
+            "   ],\n"
+            "   [\n"
+            "    1,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    202,\n"
+            "    1\n"
+            "   ],\n"
+            "   [\n"
+            "    1,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    76,\n"
+            "    1\n"
+            "   ],\n"
+            "   [\n"
+            "    4,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    27,\n"
+            "    1\n"
+            "   ],\n"
+            "   [\n"
+            "    4,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    27,\n"
+            "    1\n"
+            "   ],\n"
+            "   [\n"
+            "    4,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    27,\n"
+            "    1\n"
+            "   ],\n"
+            "   [\n"
+            "    4,\n"
+            "    -1\n"
+            "   ],\n"
+            "   [\n"
+            "    192,\n"
+            "    1\n"
+            "   ]\n"
+            "  ]\n"
+            " },\n"
+            " \"m\": 4,\n"
+            " \"marked\": [\n"
+            "  [\n"
+            "   2,\n"
+            "   3\n"
+            "  ],\n"
+            "  [\n"
+            "   3,\n"
+            "   5\n"
+            "  ],\n"
+            "  [\n"
+            "   5,\n"
+            "   2\n"
+            "  ]\n"
+            " ],\n"
+            " \"marked_count\": 3,\n"
+            " \"phase\": 1\n"
+            "}\n"
+        ),
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""Support layers: rational plane geometry, integer lattices, max-flow."""
+"""Support layers: rational plane geometry, integer lattices, max-flow,
+and the scalar per-cube rule that classifies phase targets on cubes."""
 
 import itertools
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinhom.gamma_limit import Box, Boxes, Constant, MultiphaseField, Slab
 from spinhom.geometry import (
     box_polygon,
     clip_polygon,
@@ -374,3 +376,95 @@ def test_max_flow_with_terminal_arcs_on_many_nodes(top):
 def test_max_flow_edge_cases(n, edges, flow, side):
     got, want = flow_and_oracle(n, edges, 0, n - 1)
     assert got == want == (flow, side)
+
+
+# ---------------------------------------------------------------------------
+# phase targets on cubes
+
+
+def constant_on_box(target, lo, hi):
+    """The state of a phase target on the closed box [lo, hi] when it is
+    constant there, else None; a tuple of states for a MultiphaseField.
+
+    The scalar rule over Fractions, one box at a time: the oracle of the
+    cube-grid classification ``on_cubes``.
+    """
+    if isinstance(target, MultiphaseField):
+        states = tuple(constant_on_box(p, lo, hi) for p in target.phases)
+        return None if None in states else states
+    if isinstance(target, Constant):
+        return target.value
+    if isinstance(target, Slab):
+        dots = [sum(a * b for a, b in zip(c, target.normal)) for c in itertools.product(*zip(lo, hi))]
+        if min(dots) > target.offset:
+            return 1
+        if max(dots) <= target.offset:
+            return -1
+        return None
+    outside_all = True
+    for b in target.boxes:
+        if all(a >= c and bb <= d for a, bb, c, d in zip(lo, hi, b.lo, b.hi)):
+            return 1
+        if not any(bb <= c or d <= a for a, bb, c, d in zip(lo, hi, b.lo, b.hi)):
+            outside_all = False
+    return -1 if outside_all else None
+
+
+def random_target(rng: random.Random, d: int, eps: Fraction, m: int, corners):
+    """A slab, boxes or a constant whose offsets and faces often fall on
+    the footprint corners eps * corners, so that footprints touch them."""
+    kind = rng.choice(("slab", "boxes", "constant"))
+    if kind == "constant":
+        return Constant(rng.choice((1, -1)))
+    if kind == "slab":
+        normal = [F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(d)]
+        if not any(normal):
+            normal[0] = F(1)
+        if rng.random() < 0.2:
+            # past int64: the object path
+            normal = [c * 2**70 for c in normal]
+        corner = [eps * (rng.choice(corners) + rng.choice((0, m))) for _ in range(d)]
+        offset = sum(a * b for a, b in zip(normal, corner))
+        if rng.random() < 0.3:
+            offset += F(rng.randrange(-5, 6), rng.randrange(1, 7))
+        return Slab(tuple(normal), offset)
+    boxes = []
+    # boxes in disjoint windows of axis 0, so their closures are disjoint
+    cuts = sorted(rng.sample(range(min(corners) - m, max(corners) + 2 * m), 4))
+    for lo0, hi0 in ((cuts[0], cuts[1]), (cuts[2], cuts[3]))[: rng.randrange(0, 3)]:
+        lo = [eps * lo0]
+        hi = [eps * hi0]
+        for _ in range(d - 1):
+            a, b = sorted(rng.sample(range(min(corners) - m, max(corners) + 2 * m), 2))
+            lo.append(eps * a)
+            hi.append(eps * b)
+        if d > 1 and rng.random() < 0.3:
+            lo[-1] -= F(1, 7)
+        boxes.append(Box(tuple(lo), tuple(hi)))
+    return Boxes(tuple(boxes))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_on_cubes_matches_scalar_rule(d):
+    rng = random.Random(29 + d)
+    for _ in range(150):
+        eps = F(1, rng.randrange(1, 20))
+        m = rng.randrange(1, 6)
+        corners = range(rng.randrange(-12, 6), rng.randrange(7, 18))
+        firsts = [np.array(sorted(rng.sample(corners, rng.randrange(1, min(6, len(corners))))), dtype=np.int64)
+                  for _ in range(d)]
+        target = random_target(rng, d, eps, m, list(corners))
+        got = target.on_cubes(eps, firsts, m)
+        assert got.dtype == np.int8 and got.shape == tuple(len(f) for f in firsts)
+        for index in itertools.product(*(range(len(f)) for f in firsts)):
+            first = [int(f[i]) for f, i in zip(firsts, index)]
+            want = constant_on_box(target, [eps * f for f in first], [eps * (f + m) for f in first])
+            assert got[index] == (want or 0), (target, eps, m, first)
+
+
+def test_on_cubes_on_an_empty_grid():
+    eps = F(1, 4)
+    empty = [np.zeros(0, dtype=np.int64), np.arange(3)]
+    box = Box((F(0), F(0)), (F(1), F(1)))
+    for target in (Slab((F(1), F(1)), F(1)), Boxes((box,)), Boxes(()), Constant(-1)):
+        assert target.on_cubes(eps, empty, 2).shape == (0, 3)

@@ -24,7 +24,7 @@ from spinhom.surface_tension import (
     orthogonal_frame,
 )
 
-from conftest import FIXTURES, fixture_model
+from conftest import FIXTURE_NAMES, FIXTURES, fixture_model
 
 
 def in_frame_cube(site, frame, side) -> bool:
@@ -281,15 +281,52 @@ def test_fhom_estimate_warns_below_coarsening_side():
 
 def test_check_cells_warns_in_order_and_stops_at_the_first_invalid_cell():
     model = fixture_model("two_chains")
-    cells = [(1, (1,), 1), (2, (1,), 1), (2, (1,), 4), (1, (1, 0), 4), (3, (1,), 4)]
+    cells = [(2, (1,), 1), (1, (1,), 4), (2, (1,), 4), (1, (1, 0), 4), (3, (1,), 4)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="direction must have 1 coordinates"):
             check_cells(model, cells)
     assert [str(w.message) for w in caught] == [
-        "cube side 1 is below the coarsening side 2 of phase 1",
         "cube side 1 is below the coarsening side 2 of phase 2",
     ]
+
+
+def test_check_cells_finds_a_cube_without_core_sites_before_later_cells():
+    """The cube of side 1 of two_chains holds site 0 only, a phase-2
+    site: phase 1's cell fails after its own warning, before phase 2's
+    cell is looked at."""
+    model = fixture_model("two_chains")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="phase 1 has no cluster sites in the cube of side 1"):
+            check_cells(model, [(1, (1,), 1), (2, (1,), 1)])
+    assert [str(w.message) for w in caught] == [
+        "cube side 1 is below the coarsening side 2 of phase 1",
+    ]
+    with pytest.raises(ValueError, match="phase 1 has no cluster sites in the cube of side 1"):
+        cell_value(model, 1, (1,), 1)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_core_site_check_agrees_with_the_built_cell(name):
+    """The check builds no cube mask past ceil(sqrt(d) P); below it, it
+    raises exactly where the built cell has no site."""
+    model = fixture_model(name)
+    d = model.dimension
+    directions = [(1,), (-2,)] if d == 1 else [(1, 0), (1, 1), (1, 2), (-3, 5)]
+    for phase in range(1, model.num_phases + 1):
+        if not model.summary.core_residues.get(phase):
+            continue
+        for nu in directions:
+            frame = [_primitive(w) for w in orthogonal_frame(nu)]
+            nu_q = tuple(Fraction(c) for c in nu)
+            for side in range(1, 3 * model.period + 3):
+                terms = _cell_instance(model, core_phases(model) == phase, frame, side)
+                if terms.size:
+                    surface_tension._check_core_sites(model, phase, nu_q, side)
+                else:
+                    with pytest.raises(ValueError, match="no cluster sites"):
+                        surface_tension._check_core_sites(model, phase, nu_q, side)
 
 
 def counting_coarsening_side(monkeypatch) -> list:
