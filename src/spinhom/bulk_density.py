@@ -3,10 +3,13 @@
 phi_M(z) is the minimal weak-bond plus forcing energy per site over the
 centered discrete cube Q_M, with every strong component that touches the
 infinite cluster of phase j frozen at the prescribed spin z_j and every
-finite strong component free but constant.  phi_tilde_M(z) additionally
-pins at +1 the finite components too close to the cube boundary for a
-whole translate of them to fit; the two estimates sandwich the limit
-density:
+finite strong component free but constant.  That cluster is made of
+whole residue classes (the core of phase j), so a site of Q_M is held
+at z_j exactly when its residue lies in that core; only the loose hard
+sites, outside every core, need their strong components in the cube.
+phi_tilde_M(z) additionally pins at +1 the finite components too close
+to the cube boundary for a whole translate of them to fit; the two
+estimates sandwich the limit density:
 
     phi_tilde_M(z) - c / M  <=  phi(z)  <=  phi_tilde_M(z)
 
@@ -46,27 +49,48 @@ def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]
     return states
 
 
-def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
-    """Connected pieces of each strong phase inside Q_M, one label per site.
+def _check_core_closure(model: LatticeModel) -> None:
+    """Raise ValueError when a strong bond joins residues that lie in
+    different cores, or in a core and outside every core.  Only a model
+    that fails the hard-closure rule of :func:`model.validate` can."""
+    core = dict(zip(model.residues(), core_phases(model).tolist()))
+    t = model.period
+    for r in model.residues():
+        for off in sorted(model.strong_offsets(r)):
+            if core[tuple((a + b) % t for a, b in zip(r, off))] != core[r]:
+                raise ValueError(
+                    f"strong bond (from={r}, offset={off}) joins residues of "
+                    "different cores; the model fails validation"
+                )
 
-    Sites are numbered in C (lexicographic) order.  A hard site's label
-    is the number of the smallest site of its component; soft sites get
+
+def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
+    """Connected pieces of the loose hard sites inside Q_M, one label per site.
+
+    A hard site is loose when its residue lies outside every core
+    (islands and infinite-multiple pieces).  Sites are numbered in C
+    (lexicographic) order.  A loose site's label is the number of the
+    smallest site of its component; every other site, core or soft, gets
     -1.  Connectivity uses strong bonds with both endpoints in the cube,
     so a periodic component generally splinters near the boundary.  The
     components come from :func:`connectivity.components` over the strong
-    (residue, offset) class pairs.
+    (residue, offset) class pairs of the loose residues; a strong bond
+    never leaves a core, which :func:`_check_core_closure` checks first.
     """
     box = (cube_range(m),) * model.dimension
     residues = list(model.residues())
-    hard = np.array([model.labels[r] != 0 for r in residues])[residue_ids(model, box)]
+    _check_core_closure(model)
+    loose = np.array([model.labels[r] != 0 for r in residues]) & (core_phases(model) == 0)
     ends = [
         class_pairs(model, box, r, off)
-        for r in residues for off in sorted(model.strong_offsets(r))
+        for r in itertools.compress(residues, loose)
+        for off in sorted(model.strong_offsets(r))
     ]
     empty = [np.empty(0, dtype=np.int64)]
     a = np.concatenate([src for src, _ in ends] + empty)
     b = np.concatenate([dst for _, dst in ends] + empty)
-    return np.where(hard, components(hard.size, a, b), -1)
+    on = loose[residue_ids(model, box)]
+    return np.where(on, components(on.size, a, b), -1)
 
 
 def build_phi_instance(
@@ -77,17 +101,17 @@ def build_phi_instance(
 ) -> CellTerms:
     """Term arrays of the cube problem whose minimum over Q_M defines phi_M(states).
 
-    Sites are numbered in C (lexicographic) order of Q_M.  A strong
-    component that meets the core of its phase is fixed at that phase's
-    state; every other component is one free group, and soft sites are
-    free on their own.  Each weak pair is taken once, from its
+    Sites are numbered in C (lexicographic) order of Q_M.  A site whose
+    residue lies in the core of phase j is fixed at that phase's state,
+    site by site; each strong component of the loose hard sites (from
+    :func:`hard_components_in_cube`) is one free group, and soft sites
+    are free on their own.  Each weak pair is taken once, from its
     lexicographically smaller site, at twice the bond weight (the model
     declares both orientations); forcing enters per residue.
 
     ``pinned`` sites (used by the island-corrected estimate) are fixed
     at +1 with their groups; they belong to finite components, so this
-    never conflicts with the phase states imposed on the infinite
-    clusters.
+    never conflicts with the phase states imposed on the cores.
     """
     if m <= 0:
         raise ValueError("cube side must be positive")
@@ -98,12 +122,8 @@ def build_phi_instance(
     res_id = residue_ids(model, box)
 
     labels = hard_components_in_cube(model, m)
-    hard = labels >= 0
-    group = np.where(hard, labels, np.arange(labels.size))
-    held = np.zeros(labels.size, dtype=bool)
-    held[labels[(core_phases(model) > 0)[res_id]]] = True
-    phase = np.array([model.labels[r] for r in residues])[res_id[group]]
-    fixed = np.where(held[group], np.array((0,) + states)[phase], 0).astype(np.int8)
+    group = np.where(labels >= 0, labels, np.arange(labels.size))
+    fixed = np.array((0,) + states, dtype=np.int8)[core_phases(model)[res_id]]
 
     pins = [tuple(x) for x in pinned]
     if pins:

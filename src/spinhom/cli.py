@@ -479,13 +479,27 @@ def cmd_examples(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Skipped:
+    """Takes the arguments of a subcommand that a parser leaves out."""
+
+    def add_argument(self, *args, **kwargs) -> None:
+        pass
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser; with ``command``, the top level and that
+    one subcommand only (the parser :func:`run` tries first)."""
     parser = argparse.ArgumentParser(
         prog="spinhom",
         description="Homogenized limits of periodic double-porosity spin systems.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, **kwargs):
+        if command in (None, name):
+            return subparsers.add_parser(name, **kwargs)
+        return _Skipped()
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["csv", "json"], help="output format")
@@ -498,14 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
 
-    p = sub.add_parser("validate", parents=[common], help="check a model file")
+    p = add("validate", parents=[common], help="check a model file")
     p.add_argument("model")
 
-    p = sub.add_parser("components", parents=[common],
-                       help="periodic components and their classification")
+    p = add("components", parents=[common],
+            help="periodic components and their classification")
     p.add_argument("model")
 
-    p = sub.add_parser("fhom", parents=[common, jobs], help="surface tension cell values")
+    p = add("fhom", parents=[common, jobs], help="surface tension cell values")
     p.add_argument("model")
     p.add_argument("--normal", type=_fraction_list, required=True,
                    help="interface normal, comma-separated rationals")
@@ -513,27 +527,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cube sides, comma-separated, increasing")
     p.add_argument("--phase", type=int, help="restrict to one phase (default: all)")
 
-    p = sub.add_parser("phi", parents=[common, jobs],
-                       help="bulk density estimates on finite cubes")
+    p = add("phi", parents=[common, jobs],
+            help="bulk density estimates on finite cubes")
     p.add_argument("model")
     p.add_argument("--M", dest="sides", type=_int_list, required=True,
                    help="cube sides, comma-separated, increasing")
     p.add_argument("--z", type=_states, help="phase states, e.g. 1,-1 (default: all)")
 
-    p = sub.add_parser("energy", parents=[common], help="discrete energy of a spin field")
+    p = add("energy", parents=[common], help="discrete energy of a spin field")
     p.add_argument("model")
     p.add_argument("--field", required=True, help="spin field JSON (path or inline)")
     p.add_argument("--omega", help="restrict to a subdomain (path or inline JSON)")
 
-    p = sub.add_parser("extend", help="coarse-grain a field over cubes of side M")
+    p = add("extend", help="coarse-grain a field over cubes of side M")
     p.add_argument("model")
     p.add_argument("--field", required=True, help="spin field JSON (path or inline)")
     p.add_argument("--phase", type=int, required=True)
     p.add_argument("--M", dest="m", type=int, required=True)
     p.add_argument("--out", help="write the extended field to a file")
 
-    p = sub.add_parser("gamma-eval", parents=[common],
-                       help="evaluate the limit functional on a target")
+    p = add("gamma-eval", parents=[common],
+            help="evaluate the limit functional on a target")
     p.add_argument("model")
     p.add_argument("--omega", required=True, help="domain JSON (path or inline)")
     p.add_argument("--target", required=True, help="target field JSON (path or inline)")
@@ -542,8 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", dest="m_list", type=_int_list, required=True,
                    help="bulk density cube sides")
 
-    p = sub.add_parser("converge", parents=[common],
-                       help="recovery-sequence energies against the limit value")
+    p = add("converge", parents=[common],
+            help="recovery-sequence energies against the limit value")
     p.add_argument("model")
     p.add_argument("--omega", required=True)
     p.add_argument("--target", required=True)
@@ -554,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-side", type=int,
                    help="cube side for the bulk density reference (default: finest 1/eps)")
 
-    p = sub.add_parser("examples", help="run the bundled fixture suite")
+    p = add("examples", help="run the bundled fixture suite")
     p.add_argument("--only", help="substring filter on check names")
 
     return parser
@@ -573,10 +587,22 @@ HANDLERS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the subcommand
+    named first when that suffices.  Help, ``--version``, a missing or
+    unknown command and leftover arguments take the full parser, whose
+    usage lines name every command."""
+    if argv and argv[0] in HANDLERS and "-h" not in argv and "--help" not in argv:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "format", None) is None:

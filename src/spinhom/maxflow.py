@@ -17,11 +17,12 @@ augmentation instead of one search of the whole network per phase
 pseudo-polynomial, O(m n^2 |C|) for a cut of value |C|; integer
 capacities still guarantee that it stops at the exact maximum.
 
-The set of nodes :meth:`FlowNetwork.source_side` reaches after
+The set of nodes reachable from the source in the residual graph after
 :meth:`FlowNetwork.max_flow` is the same for every maximum flow: it is
-the smallest source set of a minimum cut.  So the cut it reports does
-not depend on the algorithm or on the order in which augmenting paths
-are found.
+the smallest source set of a minimum cut.  So the cut that
+:meth:`FlowNetwork.source_side` reports does not depend on the algorithm
+or on the order in which augmenting paths are found.  It is the final
+source tree, which needs no second search (see :meth:`source_side`).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class FlowNetwork:
         self.to: list[int] = to.tolist()
         self.cap: list[int] = caps.tolist()
         self.adj: list[list[int]] = [order[a:b] for a, b in zip([0, *stops], stops)]
+        self._source_tree: tuple[int, list[int]] | None = None  # (s, tree) of max_flow
 
     def max_flow(self, s: int, t: int) -> int:
         """Push a maximum s-t flow into the residual capacities ``cap``
@@ -149,17 +151,22 @@ class FlowNetwork:
                             if parent[w] == eid ^ 1:
                                 parent[w] = _ORPHAN
                                 orphans.append(w)
+        self._source_tree = (s, tree)
         return flow
 
     def source_side(self, s: int) -> set[int]:
-        """Nodes reachable from s in the residual graph (call after max_flow)."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+        """Nodes reachable from s in the residual graph after ``max_flow(s, t)``.
+
+        They are the nodes of the final source tree.  Every tree node is
+        reached from s along tree arcs with residual capacity, and the
+        tree is closed under residual arcs: a node leaves the active
+        queue only when every residual arc leaving it ends in the tree,
+        it is queued again when such an arc's head leaves the tree, an
+        augmentation adds residual capacity only to arcs within one tree
+        or from the sink tree into the source tree, and ``max_flow``
+        stops with the queue empty.
+        """
+        if self._source_tree is None or self._source_tree[0] != s:
+            raise ValueError(f"source_side({s}) needs a max_flow from source {s} first")
+        tree = self._source_tree[1]
+        return {v for v in range(self.n) if tree[v] > 0}

@@ -311,12 +311,10 @@ class SurfaceTable:
     def from_model(
         cls, model: LatticeModel, directions: Iterable[Sequence], sides: Sequence[int] | int
     ) -> "SurfaceTable":
+        sides = check_sides((sides,) if isinstance(sides, int) else sides)
         directions = [canonical_direction(direction) for direction in directions]
         if not directions:
             return cls(model.num_phases, {})
-        if isinstance(sides, int):
-            sides = (sides,)
-        sides = tuple(sides)
         phases = range(1, model.num_phases + 1)
         check_cells(model, [(j, nu, t) for nu in directions for j in phases for t in sides])
         rows = {(j, nu): _surface_row(model, j, nu, sides) for nu in directions for j in phases}

@@ -29,7 +29,7 @@ from spinhom.ground_state import (
     energy,
     minimize,
 )
-from spinhom.model import parse_model
+from spinhom.model import parse_model, validate
 
 from conftest import FIXTURE_NAMES, fixture_document, fixture_model, random_chain_model
 from test_ground_state import brute_argmin, group_assignments
@@ -226,13 +226,8 @@ def test_phi_instance_structure_two_chains():
     # every site is hard here, pinned to the state of its phase
     fixed = {x: int(spin) for x, spin in zip(sites, terms.fixed) if spin}
     assert fixed == {(-2,): -1, (0,): -1, (-1,): 1, (1,): 1}
-    groups: dict = {}
-    for x, g in zip(sites, terms.group.tolist()):
-        groups.setdefault(g, set()).add(x)
-    assert {frozenset(g) for g in groups.values() if len(g) > 1} == {
-        frozenset({(-2,), (0,)}),
-        frozenset({(-1,), (1,)}),
-    }
+    # held sites are fixed one by one, not grouped by component
+    assert terms.group.tolist() == list(range(4))
 
 
 def test_phi_solution_exact_with_no_free_sites():
@@ -391,22 +386,52 @@ def test_huge_denominators_take_the_object_path_exactly():
             assert phi_solution(model, m, states).energy == best
 
 
+def loose_components(model, m):
+    """The oracle's strong components of Q_M that hold no core site."""
+    s = classify(model)
+    return [
+        comp for phase, comp in reference_components(model, m)
+        if not any(s.in_core(phase, x) for x in comp)
+    ]
+
+
+def assert_loose_labels(model, m):
+    """Each loose component carries the number of its smallest site; core
+    and soft sites carry -1."""
+    sites = cube_sites(model.dimension, m)
+    labels = hard_components_in_cube(model, m)
+    assert labels.shape == (len(sites),)
+    comps: dict = {}
+    for x, label in zip(sites, labels.tolist()):
+        if label >= 0:
+            comps.setdefault(label, set()).add(x)
+    assert {frozenset(c) for c in comps.values()} == set(loose_components(model, m))
+    assert all(sites[label] == min(c) for label, c in comps.items())
+    s = classify(model)
+    for x, label in zip(sites, labels.tolist()):
+        if label < 0:
+            assert model.label(x) == 0 or s.in_core(model.label(x), x)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_union_find_labels_are_the_bfs_components(name):
     model = fixture_model(name)
     for m in ORACLE_SIDES[model.dimension] + (31,):
-        labels = hard_components_in_cube(model, m)
-        sites = cube_sites(model.dimension, m)
-        assert labels.shape == (len(sites),)
-        comps: dict = {}
-        for x, label in zip(sites, labels.tolist()):
-            if label >= 0:
-                comps.setdefault(label, set()).add(x)
-        want = reference_components(model, m)
-        assert {frozenset(c) for c in comps.values()} == {c for _, c in want}
-        # a component's label is the number of its smallest site
-        assert all(sites[label] == min(c) for label, c in comps.items())
-        assert all(model.label(x) == 0 for x, label in zip(sites, labels.tolist()) if label < 0)
+        assert_loose_labels(model, m)
+
+
+def test_union_find_gets_no_pairs_without_loose_residues(monkeypatch):
+    """Models whose hard residues all lie in cores run the union-find on
+    zero pairs."""
+    seen = []
+    real = bulk_density.components
+    monkeypatch.setattr(bulk_density, "components", lambda n, a, b: seen.append(a.size) or real(n, a, b))
+    for name in ("soft_inclusions_2d", "diagonal_2d"):
+        labels = hard_components_in_cube(fixture_model(name), 12)
+        assert (labels == -1).all()
+    assert seen == [0, 0]
+    hard_components_in_cube(fixture_model("islands_1d"), 12)
+    assert seen[-1] > 0
 
 
 def test_pinned_site_errors():
@@ -421,10 +446,11 @@ def test_pinned_site_errors():
     build_phi_instance(model, 8, (1,), pinned=[core])
 
 
-def random_strong_graph_2d(rng: random.Random):
+def random_strong_graph_2d(rng: random.Random, bond: float = 0.25):
     """Period-3 planar model with a random set of hard residues and random
-    symmetric strong bonds among them (up to range 2): islands, strips
-    and spanning clusters all occur."""
+    symmetric strong bonds among them (up to range 2), each offset drawn
+    with probability ``bond``: islands, strips and spanning clusters all
+    occur, the first two mostly at small ``bond``."""
     residues = list(itertools.product(range(3), repeat=2))
     labels = {r: int(rng.random() < 0.6) for r in residues}
     labels[(0, 0)] = 1
@@ -434,7 +460,7 @@ def random_strong_graph_2d(rng: random.Random):
             continue
         for off in itertools.product(range(-2, 3), repeat=2):
             target = tuple((a + b) % 3 for a, b in zip(r, off))
-            if any(off) and labels[target] and rng.random() < 0.25:
+            if any(off) and labels[target] and rng.random() < bond:
                 strong.add((r, off))
                 strong.add((target, tuple(-c for c in off)))
     key = lambda r: ",".join(map(str, r))
@@ -449,12 +475,105 @@ def random_strong_graph_2d(rng: random.Random):
 
 def test_union_find_labels_on_random_strong_graphs():
     rng = random.Random(1414)
-    for trial in range(40):
-        model = random_strong_graph_2d(rng)
+    loose = 0
+    for trial in range(60):
+        model = random_strong_graph_2d(rng, (0.25, 0.05, 0.1)[trial % 3])
         m = rng.choice((5, 9, 14))
-        sites = cube_sites(2, m)
-        labels = hard_components_in_cube(model, m).tolist()
-        for phase, comp in reference_components(model, m):
-            first = min(comp)
-            assert {labels[sites.index(x)] for x in comp} == {sites.index(first)}, trial
-        assert sum(label >= 0 for label in labels) == sum(model.label(x) != 0 for x in sites)
+        assert_loose_labels(model, m)
+        loose += bool(loose_components(model, m))
+    assert loose >= 20  # islands and strips, not only spanning cores
+
+
+def random_valid_model_2d(rng: random.Random, num_phases: int):
+    """Period-3 planar model that passes validation.  Residue (j - 1, 0)
+    is bonded to its own translates along both axes, so its class is the
+    core of phase j.  Each residue and offset of range 2 (one of each
+    opposite pair) draws a bond with probability 0.08: a strong one when
+    both ends carry the same hard phase (growing the core or making
+    islands), else a nonnegative weak one when the range is 1.  Some
+    residues get forcing.  Drawn again until the model validates (no
+    strip, no second core)."""
+    residues = list(itertools.product(range(3), repeat=2))
+    key = lambda r: ",".join(map(str, r))
+    while True:
+        labels = {r: rng.randrange(num_phases + 1) for r in residues}
+        strong, weak = [], []
+        for j in range(1, num_phases + 1):
+            labels[(j - 1, 0)] = j
+            strong += [((j - 1, 0), off, "1") for off in ((3, 0), (-3, 0), (0, 3), (0, -3))]
+        for r in residues:
+            for off in itertools.product(range(-2, 3), repeat=2):
+                if off <= (0, 0) or rng.random() >= 0.08:
+                    continue
+                target = tuple((a + b) % 3 for a, b in zip(r, off))
+                if labels[r] and labels[r] == labels[target]:
+                    bonds = strong
+                elif max(map(abs, off)) == 1:
+                    bonds = weak
+                else:
+                    continue
+                w = str(Fraction(rng.randrange(1, 5), 8))
+                bonds += [(r, off, w), (target, tuple(-c for c in off), w)]
+        forcing = {
+            key(r): {"plus": str(Fraction(rng.randrange(3), 4)), "minus": str(Fraction(rng.randrange(3), 4))}
+            for r in residues if rng.random() < 0.3
+        }
+        entry = lambda r, off, w: {"from": key(r), "offset": list(off), "weight": w}
+        model = parse_model({
+            "dimension": 2, "period": 3, "num_phases": num_phases,
+            "labels": {key(r): lab for r, lab in labels.items()},
+            "strong_bonds": [entry(*b) for b in strong],
+            "weak_bonds": [entry(*b) for b in weak],
+            "forcing": forcing,
+        })
+        if validate(model).passed:
+            return model
+
+
+def assert_fixed_matches_oracle(model, m, rng):
+    """Per-site ``fixed`` against the oracle's per-component one, for every
+    state, without pins, with the island-corrected pins and with random
+    pins; then the solutions of the plain and the island-corrected cube."""
+    s = classify(model)
+    sites = cube_sites(model.dimension, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a cube inside the island radius
+        excluded = excluded_set(model, m)
+    for states in itertools.product((1, -1), repeat=model.num_phases):
+        held = reference_phi_instance(model, m, states, s).fixed
+        free = [x for x in sites if held.get(x, 1) == 1]
+        for pins in ((), excluded, rng.sample(free, min(3, len(free)))):
+            terms = build_phi_instance(model, m, states, pins)
+            want = reference_phi_instance(model, m, states, s, pins).fixed
+            assert terms.fixed.tolist() == [want.get(x, 0) for x in sites]
+        for pins in ((), excluded):
+            got = minimize(build_phi_instance(model, m, states, pins), method="cut")
+            want = minimize(reference_phi_instance(model, m, states, s, pins), method="cut")
+            assert_same_solution(got, want, sites)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixed_by_residue_matches_fixed_by_component(name):
+    model = fixture_model(name)
+    for m in ORACLE_SIDES[model.dimension]:
+        assert_fixed_matches_oracle(model, m, random.Random(m))
+
+
+@pytest.mark.parametrize("num_phases", [1, 2])
+def test_fixed_by_residue_matches_fixed_by_component_on_random_models(num_phases):
+    rng = random.Random(1616 + num_phases)
+    islands = 0
+    for trial in range(15):
+        model = random_valid_model_2d(rng, num_phases)
+        assert_fixed_matches_oracle(model, rng.choice((4, 5, 7)), rng)
+        islands += bool(model.summary.islands())
+    assert islands >= 4
+
+
+def test_strong_bond_between_cores_is_refused():
+    doc = fixture_document("two_chains")
+    doc["weak_bonds"] = [b for b in doc["weak_bonds"] if b["from"] != "0" or b["offset"] != [1]]
+    doc["strong_bonds"].append({"from": "0", "offset": [1], "weight": "1/8"})
+    model = parse_model(doc)
+    with pytest.raises(ValueError, match=r"strong bond \(from=\(0,\), offset=\(1,\)\) joins residues of different cores"):
+        build_phi_instance(model, 4, (1, -1))

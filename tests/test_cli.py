@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import spinhom
+from spinhom import cli
 from spinhom.bulk_density import build_phi_instance
 from spinhom.cli import build_parser, run
 from spinhom.gamma_limit import load_field
@@ -575,6 +576,77 @@ def test_fhom_reports_an_empty_cube_after_its_own_warning(capfd):
         "warning: cube side 1 is below the coarsening side 2 of phase 1\n"
         "error: phase 1 has no cluster sites in the cube of side 1\n"
     )
+
+
+def test_gamma_eval_rejects_sides_that_do_not_increase(capsys):
+    argv = ["gamma-eval", INCLUSIONS, "--omega", '{"lo":["0","0"],"hi":["1","1"]}',
+            "--target", '{"phases":[{"slab":{"normal":["1","0"],"offset":"1/2"}}]}',
+            "--T", "8,4,4", "--M", "4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cube sides must be strictly increasing\n"
+
+
+def test_phi_refuses_a_strong_bond_between_cores(capsys, tmp_path):
+    """A strong bond from phase 2's chain to phase 1's fails validation;
+    ``phi`` refuses the model instead of holding one mixed cluster."""
+    doc = fixture_document("two_chains")
+    doc["weak_bonds"] = [b for b in doc["weak_bonds"] if (b["from"], b["offset"]) != ("0", [1])]
+    doc["strong_bonds"].append({"from": "0", "offset": [1], "weight": "0.25"})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    capsys.readouterr()
+    assert run(["phi", str(path), "--M", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: strong bond (from=(0,), offset=(1,)) joins residues of different cores; "
+        "the model fails validation\n"
+    )
+
+
+T = "two_chains.json"  # run from the fixture directory, so test ids hold no path
+PARSER_ARGVS = (
+    [[name, "-h"] for name in cli.HANDLERS]
+    + [["-h"], ["--help"], ["--version"], [], ["bogus"], ["ph"], ["--version", "phi"],
+       ["phi", "--help"], ["phi", T, "--M", "4", "-h"]]
+    # missing required arguments
+    + [["phi"], ["phi", T], ["fhom", T, "--T", "4"], ["gamma-eval", T, "--T", "4"],
+       ["extend", T, "--field", "{}"], ["converge", T, "--M", "4"]]
+    # bad values
+    + [["phi", T, "--M", "x"], ["phi", T, "--M", "4", "--z", "2"],
+       ["phi", T, "--M", "4", "--jobs", "0"], ["phi", T, "--M", "4", "--format", "xml"],
+       ["fhom", T, "--normal", "a", "--T", "4"], ["extend", T, "--field", "{}",
+       "--phase", "x", "--M", "4"], ["examples", "--only"]]
+    # leftover arguments, which the top level reports
+    + [["phi", T, "--M", "4", "--version"], ["phi", T, "--M", "4", "extra"],
+       ["phi", T, "--M", "4", "--bogus"], ["validate", T, T], ["examples", "x"],
+       ["phi", T, "--M", "4", "--method", "cut"]]
+    # parsed, then run
+    + [["validate", T], ["components", T, "--csv"], ["phi", T, "--M", "2", "--js", "1"],
+       ["phi", T, "--M", "2", "--z", "1,-1", "--json"], ["examples", "--only", "zzz"]]
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_lazy_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    """:func:`run` builds only the subcommand named first when it can; its
+    stdout, stderr and exit code are those of the full parser."""
+    monkeypatch.chdir(FIXTURES)
+    lazy = run(argv), *capsys.readouterr()
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+    assert (run(argv), *capsys.readouterr()) == lazy
+
+
+def test_run_reads_sys_argv_and_builds_one_subcommand(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["spinhom", "--version"])
+    assert run() == 0
+    assert capsys.readouterr().out == f"spinhom {spinhom.__version__}\n"
+    (subparsers,) = build_parser("phi")._subparsers._group_actions
+    assert list(subparsers.choices) == ["phi"]
 
 
 def parser_flags(parser: argparse.ArgumentParser) -> set[str]:

@@ -230,6 +230,43 @@ def test_source_side_is_smallest_min_cut_source_set():
         assert net.source_side(0) == smallest_min_cut_side(n, edges, 0, n - 1)
 
 
+def residual_reach(net, s):
+    """Nodes reachable from s over arcs with residual capacity, by BFS."""
+    seen, queue = {s}, [s]
+    for u in queue:
+        for eid in net.adj[u]:
+            if net.cap[eid] > 0 and net.to[eid] not in seen:
+                seen.add(net.to[eid])
+                queue.append(net.to[eid])
+    return seen
+
+
+def test_source_side_is_the_residual_reach_of_the_source():
+    """The final source tree is closed under residual arcs, on sparse and
+    dense random networks with one-way and two-way arc pairs."""
+    rng = random.Random(61)
+    for trial in range(300):
+        n = rng.randrange(2, 40)
+        s, t = rng.sample(range(n), 2)
+        density = rng.choice((0.05, 0.2, 0.5))
+        edges = [
+            (*rng.sample((u, v), 2), rng.randrange(0, 6), rng.choice((0, rng.randrange(0, 6))))
+            for u in range(n) for v in range(u + 1, n) if rng.random() < density
+        ]
+        net = network(n, edges)
+        net.max_flow(s, t)
+        assert net.source_side(s) == residual_reach(net, s), f"trial {trial}"
+
+
+def test_source_side_needs_a_max_flow_from_the_same_source():
+    net = FlowNetwork(3, [0, 1], [1, 2], [1, 1])
+    with pytest.raises(ValueError, match="needs a max_flow"):
+        net.source_side(0)
+    net.max_flow(0, 2)
+    with pytest.raises(ValueError, match="needs a max_flow"):
+        net.source_side(1)
+
+
 def edmonds_karp(n, edges, s, t):
     """Maximum flow by shortest augmenting paths on a residual matrix, and
     the nodes reachable from s in the final residual graph."""
