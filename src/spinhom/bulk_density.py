@@ -49,21 +49,6 @@ def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]
     return states
 
 
-def _check_core_closure(model: LatticeModel) -> None:
-    """Raise ValueError when a strong bond joins residues that lie in
-    different cores, or in a core and outside every core.  Only a model
-    that fails the hard-closure rule of :func:`model.validate` can."""
-    core = dict(zip(model.residues(), core_phases(model).tolist()))
-    t = model.period
-    for r in model.residues():
-        for off in sorted(model.strong_offsets(r)):
-            if core[tuple((a + b) % t for a, b in zip(r, off))] != core[r]:
-                raise ValueError(
-                    f"strong bond (from={r}, offset={off}) joins residues of "
-                    "different cores; the model fails validation"
-                )
-
-
 def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
     """Connected pieces of the loose hard sites inside Q_M, one label per site.
 
@@ -75,11 +60,10 @@ def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
     so a periodic component generally splinters near the boundary.  The
     components come from :func:`connectivity.components` over the strong
     (residue, offset) class pairs of the loose residues; a strong bond
-    never leaves a core, which :func:`_check_core_closure` checks first.
+    never leaves a core, which :func:`connectivity.core_phases` checks.
     """
     box = (cube_range(m),) * model.dimension
     residues = list(model.residues())
-    _check_core_closure(model)
     loose = np.array([model.labels[r] != 0 for r in residues]) & (core_phases(model) == 0)
     ends = [
         class_pairs(model, box, r, off)
@@ -158,7 +142,6 @@ def build_phi_instance(
         h_plus=h_plus,
         h_minus=h_minus,
         scale=scale,
-        sites=box,
     )
 
 

@@ -537,7 +537,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p = add("energy", parents=[common], help="discrete energy of a spin field")
     p.add_argument("model")
     p.add_argument("--field", required=True, help="spin field JSON (path or inline)")
-    p.add_argument("--omega", help="restrict to a subdomain (path or inline JSON)")
+    p.add_argument("--omega",
+                   help="domain JSON (path or inline); must equal the field's own domain")
 
     p = add("extend", help="coarse-grain a field over cubes of side M")
     p.add_argument("model")
@@ -552,9 +553,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True, help="domain JSON (path or inline)")
     p.add_argument("--target", required=True, help="target field JSON (path or inline)")
     p.add_argument("--T", dest="sides", type=_int_list, required=True,
-                   help="surface tension cube sides")
+                   help="surface tension cube sides, comma-separated, increasing")
     p.add_argument("--M", dest="m_list", type=_int_list, required=True,
-                   help="bulk density cube sides")
+                   help="bulk density cube sides, comma-separated, increasing")
 
     p = add("converge", parents=[common],
             help="recovery-sequence energies against the limit value")

@@ -207,9 +207,25 @@ def residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
 
 
 def core_phases(model: LatticeModel) -> np.ndarray:
-    """Per residue number, the hard phase whose core holds the residue, else 0."""
+    """Per residue number, the hard phase whose core holds the residue, else 0.
+
+    Raises ValueError when a strong bond joins residues that lie in
+    different cores, or in a core and outside every core: no cell can
+    then hold its core sites by residue.  Only a model that fails the
+    hard-closure rule of :func:`model.validate` has such a bond.
+    """
     cores = model.summary.core_residues
-    return np.array([j if r in cores.get(j, ()) else 0 for r, j in sorted(model.labels.items())])
+    core = {r: j if r in cores.get(j, ()) else 0 for r, j in model.labels.items()}
+    t = model.period
+    residues = list(model.residues())
+    for r in residues:
+        for off in sorted(model.strong_offsets(r)):
+            if core[tuple((a + b) % t for a, b in zip(r, off))] != core[r]:
+                raise ValueError(
+                    f"strong bond (from={r}, offset={off}) joins residues of "
+                    "different cores; the model fails validation"
+                )
+    return np.array([core[r] for r in residues])
 
 
 def class_pairs(

@@ -25,7 +25,6 @@ import numpy as np
 from . import geometry
 from .bulk_density import PhiTable, phi_solution
 from .connectivity import class_pairs, coarsening_side, core_phases, residue_ids
-from .ground_state import SiteValues
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction
 
@@ -102,6 +101,28 @@ class DomainSpec:
             _fraction(v, f"{locus}.hi[{i}]") for i, v in enumerate(_array(obj["hi"], f"{locus}.hi"))
         )
         return cls(lo, hi)
+
+
+class SiteValues(Mapping):
+    """Read-only site -> spin view of a spin grid over a box of ranges."""
+
+    def __init__(self, spins: np.ndarray, ranges: Sequence[range]):
+        self._spins = spins
+        self._ranges = tuple(ranges)
+
+    def __getitem__(self, site) -> int:
+        if not isinstance(site, tuple) or len(site) != len(self._ranges):
+            raise KeyError(site)
+        index = tuple(c - r.start for c, r in zip(site, self._ranges))
+        if not all(0 <= i < n for i, n in zip(index, self._spins.shape)):
+            raise KeyError(site)
+        return int(self._spins[index])
+
+    def __iter__(self):
+        return itertools.product(*self._ranges)
+
+    def __len__(self) -> int:
+        return self._spins.size
 
 
 class SpinField:
@@ -617,9 +638,6 @@ def _slab_interface_measure(omega: DomainSpec, slab: Slab):
     """H^(d-1) measure of the slab interface inside the open box."""
     d = omega.dimension
     axis = _axis_of(slab.normal)
-    if d == 1:
-        v = slab.offset / slab.normal[0]
-        return Fraction(1) if omega.lo[0] < v < omega.hi[0] else Fraction(0)
     if axis is not None:
         v = slab.offset / slab.normal[axis]
         if not omega.lo[axis] < v < omega.hi[axis]:

@@ -33,15 +33,17 @@ two exact solvers:
   set.  Only the coupled groups enter the flow network, built from arc
   arrays in one pass.
 
-A frustrated instance too wide to eliminate is refused: its minimum is
-NP-hard in general, and no approximate value is returned in its place.
-Every result's energy is re-evaluated exactly from the unfolded term
-arrays (:meth:`CellTerms.evaluate`).
+:func:`minimize` is the one solver entry of every cell, bulk or surface:
+it eliminates an instance of at most :data:`DEFAULT_ENUM_CAP` free
+groups, cuts a larger one, and eliminates it after all when the min-cut
+finds it frustrated.  A frustrated instance too wide to eliminate is
+refused: its minimum is NP-hard in general, and no approximate value is
+returned in its place.  Every result's energy is re-evaluated exactly
+from the unfolded term arrays (:meth:`CellTerms.evaluate`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -102,54 +104,6 @@ class GroundStateInstance:
                 seen.add(v)
 
 
-class SiteValues(Mapping):
-    """Read-only site -> spin view of a spin grid over a box of ranges."""
-
-    def __init__(self, spins: np.ndarray, ranges: Sequence[range]):
-        self._spins = spins
-        self._ranges = tuple(ranges)
-
-    def __getitem__(self, site) -> int:
-        if not isinstance(site, tuple) or len(site) != len(self._ranges):
-            raise KeyError(site)
-        index = tuple(c - r.start for c, r in zip(site, self._ranges))
-        if not all(0 <= i < n for i, n in zip(index, self._spins.shape)):
-            raise KeyError(site)
-        return int(self._spins[index])
-
-    def __iter__(self):
-        return itertools.product(*self._ranges)
-
-    def __len__(self) -> int:
-        return self._spins.size
-
-
-class KeyedValues(Mapping):
-    """Read-only key -> spin view of a spin array, one key per entry.
-
-    ``keys`` is a sequence, or an (n, d) integer array whose rows are
-    site tuples; the key index is built on the first lookup.
-    """
-
-    def __init__(self, spins: np.ndarray, keys):
-        self._spins = spins
-        self._keys = keys
-        self._index: dict | None = None
-
-    def __getitem__(self, key) -> int:
-        if self._index is None:
-            self._index = {k: i for i, k in enumerate(self)}
-        return int(self._spins[self._index[key]])
-
-    def __iter__(self):
-        if isinstance(self._keys, np.ndarray):
-            return iter(map(tuple, self._keys.tolist()))
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._spins)
-
-
 @dataclass(frozen=True, eq=False)
 class CellTerms:
     """A cell's energy as flat integer term arrays, before folding.
@@ -161,10 +115,12 @@ class CellTerms:
     and ``v[k]`` with weight ``weights[pair_class[k]]``, a broken pair
     costing four times it; site i pays ``h_plus[site_class[i]]`` at +1
     and ``h_minus[site_class[i]]`` at -1.  Table entries are ints equal
-    to ``scale`` times their exact values.  ``sites`` names the sites:
-    a tuple of per-axis ranges for a box in C (lexicographic) order,
-    otherwise one key per site (a list, or an (n, d) integer array of
-    coordinates).
+    to ``scale`` times their exact values.
+
+    The cell order of each builder: the sites of the ``phi`` cube in C
+    (lexicographic) order over the box; the sites of a surface cell
+    inside the cube in lexicographic order, then those outside; the
+    variables of a :class:`GroundStateInstance` in sorted order.
     """
 
     fixed: np.ndarray
@@ -177,25 +133,10 @@ class CellTerms:
     h_plus: tuple[int, ...]
     h_minus: tuple[int, ...]
     scale: int
-    sites: object
 
     @property
     def size(self) -> int:
         return len(self.fixed)
-
-    def key(self, i: int):
-        """The name of site i."""
-        if isinstance(self.sites, tuple):
-            index = np.unravel_index(i, [len(r) for r in self.sites])
-            return tuple(r[int(k)] for r, k in zip(self.sites, index))
-        key = self.sites[i]
-        return tuple(int(c) for c in key) if isinstance(key, np.ndarray) else key
-
-    def view(self, spins: np.ndarray) -> Mapping:
-        """Read-only site -> spin mapping over a spin array in cell order."""
-        if isinstance(self.sites, tuple):
-            return SiteValues(spins.reshape([len(r) for r in self.sites]), self.sites)
-        return KeyedValues(spins, self.sites)
 
     def bound(self) -> int:
         """Sum of the magnitudes of all terms: no partial sum of the
@@ -230,11 +171,11 @@ def scaled_tables(*tables: Sequence[Fraction]) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """A minimizer: ``spins`` is a read-only int8 array in cell order and
-    ``assignment`` a read-only site -> spin view of it."""
+    """A minimizer: ``spins`` is a read-only int8 array in the cell order
+    of :class:`CellTerms` (sorted variables for a
+    :class:`GroundStateInstance`), ``method`` the solver that found it."""
 
     spins: np.ndarray
-    assignment: Mapping[Var, int]
     energy: Fraction
     method: str
 
@@ -302,7 +243,6 @@ def _instance_terms(instance: GroundStateInstance) -> CellTerms:
         h_plus=h_plus,
         h_minus=h_minus,
         scale=scale,
-        sites=keys,
     )
 
 
@@ -355,7 +295,7 @@ def fold_instance(instance: GroundStateInstance | CellTerms) -> FoldedInstance:
     minus = np.bincount(group[fixed < 0], minlength=n) > 0
     clash = np.flatnonzero(plus & minus)
     if clash.size:
-        raise ValueError(f"group of {terms.key(int(clash[0]))!r} carries conflicting fixed values")
+        raise ValueError(f"group of site {int(clash[0])} carries conflicting fixed values")
     spin = (plus.astype(np.int8) - minus.astype(np.int8))[group]
     free = spin == 0
     free_reps, free_node = np.unique(group[free], return_inverse=True)
@@ -419,12 +359,7 @@ def _finish(folded: FoldedInstance, spins, method: str) -> Solution:
     if not np.array_equal(values[held], terms.fixed[held]):
         raise RuntimeError("solution does not carry the spin of every fixed site")
     values.flags.writeable = False
-    return Solution(
-        spins=values,
-        assignment=terms.view(values),
-        energy=terms.evaluate(values),
-        method=method,
-    )
+    return Solution(spins=values, energy=terms.evaluate(values), method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -612,22 +547,17 @@ def minimize_cut(folded: FoldedInstance) -> Solution:
     return solution
 
 
-def minimize(instance: GroundStateInstance | CellTerms, method: str = "auto") -> Solution:
+def minimize(instance: GroundStateInstance | CellTerms) -> Solution:
     """Fold ``instance`` once and dispatch it to an exact solver.
 
-    ``enum`` and ``cut`` name the solver.  ``auto`` enumerates when there
-    are at most :data:`DEFAULT_ENUM_CAP` free groups, otherwise runs the
-    min-cut, and eliminates the same folded instance when the min-cut
-    finds it frustrated.  A frustrated instance too wide to eliminate
-    raises :class:`TooManyFreeGroups`.
+    Enumerates when there are at most :data:`DEFAULT_ENUM_CAP` free
+    groups, otherwise runs the min-cut, and eliminates the same folded
+    instance when the min-cut finds it frustrated.  A frustrated
+    instance too wide to eliminate raises :class:`TooManyFreeGroups`.
     """
-    if method not in ("auto", "enum", "cut"):
-        raise ValueError(f"unknown method {method!r}")
     folded = fold_instance(instance)
-    if method == "enum" or (method == "auto" and folded.free_count <= DEFAULT_ENUM_CAP):
+    if folded.free_count <= DEFAULT_ENUM_CAP:
         return minimize_enum(folded)
-    if method == "cut":
-        return minimize_cut(folded)
     try:
         return minimize_cut(folded)
     except FrustratedInstance:

@@ -11,8 +11,10 @@ The cube is realised exactly in an orthogonal frame aligned with nu,
 half-open along every frame axis, so opposite faces are never
 double-counted at any side.  The frame vectors are scaled to integers,
 so the cube and its bonds are built on an integer grid.  Values are
-exact rationals; minimisation is an s/t min-cut (strong couplings are
-positive on a coercive model).
+exact rationals, each cell's minimum from :func:`ground_state.minimize`:
+elimination for a cell of few free sites, else an s/t min-cut, which
+never finds a cell frustrated on a coercive model (its strong couplings
+are positive).
 """
 
 from __future__ import annotations
@@ -185,14 +187,13 @@ def cell_value(model: LatticeModel, phase: int, direction: Sequence, side: int) 
     _check_core_sites(model, phase, nu, side)
     frame = [_primitive(w) for w in orthogonal_frame(nu)]
     terms = _cell_instance(model, core_phases(model) == phase, frame, side)
-    solution = minimize(terms, method="cut")
-    return solution.energy / side ** (model.dimension - 1)
+    return minimize(terms).energy / side ** (model.dimension - 1)
 
 
 def _cell_instance(
     model: LatticeModel, in_core: np.ndarray, frame: Sequence[tuple[int, ...]], side: int
 ) -> CellTerms:
-    """The cut problem of one cube as term arrays: the core sites inside
+    """The cell problem of one cube as term arrays: the core sites inside
     are free, their strong neighbours outside are fixed to the
     sharp-interface datum.
 
@@ -226,14 +227,13 @@ def _cell_instance(
     outer, outer_number = np.unique(dst[outside], return_inverse=True)
     v = np.searchsorted(flat, dst)
     v[outside] = flat.size + outer_number
-    shape = (len(box[0]),) * d
-    sites = np.stack(np.unravel_index(np.concatenate([flat, outer]), shape), axis=1) - bound
+    coords = np.stack(np.unravel_index(outer, (len(box[0]),) * d), axis=1) - bound
 
     normal = frame[0]
     dtype = np.int64 if bound * sum(abs(c) for c in normal) < 2**62 else object
-    above = (sites[flat.size:].astype(dtype) * np.array(normal, dtype=dtype)).sum(axis=1) > 0
+    above = (coords.astype(dtype) * np.array(normal, dtype=dtype)).sum(axis=1) > 0
     scale, weights = scaled_tables([2 * model.weights[c] for c in classes])
-    n = len(sites)
+    n = flat.size + outer.size
     datum = np.where(above, 1, -1).astype(np.int8)
     return CellTerms(
         fixed=np.concatenate([np.zeros(flat.size, dtype=np.int8), datum]),
@@ -246,7 +246,6 @@ def _cell_instance(
         h_plus=(0,),
         h_minus=(0,),
         scale=scale,
-        sites=sites,
     )
 
 

@@ -32,11 +32,11 @@ from spinhom.gamma_limit import (
     extend,
     f_hom,
 )
-from spinhom.ground_state import minimize
 from spinhom.surface_tension import SurfaceTable, fhom_estimate
 
 from conftest import fixture_model, random_chain_model, FIXTURE_NAMES
 from test_ground_state import random_instance
+from test_helpers import solve
 
 TOL = Fraction(5, 100)
 
@@ -184,8 +184,8 @@ def test_criterion_08_solver_oracle():
     rng = random.Random(8888)
     for trial in range(200):
         inst = random_instance(rng, rng.randrange(2, 17), signed=False)
-        enum = minimize(inst, method="enum")
-        cut = minimize(inst, method="cut")
+        enum = solve(inst, "enum")
+        cut = solve(inst, "cut")
         assert cut.energy == enum.energy, f"trial {trial}"
     report(8, True, "200 random instances of up to 16 free spins: min-cut == enumeration")
 

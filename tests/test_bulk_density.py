@@ -27,12 +27,12 @@ from spinhom.ground_state import (
     GroundStateInstance,
     TooManyFreeGroups,
     energy,
-    minimize,
 )
 from spinhom.model import parse_model, validate
 
 from conftest import FIXTURE_NAMES, fixture_document, fixture_model, random_chain_model
 from test_ground_state import brute_argmin, group_assignments
+from test_helpers import named, solve
 
 
 def reference_components(model, m):
@@ -221,7 +221,8 @@ def test_phi_estimate_silent_on_nonnegative_weak_couplings():
 def test_phi_instance_structure_two_chains():
     model = fixture_model("two_chains")
     terms = build_phi_instance(model, 4, (1, -1))
-    sites = [terms.key(i) for i in range(terms.size)]
+    sites = cube_sites(1, 4)  # the cell order of the cube
+    assert terms.size == len(sites)
     assert set(sites) == {(-2,), (-1,), (0,), (1,)}
     # every site is hard here, pinned to the state of its phase
     fixed = {x: int(spin) for x, spin in zip(sites, terms.fixed) if spin}
@@ -282,9 +283,9 @@ def solve_both(model, m, states, summary, corrected, method):
     terms = build_phi_instance(model, m, states, pinned)
     inst = reference_phi_instance(model, m, states, summary, pinned)
     out = []
-    for solve in (lambda: minimize(terms, method=method), lambda: minimize(inst, method=method)):
+    for instance in (terms, inst):
         try:
-            out.append(solve())
+            out.append(solve(instance, method))
         except (TooManyFreeGroups, FrustratedInstance) as exc:
             out.append(type(exc))
     return out
@@ -296,9 +297,12 @@ def assert_same_solution(got, want, sites):
         return
     assert got.energy == want.energy
     assert got.method == want.method
-    assert dict(got.assignment) == dict(want.assignment)
+    # the cube in C order over its sites, the oracle in sorted order of its variables
+    cube = dict(zip(sites, got.spins.tolist()))
+    oracle = dict(zip(sorted(sites), want.spins.tolist()))
+    assert cube == oracle
     assert got.spins.dtype == np.int8 and not got.spins.flags.writeable
-    assert got.spins.tolist() == [want.assignment[x] for x in sites]
+    assert got.spins.tolist() == [oracle[x] for x in sites]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -378,11 +382,12 @@ def test_huge_denominators_take_the_object_path_exactly():
             assert terms.bound() >= 2**62
             inst = reference_phi_instance(model, m, states, s)
             best, first = brute_argmin(inst)
+            sites = cube_sites(1, m)
             for method in ("enum", "cut"):
-                sol = minimize(terms, method=method)
+                sol = solve(terms, method)
                 assert sol.energy == best
-                assert dict(sol.assignment) == dict(minimize(inst, method=method).assignment)
-            assert dict(minimize(terms, method="enum").assignment) == first
+                assert dict(zip(sites, sol.spins.tolist())) == named(inst, solve(inst, method).spins)
+            assert dict(zip(sites, solve(terms, "enum").spins.tolist())) == first
             assert phi_solution(model, m, states).energy == best
 
 
@@ -547,8 +552,8 @@ def assert_fixed_matches_oracle(model, m, rng):
             want = reference_phi_instance(model, m, states, s, pins).fixed
             assert terms.fixed.tolist() == [want.get(x, 0) for x in sites]
         for pins in ((), excluded):
-            got = minimize(build_phi_instance(model, m, states, pins), method="cut")
-            want = minimize(reference_phi_instance(model, m, states, s, pins), method="cut")
+            got = solve(build_phi_instance(model, m, states, pins), "cut")
+            want = solve(reference_phi_instance(model, m, states, s, pins), "cut")
             assert_same_solution(got, want, sites)
 
 

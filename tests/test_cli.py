@@ -15,10 +15,11 @@ from spinhom import cli
 from spinhom.bulk_density import build_phi_instance
 from spinhom.cli import build_parser, run
 from spinhom.gamma_limit import load_field
-from spinhom.ground_state import FrustratedInstance, TooManyFreeGroups, minimize
+from spinhom.ground_state import FrustratedInstance, TooManyFreeGroups
 from spinhom.model import load_model, number_str
 
 from conftest import FIXTURES, fixture_document, frus1d_document
+from test_helpers import solve
 
 CHAIN = str(FIXTURES.joinpath("chain_soft_even.json"))
 TWO = str(FIXTURES.joinpath("two_chains.json"))
@@ -230,9 +231,9 @@ def test_phi_eliminates_frustrated_cell(capsys, tmp_path):
     terms = build_phi_instance(load_model(path), 4, (-1,))
     with pytest.raises(FrustratedInstance, match="^free-free couplings are frustrated: "
                                                  "no gauge makes them nonnegative$"):
-        minimize(terms, method="cut")
+        solve(terms, "cut")
     out = run_ok(capsys, ["phi", path, "--M", "4", "--z", "-1"])
-    assert phi_column(out) == [number_str(minimize(terms, method="enum").energy / 16)]
+    assert phi_column(out) == [number_str(solve(terms, "enum").energy / 16)]
 
 
 def test_phi_refuses_wide_frustrated_cell(capsys, tmp_path):
@@ -252,7 +253,7 @@ def test_phi_enum_refuses_wide_cell(tmp_path):
     terms = build_phi_instance(load_model(frustrated_model_path(tmp_path)), 56, (-1,))
     with pytest.raises(TooManyFreeGroups,
                        match=r"^784 free groups need elimination tables of 2\*\*"):
-        minimize(terms, method="enum")
+        solve(terms, "enum")
 
 
 def test_phi_enum_solves_long_chain(capsys):
@@ -261,8 +262,8 @@ def test_phi_enum_solves_long_chain(capsys):
     model = load_model(path)
     for m, printed in zip((100, 101), phi_column(out), strict=True):
         terms = build_phi_instance(model, m, (-1,))
-        cut = minimize(terms, method="cut").energy
-        assert minimize(terms, method="enum").energy == cut
+        cut = solve(terms, "cut").energy
+        assert solve(terms, "enum").energy == cut
         assert printed == number_str(cut / m)
 
 
@@ -272,9 +273,9 @@ def test_phi_auto_eliminates_frustrated_chain(capsys, tmp_path):
     out = run_ok(capsys, ["phi", str(model), "--M", "8,60", "--z", "-1"])
     for m, printed in zip((8, 60), phi_column(out), strict=True):
         terms = build_phi_instance(load_model(str(model)), m, (-1,))
-        assert printed == number_str(minimize(terms, method="enum").energy / m)
+        assert printed == number_str(solve(terms, "enum").energy / m)
         with pytest.raises(FrustratedInstance):
-            minimize(terms, method="cut")
+            solve(terms, "cut")
 
 
 @pytest.mark.parametrize("flag", [["--enum-cap", "100"], ["--anneal"], ["--seed", "1"],
@@ -588,23 +589,52 @@ def test_gamma_eval_rejects_sides_that_do_not_increase(capsys):
     assert captured.err == "error: cube sides must be strictly increasing\n"
 
 
-def test_phi_refuses_a_strong_bond_between_cores(capsys, tmp_path):
-    """A strong bond from phase 2's chain to phase 1's fails validation;
-    ``phi`` refuses the model instead of holding one mixed cluster."""
+def mixed_model_path(tmp_path) -> str:
+    """``two_chains`` with a strong bond from phase 2's chain to phase 1's
+    in place of the weak one: it fails validation."""
     doc = fixture_document("two_chains")
     doc["weak_bonds"] = [b for b in doc["weak_bonds"] if (b["from"], b["offset"]) != ("0", [1])]
     doc["strong_bonds"].append({"from": "0", "offset": [1], "weight": "0.25"})
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(doc))
-    assert run(["validate", str(path)]) == 1
+    return str(path)
+
+
+MIXED_ERROR = ("error: strong bond (from=(0,), offset=(1,)) joins residues of different cores; "
+               "the model fails validation\n")
+
+
+def test_phi_refuses_a_strong_bond_between_cores(capsys, tmp_path):
+    """``phi`` refuses the mixed model instead of holding one mixed cluster."""
+    path = mixed_model_path(tmp_path)
+    assert run(["validate", path]) == 1
     capsys.readouterr()
-    assert run(["phi", str(path), "--M", "4"]) == 2
+    assert run(["phi", path, "--M", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: strong bond (from=(0,), offset=(1,)) joins residues of different cores; "
-        "the model fails validation\n"
-    )
+    assert captured.err == MIXED_ERROR
+
+
+TWO_PHASE_TARGET = '{"phases":[{"slab":{"normal":["1"],"offset":"0.5"}},{"constant":-1}]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["fhom", "--normal", "1", "--T", "4"],
+    ["gamma-eval", "--omega", OMEGA_1D, "--target", TWO_PHASE_TARGET, "--T", "4", "--M", "4"],
+    ["converge", "--omega", OMEGA_1D, "--target", TWO_PHASE_TARGET, "--eps", "1/8,1/16",
+     "--M", "4"],
+    ["extend", "--field", '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, '
+                          '"spins_rle": [[15, 1]]}', "--phase", "1", "--M", "4"],
+], ids=lambda argv: argv[0])
+def test_cell_builders_refuse_a_strong_bond_between_cores(capsys, tmp_path, argv):
+    """Every command that builds a cell refuses the mixed model as ``phi``
+    does, while ``components`` still reports on it."""
+    path = mixed_model_path(tmp_path)
+    assert run([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == MIXED_ERROR
+    assert run(["components", path]) == 0
 
 
 T = "two_chains.json"  # run from the fixture directory, so test ids hold no path
@@ -639,6 +669,18 @@ def test_lazy_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, arg
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
     assert (run(argv), *capsys.readouterr()) == lazy
+
+
+@pytest.mark.parametrize("command, phrases", [
+    ("gamma-eval", ["--T SIDES surface tension cube sides, comma-separated, increasing",
+                    "--M M_LIST bulk density cube sides, comma-separated, increasing"]),
+    ("energy", ["--omega OMEGA domain JSON (path or inline); must equal the field's own domain"]),
+])
+def test_help_states_what_the_options_take(capsys, command, phrases):
+    assert run([command, "-h"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in phrases:
+        assert phrase in text
 
 
 def test_run_reads_sys_argv_and_builds_one_subcommand(monkeypatch, capsys):

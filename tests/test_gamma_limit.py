@@ -9,7 +9,7 @@ import pytest
 
 from spinhom import gamma_limit
 from spinhom.bulk_density import PhiTable, phi_solution
-from spinhom.connectivity import classify
+from spinhom.connectivity import classify, cube_sites
 from spinhom.gamma_limit import (
     Box,
     Boxes,
@@ -469,7 +469,8 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
             assert rec.values[k] == 1, k
             continue
         if states not in cached:
-            cached[states] = phi_solution(model, m, states, corrected=True).assignment
+            spins = phi_solution(model, m, states, corrected=True).spins.tolist()
+            cached[states] = dict(zip(cube_sites(model.dimension, m), spins))
         assert rec.values[k] == cached[states][tuple(a - b * m for a, b in zip(k, z))], k
         pasted += 1
     assert pasted and len(cached) == 2

@@ -19,6 +19,7 @@ from spinhom.ground_state import (
 )
 
 from conftest import fixture_model
+from test_helpers import named, solve
 
 
 def random_instance(rng: random.Random, n: int, signed: bool, with_structure: bool = True):
@@ -59,9 +60,10 @@ def random_instance(rng: random.Random, n: int, signed: bool, with_structure: bo
     )
 
 
-def free_keys(folded) -> list:
+def free_keys(instance: GroundStateInstance, folded) -> list:
     """The first site of every free group, named as the instance names it."""
-    return [folded.instance.key(int(r)) for r in folded.free_reps]
+    keys = sorted(instance.variables)
+    return [keys[r] for r in folded.free_reps.tolist()]
 
 
 def spread(folded, bits) -> np.ndarray:
@@ -77,18 +79,17 @@ def group_assignments(instance: GroundStateInstance):
     enumerated lexicographically (+1 before -1)."""
     folded = fold_instance(instance)
     for bits in itertools.product((1, -1), repeat=folded.free_count):
-        yield dict(folded.instance.view(spread(folded, bits)))
+        yield named(instance, spread(folded, bits))
 
 
 def brute_spins(instance: GroundStateInstance) -> tuple[Fraction, np.ndarray]:
     """Minimum energy and the spins, in cell order, of the first minimizer
     in lexicographic order over the free groups (+1 before -1)."""
     folded = fold_instance(instance)
-    keys = [folded.instance.key(i) for i in range(folded.instance.size)]
     best = best_spins = None
     for bits in itertools.product((1, -1), repeat=folded.free_count):
         spins = spread(folded, bits)
-        e = energy(instance, dict(zip(keys, spins.tolist())))
+        e = energy(instance, named(instance, spins))
         if best is None or e < best:
             best, best_spins = e, spins
     return best, best_spins
@@ -97,7 +98,7 @@ def brute_spins(instance: GroundStateInstance) -> tuple[Fraction, np.ndarray]:
 def brute_argmin(instance: GroundStateInstance) -> tuple[Fraction, dict]:
     """Minimum energy and the first minimizer in lexicographic order (+1 before -1)."""
     best, spins = brute_spins(instance)
-    return best, dict(fold_instance(instance).instance.view(spins))
+    return best, named(instance, spins)
 
 
 def brute_minimum(instance: GroundStateInstance) -> Fraction:
@@ -109,10 +110,10 @@ def test_cut_matches_brute_force_on_nonnegative_couplings():
     for trial in range(120):
         inst = random_instance(rng, rng.randrange(2, 11), signed=False)
         ref = brute_minimum(inst)
-        sol = minimize(inst, method="cut")
+        sol = solve(inst, "cut")
         assert sol.energy == ref, f"trial {trial}"
         assert sol.method == "mincut"
-        assert energy(inst, sol.assignment) == sol.energy
+        assert energy(inst, named(inst, sol.spins)) == sol.energy
 
 
 def test_enum_matches_brute_force_on_signed_couplings():
@@ -120,9 +121,9 @@ def test_enum_matches_brute_force_on_signed_couplings():
     for trial in range(120):
         inst = random_instance(rng, rng.randrange(2, 9), signed=True)
         ref = brute_minimum(inst)
-        sol = minimize(inst, method="enum")
+        sol = solve(inst, "enum")
         assert sol.energy == ref, f"trial {trial}"
-        assert energy(inst, sol.assignment) == sol.energy
+        assert energy(inst, named(inst, sol.spins)) == sol.energy
 
 
 def scaled_bound(instance: GroundStateInstance) -> int:
@@ -153,9 +154,9 @@ def test_enum_exact_on_coefficients_beyond_int64():
                                    unary_terms=unary)
         assert scaled_bound(inst) >= 2**62, f"trial {trial}"
         ref, first = brute_argmin(inst)
-        sol = minimize(inst, method="enum")
+        sol = solve(inst, "enum")
         assert sol.energy == ref, f"trial {trial}"
-        assert sol.assignment == first, f"trial {trial}"
+        assert named(inst, sol.spins) == first, f"trial {trial}"
 
 
 def fraction_fold(instance: GroundStateInstance):
@@ -237,7 +238,7 @@ def test_fold_matches_fraction_oracle():
         folded = fold_instance(inst)
         reps, couplings, unary, constant = fraction_fold(inst)
         scale = folded.scale
-        assert free_keys(folded) == reps, f"trial {trial}"
+        assert free_keys(inst, folded) == reps, f"trial {trial}"
         for array in (folded.pair_w, folded.h_plus, folded.h_minus):
             assert array.dtype in (np.int64, object)
             assert all(type(x) is int for x in array.tolist())
@@ -287,16 +288,16 @@ def transposed(instance: GroundStateInstance) -> GroundStateInstance:
 
 def test_auto_eliminates_frustrated_grid():
     """100 sites, past the enumeration cap, frustrated, and of width 11 in
-    row order: ``auto`` eliminates it.  The minimum lies below the best of
+    row order: ``minimize`` eliminates it.  The minimum lies below the best of
     three seeded simulated-annealing runs on this grid, -26043/77, and
     does not depend on the fold order."""
     inst = frustrated_grid(10)
     with pytest.raises(FrustratedInstance):
-        minimize(inst, method="cut")
+        solve(inst, "cut")
     sol = minimize(inst)
     assert sol.method == "enumeration"
     assert sol.energy == Fraction(-172031, 495) <= Fraction(-26043, 77)
-    assert energy(inst, sol.assignment) == sol.energy
+    assert energy(inst, named(inst, sol.spins)) == sol.energy
     assert minimize(transposed(inst)).energy == sol.energy
 
 
@@ -307,7 +308,7 @@ def test_cut_on_signed_couplings_matches_or_reports_frustration():
         inst = random_instance(rng, rng.randrange(2, 9), signed=True)
         ref = brute_minimum(inst)
         try:
-            sol = minimize(inst, method="cut")
+            sol = solve(inst, "cut")
         except FrustratedInstance:
             frustrated += 1
             continue
@@ -344,8 +345,8 @@ def test_gauge_flip_preserves_minimum():
         )
         for method in ("enum", "cut"):
             # for the cut, the gauged instance is exactly what the solver undoes
-            assert (minimize(gauged, method=method).energy + extra
-                    == minimize(inst, method=method).energy)
+            assert (solve(gauged, method).energy + extra
+                    == solve(inst, method).energy)
 
 
 def test_solution_on_all_fixed_instance():
@@ -355,9 +356,9 @@ def test_solution_on_all_fixed_instance():
         fixed={(0,): 1, (1,): -1},
     )
     for method in ("enum", "cut"):
-        sol = minimize(inst, method=method)
+        sol = solve(inst, method)
         assert sol.energy == 2
-        assert sol.assignment == {(0,): 1, (1,): -1}
+        assert named(inst, sol.spins) == {(0,): 1, (1,): -1}
 
 
 def test_groups_force_rigid_moves():
@@ -368,9 +369,10 @@ def test_groups_force_rigid_moves():
         fixed={(0,): 1},
         groups=(frozenset({(1,), (2,)}),),
     )
-    sol = minimize(inst, method="cut")
+    sol = solve(inst, "cut")
     assert sol.energy == 0
-    assert sol.assignment[(1,)] == sol.assignment[(2,)] == 1
+    spins = named(inst, sol.spins)
+    assert spins[(1,)] == spins[(2,)] == 1
     folded = fold_instance(inst)
     assert folded.free_count == 1
 
@@ -382,14 +384,14 @@ def test_fixed_member_pins_whole_group():
         fixed={(0,): 1},
         groups=(frozenset({(0,), (1,)}),),
     )
-    sol = minimize(inst, method="enum")
-    assert sol.assignment[(1,)] == 1
+    sol = solve(inst, "enum")
+    assert named(inst, sol.spins)[(1,)] == 1
     assert sol.energy == 5
 
 
 def assert_enum_is_lexicographic_argmin(instance: GroundStateInstance, label=""):
     ref, spins = brute_spins(instance)
-    sol = minimize(instance, method="enum")
+    sol = solve(instance, "enum")
     assert sol.energy == ref, label
     assert sol.spins.tolist() == spins.tolist(), label
     assert sol.method == "enumeration"
@@ -471,16 +473,15 @@ def test_cut_takes_the_spins_every_minimizer_shares(denominators):
         inst = gauged_instance(rng, rng.randrange(1, 10), denominators)
         folded = fold_instance(inst)
         sigma = ground_state._gauge(folded).tolist()
-        keys = [folded.instance.key(i) for i in range(folded.instance.size)]
         best, shared = None, None
         for bits in itertools.product((1, -1), repeat=folded.free_count):
-            e = energy(inst, dict(zip(keys, spread(folded, bits).tolist())))
+            e = energy(inst, named(inst, spread(folded, bits)))
             plus = {g for g, (b, s) in enumerate(zip(bits, sigma)) if b == s}
             if best is None or e < best:
                 best, shared = e, plus
             elif e == best:
                 shared &= plus
-        sol = minimize(inst, method="cut")
+        sol = solve(inst, "cut")
         cut = {g for g, s in enumerate(sigma) if sol.spins[folded.free_reps[g]] == s}
         assert sol.energy == best, f"trial {trial}"
         assert cut == shared, f"trial {trial}"
@@ -506,7 +507,7 @@ def test_cut_on_bulk_cube_cell_needs_no_flow_network(monkeypatch):
     monkeypatch.setattr(ground_state, "FlowNetwork", Recording)
     m = 16
     terms = build_phi_instance(fixture_model("soft_inclusions_2d"), m, (-1,))
-    sol = minimize(terms, method="cut")
+    sol = solve(terms, "cut")
     assert fold_instance(terms).free_count == 64
     assert [(net.n, len(net.to) // 2) for net in networks] == [(2, 0)]
     assert sol.energy / m**2 == Fraction(33, 10) - Fraction(3, 10 * m)
@@ -533,11 +534,11 @@ def test_enum_on_grid_order():
 
 
 def test_enum_without_free_groups():
-    sol = minimize(GroundStateInstance(variables=()), method="enum")
+    sol = solve(GroundStateInstance(variables=()), "enum")
     assert sol.energy == 0 and sol.spins.size == 0
     inst = GroundStateInstance(variables=((0,),), unary_terms={(0,): (Fraction(1), Fraction(0))},
                                fixed={(0,): 1})
-    assert minimize(inst, method="enum").energy == 1
+    assert solve(inst, "enum").energy == 1
 
 
 def chain_instance(rng: random.Random, n: int) -> GroundStateInstance:
@@ -566,9 +567,9 @@ def test_enum_solves_long_narrow_chain():
     rng = random.Random(1515)
     for trial in range(5):
         inst = chain_instance(rng, 40)
-        sol = minimize(inst, method="enum")
+        sol = solve(inst, "enum")
         assert sol.method == "enumeration"
-        assert sol.energy == minimize(inst, method="cut").energy, f"trial {trial}"
+        assert sol.energy == solve(inst, "cut").energy, f"trial {trial}"
 
 
 def test_enum_refuses_wide_contexts():
@@ -577,20 +578,20 @@ def test_enum_refuses_wide_contexts():
     pairs = tuple((u, v, Fraction(1)) for u, v in itertools.combinations(variables, 2))
     inst = GroundStateInstance(variables=variables, pair_terms=pairs)
     with pytest.raises(TooManyFreeGroups, match=r"^40 free groups need elimination tables of 2\*\*40 entries"):
-        minimize(inst, method="enum")
+        solve(inst, "enum")
     assert minimize(inst).method == "mincut"
 
 
 def test_enum_cap_enforced():
-    """``auto`` enumerates up to DEFAULT_ENUM_CAP free groups and runs the
-    min-cut past it; ``enum`` takes a narrow cell of any size."""
+    """``minimize`` enumerates up to DEFAULT_ENUM_CAP free groups and runs
+    the min-cut past it; ``minimize_enum`` takes a narrow cell of any size."""
     rng = random.Random(505)
     for n, method in ((ground_state.DEFAULT_ENUM_CAP, "enumeration"),
                       (ground_state.DEFAULT_ENUM_CAP + 1, "mincut")):
         inst = chain_instance(rng, n)
         sol = minimize(inst)
         assert sol.method == method
-        assert sol.energy == minimize(inst, method="enum").energy
+        assert sol.energy == solve(inst, "enum").energy
 
 
 def complete_graph(rng: random.Random, n: int, frustrated: bool) -> GroundStateInstance:
@@ -631,12 +632,6 @@ def test_auto_solves_whatever_a_forced_solver_solves():
     assert outcomes == {("enum",), ("cut",), ()}
 
 
-def test_unknown_method_rejected():
-    inst = random_instance(random.Random(1616), 4, signed=False)
-    with pytest.raises(ValueError, match="unknown method 'anneal'"):
-        minimize(inst, method="anneal")
-
-
 FOLD_CASES = {
     None: lambda: random_instance(random.Random(909), 6, signed=False),
     "chain40": lambda: chain_instance(random.Random(910), 40),
@@ -645,12 +640,11 @@ FOLD_CASES = {
 
 
 @pytest.mark.parametrize(
-    "method, case, solver",
-    [("auto", None, "enumeration"), ("enum", None, "enumeration"), ("cut", None, "mincut"),
-     ("auto", "chain40", "mincut"), ("auto", "frustrated40", "enumeration")],
-    ids=["auto-None", "enum-None", "cut-None", "auto-chain40", "auto-frustrated40"],
+    "case, solver",
+    [(None, "enumeration"), ("chain40", "mincut"), ("frustrated40", "enumeration")],
+    ids=["auto-None", "auto-chain40", "auto-frustrated40"],
 )
-def test_minimize_folds_once(monkeypatch, method, case, solver):
+def test_minimize_folds_once(monkeypatch, case, solver):
     folds = []
     real = ground_state.fold_instance
 
@@ -660,16 +654,16 @@ def test_minimize_folds_once(monkeypatch, method, case, solver):
 
     monkeypatch.setattr(ground_state, "fold_instance", counting)
     inst = FOLD_CASES[case]()
-    assert minimize(inst, method=method).method == solver
+    assert minimize(inst).method == solver
     assert folds == [inst]
 
 
 def test_auto_raises_on_large_frustrated_without_anneal():
     """A frustrated cell whose contexts pass 24 groups has no exact solver:
-    ``auto`` refuses it with one message instead of guessing."""
+    ``minimize`` refuses it with one message instead of guessing."""
     inst = frustrated_grid(30)
     with pytest.raises(FrustratedInstance):
-        minimize(inst, method="cut")
+        solve(inst, "cut")
     with pytest.raises(TooManyFreeGroups, match=r"^couplings are frustrated and 898 free groups "
                                                 r"need elimination tables of 2\*\*"):
         minimize(inst)
@@ -687,8 +681,15 @@ def test_instance_validation():
             variables=((0,), (1,), (2,)),
             groups=(frozenset({(0,), (1,)}), frozenset({(1,), (2,)})),
         )
-    with pytest.raises(ValueError, match="unknown method"):
-        minimize(GroundStateInstance(variables=()), method="magic")
+
+
+def test_fold_names_the_site_of_a_clashing_group():
+    """Sites (1,) and (2,) share a group but are fixed apart; the error
+    names the group's first site by its number in cell order."""
+    inst = GroundStateInstance(variables=((2,), (0,), (1,)), fixed={(1,): 1, (2,): -1},
+                               groups=(frozenset({(1,), (2,)}),))
+    with pytest.raises(ValueError, match="^group of site 1 carries conflicting fixed values$"):
+        fold_instance(inst)
 
 
 def test_energy_validates_assignment():

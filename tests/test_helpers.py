@@ -1,5 +1,6 @@
 """Support layers: rational plane geometry, integer lattices, max-flow,
-and the scalar per-cube rule that classifies phase targets on cubes."""
+and the scalar per-cube rule that classifies phase targets on cubes;
+also the solver helpers the other test modules share."""
 
 import itertools
 import random
@@ -17,11 +18,26 @@ from spinhom.geometry import (
     polygon_area,
     polygon_centroid,
 )
+from spinhom.ground_state import fold_instance, minimize, minimize_cut, minimize_enum
 from spinhom.intlattice import contains, hermite_basis, is_full_lattice
 from spinhom.maxflow import FlowNetwork
 
 F = Fraction
 UNIT_BOX = box_polygon((F(0), F(0)), (F(1), F(1)))
+
+
+def solve(instance, method: str):
+    """``minimize`` for "auto", else one exact solver ("enum" or "cut")
+    on the folded instance."""
+    if method == "auto":
+        return minimize(instance)
+    return {"enum": minimize_enum, "cut": minimize_cut}[method](fold_instance(instance))
+
+
+def named(instance, spins) -> dict:
+    """Variable -> spin, from spins in the cell order of a
+    ``GroundStateInstance``: its variables sorted."""
+    return dict(zip(sorted(instance.variables), spins.tolist()))
 
 
 def test_polygon_area_and_centroid():

@@ -11,6 +11,7 @@ import pytest
 from spinhom import surface_tension
 from spinhom.cli import run
 from spinhom.connectivity import classify, core_phases
+from spinhom.ground_state import DEFAULT_ENUM_CAP
 from spinhom.model import parse_model
 from spinhom.surface_tension import (
     SurfaceTable,
@@ -25,6 +26,7 @@ from spinhom.surface_tension import (
 )
 
 from conftest import FIXTURE_NAMES, FIXTURES, fixture_model
+from test_helpers import solve
 
 
 def in_frame_cube(site, frame, side) -> bool:
@@ -197,8 +199,9 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
         for side in sides:
             terms = _cell_instance(model, in_core, frame, side)
             variables, pair_terms, fixed = reference_cell_instance(model, 1, summary, direction, side)
-            sites = [terms.key(i) for i in range(terms.size)]
-            assert tuple(sites) == variables
+            # the reference lists its sites in the cell order of the cube
+            assert terms.size == len(variables)
+            sites = variables
             got_pairs = [
                 (sites[u], sites[v], Fraction(terms.weights[k], terms.scale))
                 for u, v, k in zip(terms.u.tolist(), terms.v.tolist(), terms.pair_class.tolist())
@@ -327,6 +330,38 @@ def test_core_site_check_agrees_with_the_built_cell(name):
                 else:
                     with pytest.raises(ValueError, match="no cluster sites"):
                         surface_tension._check_core_sites(model, phase, nu_q, side)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cell_value_is_the_min_cut_energy(monkeypatch, name):
+    """``cell_value`` solves through ``minimize``: a cell of at most
+    DEFAULT_ENUM_CAP free sites is eliminated, a larger one cut, and every
+    value equals the min-cut energy of the same cell."""
+    model = fixture_model(name)
+    d = model.dimension
+    normals = [(1,), (-1,)] if d == 1 else [(1, 0), (0, 1), (1, 1), (1, 2), (2, -1), (3, 5)]
+    methods = []
+    real = surface_tension.minimize
+
+    def recording(terms):
+        solution = real(terms)
+        methods.append(solution.method)
+        return solution
+
+    monkeypatch.setattr(surface_tension, "minimize", recording)
+    for phase in range(1, model.num_phases + 1):
+        in_core = core_phases(model) == phase
+        for nu in normals:
+            frame = [_primitive(w) for w in orthogonal_frame(nu)]
+            for side in range(1, 9):
+                terms = _cell_instance(model, in_core, frame, side)
+                free = int((terms.fixed == 0).sum())
+                if not free:
+                    continue
+                cut = solve(terms, "cut").energy
+                assert cell_value(model, phase, nu, side) == cut / side ** (d - 1), (phase, nu, side)
+                small = free <= DEFAULT_ENUM_CAP
+                assert methods.pop() == ("enumeration" if small else "mincut"), (phase, nu, side)
 
 
 def counting_coarsening_side(monkeypatch) -> list:
