@@ -236,7 +236,7 @@ def cmd_components(args: argparse.Namespace) -> int:
                 comp.lift_diameter if comp.lift_diameter is not None else "",
             ])
     meta = {
-        "passed": summary.passed,
+        "passed": validate(model).passed,
         "island_radius": summary.island_radius,
         "densities": {str(j): summary.densities[j] for j in summary.densities},
         "core_residues": {
@@ -310,10 +310,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     field = SpinField.from_json_dict(_json_arg(args.field))
-    omega = None
-    if args.omega:
-        omega = DomainSpec.from_json_dict(_json_arg(args.omega))
-    value = f_eps(model, field, omega)
+    value = f_eps(model, field)
     obj = {
         "eps": field.eps,
         "sites": len(field.values),
@@ -537,8 +534,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p = add("energy", parents=[common], help="discrete energy of a spin field")
     p.add_argument("model")
     p.add_argument("--field", required=True, help="spin field JSON (path or inline)")
-    p.add_argument("--omega",
-                   help="domain JSON (path or inline); must equal the field's own domain")
 
     p = add("extend", help="coarse-grain a field over cubes of side M")
     p.add_argument("model")

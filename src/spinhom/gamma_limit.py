@@ -8,7 +8,8 @@ interface integral (per-phase surface tensions) and the weak plus
 forcing parts by a volume integral of the bulk density against the joint
 phase states.  Targets are restricted to slabs and finite unions of
 axis-aligned boxes, so every interface measure is computable in closed
-form; volumes stay exact rationals throughout.
+form.  The volume integral is one exact slicing integral in every
+dimension (:func:`_bulk_term`), so it stays an exact rational.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import geometry
 from .bulk_density import PhiTable, phi_solution
 from .connectivity import class_pairs, coarsening_side, core_phases, residue_ids
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
@@ -234,15 +234,13 @@ def save_field(field: SpinField, path) -> None:
 # the scaled discrete energy
 
 
-def f_eps(model: LatticeModel, field: SpinField, omega: DomainSpec | None = None) -> Fraction:
+def f_eps(model: LatticeModel, field: SpinField) -> Fraction:
     """Exact scaled energy of a spin field (ordered-pair convention).
 
     Broken bonds are counted per (residue, offset) class over the class
     pairs of the spin grid, and spins per residue class; each count is
     weighted by its exact coupling or forcing value once.
     """
-    if omega is not None and omega != field.omega:
-        raise ValueError("field domain does not match the requested domain")
     if field.omega.dimension != model.dimension:
         raise ValueError("field dimension does not match the model")
     strong = Fraction(0)
@@ -550,6 +548,21 @@ class MultiphaseField:
     def value_at(self, x: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(p.value_at(x) for p in self.phases)
 
+    def check_dimension(self, d: int) -> None:
+        """ValueError unless every slab normal and box corner has d coordinates."""
+        for j, p in enumerate(self.phases, start=1):
+            if isinstance(p, Slab):
+                sizes = [len(p.normal)]
+            elif isinstance(p, Boxes):
+                sizes = [len(b.lo) for b in p.boxes]
+            else:
+                sizes = []
+            for size in sizes:
+                if size != d:
+                    raise ValueError(
+                        f"target phase {j} is {size}-dimensional, the domain {d}-dimensional"
+                    )
+
     def to_json_dict(self) -> dict:
         phases = []
         for p in self.phases:
@@ -648,10 +661,14 @@ def _slab_interface_measure(omega: DomainSpec, slab: Slab):
                 area *= omega.hi[i] - omega.lo[i]
         return area
     if d == 2:
-        seg = geometry.line_segment_in_box(slab.normal, slab.offset, omega.lo, omega.hi)
-        if seg is None:
+        # the x-range of the line n0 x + n1 y = c where y lies in [lo1, hi1]
+        (n0, n1), c = slab.normal, slab.offset
+        ends = sorted((c - n1 * y) / n0 for y in (omega.lo[1], omega.hi[1]))
+        dx = min(ends[1], omega.hi[0]) - max(ends[0], omega.lo[0])
+        if dx <= 0:
             return Fraction(0)
-        return geometry.distance(*seg)
+        dy = n0 / n1 * dx
+        return float(dx * dx + dy * dy) ** 0.5
     raise NotImplementedError("interfaces with non-axis normals need dimension <= 2")
 
 
@@ -673,66 +690,68 @@ def _boxes_interface_terms(omega: DomainSpec, phase: int, target: Boxes, surface
     return total
 
 
-def _axis_breakpoints(omega: DomainSpec, target: MultiphaseField) -> list[list[Fraction]] | None:
-    """Per-axis cut coordinates when every interface is axis-aligned."""
-    cuts: list[set[Fraction]] = [set() for _ in range(omega.dimension)]
+def _interfaces(target: MultiphaseField, d: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """The hyperplanes <x, normal> = offset of every slab and box face, as (normal, offset)."""
+    planes = []
     for p in target.phases:
-        if isinstance(p, Constant):
-            continue
         if isinstance(p, Slab):
-            axis = _axis_of(p.normal)
-            if axis is None:
-                return None
-            cuts[axis].add(p.offset / p.normal[axis])
-        else:
+            planes.append((p.normal, p.offset))
+        elif isinstance(p, Boxes):
             for b in p.boxes:
-                for i in range(omega.dimension):
-                    cuts[i].add(b.lo[i])
-                    cuts[i].add(b.hi[i])
-    out = []
-    for i, cs in enumerate(cuts):
-        pts = sorted({omega.lo[i], omega.hi[i]} | {c for c in cs if omega.lo[i] < c < omega.hi[i]})
-        out.append(pts)
-    return out
+                for axis in range(d):
+                    unit = tuple(int(i == axis) for i in range(d))
+                    planes += [(unit, b.lo[axis]), (unit, b.hi[axis])]
+    return planes
 
 
 def _bulk_term(omega: DomainSpec, target: MultiphaseField, phi: PhiTable) -> Fraction:
-    grid = _axis_breakpoints(omega, target)
-    if grid is not None:
-        total = Fraction(0)
-        for cell in itertools.product(*(zip(pts, pts[1:]) for pts in grid)):
-            center = tuple((a + b) / 2 for a, b in cell)
-            vol = Fraction(1)
-            for a, b in cell:
-                vol *= b - a
-            total += phi.value(target.value_at(center)) * vol
-        return total
-    if omega.dimension != 2:
-        raise NotImplementedError("non-axis interfaces need dimension <= 2")
-    polys = [geometry.box_polygon(omega.lo, omega.hi)]
-    for p in target.phases:
-        lines: list[tuple[tuple[Fraction, Fraction], Fraction]] = []
-        if isinstance(p, Slab):
-            lines.append(((p.normal[0], p.normal[1]), p.offset))
-        elif isinstance(p, Boxes):
-            for b in p.boxes:
-                lines.append(((Fraction(1), Fraction(0)), b.lo[0]))
-                lines.append(((Fraction(1), Fraction(0)), b.hi[0]))
-                lines.append(((Fraction(0), Fraction(1)), b.lo[1]))
-                lines.append(((Fraction(0), Fraction(1)), b.hi[1]))
-        for normal, offset in lines:
-            split = []
-            for poly in polys:
-                for sign in (1, -1):
-                    piece = geometry.clip_polygon(poly, normal, offset, sign)
-                    if len(piece) >= 3 and geometry.polygon_area(piece) > 0:
-                        split.append(piece)
-            polys = split
-    total = Fraction(0)
-    for poly in polys:
-        z = target.value_at(geometry.polygon_centroid(poly))
-        total += phi.value(z) * geometry.polygon_area(poly)
-    return total
+    """The integral of phi at the target's phase states over the domain, exactly.
+
+    The integral over axes k, ..., d-1 at fixed x_0, ..., x_(k-1) = head
+    is cut along axis k into strips, and each strip adds its width times
+    the integral at its midpoint.  The cuts come from the interfaces
+    restricted to head that still depend on an axis >= k:
+
+    - when each of them is axis-aligned, at those normal to axis k (any d);
+    - else, when two axes are left, at the x_k of every crossing of two
+      such lines, or of a line and a face x_(k+1) = lo or hi;
+    - else NotImplementedError.
+
+    Between two cuts no two interfaces of the section cross, so every
+    cell of the section keeps its phase states and its bounding lines,
+    and its measure is affine in x_k.  The section integral is then
+    affine in x_k on each strip, and the midpoint rule is exact for it.
+    """
+    d = omega.dimension
+    planes = _interfaces(target, d)
+
+    def integral(head: tuple[Fraction, ...]) -> Fraction:
+        k = len(head)
+        if k == d:
+            return phi.value(target.value_at(head))
+        live = [
+            (n[k:], c - sum(a * x for a, x in zip(n, head)))
+            for n, c in planes if any(n[k:])
+        ]
+        if all(sum(map(bool, n)) == 1 for n, _ in live):
+            cuts = {c / n[0] for n, c in live if n[0]}
+        elif d - k == 2:
+            lines = live + [((0, 1), omega.lo[k + 1]), ((0, 1), omega.hi[k + 1])]
+            cuts = {
+                (c * m[1] - e * n[1]) / det
+                for (n, c), (m, e) in itertools.combinations(lines, 2)
+                if (det := n[0] * m[1] - n[1] * m[0])
+            }
+        else:
+            raise NotImplementedError("non-axis interfaces need dimension <= 2")
+        lo, hi = omega.lo[k], omega.hi[k]
+        points = sorted({lo, hi} | {x for x in cuts if lo < x < hi})
+        return sum(
+            ((b - a) * integral(head + ((a + b) / 2,)) for a, b in zip(points, points[1:])),
+            Fraction(0),
+        )
+
+    return integral(())
 
 
 def f_hom(
@@ -744,9 +763,12 @@ def f_hom(
 ):
     """Interface term plus bulk term of the limit functional.
 
-    Exact rational whenever every interface is axis-aligned or the
-    dimension is 1; a 2D slab with an oblique normal contributes a float
-    segment length and makes the result a float.
+    The bulk term is always an exact rational (:func:`_bulk_term`).  The
+    interface term is exact when every interface is axis-aligned; a 2D
+    slab with an oblique normal contributes a float segment length and
+    makes the result a float.  An oblique slab in dimension 3 or more
+    raises NotImplementedError, and a target whose normals or corners do
+    not have the domain's dimension raises ValueError.
     """
     if len(target.phases) != model.num_phases:
         raise ValueError(
@@ -754,6 +776,7 @@ def f_hom(
         )
     if omega.dimension != model.dimension:
         raise ValueError("domain dimension does not match the model")
+    target.check_dimension(omega.dimension)
     surface_total = Fraction(0)
     for j, p in enumerate(target.phases, start=1):
         if isinstance(p, Constant):
@@ -804,6 +827,7 @@ def recovery_config(
         raise ValueError(f"cube side must be a positive multiple of {model.period}")
     if len(target.phases) != model.num_phases:
         raise ValueError("target phase count does not match the model")
+    target.check_dimension(omega.dimension)
     eps = Fraction(eps)
     if blocks is None:
         blocks = {}
@@ -866,6 +890,7 @@ class ConvergenceReport:
 def target_directions(target: MultiphaseField, dimension: int) -> list[tuple[int, ...]]:
     """Canonical normals of the interfaces of ``target``: the normal of
     each slab, and the coordinate axes when some phase has boxes."""
+    target.check_dimension(dimension)
     dirs: set[tuple[int, ...]] = set()
     for p in target.phases:
         if isinstance(p, Slab):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -45,6 +46,27 @@ def frus1d_document() -> dict:
         "strong_bonds": bonds("1", 2, "1/8"),
         "weak_bonds": (bonds("0", 2, "-1/8") + bonds("0", 4, "-1/16")
                        + bonds("0", 1, "1/8") + bonds("1", 1, "1/8")),
+    }
+
+
+def cubic_3d_document() -> dict:
+    """Period-2 cubic lattice, one hard phase with a soft inclusion at the
+    origin residue; axis-dependent weights and a diagonal bond."""
+    residues = list(itertools.product(range(2), repeat=3))
+    labels = {",".join(map(str, r)): (0 if r == (0, 0, 0) else 1) for r in residues}
+    weights = {(1, 0, 0): "1", (0, 1, 0): "1/2", (0, 0, 1): "3/4", (1, 1, 0): "1/3"}
+    strong = []
+    for r in residues:
+        if r == (0, 0, 0):
+            continue
+        for off, w in weights.items():
+            for sign in (1, -1):
+                o = tuple(sign * c for c in off)
+                target = tuple((a + b) % 2 for a, b in zip(r, o))
+                if target != (0, 0, 0):
+                    strong.append({"from": ",".join(map(str, r)), "offset": list(o), "weight": w})
+    return {
+        "dimension": 3, "period": 2, "num_phases": 1, "labels": labels, "strong_bonds": strong,
     }
 
 

@@ -12,13 +12,14 @@ import pytest
 
 import spinhom
 from spinhom import cli
-from spinhom.bulk_density import build_phi_instance
+from spinhom.bulk_density import PhiTable, build_phi_instance
 from spinhom.cli import build_parser, run
 from spinhom.gamma_limit import load_field
 from spinhom.ground_state import FrustratedInstance, TooManyFreeGroups
 from spinhom.model import load_model, number_str
+from spinhom.surface_tension import SurfaceTable
 
-from conftest import FIXTURES, fixture_document, frus1d_document
+from conftest import FIXTURES, cubic_3d_document, fixture_document, frus1d_document
 from test_helpers import solve
 
 CHAIN = str(FIXTURES.joinpath("chain_soft_even.json"))
@@ -116,6 +117,16 @@ def test_components_output(capsys):
     assert doc["island_radius"] == "1"
     kinds = [row["classification"] for row in doc["rows"]]
     assert kinds == ["infinite-unique", "finite"]
+
+
+def test_components_passed_is_the_verdict_of_validate(capsys, tmp_path):
+    """On a model that ``validate`` rejects, ``components`` still reports
+    (exit 0) but does not say it passed."""
+    path = mixed_model_path(tmp_path)
+    assert run(["validate", path]) == 1
+    capsys.readouterr()
+    doc = json.loads(run_ok(capsys, ["components", path]))
+    assert doc["passed"] is False
 
 
 def test_fhom_csv_bytes(capsys):
@@ -318,6 +329,15 @@ def test_energy_subcommand(capsys, tmp_path):
     assert doc["sites"] == 7
 
 
+def test_energy_has_no_omega_option(capsys):
+    """The field carries its domain; ``--omega`` is an unrecognized argument."""
+    field = '{"eps": "1/4", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[3, 1]]}'
+    assert run(["energy", CHAIN, "--field", field, "--omega", OMEGA_1D]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: unrecognized arguments: --omega {OMEGA_1D}")
+
+
 def test_energy_rejects_boolean_rle(capsys):
     field = {
         "eps": "1/4",
@@ -486,6 +506,39 @@ def test_gamma_eval_subcommand(capsys):
     assert doc["value"] == "2.13125"
     assert doc["surface"] == [{"normal": "1,0", "phase": 1, "value": "0.5"}]
     assert {row["z"]: row["value"] for row in doc["phi"]} == {"1": "0", "-1": "3.2625"}
+
+
+@pytest.mark.parametrize("command", ["gamma-eval", "converge"])
+@pytest.mark.parametrize("target, size", [
+    ('{"phases":[{"boxes":[{"lo":["0.25"],"hi":["0.75"]}]}]}', 1),
+    ('{"phases":[{"boxes":[{"lo":["0.25","0.25","0"],"hi":["0.75","0.75","1"]}]}]}', 3),
+    ('{"phases":[{"slab":{"normal":["1"],"offset":"0.5"}}]}', 1),
+])
+def test_limit_commands_refuse_a_target_of_another_dimension(monkeypatch, capsys, command, target, size):
+    """Exit 2 with one line, before any cell is solved."""
+    def unsolved(*args, **kwargs):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(SurfaceTable, "from_model", unsolved)
+    monkeypatch.setattr(PhiTable, "from_model", unsolved)
+    sides = ["--T", "4", "--M", "4"] if command == "gamma-eval" else ["--eps", "1/8", "--M", "4"]
+    argv = [command, INCLUSIONS, "--omega", '{"lo":["0","0"],"hi":["1","1"]}', "--target", target]
+    assert run(argv + sides) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: target phase 1 is {size}-dimensional, the domain 2-dimensional\n"
+
+
+def test_gamma_eval_refuses_an_oblique_interface_in_3d(capsys, tmp_path):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(cubic_3d_document()))
+    argv = ["gamma-eval", str(path), "--omega", '{"lo":["0","0","0"],"hi":["1","1","1"]}',
+            "--target", '{"phases":[{"slab":{"normal":["1","1","0"],"offset":"1"}}]}',
+            "--T", "2", "--M", "2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: interfaces with non-axis normals need dimension <= 2\n"
 
 
 def test_converge_subcommand(capsys):
@@ -674,7 +727,7 @@ def test_lazy_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, arg
 @pytest.mark.parametrize("command, phrases", [
     ("gamma-eval", ["--T SIDES surface tension cube sides, comma-separated, increasing",
                     "--M M_LIST bulk density cube sides, comma-separated, increasing"]),
-    ("energy", ["--omega OMEGA domain JSON (path or inline); must equal the field's own domain"]),
+    ("energy", ["--field FIELD spin field JSON (path or inline)"]),
 ])
 def test_help_states_what_the_options_take(capsys, command, phrases):
     assert run([command, "-h"]) == 0

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from spinhom.surface_tension import SurfaceTable
 from spinhom.model import SchemaError, parse_model
 
 from conftest import FIXTURE_NAMES, fixture_model
-from test_helpers import constant_on_box
+from test_helpers import constant_on_box, phi_table
 
 UNIT = DomainSpec((Fraction(0),), (Fraction(1),))
 SQUARE = DomainSpec((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
@@ -395,6 +396,78 @@ def test_f_hom_oblique_slab_2d():
     wall = surface.value(1, (1, 1))
     bulk = phi.value((-1,))
     assert value == pytest.approx(float(wall) * math.sqrt(2.0) + float(bulk) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("slab, measure, plus", [
+    (Slab((Fraction(1), Fraction(0)), Fraction(1, 2)), 1, Fraction(1, 2)),  # an axis segment
+    (Slab((Fraction(1), Fraction(1)), Fraction(1)), float(2) ** 0.5, Fraction(1, 2)),  # the diagonal
+    (Slab((Fraction(1), Fraction(2)), Fraction(1)), float(Fraction(5, 4)) ** 0.5, Fraction(3, 4)),
+    (Slab((Fraction(1), Fraction(1)), Fraction(2)), 0, 0),  # through a corner only
+    (Slab((Fraction(1), Fraction(0)), Fraction(7)), 0, 0),  # missing the square
+])
+def test_f_hom_slab_measure_2d(slab, measure, plus):
+    """Unit tension and the densities 3 (state +1) and 5 (state -1): the
+    slab's length in the unit square, plus 3 times the area ``plus`` of
+    its +1 side and 5 times the rest."""
+    model = fixture_model("soft_inclusions_2d")
+    surface = SurfaceTable.from_values(1, {(1, slab.normal): 1})
+    phi = phi_table({(1,): 3, (-1,): 5})
+    value = f_hom(model, SQUARE, MultiphaseField((slab,)), surface, phi)
+    assert value == measure + (3 * plus + 5 * (1 - plus))
+    assert isinstance(value, float) == isinstance(measure, float)
+
+
+def test_f_hom_box_and_slab_3d_closed_form():
+    """A box leaving the domain [0, 2] x [0, 1] x [0, 3] through its top,
+    and a slab z > 3/2; f_hom reads only the model's phase count and
+    dimension."""
+    model = SimpleNamespace(num_phases=2, dimension=3)
+    omega = DomainSpec((Fraction(0),) * 3, (Fraction(2), Fraction(1), Fraction(3)))
+    box = Box((Fraction(1, 2), Fraction(1, 4), Fraction(1)), (Fraction(1), Fraction(3, 4), Fraction(4)))
+    slab = Slab((Fraction(0), Fraction(0), Fraction(2)), Fraction(3))
+    target = MultiphaseField((Boxes((box,)), slab))
+    tension = {(1, (1, 0, 0)): 2, (1, (0, 1, 0)): 3, (1, (0, 0, 1)): 5, (2, (0, 0, 1)): 7}
+    surface = SurfaceTable.from_values(2, tension)
+    phi = phi_table({(1, 1): 11, (1, -1): 13, (-1, 1): 17, (-1, -1): 19})
+    # box faces: two x faces and two y faces of area 1 each, the z face
+    # at 1 of area 1/4 (the one at 4 is outside); the slab plane, area 2
+    faces = 2 * 2 + 2 * 3 + 5 * Fraction(1, 4) + 7 * 2
+    # the box holds 1/2 of the volume, 3/8 of it above z = 3/2; the
+    # domain holds 6, 3 above z = 3/2
+    bulk = 11 * Fraction(3, 8) + 13 * Fraction(1, 8) + 17 * Fraction(21, 8) + 19 * Fraction(23, 8)
+    assert f_hom(model, omega, target, surface, phi) == faces + bulk
+
+
+def test_f_hom_refuses_an_oblique_interface_in_3d():
+    model = SimpleNamespace(num_phases=1, dimension=3)
+    omega = DomainSpec((Fraction(0),) * 3, (Fraction(1),) * 3)
+    target = MultiphaseField((Slab((Fraction(1), Fraction(1), Fraction(0)), Fraction(1)),))
+    surface = SurfaceTable.from_values(1, {(1, (1, 1, 0)): 1})
+    phi = phi_table({(1,): 1, (-1,): 1})
+    with pytest.raises(NotImplementedError, match="need dimension <= 2"):
+        f_hom(model, omega, target, surface, phi)
+    with pytest.raises(NotImplementedError, match="need dimension <= 2"):
+        gamma_limit._bulk_term(omega, target, phi)
+
+
+@pytest.mark.parametrize("phase, size", [
+    (Boxes((Box((Fraction(1, 4),), (Fraction(3, 4),)),)), 1),
+    (Boxes((Box((Fraction(0),) * 3, (Fraction(1, 2),) * 3),)), 3),
+    (Slab((Fraction(1),), Fraction(1, 2)), 1),
+    (Slab((Fraction(1),) * 3, Fraction(1, 2)), 3),
+])
+def test_targets_must_match_the_domain_dimension(phase, size):
+    model = fixture_model("soft_inclusions_2d")
+    target = MultiphaseField((phase,))
+    message = f"target phase 1 is {size}-dimensional, the domain 2-dimensional"
+    surface = SurfaceTable.from_values(1, {})
+    phi = phi_table({(1,): 1, (-1,): 1})
+    with pytest.raises(ValueError, match=message):
+        gamma_limit.target_directions(target, 2)
+    with pytest.raises(ValueError, match=message):
+        f_hom(model, SQUARE, target, surface, phi)
+    with pytest.raises(ValueError, match=message):
+        recovery_config(model, SQUARE, target, Fraction(1, 8), 2)
 
 
 def test_recovery_config_energy_and_shape():

@@ -1,6 +1,7 @@
-"""Support layers: rational plane geometry, integer lattices, max-flow,
-and the scalar per-cube rule that classifies phase targets on cubes;
-also the solver helpers the other test modules share."""
+"""Support layers: integer lattices, max-flow, the scalar per-cube rule
+that classifies phase targets on cubes, and the polygon arrangement
+that integrates a 2D target; also the solver helpers the other test
+modules share."""
 
 import itertools
 import random
@@ -9,21 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinhom.gamma_limit import Box, Boxes, Constant, MultiphaseField, Slab
-from spinhom.geometry import (
-    box_polygon,
-    clip_polygon,
-    distance,
-    line_segment_in_box,
-    polygon_area,
-    polygon_centroid,
-)
+from spinhom import gamma_limit
+from spinhom.bulk_density import PhiRow, PhiTable
+from spinhom.gamma_limit import Box, Boxes, Constant, DomainSpec, MultiphaseField, Slab
 from spinhom.ground_state import fold_instance, minimize, minimize_cut, minimize_enum
 from spinhom.intlattice import contains, hermite_basis, is_full_lattice
 from spinhom.maxflow import FlowNetwork
 
 F = Fraction
-UNIT_BOX = box_polygon((F(0), F(0)), (F(1), F(1)))
 
 
 def solve(instance, method: str):
@@ -38,64 +32,6 @@ def named(instance, spins) -> dict:
     """Variable -> spin, from spins in the cell order of a
     ``GroundStateInstance``: its variables sorted."""
     return dict(zip(sorted(instance.variables), spins.tolist()))
-
-
-def test_polygon_area_and_centroid():
-    assert polygon_area(UNIT_BOX) == 1
-    assert polygon_area(list(reversed(UNIT_BOX))) == 1
-    tri = [(F(0), F(0)), (F(4), F(0)), (F(0), F(3))]
-    assert polygon_area(tri) == 6
-    cx, cy = polygon_centroid(UNIT_BOX)
-    assert (cx, cy) == (F(1, 2), F(1, 2))
-
-
-def test_clip_polygon_halves_the_square():
-    # diagonal cut x + y >= 1 keeps the upper-right triangle
-    kept = clip_polygon(UNIT_BOX, (F(1), F(1)), F(1), 1)
-    assert polygon_area(kept) == F(1, 2)
-    other = clip_polygon(UNIT_BOX, (F(1), F(1)), F(1), -1)
-    assert polygon_area(other) == F(1, 2)
-
-
-def test_clip_polygon_line_misses():
-    kept = clip_polygon(UNIT_BOX, (F(1), F(0)), F(5), 1)
-    assert kept == []
-    kept = clip_polygon(UNIT_BOX, (F(1), F(0)), F(5), -1)
-    assert polygon_area(kept) == 1
-
-
-def test_clip_areas_partition_randomly():
-    rng = random.Random(17)
-    for _ in range(50):
-        normal = (F(rng.randrange(-4, 5)), F(rng.randrange(-4, 5)))
-        if normal == (0, 0):
-            continue
-        offset = F(rng.randrange(-8, 9), 4)
-        plus = clip_polygon(UNIT_BOX, normal, offset, 1)
-        minus = clip_polygon(UNIT_BOX, normal, offset, -1)
-        a = polygon_area(plus) if len(plus) >= 3 else F(0)
-        b = polygon_area(minus) if len(minus) >= 3 else F(0)
-        assert a + b == 1
-
-
-def test_line_segment_in_box():
-    seg = line_segment_in_box((F(1), F(0)), F(1, 2), (F(0), F(0)), (F(1), F(1)))
-    assert seg is not None
-    assert distance(*seg) == 1
-    diag = line_segment_in_box((F(1), F(1)), F(1), (F(0), F(0)), (F(1), F(1)))
-    assert diag is not None
-    assert distance(*diag) == pytest.approx(2**0.5)
-    # line through a corner only
-    corner = line_segment_in_box((F(1), F(1)), F(2), (F(0), F(0)), (F(1), F(1)))
-    assert corner is None
-    assert line_segment_in_box((F(1), F(0)), F(7), (F(0), F(0)), (F(1), F(1))) is None
-    with pytest.raises(ValueError):
-        line_segment_in_box((F(0), F(0)), F(0), (F(0), F(0)), (F(1), F(1)))
-
-
-def test_distance_exact_on_axes():
-    assert distance((F(0), F(0)), (F(0), F(7, 3))) == F(7, 3)
-    assert isinstance(distance((F(0), F(0)), (F(1), F(1))), float)
 
 
 def test_hermite_basis_known_groups():
@@ -521,3 +457,85 @@ def test_on_cubes_on_an_empty_grid():
     box = Box((F(0), F(0)), (F(1), F(1)))
     for target in (Slab((F(1), F(1)), F(1)), Boxes((box,)), Boxes(()), Constant(-1)):
         assert target.on_cubes(eps, empty, 2).shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the bulk integral of a 2D target
+
+
+def phi_table(values) -> PhiTable:
+    """A density table holding the given value for each tuple of states."""
+    rows = {states: [PhiRow(1, F(v), F(v), F(v), F(v))] for states, v in values.items()}
+    return PhiTable(len(next(iter(values))), rows)
+
+
+def clip(poly, normal, offset, sign):
+    """Sutherland-Hodgman: the part of a convex polygon where
+    sign * (<x, normal> - offset) >= 0."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        sp, sq = (sign * (v[0] * normal[0] + v[1] * normal[1] - offset) for v in (p, q))
+        if sp >= 0:
+            out.append(p)
+        if sp * sq < 0:
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def area(poly):
+    """Shoelace area; 0 for fewer than three vertices."""
+    return abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def polygon_bulk(omega, target, phi):
+    """The bulk integral of a 2D target: the domain rectangle cut into
+    convex cells along every slab line and box face, each cell weighted
+    by phi at the states of its vertex average, an interior point.
+
+    The oracle of the slicing integral in ``gamma_limit``.
+    """
+    (x0, y0), (x1, y1) = omega.lo, omega.hi
+    lines = []
+    for p in target.phases:
+        if isinstance(p, Slab):
+            lines.append((p.normal, p.offset))
+        elif isinstance(p, Boxes):
+            for b in p.boxes:
+                lines += [((1, 0), b.lo[0]), ((1, 0), b.hi[0]), ((0, 1), b.lo[1]), ((0, 1), b.hi[1])]
+    cells = [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]]
+    for normal, offset in lines:
+        pieces = [clip(cell, normal, offset, sign) for cell in cells for sign in (1, -1)]
+        cells = [piece for piece in pieces if area(piece) > 0]
+    total = F(0)
+    for cell in cells:
+        center = (sum(p[0] for p in cell) / len(cell), sum(p[1] for p in cell) / len(cell))
+        total += phi.value(target.value_at(center)) * area(cell)
+    return total
+
+
+def test_polygon_oracle_on_a_halved_square():
+    square = DomainSpec((F(0), F(0)), (F(1), F(1)))
+    phi = phi_table({(1,): 3, (-1,): 5})
+    for slab, want in [
+        (Slab((F(1), F(1)), F(1)), 4),  # the diagonal halves the square
+        (Slab((F(1), F(0)), F(5)), 5),  # a line that misses it
+        (Slab((F(1), F(1)), F(2)), 5),  # a line through a corner only
+    ]:
+        assert polygon_bulk(square, MultiphaseField((slab,)), phi) == want
+
+
+def test_slicing_integral_matches_polygon_oracle():
+    rng = random.Random(41)
+    for _ in range(500):
+        eps = F(1, rng.randrange(1, 9))
+        m = rng.randrange(1, 4)
+        corners = list(range(rng.randrange(-6, 2), rng.randrange(3, 9)))
+        lo = tuple(eps * rng.choice(corners) for _ in range(2))
+        omega = DomainSpec(lo, tuple(a + eps * rng.randrange(1, 8) for a in lo))
+        n = rng.randrange(1, 4)
+        target = MultiphaseField(tuple(random_target(rng, 2, eps, m, corners) for _ in range(n)))
+        states = itertools.product((1, -1), repeat=n)
+        phi = phi_table({z: F(rng.randrange(-9, 10), rng.randrange(1, 5)) for z in states})
+        assert gamma_limit._bulk_term(omega, target, phi) == polygon_bulk(omega, target, phi), (
+            omega, target)

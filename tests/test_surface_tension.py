@@ -25,7 +25,7 @@ from spinhom.surface_tension import (
     orthogonal_frame,
 )
 
-from conftest import FIXTURE_NAMES, FIXTURES, fixture_model
+from conftest import FIXTURE_NAMES, FIXTURES, cubic_3d_document, fixture_model
 from test_helpers import solve
 
 
@@ -160,27 +160,6 @@ def reference_cell_instance(model, phase, summary, direction, side):
     return tuple(sorted(inside) + sorted(fixed)), pair_terms, fixed
 
 
-def cubic_model_3d():
-    """Period-2 cubic lattice, one hard phase with a soft inclusion at the
-    origin residue; axis-dependent weights and a diagonal bond."""
-    residues = list(itertools.product(range(2), repeat=3))
-    labels = {",".join(map(str, r)): (0 if r == (0, 0, 0) else 1) for r in residues}
-    weights = {(1, 0, 0): "1", (0, 1, 0): "1/2", (0, 0, 1): "3/4", (1, 1, 0): "1/3"}
-    strong = []
-    for r in residues:
-        if r == (0, 0, 0):
-            continue
-        for off, w in weights.items():
-            for sign in (1, -1):
-                o = tuple(sign * c for c in off)
-                target = tuple((a + b) % 2 for a, b in zip(r, o))
-                if target != (0, 0, 0):
-                    strong.append({"from": ",".join(map(str, r)), "offset": list(o), "weight": w})
-    return parse_model({
-        "dimension": 3, "period": 2, "num_phases": 1, "labels": labels, "strong_bonds": strong,
-    })
-
-
 @pytest.mark.parametrize(
     "name, directions, sides",
     [
@@ -191,7 +170,7 @@ def cubic_model_3d():
     ],
 )
 def test_cell_instance_matches_per_site_build(name, directions, sides):
-    model = cubic_model_3d() if name == "cubic_3d" else fixture_model(name)
+    model = parse_model(cubic_3d_document()) if name == "cubic_3d" else fixture_model(name)
     summary = classify(model)
     in_core = core_phases(model) == 1
     for direction in directions:
