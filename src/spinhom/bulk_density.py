@@ -38,6 +38,7 @@ from .connectivity import (
 )
 from .ground_state import CellTerms, Solution, minimize, scaled_tables
 from .model import LatticeModel, Site
+from .surface_tension import check_sides
 
 
 def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]:
@@ -237,10 +238,9 @@ def phi_estimate(
     fall off the period grid are exempt: there the two sides solve
     genuinely different pinning patterns and small decreases are normal.
     """
+    m_list = check_sides(m_list)
     if not m_list:
         raise ValueError("at least one cube side required")
-    if any(a >= b for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("cube sides must be strictly increasing")
     rows = [phi_bracket(model, m, states) for m in m_list]
     t = model.period
     for i, small in enumerate(rows):

@@ -26,7 +26,6 @@ from .bulk_density import (
     island_error_constant,
     phi_bracket,
     phi_estimate,
-    PhiTable,
 )
 from .gamma_limit import (
     DomainSpec,
@@ -37,8 +36,8 @@ from .gamma_limit import (
     extend,
     f_eps,
     f_hom,
+    limit_tables,
     save_field,
-    target_directions,
 )
 from .ground_state import TooManyFreeGroups
 from .model import load_model, number_str, parse_model, validate
@@ -350,9 +349,7 @@ def cmd_gamma_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     omega = DomainSpec.from_json_dict(_json_arg(args.omega))
     target = MultiphaseField.from_json_dict(_json_arg(args.target))
-    directions = target_directions(target, omega.dimension)
-    surface = SurfaceTable.from_model(model, directions, args.sides)
-    phi = PhiTable.from_model(model, args.m_list)
+    surface, phi = limit_tables(model, omega, target, args.sides, args.m_list)
     value = f_hom(model, omega, target, surface, phi)
     obj = {
         "value": value,

@@ -26,7 +26,7 @@ import numpy as np
 from .bulk_density import PhiTable, phi_solution
 from .connectivity import class_pairs, coarsening_side, core_phases, residue_ids
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
-from .surface_tension import SurfaceTable, canonical_direction
+from .surface_tension import SurfaceTable, canonical_direction, check_sides
 
 
 def _fraction(value, locus: str) -> Fraction:
@@ -283,6 +283,11 @@ def count_broken_strong(model: LatticeModel, field: SpinField) -> int:
 # cubes of side m: cube z covers the sites z*m - m//2 + [0, m) on every axis
 
 
+def _check_cube_side(model: LatticeModel, m: int) -> None:
+    if m <= 0 or m % model.period:
+        raise ValueError(f"cube side must be a positive multiple of {model.period}")
+
+
 def _cube_axes(ranges: Sequence[range], m: int, before: int, after: int) -> list[range]:
     """Per axis, the z of the cubes whose sites, widened by ``before``
     sites below and ``after`` sites above, all lie in the axis range.
@@ -341,12 +346,13 @@ def extend(
     shape (n_1, ..., n_d, m, ..., m); the minimum and maximum of the
     cluster spins of every cube are two reductions over its last d axes.
     """
-    if m <= 0 or m % model.period:
-        raise ValueError(f"cube side must be a positive multiple of {model.period}")
+    _check_cube_side(model, m)
     model.check_phase(phase)
     side = coarsening_side(model, phase)
     if m < side:
         raise ValueError(f"cube side {m} is below the coarsening side {side} of phase {phase}")
+    if field.omega.dimension != model.dimension:
+        raise ValueError("field dimension does not match the model")
     ranges = field.ranges
     spins = field.spins.copy()
     core = core_phases(model)[residue_ids(model, ranges)].reshape(spins.shape) == phase
@@ -548,21 +554,6 @@ class MultiphaseField:
     def value_at(self, x: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(p.value_at(x) for p in self.phases)
 
-    def check_dimension(self, d: int) -> None:
-        """ValueError unless every slab normal and box corner has d coordinates."""
-        for j, p in enumerate(self.phases, start=1):
-            if isinstance(p, Slab):
-                sizes = [len(p.normal)]
-            elif isinstance(p, Boxes):
-                sizes = [len(b.lo) for b in p.boxes]
-            else:
-                sizes = []
-            for size in sizes:
-                if size != d:
-                    raise ValueError(
-                        f"target phase {j} is {size}-dimensional, the domain {d}-dimensional"
-                    )
-
     def to_json_dict(self) -> dict:
         phases = []
         for p in self.phases:
@@ -637,71 +628,75 @@ def load_target(path) -> MultiphaseField:
 # the limit functional
 
 
-def _axis_of(normal: Sequence[Fraction]) -> int | None:
-    nonzero = [i for i, c in enumerate(normal) if c]
-    return nonzero[0] if len(nonzero) == 1 else None
+Interface = tuple[int, tuple[Fraction, ...], Fraction, "Box | None"]
 
 
-def _interval_overlap(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
-    lo, hi = max(a, c), min(b, d)
-    return hi - lo if hi > lo else Fraction(0)
+def _interfaces(target: MultiphaseField, d: int) -> list[Interface]:
+    """Every interface of ``target`` as (phase, normal, offset, clip): the
+    plane <x, normal> = offset within the closed box ``clip``, or
+    unclipped when ``clip`` is None.  A slab is one unclipped plane, a
+    box 2d faces clipped to the box; phases come in order.
 
-
-def _slab_interface_measure(omega: DomainSpec, slab: Slab):
-    """H^(d-1) measure of the slab interface inside the open box."""
-    d = omega.dimension
-    axis = _axis_of(slab.normal)
-    if axis is not None:
-        v = slab.offset / slab.normal[axis]
-        if not omega.lo[axis] < v < omega.hi[axis]:
-            return Fraction(0)
-        area = Fraction(1)
-        for i in range(d):
-            if i != axis:
-                area *= omega.hi[i] - omega.lo[i]
-        return area
-    if d == 2:
-        # the x-range of the line n0 x + n1 y = c where y lies in [lo1, hi1]
-        (n0, n1), c = slab.normal, slab.offset
-        ends = sorted((c - n1 * y) / n0 for y in (omega.lo[1], omega.hi[1]))
-        dx = min(ends[1], omega.hi[0]) - max(ends[0], omega.lo[0])
-        if dx <= 0:
-            return Fraction(0)
-        dy = n0 / n1 * dx
-        return float(dx * dx + dy * dy) ** 0.5
-    raise NotImplementedError("interfaces with non-axis normals need dimension <= 2")
-
-
-def _boxes_interface_terms(omega: DomainSpec, phase: int, target: Boxes, surface: SurfaceTable):
-    d = omega.dimension
-    total = Fraction(0)
-    for box in target.boxes:
-        for axis in range(d):
-            unit = tuple(1 if i == axis else 0 for i in range(d))
-            for v in (box.lo[axis], box.hi[axis]):
-                if not omega.lo[axis] < v < omega.hi[axis]:
-                    continue
-                area = Fraction(1)
-                for i in range(d):
-                    if i != axis:
-                        area *= _interval_overlap(box.lo[i], box.hi[i], omega.lo[i], omega.hi[i])
-                if area:
-                    total += surface.value(phase, unit) * area
-    return total
-
-
-def _interfaces(target: MultiphaseField, d: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """The hyperplanes <x, normal> = offset of every slab and box face, as (normal, offset)."""
-    planes = []
-    for p in target.phases:
+    Raises ValueError unless every normal has d coordinates, and
+    NotImplementedError for a non-axis normal when d >= 3.
+    """
+    planes: list[Interface] = []
+    for j, p in enumerate(target.phases, start=1):
         if isinstance(p, Slab):
-            planes.append((p.normal, p.offset))
+            planes.append((j, p.normal, p.offset, None))
         elif isinstance(p, Boxes):
             for b in p.boxes:
-                for axis in range(d):
-                    unit = tuple(int(i == axis) for i in range(d))
-                    planes += [(unit, b.lo[axis]), (unit, b.hi[axis])]
+                for axis in range(len(b.lo)):
+                    unit = tuple(int(i == axis) for i in range(len(b.lo)))
+                    planes += [(j, unit, b.lo[axis], b), (j, unit, b.hi[axis], b)]
+    for j, normal, _, _ in planes:
+        if len(normal) != d:
+            raise ValueError(
+                f"target phase {j} is {len(normal)}-dimensional, the domain {d}-dimensional"
+            )
+    if d >= 3 and any(sum(map(bool, normal)) > 1 for _, normal, _, _ in planes):
+        raise NotImplementedError("interfaces with non-axis normals need dimension <= 2")
     return planes
+
+
+def _check_target(
+    model: LatticeModel, omega: DomainSpec, target: MultiphaseField
+) -> list[Interface]:
+    """The interfaces of ``target`` (:func:`_interfaces`) in ``omega``;
+    raises ValueError unless the target has one phase per model phase
+    and the domain has the model's dimension."""
+    if len(target.phases) != model.num_phases:
+        raise ValueError(f"target has {len(target.phases)} phases, model has {model.num_phases}")
+    if omega.dimension != model.dimension:
+        raise ValueError("domain dimension does not match the model")
+    return _interfaces(target, omega.dimension)
+
+
+def _measure(omega: DomainSpec, normal: Sequence, offset: Fraction, clip: Box | None):
+    """H^(d-1) measure of the plane <x, normal> = offset inside the open
+    domain and the closed box ``clip``: an exact rational for an axis
+    normal, a float segment length for an oblique line (d = 2, unclipped)."""
+    axes = [i for i, c in enumerate(normal) if c]
+    if len(axes) == 1:
+        axis = axes[0]
+        if not omega.lo[axis] < offset / normal[axis] < omega.hi[axis]:
+            return Fraction(0)
+        lo, hi = omega.lo, omega.hi
+        if clip is not None:
+            lo, hi = tuple(map(max, lo, clip.lo)), tuple(map(min, hi, clip.hi))
+        area = Fraction(1)
+        for i in range(omega.dimension):
+            if i != axis:
+                area *= max(hi[i] - lo[i], Fraction(0))
+        return area
+    # the x-range of the line n0 x + n1 y = c where y lies in [lo1, hi1]
+    (n0, n1), c = normal, offset
+    ends = sorted((c - n1 * y) / n0 for y in (omega.lo[1], omega.hi[1]))
+    dx = min(ends[1], omega.hi[0]) - max(ends[0], omega.lo[0])
+    if dx <= 0:
+        return Fraction(0)
+    dy = n0 / n1 * dx
+    return float(dx * dx + dy * dy) ** 0.5
 
 
 def _bulk_term(omega: DomainSpec, target: MultiphaseField, phi: PhiTable) -> Fraction:
@@ -713,9 +708,9 @@ def _bulk_term(omega: DomainSpec, target: MultiphaseField, phi: PhiTable) -> Fra
     restricted to head that still depend on an axis >= k:
 
     - when each of them is axis-aligned, at those normal to axis k (any d);
-    - else, when two axes are left, at the x_k of every crossing of two
-      such lines, or of a line and a face x_(k+1) = lo or hi;
-    - else NotImplementedError.
+    - else two axes are left, as :func:`_interfaces` refuses a non-axis
+      normal in dimension 3 or more: at the x_k of every crossing of two
+      such lines, or of a line and a face x_(k+1) = lo or hi.
 
     Between two cuts no two interfaces of the section cross, so every
     cell of the section keeps its phase states and its bounding lines,
@@ -723,7 +718,7 @@ def _bulk_term(omega: DomainSpec, target: MultiphaseField, phi: PhiTable) -> Fra
     affine in x_k on each strip, and the midpoint rule is exact for it.
     """
     d = omega.dimension
-    planes = _interfaces(target, d)
+    planes = [(normal, offset) for _, normal, offset, _ in _interfaces(target, d)]
 
     def integral(head: tuple[Fraction, ...]) -> Fraction:
         k = len(head)
@@ -735,15 +730,13 @@ def _bulk_term(omega: DomainSpec, target: MultiphaseField, phi: PhiTable) -> Fra
         ]
         if all(sum(map(bool, n)) == 1 for n, _ in live):
             cuts = {c / n[0] for n, c in live if n[0]}
-        elif d - k == 2:
+        else:
             lines = live + [((0, 1), omega.lo[k + 1]), ((0, 1), omega.hi[k + 1])]
             cuts = {
                 (c * m[1] - e * n[1]) / det
                 for (n, c), (m, e) in itertools.combinations(lines, 2)
                 if (det := n[0] * m[1] - n[1] * m[0])
             }
-        else:
-            raise NotImplementedError("non-axis interfaces need dimension <= 2")
         lo, hi = omega.lo[k], omega.hi[k]
         points = sorted({lo, hi} | {x for x in cuts if lo < x < hi})
         return sum(
@@ -763,30 +756,23 @@ def f_hom(
 ):
     """Interface term plus bulk term of the limit functional.
 
-    The bulk term is always an exact rational (:func:`_bulk_term`).  The
-    interface term is exact when every interface is axis-aligned; a 2D
-    slab with an oblique normal contributes a float segment length and
-    makes the result a float.  An oblique slab in dimension 3 or more
-    raises NotImplementedError, and a target whose normals or corners do
-    not have the domain's dimension raises ValueError.
+    The interface term sums, phase by phase, each interface's surface
+    tension times its measure in the domain (:func:`_interfaces`,
+    :func:`_measure`); each phase's sum is exact before it joins the
+    total.  It is exact when every interface is axis-aligned; a 2D slab
+    with an oblique normal contributes a float segment length and makes
+    the result a float.  The bulk term is always an exact rational
+    (:func:`_bulk_term`).  The inputs are checked by :func:`_check_target`.
     """
-    if len(target.phases) != model.num_phases:
-        raise ValueError(
-            f"target has {len(target.phases)} phases, model has {model.num_phases}"
-        )
-    if omega.dimension != model.dimension:
-        raise ValueError("domain dimension does not match the model")
-    target.check_dimension(omega.dimension)
+    interfaces = _check_target(model, omega, target)
     surface_total = Fraction(0)
-    for j, p in enumerate(target.phases, start=1):
-        if isinstance(p, Constant):
-            continue
-        if isinstance(p, Slab):
-            area = _slab_interface_measure(omega, p)
+    for j, group in itertools.groupby(interfaces, key=lambda face: face[0]):
+        term = Fraction(0)
+        for _, normal, offset, clip in group:
+            area = _measure(omega, normal, offset, clip)
             if area:
-                surface_total = surface_total + surface.value(j, p.integer_normal()) * area
-        else:
-            surface_total = surface_total + _boxes_interface_terms(omega, j, p, surface)
+                term += surface.value(j, normal) * area
+        surface_total += term
     return surface_total + _bulk_term(omega, target, phi)
 
 
@@ -823,11 +809,8 @@ def recovery_config(
     builds several fields of one model, as :func:`converge_report` does,
     passes one dict to solve each block once.
     """
-    if m <= 0 or m % model.period:
-        raise ValueError(f"cube side must be a positive multiple of {model.period}")
-    if len(target.phases) != model.num_phases:
-        raise ValueError("target phase count does not match the model")
-    target.check_dimension(omega.dimension)
+    _check_cube_side(model, m)
+    _check_target(model, omega, target)
     eps = Fraction(eps)
     if blocks is None:
         blocks = {}
@@ -888,17 +871,27 @@ class ConvergenceReport:
 
 
 def target_directions(target: MultiphaseField, dimension: int) -> list[tuple[int, ...]]:
-    """Canonical normals of the interfaces of ``target``: the normal of
-    each slab, and the coordinate axes when some phase has boxes."""
-    target.check_dimension(dimension)
-    dirs: set[tuple[int, ...]] = set()
-    for p in target.phases:
-        if isinstance(p, Slab):
-            dirs.add(canonical_direction(p.integer_normal()))
-        elif isinstance(p, Boxes) and p.boxes:
-            for axis in range(dimension):
-                dirs.add(tuple(1 if i == axis else 0 for i in range(dimension)))
-    return sorted(dirs)
+    """The sorted canonical normals of the interfaces of ``target``
+    (:func:`_interfaces`): the normal of each slab, and the coordinate
+    axes when some phase has a box."""
+    return sorted({canonical_direction(n) for _, n, _, _ in _interfaces(target, dimension)})
+
+
+def limit_tables(
+    model: LatticeModel,
+    omega: DomainSpec,
+    target: MultiphaseField,
+    surface_sides: Sequence[int],
+    phi_sides: Sequence[int],
+) -> tuple[SurfaceTable, PhiTable]:
+    """The surface table at the target's normals and the bulk table that
+    :func:`f_hom` reads for ``target``, built after every input is
+    checked: the target (:func:`_check_target`), then both side lists
+    (:func:`check_sides`).  So an input that is refused solves no cell."""
+    _check_target(model, omega, target)
+    surface_sides, phi_sides = check_sides(surface_sides), check_sides(phi_sides)
+    surface = SurfaceTable.from_model(model, target_directions(target, omega.dimension), surface_sides)
+    return surface, PhiTable.from_model(model, phi_sides)
 
 
 def converge_report(
@@ -917,22 +910,23 @@ def converge_report(
     phi_side; since the construction error shrinks like eps while the
     bulk table error shrinks like 1/side, phi_side defaults to the
     finest scale 1/min(eps), rounded up to a period multiple, so that
-    the gap column is dominated by the eps-dependent part.
+    the gap column is dominated by the eps-dependent part.  The eps
+    list, m and the inputs of :func:`limit_tables` are all checked
+    before any cell is solved.
     """
     eps_list = [Fraction(e) for e in eps_list]
     if not eps_list or any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps list must be strictly decreasing")
     if eps_list[-1] <= 0:
         raise ValueError("eps must be positive")
+    _check_cube_side(model, m)
     if surface_side is None:
         surface_side = m
     if phi_side is None:
         need = math.ceil(1 / eps_list[-1])
         t = model.period
         phi_side = max(m, -(-need // t) * t)
-    directions = target_directions(target, omega.dimension)
-    surface = SurfaceTable.from_model(model, directions, surface_side)
-    phi = PhiTable.from_model(model, [phi_side])
+    surface, phi = limit_tables(model, omega, target, (surface_side,), (phi_side,))
     reference = f_hom(model, omega, target, surface, phi)
     rows = []
     blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}

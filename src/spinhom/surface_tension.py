@@ -271,10 +271,13 @@ class SurfaceRow:
 
 
 def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
-    """The cube sides as a tuple; raises ValueError unless they strictly increase."""
+    """The cube sides as a tuple; raises ValueError unless they strictly
+    increase and are positive, checked in that order."""
     sides = tuple(sides)
     if any(a >= b for a, b in zip(sides, sides[1:])):
         raise ValueError("cube sides must be strictly increasing")
+    if any(t <= 0 for t in sides):
+        raise ValueError("cube side must be positive")
     return sides
 
 
@@ -308,9 +311,9 @@ class SurfaceTable:
 
     @classmethod
     def from_model(
-        cls, model: LatticeModel, directions: Iterable[Sequence], sides: Sequence[int] | int
+        cls, model: LatticeModel, directions: Iterable[Sequence], sides: Sequence[int]
     ) -> "SurfaceTable":
-        sides = check_sides((sides,) if isinstance(sides, int) else sides)
+        sides = check_sides(sides)
         directions = [canonical_direction(direction) for direction in directions]
         if not directions:
             return cls(model.num_phases, {})

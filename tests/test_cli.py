@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spinhom
-from spinhom import cli
+from spinhom import cli, surface_tension
 from spinhom.bulk_density import PhiTable, build_phi_instance
 from spinhom.cli import build_parser, run
 from spinhom.gamma_limit import load_field
@@ -486,6 +486,17 @@ def test_extend_rejects_phase_out_of_range(capsys, phase):
     assert captured.err == f"error: phase must be in 1..1, got {phase}\n"
 
 
+@pytest.mark.parametrize("model, field", [
+    (INCLUSIONS, '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[15, 1]]}'),
+    (CHAIN, '{"eps": "1/8", "omega": {"lo": ["0","0"], "hi": ["1","1"]}, "spins_rle": [[49, 1]]}'),
+], ids=["1d-field-2d-model", "2d-field-1d-model"])
+def test_extend_refuses_a_field_of_another_dimension(capsys, model, field):
+    assert run(["extend", model, "--field", field, "--phase", "1", "--M", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field dimension does not match the model\n"
+
+
 def test_gamma_eval_subcommand(capsys):
     out = run_ok(
         capsys,
@@ -529,16 +540,56 @@ def test_limit_commands_refuse_a_target_of_another_dimension(monkeypatch, capsys
     assert captured.err == f"error: target phase 1 is {size}-dimensional, the domain 2-dimensional\n"
 
 
-def test_gamma_eval_refuses_an_oblique_interface_in_3d(capsys, tmp_path):
-    path = tmp_path / "cubic.json"
-    path.write_text(json.dumps(cubic_3d_document()))
-    argv = ["gamma-eval", str(path), "--omega", '{"lo":["0","0","0"],"hi":["1","1","1"]}',
-            "--target", '{"phases":[{"slab":{"normal":["1","1","0"],"offset":"1"}}]}',
-            "--T", "2", "--M", "2"]
-    assert run(argv) == 2
+SQUARE_2D = '{"lo":["0","0"],"hi":["1","1"]}'
+BOX_2D = '{"phases":[{"boxes":[{"lo":["0.25","0.25"],"hi":["0.75","0.75"]}]}]}'
+CONSTANT = '{"phases":[{"constant":1}]}'
+GAMMA_SIDES = ["--T", "4", "--M", "4"]
+CONVERGE_SIDES = ["--eps", "1/8", "--M", "4"]
+
+
+@pytest.mark.parametrize("command, model, omega, target, sides, message", [
+    pytest.param("gamma-eval", INCLUSIONS, SQUARE_2D, '{"phases":[{"constant":1},{"constant":-1}]}',
+                 GAMMA_SIDES, "target has 2 phases, model has 1", id="phases-gamma-eval"),
+    pytest.param("converge", INCLUSIONS, SQUARE_2D, '{"phases":[{"constant":1},{"constant":-1}]}',
+                 CONVERGE_SIDES, "target has 2 phases, model has 1", id="phases-converge"),
+    pytest.param("gamma-eval", INCLUSIONS, OMEGA_1D, CONSTANT, GAMMA_SIDES,
+                 "domain dimension does not match the model", id="domain-gamma-eval"),
+    pytest.param("converge", INCLUSIONS, OMEGA_1D, CONSTANT, CONVERGE_SIDES,
+                 "domain dimension does not match the model", id="domain-converge"),
+    pytest.param("gamma-eval", INCLUSIONS, OMEGA_1D, SLAB_1D, GAMMA_SIDES,
+                 "domain dimension does not match the model", id="domain-slab"),
+    pytest.param("gamma-eval", "cubic_3d", '{"lo":["0","0","0"],"hi":["1","1","1"]}',
+                 '{"phases":[{"slab":{"normal":["1","1","0"],"offset":"1"}}]}', ["--T", "2", "--M", "2"],
+                 "interfaces with non-axis normals need dimension <= 2", id="oblique-3d"),
+    pytest.param("converge", "cubic_3d", '{"lo":["0","0","0"],"hi":["1","1","1"]}',
+                 '{"phases":[{"slab":{"normal":["1","1","0"],"offset":"1"}}]}', ["--eps", "1/4", "--M", "2"],
+                 "interfaces with non-axis normals need dimension <= 2", id="oblique-3d-converge"),
+    pytest.param("gamma-eval", INCLUSIONS, SQUARE_2D, BOX_2D, ["--T", "4", "--M", "8,4"],
+                 "cube sides must be strictly increasing", id="phi-sides-order"),
+    pytest.param("gamma-eval", INCLUSIONS, SQUARE_2D, BOX_2D, ["--T", "4", "--M", "0"],
+                 "cube side must be positive", id="phi-side-positive-gamma-eval"),
+    pytest.param("converge", INCLUSIONS, SQUARE_2D, BOX_2D, CONVERGE_SIDES + ["--phi-side", "0"],
+                 "cube side must be positive", id="phi-side-positive-converge"),
+    pytest.param("converge", INCLUSIONS, SQUARE_2D, BOX_2D, ["--eps", "1/8", "--M", "3"],
+                 "cube side must be a positive multiple of 2", id="pasting-side"),
+])
+def test_limit_commands_refuse_bad_input_before_any_cell(
+    monkeypatch, capsys, tmp_path, command, model, omega, target, sides, message
+):
+    """Exit 2 with one line, before any surface or bulk cell is solved."""
+    def unsolved(*args, **kwargs):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(SurfaceTable, "from_model", unsolved)
+    monkeypatch.setattr(PhiTable, "from_model", unsolved)
+    monkeypatch.setattr(surface_tension, "cell_value", unsolved)
+    if model == "cubic_3d":
+        model = tmp_path / "cubic.json"
+        model.write_text(json.dumps(cubic_3d_document()))
+    assert run([command, str(model), "--omega", omega, "--target", target] + sides) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: interfaces with non-axis normals need dimension <= 2\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_converge_subcommand(capsys):

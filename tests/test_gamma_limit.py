@@ -470,6 +470,30 @@ def test_targets_must_match_the_domain_dimension(phase, size):
         recovery_config(model, SQUARE, target, Fraction(1, 8), 2)
 
 
+@pytest.mark.parametrize("num_phases, omega, phase, message", [
+    (2, SQUARE, Constant(1), "target has 1 phases, model has 2"),
+    (1, UNIT, Constant(1), "domain dimension does not match the model"),
+    (1, SQUARE, Slab((Fraction(1),), Fraction(1, 2)),
+     "target phase 1 is 1-dimensional, the domain 2-dimensional"),
+])
+def test_check_target_messages(num_phases, omega, phase, message):
+    model = SimpleNamespace(num_phases=num_phases, dimension=2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gamma_limit._check_target(model, omega, MultiphaseField((phase,)))
+
+
+def test_interfaces_are_slab_planes_and_clipped_box_faces():
+    half, one = Fraction(1, 2), Fraction(1)
+    box = Box((Fraction(0), half), (half, one))
+    target = MultiphaseField((Slab((one, -one), half), Constant(1), Boxes((box,)), Boxes(())))
+    assert gamma_limit._interfaces(target, 2) == [
+        (1, (one, -one), half, None),
+        (3, (1, 0), Fraction(0), box), (3, (1, 0), half, box),
+        (3, (0, 1), half, box), (3, (0, 1), one, box),
+    ]
+    assert gamma_limit.target_directions(target, 2) == [(0, 1), (1, -1), (1, 0)]
+
+
 def test_recovery_config_energy_and_shape():
     model = fixture_model("chain_soft_even")
     target = MultiphaseField((Slab((Fraction(1),), Fraction(1, 2)),))

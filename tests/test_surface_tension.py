@@ -21,6 +21,7 @@ from spinhom.surface_tension import (
     canonical_direction,
     cell_value,
     check_cells,
+    check_sides,
     fhom_estimate,
     orthogonal_frame,
 )
@@ -386,6 +387,18 @@ def test_surface_table_without_directions_is_empty(monkeypatch):
     assert table.rows() == []
     assert table.num_phases == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("sides, message", [
+    ((0,), "cube side must be positive"),
+    ((-4, 2, 8), "cube side must be positive"),
+    ((4, 0), "cube sides must be strictly increasing"),
+    ((0, 0), "cube sides must be strictly increasing"),
+])
+def test_check_sides_refuses_nonpositive_sides_after_the_order(sides, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_sides(sides)
+    assert check_sides([2, 4]) == (2, 4)
 
 
 def test_fhom_estimate_requires_increasing_sides():
