@@ -29,8 +29,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .connectivity import (
-    class_pairs,
-    components,
+    box_components,
+    box_pairs,
     core_phases,
     cube_range,
     excluded_set,
@@ -54,28 +54,14 @@ def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
     """Connected pieces of the loose hard sites inside Q_M, one label per site.
 
     A hard site is loose when its residue lies outside every core
-    (islands and infinite-multiple pieces).  Sites are numbered in C
-    (lexicographic) order.  A loose site's label is the number of the
-    smallest site of its component; every other site, core or soft, gets
-    -1.  Connectivity uses strong bonds with both endpoints in the cube,
-    so a periodic component generally splinters near the boundary.  The
-    components come from :func:`connectivity.components` over the strong
-    (residue, offset) class pairs of the loose residues; a strong bond
-    never leaves a core, which :func:`connectivity.core_phases` checks.
+    (islands and infinite-multiple pieces).  The labels are those of
+    :func:`connectivity.box_components` with the loose residues marked,
+    so a periodic component generally splinters near the boundary; a
+    strong bond never leaves a core, which :func:`core_phases` checks.
     """
     box = (cube_range(m),) * model.dimension
-    residues = list(model.residues())
-    loose = np.array([model.labels[r] != 0 for r in residues]) & (core_phases(model) == 0)
-    ends = [
-        class_pairs(model, box, r, off)
-        for r in itertools.compress(residues, loose)
-        for off in sorted(model.strong_offsets(r))
-    ]
-    empty = [np.empty(0, dtype=np.int64)]
-    a = np.concatenate([src for src, _ in ends] + empty)
-    b = np.concatenate([dst for _, dst in ends] + empty)
-    on = loose[residue_ids(model, box)]
-    return np.where(on, components(on.size, a, b), -1)
+    hard = np.array([model.labels[r] != 0 for r in model.residues()])
+    return box_components(model, box, hard & (core_phases(model) == 0))
 
 
 def build_phi_instance(
@@ -125,19 +111,18 @@ def build_phi_instance(
     classes = [
         (r, off) for r in residues for off in sorted(model.weak_offsets(r)) if off > (0,) * d
     ]
-    ends = [class_pairs(model, box, r, off) for r, off in classes]
+    u, v, pair_class = box_pairs(model, box, classes)
     scale, weights, h_plus, h_minus = scaled_tables(
         [2 * model.weights[c] for c in classes],
         [model.forcing.get((r, 1), Fraction(0)) for r in residues],
         [model.forcing.get((r, -1), Fraction(0)) for r in residues],
     )
-    empty = [np.empty(0, dtype=np.int64)]
     return CellTerms(
         fixed=fixed,
         group=group,
-        u=np.concatenate([src for src, _ in ends] + empty),
-        v=np.concatenate([dst for _, dst in ends] + empty),
-        pair_class=np.repeat(np.arange(len(ends)), [src.size for src, _ in ends]),
+        u=u,
+        v=v,
+        pair_class=pair_class,
         weights=weights,
         site_class=res_id,
         h_plus=h_plus,

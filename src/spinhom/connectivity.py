@@ -180,7 +180,7 @@ def classify(model: LatticeModel) -> ConnectivitySummary:
 
 # ---------------------------------------------------------------------------
 # cubes, and boxes of sites: one range of coordinates per axis, sites
-# numbered in C (lexicographic) order
+# numbered in C (lexicographic) order: the box layer of every lattice cell
 
 
 def cube_range(m: int) -> range:
@@ -250,6 +250,24 @@ def class_pairs(
     return src, src + step
 
 
+def box_pairs(model: LatticeModel, ranges: Sequence[range], classes: Sequence) -> tuple:
+    """The :func:`class_pairs` of a box for each (residue, offset) class in
+    turn, concatenated: the sources, the targets and each pair's class number."""
+    ends = [(np.empty(0, dtype=np.int64),) * 2]
+    ends += [class_pairs(model, ranges, res, off) for res, off in classes]
+    src, dst = (np.concatenate(x) for x in zip(*ends))
+    return src, dst, np.repeat(np.arange(len(classes)), [x.size for x, _ in ends[1:]])
+
+
+def strong_classes(model: LatticeModel, marked: np.ndarray) -> list:
+    """The strong (residue, offset) classes of the residues that a bool
+    array per residue number marks, in C order."""
+    return [
+        (res, off) for res, on in zip(model.residues(), marked) if on
+        for off in sorted(model.strong_offsets(res))
+    ]
+
+
 def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Connected components of the sites 0..n-1 joined by the pairs (a[k], b[k]).
 
@@ -267,6 +285,16 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         while not np.array_equal(up := parent[parent], parent):
             parent = up
     return parent
+
+
+def box_components(model: LatticeModel, ranges: Sequence[range], marked: np.ndarray) -> np.ndarray:
+    """Strong components of the sites of a box whose residues ``marked``
+    marks, joined through marked sites only: per site in C order, the
+    smallest site of its component, or -1 on an unmarked site."""
+    on = marked[residue_ids(model, ranges)]
+    src, dst, _ = box_pairs(model, ranges, strong_classes(model, marked))
+    keep = on[dst]
+    return np.where(on, components(on.size, src[keep], dst[keep]), -1)
 
 
 def _in_shrunk_cube(site: Site, side: Fraction) -> bool:
@@ -324,25 +352,19 @@ def coarsening_side(model: LatticeModel, phase: int, cap_multiple: int = 64) -> 
 
     Tested over all period^d translation classes of the cube lattice:
     for each, the strong components of the core sites of the 3M box come
-    from :func:`components` over the core's strong classes.
+    from :func:`box_components`.
     """
-    core = model.summary.core_residues.get(phase, frozenset())
-    if not core:
+    if not model.summary.core_residues.get(phase):
         raise ValueError(f"phase {phase} has no infinite-unique component")
     t, d = model.period, model.dimension
     in_core = core_phases(model) == phase
-    classes = [(r, off) for r in sorted(core) for off in sorted(model.strong_offsets(r))]
     for mult in range(1, cap_multiple + 1):
         m = mult * t
         inner = (slice(m, 2 * m),) * d
         for shift in product(range(t), repeat=d):
             box = [range(s - m, s + 2 * m) for s in shift]
-            on_core = in_core[residue_ids(model, box)]
-            ends = [class_pairs(model, box, r, off) for r, off in classes]
-            a, b = (np.concatenate(x) for x in zip(*ends))
-            keep = on_core[b]  # join core sites through core sites only
-            labels = components(on_core.size, a[keep], b[keep]).reshape((3 * m,) * d)
-            core_labels = labels[inner][on_core.reshape(labels.shape)[inner]]
+            labels = box_components(model, box, in_core).reshape((3 * m,) * d)[inner]
+            core_labels = labels[labels >= 0]
             if (core_labels != core_labels[:1]).any():
                 break
         else:

@@ -117,10 +117,9 @@ class CellTerms:
     and ``h_minus[site_class[i]]`` at -1.  Table entries are ints equal
     to ``scale`` times their exact values.
 
-    The cell order of each builder: the sites of the ``phi`` cube in C
-    (lexicographic) order over the box; the sites of a surface cell
-    inside the cube in lexicographic order, then those outside; the
-    variables of a :class:`GroundStateInstance` in sorted order.
+    The cell order: every cell builder numbers the sites of the cell's
+    box in C (lexicographic) order; a :class:`GroundStateInstance`
+    numbers its variables in sorted order.
     """
 
     fixed: np.ndarray
@@ -172,8 +171,9 @@ def scaled_tables(*tables: Sequence[Fraction]) -> tuple:
 @dataclass(frozen=True, eq=False)
 class Solution:
     """A minimizer: ``spins`` is a read-only int8 array in the cell order
-    of :class:`CellTerms` (sorted variables for a
-    :class:`GroundStateInstance`), ``method`` the solver that found it."""
+    of :class:`CellTerms` (C order over the cell's box, or sorted
+    variables for a :class:`GroundStateInstance`), ``method`` the solver
+    that found it."""
 
     spins: np.ndarray
     energy: Fraction
@@ -420,12 +420,9 @@ def minimize_enum(folded: FoldedInstance) -> Solution:
             f"more than 2**{DEFAULT_ENUM_CAP}"
         )
     unary = list(zip(folded.h_plus.tolist(), folded.h_minus.tolist()))
-    bound = sum(abs(w4) for pairs in below for _, w4 in pairs)
-    bound += sum(max(abs(hp), abs(hm)) for hp, hm in unary)
-    # coefficients too large for int64: same tables of python ints
-    dtype = np.int64 if bound < 2**62 else object
-
-    value = np.zeros((), dtype=dtype)
+    # a table entry is a partial sum of the folded energy, which the
+    # terms' bound holds, so the fold's dtype holds every entry
+    value = np.zeros((), dtype=folded.h_plus.dtype)
     choose: list = [None] * nfree
     for g in reversed(range(nfree)):
         choose[g], value = _eliminate(value, contexts[g], contexts[g + 1], g,

@@ -10,7 +10,8 @@ the cube count, both orientations each.
 The cube is realised exactly in an orthogonal frame aligned with nu,
 half-open along every frame axis, so opposite faces are never
 double-counted at any side.  The frame vectors are scaled to integers,
-so the cube and its bonds are built on an integer grid.  Values are
+so the cube and its bonds are built on an integer grid: the cell is
+the box holding the cube and its neighbours, in C order.  Values are
 exact rationals, each cell's minimum from :func:`ground_state.minimize`:
 elimination for a cell of few free sites, else an s/t min-cut, which
 never finds a cell frustrated on a coercive model (its strong couplings
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectivity import class_pairs, coarsening_side, core_phases, residue_ids
+from .connectivity import box_pairs, coarsening_side, core_phases, residue_ids, strong_classes
 from .ground_state import CellTerms, minimize, scaled_tables
 from .model import LatticeModel
 
@@ -137,19 +138,12 @@ def _check_core_sites(model: LatticeModel, phase: int, nu: Sequence[Fraction], s
     """Raises ValueError when the cube of the cell holds no core site of
     the phase.
 
-    Only sides up to ceil(sqrt(d) P) build the cube mask: a larger cube
-    holds the axis-aligned cube [-P/2, P/2)^d, whose sites stand for
-    every residue, so it holds a core site of every phase.
+    Only sides up to ceil(sqrt(d) P) build the cell: a larger cube holds
+    the axis-aligned cube [-P/2, P/2)^d, whose sites stand for every
+    residue, so it holds a core site of every phase.
     """
-    d = model.dimension
-    if side > math.isqrt(d * model.period**2 - 1) + 1:
-        return
-    frame = [_primitive(w) for w in orthogonal_frame(nu)]
-    bound = math.isqrt(d * side * side) // 2 + 2
-    box = (range(-bound, bound + 1),) * d
-    in_core = (core_phases(model) == phase)[residue_ids(model, box)]
-    if not (_cube_mask(frame, side, bound).ravel() & in_core).any():
-        raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
+    if side <= math.isqrt(model.dimension * model.period**2 - 1) + 1:
+        _cell_terms(model, phase, nu, side)
 
 
 def check_cells(model: LatticeModel, cells: Iterable[tuple[int, Sequence, int]]) -> None:
@@ -184,63 +178,57 @@ def cell_value(model: LatticeModel, phase: int, direction: Sequence, side: int) 
     Does not warn about the coarsening side; :func:`check_cells` does.
     """
     nu = _check_cell(model, phase, direction, side)
-    _check_core_sites(model, phase, nu, side)
+    terms = _cell_terms(model, phase, nu, side)
+    return minimize(terms).energy / side ** (model.dimension - 1)
+
+
+def _cell_terms(model: LatticeModel, phase: int, nu: Sequence[Fraction], side: int) -> CellTerms:
+    """The cell of one phase, direction and side; raises ValueError when
+    no core site of the phase lies in its cube, so no site is free."""
     frame = [_primitive(w) for w in orthogonal_frame(nu)]
     terms = _cell_instance(model, core_phases(model) == phase, frame, side)
-    return minimize(terms).energy / side ** (model.dimension - 1)
+    if terms.fixed.all():
+        raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
+    return terms
 
 
 def _cell_instance(
     model: LatticeModel, in_core: np.ndarray, frame: Sequence[tuple[int, ...]], side: int
 ) -> CellTerms:
-    """The cell problem of one cube as term arrays: the core sites inside
-    are free, their strong neighbours outside are fixed to the
-    sharp-interface datum.
+    """The cell problem of one cube as term arrays, over a box that holds
+    the cube and the strong neighbours of its sites, in C order.
 
     ``in_core`` tells, per residue number, whether the residue belongs
-    to the phase's core.  Inside sites come first, in lexicographic
-    order, then the outside ones, also sorted.  Pairs are the strong
-    class pairs of a box that holds the cube and its neighbours, kept
-    where the source is inside; an inner pair is taken once, from its
-    lexicographically smaller site.
+    to the phase's core.  The core sites inside the cube are free; every
+    other site of the box is held at the sharp-interface datum, +1 where
+    <x, nu> > 0 and -1 elsewhere.  Pairs are the strong class pairs of
+    the core whose source is inside; an inner pair is taken once, from
+    its lexicographically smaller site.
     """
     d = model.dimension
-    classes = [
-        (res, off) for res, core in zip(model.residues(), in_core) if core
-        for off in sorted(model.strong_offsets(res))
-    ]
+    classes = strong_classes(model, in_core)
     pad = max((abs(c) for _, off in classes for c in off), default=0)
     bound = math.isqrt(d * side * side) // 2 + 2 + pad
     box = (range(-bound, bound + 1),) * d
     inside = _cube_mask(frame, side, bound).ravel() & in_core[residue_ids(model, box)]
-    flat = np.flatnonzero(inside)  # lexicographic
-
-    src, dst = [], []
-    for res, off in classes:
-        x, y = class_pairs(model, box, res, off)
-        keep = inside[x] & ~inside[y] if off < (0,) * d else inside[x]
-        src.append(x[keep])
-        dst.append(y[keep])
-    pair_class = np.repeat(np.arange(len(classes)), [x.size for x in src])
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    outside = ~inside[dst]
-    outer, outer_number = np.unique(dst[outside], return_inverse=True)
-    v = np.searchsorted(flat, dst)
-    v[outside] = flat.size + outer_number
-    coords = np.stack(np.unravel_index(outer, (len(box[0]),) * d), axis=1) - bound
+    src, dst, pair_class = box_pairs(model, box, classes)
+    forward = np.array([off > (0,) * d for _, off in classes], dtype=bool)
+    keep = inside[src] & (forward[pair_class] | ~inside[dst])
 
     normal = frame[0]
     dtype = np.int64 if bound * sum(abs(c) for c in normal) < 2**62 else object
-    above = (coords.astype(dtype) * np.array(normal, dtype=dtype)).sum(axis=1) > 0
+    height = np.zeros((), dtype=dtype)  # <x, nu> over the box, C order
+    for c in normal:
+        height = height[..., None] + np.arange(-bound, bound + 1).astype(dtype) * c
+    datum = np.where(height.ravel() > 0, 1, -1).astype(np.int8)
     scale, weights = scaled_tables([2 * model.weights[c] for c in classes])
-    n = flat.size + outer.size
-    datum = np.where(above, 1, -1).astype(np.int8)
+    n = inside.size
     return CellTerms(
-        fixed=np.concatenate([np.zeros(flat.size, dtype=np.int8), datum]),
+        fixed=np.where(inside, 0, datum).astype(np.int8),
         group=np.arange(n, dtype=np.int64),
-        u=np.searchsorted(flat, src),
-        v=v,
-        pair_class=pair_class,
+        u=src[keep],
+        v=dst[keep],
+        pair_class=pair_class[keep],
         weights=weights,
         site_class=np.zeros(n, dtype=np.int64),
         h_plus=(0,),

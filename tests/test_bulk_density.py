@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinhom import bulk_density
+from spinhom import bulk_density, connectivity
 from spinhom.bulk_density import (
     PhiTable,
     build_phi_instance,
@@ -429,8 +429,8 @@ def test_union_find_gets_no_pairs_without_loose_residues(monkeypatch):
     """Models whose hard residues all lie in cores run the union-find on
     zero pairs."""
     seen = []
-    real = bulk_density.components
-    monkeypatch.setattr(bulk_density, "components", lambda n, a, b: seen.append(a.size) or real(n, a, b))
+    real = connectivity.components
+    monkeypatch.setattr(connectivity, "components", lambda n, a, b: seen.append(a.size) or real(n, a, b))
     for name in ("soft_inclusions_2d", "diagonal_2d"):
         labels = hard_components_in_cube(fixture_model(name), 12)
         assert (labels == -1).all()

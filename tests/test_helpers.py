@@ -4,6 +4,7 @@ that integrates a 2D target; also the solver helpers the other test
 modules share."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 from spinhom import gamma_limit
-from spinhom.bulk_density import PhiRow, PhiTable
+from spinhom.bulk_density import PhiRow, PhiTable, phi_m
 from spinhom.gamma_limit import Box, Boxes, Constant, DomainSpec, MultiphaseField, Slab
 from spinhom.ground_state import fold_instance, minimize, minimize_cut, minimize_enum
 from spinhom.intlattice import contains, hermite_basis, is_full_lattice
 from spinhom.maxflow import FlowNetwork
+
+from conftest import fixture_model, random_chain_model
 
 F = Fraction
 
@@ -539,3 +542,117 @@ def test_slicing_integral_matches_polygon_oracle():
         phi = phi_table({z: F(rng.randrange(-9, 10), rng.randrange(1, 5)) for z in states})
         assert gamma_limit._bulk_term(omega, target, phi) == polygon_bulk(omega, target, phi), (
             omega, target)
+
+
+# ---------------------------------------------------------------------------
+# phi of a chain by minimum cycle mean
+
+
+def chain_cores(model, states) -> dict:
+    """Residue -> spin for the core residues of a d = 1 model, each at its
+    phase's state.  Each phase's strong components come from a lifted
+    breadth-first search over residues; a component is a core when its
+    cycle displacements (in periods) have gcd 1, so that it lifts to one
+    infinite chain."""
+    p = model.period
+    cores = {}
+    for r in range(p):
+        phase = model.labels[(r,)]
+        if not phase or r in cores:
+            continue
+        lift, gcd = {r: r}, 0
+        queue = [r]
+        for a in queue:
+            for (o,) in model.strong_offsets((a,)):
+                x = lift[a] + o
+                if x % p in lift:
+                    gcd = math.gcd(gcd, (x - lift[x % p]) // p)
+                else:
+                    lift[x % p] = x
+                    queue.append(x % p)
+        if gcd == 1:
+            cores.update(dict.fromkeys(lift, states[phase - 1]))
+    return cores
+
+
+def karp_phi(model, states) -> Fraction:
+    """The bulk density phi(states) of a d = 1 model, independent of the
+    cell builders: the minimum cycle mean (Karp 1978) of a transfer graph,
+    divided by the period.
+
+    A node is the spins of the last ceil(R/P) periods, R the bond range,
+    with the core sites at their states.  An arc appends one period and
+    breaks no strong bond; it costs the period's forcing plus 4w for each
+    broken ordered weak pair whose later end lies in the new period.
+    """
+    p = model.period
+    cores = chain_cores(model, states)
+    offsets = [o for r in range(p) for (o,) in model.strong_offsets((r,)) | model.weak_offsets((r,))]
+    width = p * -(-max(map(abs, offsets), default=1) // p)
+    strong, weak = [], []
+    for a in range(width + p):
+        r = (a % p,)
+        for (o,) in model.strong_offsets(r) | model.weak_offsets(r):
+            if width <= max(a, a + o) and a + o < width + p:  # then a + o >= 0, as |o| <= width
+                if (o,) in model.strong_offsets(r):
+                    strong.append((a, a + o))
+                else:
+                    weak.append((a, a + o, 4 * model.weights[(r, (o,))]))
+
+    def assignments(positions):
+        free = [a for a in positions if a % p not in cores]
+        for bits in itertools.product((1, -1), repeat=len(free)):
+            spins = {a: cores[a % p] for a in positions if a % p in cores}
+            spins.update(zip(free, bits))
+            yield tuple(spins[a] for a in positions)
+
+    nodes = list(assignments(range(width)))
+    index = {x: i for i, x in enumerate(nodes)}
+    arcs = []
+    for u, window in enumerate(nodes):
+        for period in assignments(range(p)):
+            s = window + period
+            if any(s[a] != s[b] for a, b in strong):
+                continue
+            cost = sum(model.forcing.get(((a % p,), s[a]), F(0)) for a in range(width, width + p))
+            cost += sum(w for a, b, w in weak if s[a] != s[b])
+            arcs.append((u, index[s[p:]], cost))
+    # walks of exactly k arcs, starting anywhere: Karp's formula with a
+    # source joined to every node by arcs of cost 0
+    n = len(nodes)
+    walks = [[F(0)] * n]
+    for _ in range(n):
+        step = [None] * n
+        for u, v, cost in arcs:
+            if walks[-1][u] is not None and (step[v] is None or walks[-1][u] + cost < step[v]):
+                step[v] = walks[-1][u] + cost
+        walks.append(step)
+    mean = min(
+        max((walks[n][v] - walks[k][v]) / (n - k) for k in range(n) if walks[k][v] is not None)
+        for v in range(n) if walks[n][v] is not None
+    )
+    return mean / p
+
+
+@pytest.mark.parametrize("name, states, want", [
+    ("chain_soft_even", (-1,), F(7, 5)),
+    ("chain_soft_even_anti", (1,), F(-1)),
+    ("two_chains", (1, -1), F(1)),
+    ("islands_1d", (1,), F(7, 40)),
+    ("chain_two_weak_scales", (-1,), F(13, 4)),
+])
+def test_karp_oracle_gives_the_known_limits(name, states, want):
+    assert karp_phi(fixture_model(name), states) == want
+
+
+def test_cube_density_stays_below_the_oracle_on_random_chains():
+    """The doubling inequality on period-aligned sides: with nonnegative
+    weak couplings the cube density phi_M lies at or below the limit."""
+    rng = random.Random(2024)
+    for trial in range(40):
+        model = random_chain_model(rng, nonneg_weak=True)
+        p = model.period
+        for states in itertools.product((1, -1), repeat=model.num_phases):
+            limit = karp_phi(model, states)
+            for m in (2 * p, 4 * p, 8 * p, 16 * p):
+                assert phi_m(model, m, states) <= limit, (trial, states, m)

@@ -179,15 +179,19 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
         for side in sides:
             terms = _cell_instance(model, in_core, frame, side)
             variables, pair_terms, fixed = reference_cell_instance(model, 1, summary, direction, side)
-            # the reference lists its sites in the cell order of the cube
-            assert terms.size == len(variables)
-            sites = variables
+            # the cell's sites are its box in C order
+            n = round(terms.size ** (1 / model.dimension))
+            assert terms.size == n**model.dimension
+            sites = list(itertools.product(range(-(n // 2), n // 2 + 1), repeat=model.dimension))
             got_pairs = [
                 (sites[u], sites[v], Fraction(terms.weights[k], terms.scale))
                 for u, v, k in zip(terms.u.tolist(), terms.v.tolist(), terms.pair_class.tolist())
             ]
             assert sorted(got_pairs) == sorted(pair_terms)
-            assert {x: int(spin) for x, spin in zip(sites, terms.fixed) if spin} == fixed
+            free = [x for x, spin in zip(sites, terms.fixed) if not spin]
+            assert free == [x for x in variables if x not in fixed]
+            held = {x: int(spin) for x, spin in zip(sites, terms.fixed)}
+            assert all(held[y] == spin for y, spin in fixed.items())
             # every site is its own group, and no site carries a forcing term
             assert terms.group.tolist() == list(range(terms.size))
             assert set(terms.h_plus) == set(terms.h_minus) == {0}
@@ -292,8 +296,8 @@ def test_check_cells_finds_a_cube_without_core_sites_before_later_cells():
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_core_site_check_agrees_with_the_built_cell(name):
-    """The check builds no cube mask past ceil(sqrt(d) P); below it, it
-    raises exactly where the built cell has no site."""
+    """The check builds no cell past ceil(sqrt(d) P); below it, it
+    raises exactly where the built cell has no free site."""
     model = fixture_model(name)
     d = model.dimension
     directions = [(1,), (-2,)] if d == 1 else [(1, 0), (1, 1), (1, 2), (-3, 5)]
@@ -305,7 +309,7 @@ def test_core_site_check_agrees_with_the_built_cell(name):
             nu_q = tuple(Fraction(c) for c in nu)
             for side in range(1, 3 * model.period + 3):
                 terms = _cell_instance(model, core_phases(model) == phase, frame, side)
-                if terms.size:
+                if not terms.fixed.all():
                     surface_tension._check_core_sites(model, phase, nu_q, side)
                 else:
                     with pytest.raises(ValueError, match="no cluster sites"):
