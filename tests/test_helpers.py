@@ -1,7 +1,7 @@
 """Support layers: integer lattices, max-flow, the scalar per-cube rule
-that classifies phase targets on cubes, and the polygon arrangement
-that integrates a 2D target; also the solver helpers the other test
-modules share."""
+that classifies phase targets on cubes, the polygon arrangement that
+integrates a 2D target, and a d = 1 oracle for phi; also the solver
+helpers the other test modules share."""
 
 import itertools
 import math
