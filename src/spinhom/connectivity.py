@@ -211,7 +211,9 @@ def core_phases(model: LatticeModel) -> np.ndarray:
 
     Raises ValueError when a strong bond joins residues that lie in
     different cores, or in a core and outside every core: no cell can
-    then hold its core sites by residue.  Only a model that fails the
+    then hold its core sites by residue.  It raises the same when a
+    strong bond joins residues with different labels, such as a loose
+    hard residue and a soft one.  Only a model that fails the
     hard-closure rule of :func:`model.validate` has such a bond.
     """
     cores = model.summary.core_residues
@@ -220,10 +222,12 @@ def core_phases(model: LatticeModel) -> np.ndarray:
     residues = list(model.residues())
     for r in residues:
         for off in sorted(model.strong_offsets(r)):
-            if core[tuple((a + b) % t for a, b in zip(r, off))] != core[r]:
+            r2 = tuple((a + b) % t for a, b in zip(r, off))
+            if core[r2] != core[r] or model.labels[r2] != model.labels[r]:
+                what = "different cores" if core[r2] != core[r] else "different labels"
                 raise ValueError(
                     f"strong bond (from={r}, offset={off}) joins residues of "
-                    "different cores; the model fails validation"
+                    f"{what}; the model fails validation"
                 )
     return np.array([core[r] for r in residues])
 

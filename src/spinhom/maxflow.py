@@ -17,6 +17,25 @@ augmentation instead of one search of the whole network per phase
 pseudo-polynomial, O(m n^2 |C|) for a cut of value |C|; integer
 capacities still guarantee that it stops at the exact maximum.
 
+Whether a candidate parent still reaches its root is decided by a walk
+up its parent chain.  Each push advances an augmentation counter, and s
+and t are stamped with it; the walk stops at the first node stamped
+with the current counter (the chain is valid) or at an orphan (it is
+not).  A walk that reaches a stamped node then stamps every node it
+passed, and an adopted orphan stamps itself.  The invariant: a node
+stamped during one augmentation's adoption is never orphaned again in
+that adoption.  Capacities do not change while orphans are adopted, a
+node is orphaned only when its parent leaves the tree, and only an
+orphan with no valid parent leaves; every node of a chain that reaches
+the root has a parent, so none of them leaves.  A stamp is written only
+once its chain is known to reach the root, and a stamp of an earlier
+augmentation never counts.  So the walk answers what a walk to the root
+would, and the parent rule is unchanged: the first neighbour in arc
+order whose tree arc to the orphan has residual capacity and whose
+chain reaches the root.  The trees, the augmenting paths, the flow and
+the final source tree are those of walking every chain to the root;
+only the walks are shorter.
+
 The set of nodes reachable from the source in the residual graph after
 :meth:`FlowNetwork.max_flow` is the same for every maximum flow: it is
 the smallest source set of a minimum cut.  So the cut that
@@ -45,7 +64,12 @@ class FlowNetwork:
     ``eid`` is ``eid ^ 1``.  ``to[eid]`` is the head of arc eid, ``cap``
     its residual capacity as a Python int, and ``adj[u]`` the arcs
     leaving u in increasing arc order (one stable sort by tail), so the
-    search order follows the order of the pairs.
+    search order follows the order of the pairs.  ``to`` and ``adj``
+    take their entries from one pool of int objects, one per value
+    below ``max(n, number of arcs)``: a node id is one object however
+    many arcs it heads, and a node id and an arc id of equal value are
+    the same object.  (``tolist()`` of an int64 array makes one int per
+    entry; Python shares only the ints up to 256.)
     """
 
     def __init__(self, n: int, tail, head, cap, rcap=0):
@@ -57,10 +81,11 @@ class FlowNetwork:
         to[0::2], to[1::2] = head, tail
         caps = np.empty(ends.size, dtype=object)  # Python ints, however large
         caps[0::2], caps[1::2] = cap, rcap
-        order = np.argsort(ends, kind="stable").tolist()
+        pool = np.array(range(max(n, ends.size)), dtype=object)  # one int per id
+        order = pool[np.argsort(ends, kind="stable")].tolist()
         stops = np.cumsum(np.bincount(ends, minlength=n)).tolist()
         self.n = n
-        self.to: list[int] = to.tolist()
+        self.to: list[int] = pool[to].tolist()
         self.cap: list[int] = caps.tolist()
         self.adj: list[list[int]] = [order[a:b] for a, b in zip([0, *stops], stops)]
         self._source_tree: tuple[int, list[int]] | None = None  # (s, tree) of max_flow
@@ -78,23 +103,39 @@ class FlowNetwork:
         active = deque([s, t])
         queued = [False] * self.n
         queued[s] = queued[t] = True
+        # stamp[v] == clock: v's chain reaches its root in this adoption
+        stamp = [0] * self.n
+        clock = 0
         flow = 0
         while active:
             u = active[0]
-            side = tree[u]
             bridge = -1  # an arc from the source tree into the sink tree
-            for eid in adj[u] if side else ():
-                if cap[eid if side > 0 else eid ^ 1] > 0:
-                    v = to[eid]
-                    if not tree[v]:
-                        tree[v] = side
-                        parent[v] = eid ^ 1
-                        if not queued[v]:
-                            queued[v] = True
-                            active.append(v)
-                    elif tree[v] != side:
-                        bridge = eid if side > 0 else eid ^ 1
-                        break
+            if tree[u] > 0:
+                for eid in adj[u]:
+                    if cap[eid] > 0:
+                        v = to[eid]
+                        if not tree[v]:
+                            tree[v] = 1
+                            parent[v] = eid ^ 1
+                            if not queued[v]:
+                                queued[v] = True
+                                active.append(v)
+                        elif tree[v] < 0:
+                            bridge = eid
+                            break
+            elif tree[u]:
+                for eid in adj[u]:
+                    if cap[eid ^ 1] > 0:
+                        v = to[eid]
+                        if not tree[v]:
+                            tree[v] = -1
+                            parent[v] = eid ^ 1
+                            if not queued[v]:
+                                queued[v] = True
+                                active.append(v)
+                        elif tree[v] > 0:
+                            bridge = eid ^ 1
+                            break
             if bridge < 0:
                 # u is exhausted, or was freed while queued
                 active.popleft()
@@ -114,6 +155,8 @@ class FlowNetwork:
                 v = to[parent[v]]
             push = min([cap[eid] for eid in path])
             flow += push
+            clock += 1
+            stamp[s] = stamp[t] = clock
             # the orphans nearest the roots go first: a deeper one checked
             # earlier would see its candidates' chains end at the shallower
             # orphan and leave the tree for nothing
@@ -129,14 +172,25 @@ class FlowNetwork:
             while orphans:
                 v = orphans.popleft()
                 side = tree[v]
+                # the tree arc between v and a neighbour w needs residual
+                # capacity on eid ^ back: w -> v in the source tree, v -> w
+                # in the sink tree
+                back = 1 if side > 0 else 0
+                # adopt the first such neighbour of v's tree, in arc order,
+                # whose chain reaches the root; the walk up stops at a node
+                # stamped in this adoption or at an orphan
                 for eid in adj[v]:
-                    w = to[eid]
-                    if tree[w] == side and cap[eid ^ 1 if side > 0 else eid] > 0:
-                        x = w  # adopt w if its parent chain still reaches the root
-                        while parent[x] >= 0:
+                    if cap[eid ^ back] > 0 and tree[to[eid]] == side:
+                        x = to[eid]
+                        while stamp[x] != clock and parent[x] >= 0:
                             x = to[parent[x]]
-                        if parent[x] == _ROOT:
+                        if stamp[x] == clock:
+                            x = to[eid]
+                            while stamp[x] != clock:
+                                stamp[x] = clock
+                                x = to[parent[x]]
                             parent[v] = eid
+                            stamp[v] = clock
                             break
                 else:
                     # no valid parent: v leaves the tree, its neighbours there
@@ -145,7 +199,7 @@ class FlowNetwork:
                     for eid in adj[v]:
                         w = to[eid]
                         if tree[w] == side:
-                            if cap[eid ^ 1 if side > 0 else eid] > 0 and not queued[w]:
+                            if cap[eid ^ back] > 0 and not queued[w]:
                                 queued[w] = True
                                 active.append(w)
                             if parent[w] == eid ^ 1:

@@ -125,6 +125,18 @@ def test_network_from_arrays():
     assert (empty.to, empty.cap, empty.adj) == ([], [], [[], []])
 
 
+def test_network_holds_one_int_per_node_and_arc_id():
+    """``to`` and ``adj`` take their entries from one pool: a node id that
+    heads many arcs, or equals an arc id, is one int object, also past
+    the small ints that Python caches."""
+    rng = random.Random(67)
+    n, m = 600, 2000
+    net = FlowNetwork(n, [rng.randrange(n) for _ in range(m)],
+                      [rng.randrange(n) for _ in range(m)], [1] * m)
+    ids = net.to + [eid for arcs in net.adj for eid in arcs]
+    assert len({id(x) for x in ids}) == len(set(ids))
+
+
 def test_max_flow_matches_brute_cut():
     rng = random.Random(31)
     for _ in range(60):
@@ -361,9 +373,17 @@ def test_max_flow_with_terminal_arcs_on_many_nodes(top):
         (3, [(0, 1, 3, 0), (0, 1, 4, 0), (1, 2, 2, 1), (1, 2, 6, 0), (0, 2, 1, 0)], 8, {0}),
         (3, [(0, 1, 0, 0), (1, 2, 5, 0), (0, 2, 0, 9)], 0, {0}),
         (4, [(0, 1, 2, 0), (1, 3, 0, 0), (1, 2, 2, 0), (2, 3, 1, 0)], 1, {0, 1, 2}),
+        # a 2 x 4 grid (nodes 1..8) where three augmentations orphan 11 nodes
+        # and 10 of them leave their tree: a stamp kept from an earlier
+        # augmentation, or written on a walk before it reaches the root,
+        # lets an orphan adopt a neighbour whose chain ends at another
+        # orphan, and the source side comes out as {0, 1, 2, 3, 6, 7, 8}
+        (10, [(8, 4, 1, 3), (8, 1, 2, 5), (1, 5, 0, 3), (1, 2, 4, 3), (2, 6, 4, 3), (2, 3, 4, 2),
+              (3, 7, 4, 3), (3, 9, 1, 0), (4, 5, 0, 3), (4, 9, 2, 0), (5, 6, 3, 1), (6, 7, 4, 4),
+              (0, 6, 2, 0), (0, 7, 1, 0)], 3, {0}),
     ],
     ids=["no-arcs", "unreachable-sink", "direct-arc", "parallel-arcs", "zero-capacity",
-         "zero-capacity-path"],
+         "zero-capacity-path", "adoption-stamps"],
 )
 def test_max_flow_edge_cases(n, edges, flow, side):
     got, want = flow_and_oracle(n, edges, 0, n - 1)

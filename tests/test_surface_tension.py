@@ -242,6 +242,13 @@ def test_diagonal_lattice_walls_decrease_with_side():
     assert diag == [Fraction(5, 8), Fraction(11, 16), Fraction(23, 32)]
 
 
+@pytest.mark.parametrize("normal", [(1, 2), (2, 1), (-1, 2), (2, -1)], ids=str)
+def test_diagonal_lattice_oblique_cells_at_side_128(normal):
+    """The cells of the ``fhom`` benchmark workload: every normal it draws
+    gives 29/32 at T = 128 (the limit is 2/sqrt(5))."""
+    assert cell_value(fixture_model("diagonal_2d"), 1, normal, 128) == Fraction(29, 32)
+
+
 def test_cell_value_argument_errors():
     model = fixture_model("soft_inclusions_2d")
     with pytest.raises(ValueError):
