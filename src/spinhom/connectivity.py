@@ -213,8 +213,9 @@ def core_phases(model: LatticeModel) -> np.ndarray:
     different cores, or in a core and outside every core: no cell can
     then hold its core sites by residue.  It raises the same when a
     strong bond joins residues with different labels, such as a loose
-    hard residue and a soft one.  Only a model that fails the
-    hard-closure rule of :func:`model.validate` has such a bond.
+    hard residue and a soft one, and when a strong bond's reverse offset
+    is not a strong offset of its target residue.  Only a model that
+    fails the hard-closure rule of :func:`model.validate` has such a bond.
     """
     cores = model.summary.core_residues
     core = {r: j if r in cores.get(j, ()) else 0 for r, j in model.labels.items()}
@@ -229,7 +230,39 @@ def core_phases(model: LatticeModel) -> np.ndarray:
                     f"strong bond (from={r}, offset={off}) joins residues of "
                     f"{what}; the model fails validation"
                 )
+            if tuple(-o for o in off) not in model.strong_offsets(r2):
+                raise ValueError(
+                    f"strong bond (from={r}, offset={off}) lacks the reverse strong "
+                    f"offset at {r2}; the model fails validation"
+                )
     return np.array([core[r] for r in residues])
+
+
+def class_slices(
+    model: LatticeModel, ranges: Sequence[range], res: Residue, off: Offset
+) -> tuple[tuple[slice, ...], tuple[slice, ...]] | None:
+    """Basic slices of a box's site grid (shape ``len(r)`` per axis) that
+    cut out the sites at residue ``res`` whose neighbour at ``off`` is in
+    the box, and those neighbours, in the same order; None when the box
+    holds no such pair.
+
+    Along each axis the kept sites are every ``period``-th index from the
+    first one at the residue whose neighbour is in range, so both cuts
+    are one stride-``period`` slice per axis, and ``grid[src]`` and
+    ``grid[dst]`` are views.  At the zero offset the source cut is the
+    residue's sub-grid.
+    """
+    t = model.period
+    src, dst = [], []
+    for r, o, axis in zip(res, off, ranges):
+        n = len(axis)
+        lo, hi = max(0, -o), min(n, n - o)
+        first = lo + (r - axis.start - lo) % t
+        if first >= hi:
+            return None
+        src.append(slice(first, hi, t))
+        dst.append(slice(first + o, hi + o, t))
+    return tuple(src), tuple(dst)
 
 
 def class_pairs(
@@ -237,18 +270,18 @@ def class_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sites of a box at residue ``res`` whose neighbour at ``off`` is in the box.
 
-    Returns the site numbers (C order) and those of the neighbours.  The
-    sites of one residue class form a grid of stride ``period`` along
-    every axis, so the class is cut out axis by axis.
+    Returns the site numbers (C order) and those of the neighbours: the
+    sites that the source slices of :func:`class_slices` cut out of the
+    box, numbered axis by axis.
     """
-    t = model.period
+    cut = class_slices(model, ranges, res, off)
+    if cut is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     index = np.zeros((), dtype=np.int64)
     step = 0
-    for r, o, axis in zip(res, off, ranges):
+    for s, o, axis in zip(cut[0], off, ranges):
         n = len(axis)
-        a = np.arange((r - axis.start) % t, n, t)
-        a = a[(a + o >= 0) & (a + o < n)]
-        index = index[..., None] * n + a
+        index = index[..., None] * n + np.arange(s.start, s.stop, s.step)
         step = step * n + o
     src = index.ravel()
     return src, src + step

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bulk_density import PhiTable, phi_solution
-from .connectivity import class_pairs, coarsening_side, core_phases, residue_ids
+from .connectivity import class_slices, coarsening_side, core_phases
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction, check_sides
 
@@ -151,7 +151,8 @@ class SpinField:
             except KeyError:
                 raise ValueError("field values must cover the domain sites exactly") from None
             spins = spins.reshape(shape)
-        bad = np.flatnonzero(~np.isin(spins, (1, -1)))
+        # on the caller's dtype: a value that the int8 cast would wrap to +-1 is refused
+        bad = np.flatnonzero((spins != 1) & (spins != -1))
         if bad.size:
             index = np.unravel_index(bad[0], shape)
             site = tuple(r[int(i)] for r, i in zip(self.ranges, index))
@@ -237,9 +238,11 @@ def save_field(field: SpinField, path) -> None:
 def f_eps(model: LatticeModel, field: SpinField) -> Fraction:
     """Exact scaled energy of a spin field (ordered-pair convention).
 
-    Broken bonds are counted per (residue, offset) class over the class
-    pairs of the spin grid, and spins per residue class; each count is
-    weighted by its exact coupling or forcing value once.
+    Broken bonds are counted per (residue, offset) class on the two
+    strided views of the spin grid that :func:`class_slices` cuts out
+    for the class, and spins per (residue, spin) class on the residue's
+    view (the zero offset); each count is weighted by its exact coupling
+    or forcing value once.  No index array of the grid's size is built.
     """
     if field.omega.dimension != model.dimension:
         raise ValueError("field dimension does not match the model")
@@ -251,23 +254,23 @@ def f_eps(model: LatticeModel, field: SpinField) -> Fraction:
             strong += 4 * w * count
         else:
             weak += 4 * w * count
-    number = {res: k for k, res in enumerate(model.residues())}
-    rid = residue_ids(model, field.ranges)
-    spins = field.spins.ravel()
-    counts = {s: np.bincount(rid[spins == s], minlength=len(number)).tolist() for s in (1, -1)}
+    d = model.dimension
     forcing = Fraction(0)
     for (res, s), g in model.forcing.items():
-        forcing += g * counts[s][number[res]]
-    d = model.dimension
+        cut = class_slices(model, field.ranges, res, (0,) * d)
+        if cut is not None:
+            forcing += g * int(np.count_nonzero(field.spins[cut[0]] == s))
     eps = field.eps
     return eps ** (d - 1) * strong + eps**d * (weak + forcing)
 
 
 def _broken(model: LatticeModel, field: SpinField, res: Residue, off: Offset) -> int:
     """Pairs of one (residue, offset) class inside the domain joining opposite spins."""
-    src, dst = class_pairs(model, field.ranges, res, off)
-    spins = field.spins.ravel()
-    return int(np.count_nonzero(spins[src] != spins[dst]))
+    cut = class_slices(model, field.ranges, res, off)
+    if cut is None:
+        return 0
+    src, dst = cut
+    return int(np.count_nonzero(field.spins[src] != field.spins[dst]))
 
 
 def count_broken_strong(model: LatticeModel, field: SpinField) -> int:
@@ -345,6 +348,8 @@ def extend(
     The kept cubes tile one box of the site grid, taken as a view of
     shape (n_1, ..., n_d, m, ..., m); the minimum and maximum of the
     cluster spins of every cube are two reductions over its last d axes.
+    The cluster mask is set residue by residue, on each core residue's
+    strided view of the grid (:func:`class_slices` at the zero offset).
     """
     _check_cube_side(model, m)
     model.check_phase(phase)
@@ -355,7 +360,10 @@ def extend(
         raise ValueError("field dimension does not match the model")
     ranges = field.ranges
     spins = field.spins.copy()
-    core = core_phases(model)[residue_ids(model, ranges)].reshape(spins.shape) == phase
+    core = np.zeros(spins.shape, dtype=bool)
+    for res, j in zip(model.residues(), core_phases(model)):
+        if j == phase and (cut := class_slices(model, ranges, res, (0,) * model.dimension)) is not None:
+            core[cut[0]] = True
     # the concentric cube of side 3m lies within the sites
     axes = _cube_axes(ranges, m, m, m)
     d = len(axes)
@@ -833,11 +841,17 @@ def recovery_config(
         view[paste] = blocks[m, key]
         todo &= ~paste
 
-    core = core_phases(model)[residue_ids(model, ranges)].reshape(spins.shape)
+    # each core residue's sites, a strided view of the grid, carry its phase's trace
+    cuts = [
+        (j, cut[0]) for res, j in zip(model.residues(), core_phases(model))
+        if j and (cut := class_slices(model, ranges, res, (0,) * d)) is not None
+    ]
     for j, phase in enumerate(target.phases, start=1):
-        on_core = core == j
-        if on_core.any():
-            spins[on_core] = phase.on_lattice(eps, ranges)[on_core]
+        on_core = [view for k, view in cuts if k == j]
+        if on_core:
+            trace = phase.on_lattice(eps, ranges)
+            for view in on_core:
+                spins[view] = trace[view]
     return SpinField(eps, omega, spins)
 
 

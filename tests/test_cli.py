@@ -741,15 +741,18 @@ def test_cell_builders_refuse_a_strong_bond_between_cores(capsys, tmp_path, argv
     assert run(["components", path]) == 0
 
 
-def loose_model_path(tmp_path) -> str:
+def loose_model_path(tmp_path, label2: int) -> str:
     """A period-4 chain whose residue 0 is a phase-1 core and whose loose
-    hard residue 1 has a strong bond to the soft residue 2: it fails the
-    hard-closure rule, though the bond leaves no core."""
+    hard residue 1 has a strong bond to residue 2, labelled ``label2``,
+    which declares the reverse offset as a weak bond.  Either way it fails
+    the hard-closure rule, though the bond leaves no core: with ``label2``
+    0 the bond joins a hard residue and a soft one, with ``label2`` 1 it
+    has no strong reverse."""
     doc = {
         "dimension": 1,
         "period": 4,
         "num_phases": 1,
-        "labels": {"0": 1, "1": 1, "2": 0, "3": 0},
+        "labels": {"0": 1, "1": 1, "2": label2, "3": 0},
         "strong_bonds": [{"from": "0", "offset": [4], "weight": "1"},
                          {"from": "0", "offset": [-4], "weight": "1"},
                          {"from": "1", "offset": [1], "weight": "1"}],
@@ -765,25 +768,37 @@ def loose_model_path(tmp_path) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [
+LOOSE_ARGVS = [
     ["phi", "--M", "4,8", "--z", "1"],
     ["fhom", "--normal", "1", "--T", "8"],
     ["gamma-eval", "--omega", OMEGA_1D, "--target", SLAB_1D, "--T", "4", "--M", "4"],
     ["converge", "--omega", OMEGA_1D, "--target", SLAB_1D, "--eps", "1/8,1/16", "--M", "4"],
     ["extend", "--field", '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, '
                           '"spins_rle": [[15, 1]]}', "--phase", "1", "--M", "4"],
-], ids=lambda argv: argv[0])
-def test_cell_builders_refuse_a_strong_bond_between_labels(capsys, tmp_path, argv):
-    """A strong bond from a loose hard residue to a soft one makes
+]
+# per model: the label of residue 2, the refusal, and the suffix of the test ids
+LOOSE_MODELS = [
+    (0, "joins residues of different labels", ""),
+    (1, "lacks the reverse strong offset at (2,)", "-one-way"),
+]
+
+
+@pytest.mark.parametrize("argv, label2, message", [
+    pytest.param(argv, label2, message, id=argv[0] + suffix)
+    for label2, message, suffix in LOOSE_MODELS for argv in LOOSE_ARGVS
+])
+def test_cell_builders_refuse_a_strong_bond_between_labels(capsys, tmp_path, argv, label2, message):
+    """A strong bond from a loose hard residue to a soft one, or to a hard
+    one that declares the reverse offset as a weak bond, makes
     ``validate`` exit 1 and every command that builds a cell exit 2."""
-    path = loose_model_path(tmp_path)
+    path = loose_model_path(tmp_path, label2)
     assert run(["validate", path]) == 1
     capsys.readouterr()
     assert run([argv[0], path, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: strong bond (from=(1,), offset=(1,)) joins residues of "
-                            "different labels; the model fails validation\n")
+    assert captured.err == (f"error: strong bond (from=(1,), offset=(1,)) {message}; "
+                            "the model fails validation\n")
 
 
 T = "two_chains.json"  # run from the fixture directory, so test ids hold no path

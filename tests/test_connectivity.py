@@ -1,5 +1,6 @@
 """Strong-bond connectivity: classification, cores, islands, coarsening."""
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -13,6 +14,7 @@ from spinhom.connectivity import (
     CLASS_FINITE,
     CLASS_UNIQUE,
     class_pairs,
+    class_slices,
     classify,
     coarsening_side,
     components,
@@ -394,6 +396,9 @@ def brute_class_pairs(t, ranges, res, off):
 
 
 def test_class_pairs_match_per_site_scan():
+    """``class_pairs`` and the sites that ``class_slices`` cuts out of a
+    grid of site numbers both list the scanned pairs; at the zero offset
+    the slices of each residue hold exactly the sites of that residue."""
     rng = random.Random(3)
     for _ in range(400):
         d = rng.randint(1, 3)
@@ -401,8 +406,21 @@ def test_class_pairs_match_per_site_scan():
         ranges = [range(lo, lo + rng.randint(0, 7)) for lo in (rng.randint(-9, 5) for _ in range(d))]
         res = tuple(rng.randrange(t) for _ in range(d))
         off = tuple(rng.choice((0, rng.randint(-5, 5))) for _ in range(d))
-        src, dst = class_pairs(SimpleNamespace(period=t, dimension=d), ranges, res, off)
-        assert list(zip(src.tolist(), dst.tolist())) == brute_class_pairs(t, ranges, res, off)
+        model = SimpleNamespace(period=t, dimension=d)
+        want = brute_class_pairs(t, ranges, res, off)
+        src, dst = class_pairs(model, ranges, res, off)
+        assert list(zip(src.tolist(), dst.tolist())) == want
+        grid = np.arange(math.prod(len(r) for r in ranges)).reshape([len(r) for r in ranges])
+        cut = class_slices(model, ranges, res, off)
+        assert (cut is None) == (not want)
+        if cut is not None:
+            assert list(zip(grid[cut[0]].ravel().tolist(), grid[cut[1]].ravel().tolist())) == want
+        rid = residue_ids(model, ranges)
+        for k, r in enumerate(product(range(t), repeat=d)):
+            on = np.zeros(grid.shape, dtype=bool)
+            if (cut := class_slices(model, ranges, r, (0,) * d)) is not None:
+                on[cut[0]] = True
+            assert np.array_equal(on.ravel(), rid == k)
 
 
 def test_residue_ids_match_residue_order():

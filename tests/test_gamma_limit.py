@@ -77,6 +77,17 @@ def test_field_requires_exact_site_cover():
         SpinField(eps, UNIT, np.array([1, 0, 1]))
 
 
+@pytest.mark.parametrize("spins, site", [
+    (np.array([1, 257, -1]), 2),         # 257 wraps to 1 in int8
+    (np.array([-1, 1, -255]), 3),        # -255 wraps to 1
+    (np.array([2**40, -1, 257]), 1),     # 2**40 wraps to 0; the first bad site is named
+    (np.array([1, -1, 0], dtype=np.int8), 3),
+], ids=("257", "-255", "2**40", "int8-0"))
+def test_field_checks_spins_before_the_int8_cast(spins, site):
+    with pytest.raises(ValueError, match=rf"^spin at \({site},\) must be \+-1$"):
+        SpinField(Fraction(1, 4), UNIT, spins)
+
+
 def test_rle_total_is_checked_before_decoding():
     doc = {"eps": "1/4", "omega": {"lo": ["0"], "hi": ["1"]}, "spins_rle": [[10**12, 1]]}
     with pytest.raises(SchemaError, match="decodes to 1000000000000 spins but the domain has 3 sites"):
