@@ -424,7 +424,7 @@ class Slab:
         dtype = np.int64 if reach < 2**62 else object
         axes = np.ix_(*(np.arange(r.start, r.stop).astype(dtype) for r in ranges))
         dot = sum(c * k for c, k in zip(normal, axes))
-        return np.where(dot > threshold, 1, -1).astype(np.int8)
+        return np.where(dot > threshold, np.int8(1), np.int8(-1))
 
     def on_cubes(self, eps: Fraction, firsts: Sequence[np.ndarray], m: int) -> np.ndarray:
         """Per cube of a grid, +1 or -1 where ``value_at`` is that constant

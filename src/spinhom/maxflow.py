@@ -75,19 +75,24 @@ class FlowNetwork:
     def __init__(self, n: int, tail, head, cap, rcap=0):
         tail = np.asarray(tail, dtype=np.int64)
         head = np.asarray(head, dtype=np.int64)
-        ends = np.empty(2 * tail.size, dtype=np.int64)
-        ends[0::2], ends[1::2] = tail, head  # the tail of every arc
-        to = np.empty_like(ends)
-        to[0::2], to[1::2] = head, tail
-        caps = np.empty(ends.size, dtype=object)  # Python ints, however large
+        # each array-sized temporary is dropped before the next one is made
+        caps = np.empty(2 * tail.size, dtype=object)  # Python ints, however large
         caps[0::2], caps[1::2] = cap, rcap
-        pool = np.array(range(max(n, ends.size)), dtype=object)  # one int per id
-        order = pool[np.argsort(ends, kind="stable")].tolist()
-        stops = np.cumsum(np.bincount(ends, minlength=n)).tolist()
-        self.n = n
-        self.to: list[int] = pool[to].tolist()
         self.cap: list[int] = caps.tolist()
+        del caps
+        pool = np.array(range(max(n, 2 * tail.size)), dtype=object)  # one int per id
+        ends = np.empty(2 * tail.size, dtype=np.int64)
+        ends[0::2], ends[1::2] = head, tail  # the head of every arc
+        self.to: list[int] = pool[ends].tolist()
+        ends[0::2], ends[1::2] = tail, head  # the tail of every arc
+        stops = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        order = np.argsort(ends, kind="stable")
+        del ends
+        order = pool[order]
+        del pool
+        order = order.tolist()
         self.adj: list[list[int]] = [order[a:b] for a, b in zip([0, *stops], stops)]
+        self.n = n
         self._source_tree: tuple[int, list[int]] | None = None  # (s, tree) of max_flow
 
     def max_flow(self, s: int, t: int) -> int:

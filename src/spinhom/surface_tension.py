@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectivity import box_pairs, coarsening_side, core_phases, residue_ids, strong_classes
+from .connectivity import class_slices, coarsening_side, core_phases, residue_ids, strong_classes
 from .ground_state import CellTerms, minimize, scaled_tables
 from .model import LatticeModel
 
@@ -203,32 +203,48 @@ def _cell_instance(
     other site of the box is held at the sharp-interface datum, +1 where
     <x, nu> > 0 and -1 elsewhere.  Pairs are the strong class pairs of
     the core whose source is inside; an inner pair is taken once, from
-    its lexicographically smaller site.
+    its lexicographically smaller site.  They come class by class, each
+    class in C order of its sources, as :func:`connectivity.box_pairs` lists them.
     """
     d = model.dimension
     classes = strong_classes(model, in_core)
     pad = max((abs(c) for _, off in classes for c in off), default=0)
     bound = math.isqrt(d * side * side) // 2 + 2 + pad
     box = (range(-bound, bound + 1),) * d
-    inside = _cube_mask(frame, side, bound).ravel() & in_core[residue_ids(model, box)]
-    src, dst, pair_class = box_pairs(model, box, classes)
-    forward = np.array([off > (0,) * d for _, off in classes], dtype=bool)
-    keep = inside[src] & (forward[pair_class] | ~inside[dst])
+    shape = (2 * bound + 1,) * d
+    inside = _cube_mask(frame, side, bound) & in_core[residue_ids(model, box)].reshape(shape)
+    # the keep rule on each class's two views of the inside grid; only the
+    # kept pairs get site numbers, so no pair array spans the box
+    ends = [(np.empty(0, dtype=np.int64),) * 2]
+    for res, off in classes:
+        cut = class_slices(model, box, res, off)
+        if cut is None:
+            ends.append(ends[0])
+            continue
+        keep = inside[cut[0]] if off > (0,) * d else inside[cut[0]] & ~inside[cut[1]]
+        at = keep.nonzero()
+        ends.append(tuple(
+            np.ravel_multi_index([s.start + s.step * i for s, i in zip(part, at)], shape)
+            for part in cut
+        ))
+    u, v = (np.concatenate(x) for x in zip(*ends))
 
     normal = frame[0]
     dtype = np.int64 if bound * sum(abs(c) for c in normal) < 2**62 else object
     height = np.zeros((), dtype=dtype)  # <x, nu> over the box, C order
     for c in normal:
         height = height[..., None] + np.arange(-bound, bound + 1).astype(dtype) * c
-    datum = np.where(height.ravel() > 0, 1, -1).astype(np.int8)
+    fixed = np.where(height.ravel() > 0, np.int8(1), np.int8(-1))  # the datum
+    del height  # box-wide; gone before the term arrays are made
+    fixed[inside.ravel()] = 0
     scale, weights = scaled_tables([2 * model.weights[c] for c in classes])
     n = inside.size
     return CellTerms(
-        fixed=np.where(inside, 0, datum).astype(np.int8),
+        fixed=fixed,
         group=np.arange(n, dtype=np.int64),
-        u=src[keep],
-        v=dst[keep],
-        pair_class=pair_class[keep],
+        u=u,
+        v=v,
+        pair_class=np.repeat(np.arange(len(classes)), [x.size for x, _ in ends[1:]]),
         weights=weights,
         site_class=np.zeros(n, dtype=np.int64),
         h_plus=(0,),

@@ -1,5 +1,6 @@
 """Scaled energies, coarse extension, targets, and the limit functional."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -321,6 +322,28 @@ def test_slab_geometry():
     assert Slab((Fraction(3, 5), Fraction(4, 5)), Fraction(0)).integer_normal() == (3, 4)
     with pytest.raises(ValueError):
         Slab((Fraction(0), Fraction(0)), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "normal, offset, eps, ranges",
+    [
+        ((1, 1), 1, Fraction(1, 4), (range(-2, 7), range(-3, 6))),  # sites on the plane
+        ((Fraction(1, 3), Fraction(-2, 5)), Fraction(1, 7), Fraction(1, 6), (range(-5, 5), range(8))),
+        ((1,), Fraction(1, 2), Fraction(1, 8), (range(-1, 12),)),
+        ((1, 2, -3), Fraction(-1, 2), Fraction(1, 2), (range(-2, 3),) * 3),
+        # |<k, normal>| may pass int64 here, so the grid is compared in Python ints
+        ((1, 10**20), Fraction(1, 3), Fraction(1, 5), (range(-3, 4), range(-2, 3))),
+        ((1,), 10**30, Fraction(1), (range(-3, 4),)),  # the plane far off the grid
+    ],
+)
+def test_slab_on_lattice_is_value_at_on_every_site(normal, offset, eps, ranges):
+    slab = Slab(tuple(Fraction(c) for c in normal), Fraction(offset))
+    grid = slab.on_lattice(eps, ranges)
+    assert grid.dtype == np.int8
+    assert grid.shape == tuple(len(r) for r in ranges)
+    for k in itertools.product(*ranges):
+        at = tuple(c - r.start for c, r in zip(k, ranges))
+        assert grid[at] == slab.value_at(tuple(eps * c for c in k))
 
 
 def test_box_geometry():

@@ -1,18 +1,21 @@
 """Support layers: integer lattices, max-flow, the scalar per-cube rule
 that classifies phase targets on cubes, the polygon arrangement that
-integrates a 2D target, and a d = 1 oracle for phi; also the solver
-helpers the other test modules share."""
+integrates a 2D target, and a d = 1 oracle for phi; also the solver,
+memory-tracing and surface-cell pair helpers the other test modules
+share."""
 
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinhom import gamma_limit
+from spinhom import gamma_limit, ground_state, surface_tension
 from spinhom.bulk_density import PhiRow, PhiTable, phi_m
+from spinhom.connectivity import box_pairs, core_phases, strong_classes
 from spinhom.gamma_limit import Box, Boxes, Constant, DomainSpec, MultiphaseField, Slab
 from spinhom.ground_state import fold_instance, minimize, minimize_cut, minimize_enum
 from spinhom.intlattice import contains, hermite_basis, is_full_lattice
@@ -29,6 +32,40 @@ def solve(instance, method: str):
     if method == "auto":
         return minimize(instance)
     return {"enum": minimize_enum, "cut": minimize_cut}[method](fold_instance(instance))
+
+
+def traced(build):
+    """``build()`` under tracemalloc: its result, the bytes still held
+    when it returns and the peak bytes while it ran, both above the start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+def box_cell_pairs(model, in_core, terms):
+    """The pairs of a surface cell ``terms`` as the box layer gives them:
+    every strong class pair of the cell's box from ``box_pairs``, then the
+    mask that keeps a pair whose source is free (inside the cube) and whose
+    offset is forward or whose target is held.  Returns ``u``, ``v`` and
+    ``pair_class``."""
+    d = model.dimension
+    n = round(terms.size ** (1 / d))
+    box = (range(-(n // 2), n // 2 + 1),) * d
+    classes = strong_classes(model, in_core)
+    src, dst, pair_class = box_pairs(model, box, classes)
+    inside = terms.fixed == 0
+    forward = np.array([off > (0,) * d for _, off in classes], dtype=bool)
+    keep = inside[src] & (forward[pair_class] | ~inside[dst])
+    return src[keep], dst[keep], pair_class[keep]
 
 
 def named(instance, spins) -> dict:
@@ -135,6 +172,23 @@ def test_network_holds_one_int_per_node_and_arc_id():
                       [rng.randrange(n) for _ in range(m)], [1] * m)
     ids = net.to + [eid for arcs in net.adj for eid in arcs]
     assert len({id(x) for x in ids}) == len(set(ids))
+
+
+def test_network_build_peaks_near_what_it_keeps(monkeypatch):
+    """Under tracemalloc, building the network of a surface cell peaks at
+    no more than 1.5 times what the network keeps: each arc-sized
+    temporary is freed before the next one is made."""
+    model = fixture_model("diagonal_2d")
+    frame = [surface_tension._primitive(w) for w in surface_tension.orthogonal_frame((1, 2))]
+    terms = surface_tension._cell_instance(model, core_phases(model) == 1, frame, 64)
+    calls = []
+    monkeypatch.setattr(ground_state, "FlowNetwork",
+                        lambda *args: calls.append(args) or FlowNetwork(*args))
+    minimize_cut(fold_instance(terms))
+    (args,) = calls
+    net, held, peak = traced(lambda: FlowNetwork(*args))
+    assert net.n > 1000
+    assert peak <= 1.5 * held
 
 
 def test_max_flow_matches_brute_cut():

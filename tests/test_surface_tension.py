@@ -27,7 +27,7 @@ from spinhom.surface_tension import (
 )
 
 from conftest import FIXTURE_NAMES, FIXTURES, cubic_3d_document, fixture_model
-from test_helpers import solve
+from test_helpers import box_cell_pairs, solve, traced
 
 
 def in_frame_cube(site, frame, side) -> bool:
@@ -188,6 +188,12 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
                 for u, v, k in zip(terms.u.tolist(), terms.v.tolist(), terms.pair_class.tolist())
             ]
             assert sorted(got_pairs) == sorted(pair_terms)
+            # the pairs in the order of the box layer: class by class, each
+            # class in C order of its sources
+            for got, want in zip((terms.u, terms.v, terms.pair_class),
+                                 box_cell_pairs(model, in_core, terms)):
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
             free = [x for x, spin in zip(sites, terms.fixed) if not spin]
             assert free == [x for x in variables if x not in fixed]
             held = {x: int(spin) for x, spin in zip(sites, terms.fixed)}
@@ -195,6 +201,18 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
             # every site is its own group, and no site carries a forcing term
             assert terms.group.tolist() == list(range(terms.size))
             assert set(terms.h_plus) == set(terms.h_minus) == {0}
+
+
+def test_cell_build_peaks_near_its_term_arrays():
+    """Under tracemalloc, the 3D cell at (1,1,1) and side 16 peaks at no
+    more than 3 times the bytes of its term arrays: the pairs are numbered
+    only once kept, so no pair array spans the box."""
+    model = parse_model(cubic_3d_document())
+    nu = (Fraction(1),) * 3
+    surface_tension._cell_terms(model, 1, nu, 16)  # the model's cached tables
+    terms, _, peak = traced(lambda: surface_tension._cell_terms(model, 1, nu, 16))
+    arrays = (terms.fixed, terms.group, terms.u, terms.v, terms.pair_class, terms.site_class)
+    assert peak <= 3 * sum(a.nbytes for a in arrays)
 
 
 def test_cell_value_invariant_under_direction_rescaling():
