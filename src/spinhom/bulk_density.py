@@ -111,7 +111,7 @@ def build_phi_instance(
     classes = [
         (r, off) for r in residues for off in sorted(model.weak_offsets(r)) if off > (0,) * d
     ]
-    u, v, pair_class = box_pairs(model, box, classes)
+    u, v, pair_class = box_pairs(model, box, classes, np.ones((m,) * d, dtype=bool))
     scale, weights, h_plus, h_minus = scaled_tables(
         [2 * model.weights[c] for c in classes],
         [model.forcing.get((r, 1), Fraction(0)) for r in residues],

@@ -265,33 +265,31 @@ def class_slices(
     return tuple(src), tuple(dst)
 
 
-def class_pairs(
-    model: LatticeModel, ranges: Sequence[range], res: Residue, off: Offset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sites of a box at residue ``res`` whose neighbour at ``off`` is in the box.
+def box_pairs(
+    model: LatticeModel, ranges: Sequence[range], classes: Sequence, inside: np.ndarray
+) -> tuple:
+    """The pairs of a box's (residue, offset) classes whose source the bool
+    grid ``inside`` (shape ``len(r)`` per axis) marks; a pair with both
+    ends inside is taken once, from its forward orientation (offset > 0).
 
-    Returns the site numbers (C order) and those of the neighbours: the
-    sites that the source slices of :func:`class_slices` cut out of the
-    box, numbered axis by axis.
+    Returns the site numbers (C order) of the sources and of the targets,
+    and each pair's class number: class by class, each class in C order
+    of its sources.  The rule is applied to the :func:`class_slices`
+    views of ``inside``, and only the kept pairs are numbered.
     """
-    cut = class_slices(model, ranges, res, off)
-    if cut is None:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    index = np.zeros((), dtype=np.int64)
-    step = 0
-    for s, o, axis in zip(cut[0], off, ranges):
-        n = len(axis)
-        index = index[..., None] * n + np.arange(s.start, s.stop, s.step)
-        step = step * n + o
-    src = index.ravel()
-    return src, src + step
-
-
-def box_pairs(model: LatticeModel, ranges: Sequence[range], classes: Sequence) -> tuple:
-    """The :func:`class_pairs` of a box for each (residue, offset) class in
-    turn, concatenated: the sources, the targets and each pair's class number."""
     ends = [(np.empty(0, dtype=np.int64),) * 2]
-    ends += [class_pairs(model, ranges, res, off) for res, off in classes]
+    for res, off in classes:
+        cut = class_slices(model, ranges, res, off)
+        if cut is None:
+            ends.append(ends[0])
+            continue
+        keep = inside[cut[0]] if off > (0,) * len(off) else inside[cut[0]] & ~inside[cut[1]]
+        src = np.ravel_multi_index(
+            [s.start + s.step * i for s, i in zip(cut[0], keep.nonzero())], inside.shape
+        )
+        # a target's site number is its source's plus one constant, that of the cut's first pair
+        first = [np.ravel_multi_index([s.start for s in part], inside.shape) for part in cut]
+        ends.append((src, src + (first[1] - first[0])))
     src, dst = (np.concatenate(x) for x in zip(*ends))
     return src, dst, np.repeat(np.arange(len(classes)), [x.size for x, _ in ends[1:]])
 
@@ -326,12 +324,13 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def box_components(model: LatticeModel, ranges: Sequence[range], marked: np.ndarray) -> np.ndarray:
     """Strong components of the sites of a box whose residues ``marked``
-    marks, joined through marked sites only: per site in C order, the
-    smallest site of its component, or -1 on an unmarked site."""
+    marks: per site in C order, the smallest site of its component, or -1
+    on an unmarked site.  The marks must hold every strong bond both ways,
+    as a union of cores or the loose hard residues does (:func:`core_phases`)."""
     on = marked[residue_ids(model, ranges)]
-    src, dst, _ = box_pairs(model, ranges, strong_classes(model, marked))
-    keep = on[dst]
-    return np.where(on, components(on.size, src[keep], dst[keep]), -1)
+    grid = on.reshape([len(r) for r in ranges])
+    src, dst, _ = box_pairs(model, ranges, strong_classes(model, marked), grid)
+    return np.where(on, components(on.size, src, dst), -1)
 
 
 def _in_shrunk_cube(site: Site, side: Fraction) -> bool:

@@ -350,10 +350,15 @@ def extend(
     cluster spins of every cube are two reductions over its last d axes.
     The cluster mask is set residue by residue, on each core residue's
     strided view of the grid (:func:`class_slices` at the zero offset).
+    Raises ValueError when m is below the phase's coarsening side, or
+    when its core connects too slowly to have one.
     """
     _check_cube_side(model, m)
     model.check_phase(phase)
-    side = coarsening_side(model, phase)
+    try:
+        side = coarsening_side(model, phase)
+    except RuntimeError as exc:  # the core connects too slowly: no cube side coarsens it
+        raise ValueError(str(exc)) from None
     if m < side:
         raise ValueError(f"cube side {m} is below the coarsening side {side} of phase {phase}")
     if field.omega.dimension != model.dimension:

@@ -11,11 +11,12 @@ The cube is realised exactly in an orthogonal frame aligned with nu,
 half-open along every frame axis, so opposite faces are never
 double-counted at any side.  The frame vectors are scaled to integers,
 so the cube and its bonds are built on an integer grid: the cell is
-the box holding the cube and its neighbours, in C order.  Values are
-exact rationals, each cell's minimum from :func:`ground_state.minimize`:
-elimination for a cell of few free sites, else an s/t min-cut, which
-never finds a cell frustrated on a coercive model (its strong couplings
-are positive).
+the box holding the cube and its neighbours, in C order, and its pairs
+are the :func:`connectivity.box_pairs` of the core sites in the cube.
+Values are exact rationals, each cell's minimum from
+:func:`ground_state.minimize`: elimination for a cell of few free
+sites, else an s/t min-cut, which never finds a cell frustrated on a
+coercive model (its strong couplings are positive).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectivity import class_slices, coarsening_side, core_phases, residue_ids, strong_classes
+from .connectivity import box_pairs, coarsening_side, core_phases, residue_ids, strong_classes
 from .ground_state import CellTerms, minimize, scaled_tables
 from .model import LatticeModel
 
@@ -83,16 +84,17 @@ def orthogonal_frame(direction: Sequence) -> list[tuple[Fraction, ...]]:
     return frame
 
 
-def _cube_mask(frame: Sequence[tuple[int, ...]], side: int, bound: int) -> np.ndarray:
-    """Sites of the half-open rotated cube on the grid [-bound, bound]^d.
+def _cube_mask(frame: Sequence[tuple[int, ...]], side: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sites of the half-open rotated cube on the grid [-bound, bound]^d,
+    and the sharp-interface datum <x, frame[0]> > 0 on the same grid.
 
     ``frame`` holds orthogonal integer vectors.  Along each w the slab is
     -side/2 <= <x, w>/|w| < side/2: with q = <x, w> and S = side^2 |w|^2,
     4q^2 <= S where q < 0 and 4q^2 < S where q > 0, that is
     -isqrt(S) <= 2q <= isqrt(S - 1).  The grid is tested one
     first-coordinate slab at a time, in int64, or in Python ints
-    (``dtype=object``) when 2q could pass int64.  The result is a boolean
-    array in C (lexicographic) order.
+    (``dtype=object``) when 2q could pass int64.  The results are boolean
+    arrays in C (lexicographic) order.
     """
     d = len(frame)
     n = 2 * bound + 1
@@ -108,14 +110,15 @@ def _cube_mask(frame: Sequence[tuple[int, ...]], side: int, bound: int) -> np.nd
             rest = rest + coords.reshape(shape) * w[axis]
         s_sq = side * side * sum(c * c for c in w)
         slabs.append((w[0], 2 * rest, -math.isqrt(s_sq), math.isqrt(s_sq - 1)))
-    mask = np.empty((n,) * d, dtype=bool)
+    mask = np.ones((n,) * d, dtype=bool)
+    datum = np.empty((n,) * d, dtype=bool)
     for i, x0 in enumerate(range(-bound, bound + 1)):
-        inside = np.ones((n,) * (d - 1), dtype=bool)
-        for w0, rest2, lo, hi in slabs:
+        for k, (w0, rest2, lo, hi) in enumerate(slabs):
             q2 = rest2 + 2 * x0 * w0
-            inside &= (q2 >= lo) & (q2 <= hi)
-        mask[i] = inside
-    return mask
+            mask[i] &= (q2 >= lo) & (q2 <= hi)
+            if k == 0:
+                datum[i] = q2 > 0
+    return mask, datum
 
 
 def _check_cell(
@@ -201,41 +204,20 @@ def _cell_instance(
     ``in_core`` tells, per residue number, whether the residue belongs
     to the phase's core.  The core sites inside the cube are free; every
     other site of the box is held at the sharp-interface datum, +1 where
-    <x, nu> > 0 and -1 elsewhere.  Pairs are the strong class pairs of
-    the core whose source is inside; an inner pair is taken once, from
-    its lexicographically smaller site.  They come class by class, each
-    class in C order of its sources, as :func:`connectivity.box_pairs` lists them.
+    <x, nu> > 0 and -1 elsewhere.  Pairs are the
+    :func:`connectivity.box_pairs` of the core's strong classes with the
+    free sites inside.
     """
     d = model.dimension
     classes = strong_classes(model, in_core)
     pad = max((abs(c) for _, off in classes for c in off), default=0)
     bound = math.isqrt(d * side * side) // 2 + 2 + pad
     box = (range(-bound, bound + 1),) * d
-    shape = (2 * bound + 1,) * d
-    inside = _cube_mask(frame, side, bound) & in_core[residue_ids(model, box)].reshape(shape)
-    # the keep rule on each class's two views of the inside grid; only the
-    # kept pairs get site numbers, so no pair array spans the box
-    ends = [(np.empty(0, dtype=np.int64),) * 2]
-    for res, off in classes:
-        cut = class_slices(model, box, res, off)
-        if cut is None:
-            ends.append(ends[0])
-            continue
-        keep = inside[cut[0]] if off > (0,) * d else inside[cut[0]] & ~inside[cut[1]]
-        at = keep.nonzero()
-        ends.append(tuple(
-            np.ravel_multi_index([s.start + s.step * i for s, i in zip(part, at)], shape)
-            for part in cut
-        ))
-    u, v = (np.concatenate(x) for x in zip(*ends))
-
-    normal = frame[0]
-    dtype = np.int64 if bound * sum(abs(c) for c in normal) < 2**62 else object
-    height = np.zeros((), dtype=dtype)  # <x, nu> over the box, C order
-    for c in normal:
-        height = height[..., None] + np.arange(-bound, bound + 1).astype(dtype) * c
-    fixed = np.where(height.ravel() > 0, np.int8(1), np.int8(-1))  # the datum
-    del height  # box-wide; gone before the term arrays are made
+    inside, datum = _cube_mask(frame, side, bound)
+    inside &= in_core[residue_ids(model, box)].reshape(inside.shape)
+    u, v, pair_class = box_pairs(model, box, classes, inside)
+    fixed = np.where(datum.ravel(), np.int8(1), np.int8(-1))
+    del datum  # box-wide; gone before the term arrays are made
     fixed[inside.ravel()] = 0
     scale, weights = scaled_tables([2 * model.weights[c] for c in classes])
     n = inside.size
@@ -244,7 +226,7 @@ def _cell_instance(
         group=np.arange(n, dtype=np.int64),
         u=u,
         v=v,
-        pair_class=np.repeat(np.arange(len(classes)), [x.size for x, _ in ends[1:]]),
+        pair_class=pair_class,
         weights=weights,
         site_class=np.zeros(n, dtype=np.int64),
         h_plus=(0,),

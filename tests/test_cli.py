@@ -497,6 +497,27 @@ def test_extend_refuses_a_field_of_another_dimension(capsys, model, field):
     assert captured.err == "error: field dimension does not match the model\n"
 
 
+def test_extend_refuses_a_core_without_a_coarsening_side(capsys, tmp_path):
+    """A valid period-2 chain whose two residues join only through a bond
+    of length 401 has no coarsening side within 64 periods: ``extend``
+    exits 2 with one error line instead of a traceback."""
+    strong = [{"from": r, "offset": [o], "weight": "1"} for r in ("0", "1") for o in (2, -2)]
+    strong += [{"from": "0", "offset": [401], "weight": "1"},
+               {"from": "1", "offset": [-401], "weight": "1"}]
+    doc = {"dimension": 1, "period": 2, "num_phases": 1, "labels": {"0": 1, "1": 1},
+           "strong_bonds": strong}
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 0
+    capsys.readouterr()
+    field = '{"eps":"1/8","omega":{"lo":["0"],"hi":["1"]},"spins_rle":[[7,1]]}'
+    assert run(["extend", str(path), "--phase", "1", "--M", "4", "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: coarsening side of phase 1 exceeds 64 periods; "
+                            "the core connects too slowly for cube-based coarsening\n")
+
+
 def test_gamma_eval_subcommand(capsys):
     out = run_ok(
         capsys,

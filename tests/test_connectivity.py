@@ -13,7 +13,7 @@ import pytest
 from spinhom.connectivity import (
     CLASS_FINITE,
     CLASS_UNIQUE,
-    class_pairs,
+    box_pairs,
     class_slices,
     classify,
     coarsening_side,
@@ -395,32 +395,48 @@ def brute_class_pairs(t, ranges, res, off):
     return pairs
 
 
-def test_class_pairs_match_per_site_scan():
-    """``class_pairs`` and the sites that ``class_slices`` cuts out of a
-    grid of site numbers both list the scanned pairs; at the zero offset
-    the slices of each residue hold exactly the sites of that residue."""
+def test_box_pairs_match_per_site_scan():
+    """``box_pairs`` under a random inside grid lists the scanned pairs of
+    each class whose source is inside, those with both ends inside only at
+    a forward offset, class by class; the sites that ``class_slices`` cuts
+    out of a grid of site numbers list every scanned pair of a class, and
+    at the zero offset the slices of each residue hold exactly the sites
+    of that residue."""
     rng = random.Random(3)
+    kinds = set()
     for _ in range(400):
         d = rng.randint(1, 3)
         t = rng.randint(1, 4)
         ranges = [range(lo, lo + rng.randint(0, 7)) for lo in (rng.randint(-9, 5) for _ in range(d))]
-        res = tuple(rng.randrange(t) for _ in range(d))
-        off = tuple(rng.choice((0, rng.randint(-5, 5))) for _ in range(d))
+        shape = [len(r) for r in ranges]
         model = SimpleNamespace(period=t, dimension=d)
-        want = brute_class_pairs(t, ranges, res, off)
-        src, dst = class_pairs(model, ranges, res, off)
-        assert list(zip(src.tolist(), dst.tolist())) == want
-        grid = np.arange(math.prod(len(r) for r in ranges)).reshape([len(r) for r in ranges])
-        cut = class_slices(model, ranges, res, off)
-        assert (cut is None) == (not want)
-        if cut is not None:
-            assert list(zip(grid[cut[0]].ravel().tolist(), grid[cut[1]].ravel().tolist())) == want
+        grid = np.arange(math.prod(shape)).reshape(shape)
+        density = rng.choice((0.0, 0.5, 1.0))
+        inside = np.array([rng.random() < density for _ in range(grid.size)], dtype=bool).reshape(shape)
+        flat = inside.ravel().tolist()
+        classes, want = [], []
+        for k in range(rng.randint(0, 4)):
+            res = tuple(rng.randrange(t) for _ in range(d))
+            off = tuple(rng.choice((0, rng.randint(-5, 5))) for _ in range(d))
+            forward = off > (0,) * d
+            kinds.add("forward" if forward else "zero" if not any(off) else "backward")
+            scan = brute_class_pairs(t, ranges, res, off)
+            classes.append((res, off))
+            want += [(a, b, k) for a, b in scan if flat[a] and (forward or not flat[b])]
+            cut = class_slices(model, ranges, res, off)
+            assert (cut is None) == (not scan)
+            if cut is not None:
+                assert list(zip(grid[cut[0]].ravel().tolist(), grid[cut[1]].ravel().tolist())) == scan
+        got = box_pairs(model, ranges, classes, inside)
+        assert all(x.dtype == np.int64 for x in got)
+        assert list(zip(*(x.tolist() for x in got))) == want
         rid = residue_ids(model, ranges)
         for k, r in enumerate(product(range(t), repeat=d)):
             on = np.zeros(grid.shape, dtype=bool)
             if (cut := class_slices(model, ranges, r, (0,) * d)) is not None:
                 on[cut[0]] = True
             assert np.array_equal(on.ravel(), rid == k)
+    assert kinds == {"zero", "forward", "backward"}
 
 
 def test_residue_ids_match_residue_order():

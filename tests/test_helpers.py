@@ -15,7 +15,7 @@ import pytest
 
 from spinhom import gamma_limit, ground_state, surface_tension
 from spinhom.bulk_density import PhiRow, PhiTable, phi_m
-from spinhom.connectivity import box_pairs, core_phases, strong_classes
+from spinhom.connectivity import core_phases
 from spinhom.gamma_limit import Box, Boxes, Constant, DomainSpec, MultiphaseField, Slab
 from spinhom.ground_state import fold_instance, minimize, minimize_cut, minimize_enum
 from spinhom.intlattice import contains, hermite_basis, is_full_lattice
@@ -52,20 +52,28 @@ def traced(build):
 
 
 def box_cell_pairs(model, in_core, terms):
-    """The pairs of a surface cell ``terms`` as the box layer gives them:
-    every strong class pair of the cell's box from ``box_pairs``, then the
-    mask that keeps a pair whose source is free (inside the cube) and whose
-    offset is forward or whose target is held.  Returns ``u``, ``v`` and
-    ``pair_class``."""
+    """The pairs of a surface cell ``terms`` by a per-site scan of the
+    cell's box: for each strong offset of each core residue in turn
+    (residues in order, offsets sorted), each free site (inside the cube)
+    at that residue in C order, paired with its neighbour when that is in
+    the box and either held or at a forward offset.  Returns ``u``, ``v``
+    and ``pair_class``."""
     d = model.dimension
     n = round(terms.size ** (1 / d))
-    box = (range(-(n // 2), n // 2 + 1),) * d
-    classes = strong_classes(model, in_core)
-    src, dst, pair_class = box_pairs(model, box, classes)
-    inside = terms.fixed == 0
-    forward = np.array([off > (0,) * d for _, off in classes], dtype=bool)
-    keep = inside[src] & (forward[pair_class] | ~inside[dst])
-    return src[keep], dst[keep], pair_class[keep]
+    sites = list(itertools.product(range(-(n // 2), n // 2 + 1), repeat=d))
+    number = {site: i for i, site in enumerate(sites)}
+    free = (terms.fixed == 0).tolist()
+    classes = [
+        (res, off) for res, core in zip(model.residues(), in_core) if core
+        for off in sorted(model.strong_offsets(res))
+    ]
+    pairs = []
+    for k, (res, off) in enumerate(classes):
+        for i, site in enumerate(sites):
+            j = number.get(tuple(c + o for c, o in zip(site, off)))
+            if free[i] and j is not None and model.residue_of(site) == res and (off > (0,) * d or not free[j]):
+                pairs.append((i, j, k))
+    return tuple(np.array([p[e] for p in pairs], dtype=np.int64) for e in range(3))
 
 
 def named(instance, spins) -> dict:

@@ -114,7 +114,7 @@ def integer_cube_sites(direction, side):
     d = len(direction)
     bound = math.isqrt(d * side * side) // 2 + 2
     frame = [_primitive(w) for w in orthogonal_frame(direction)]
-    mask = _cube_mask(frame, side, bound)
+    mask, _ = _cube_mask(frame, side, bound)
     return [tuple(int(c) - bound for c in site) for site in np.argwhere(mask)]
 
 
@@ -136,10 +136,16 @@ def test_integer_cube_matches_fraction_scan_3d(direction):
 def test_integer_cube_huge_normals():
     # (1, 10**10) stays on int64; for the others 2<x, w> may pass int64
     # (the 3D frame completes with vectors near 10**24), so they run in
-    # Python ints (dtype=object)
+    # Python ints (dtype=object); the datum is the sign of the exact <x, nu>
     for direction in [(1, 10**10), (1, 10**20), (10**19, -3), (1, 10**12, 7)]:
-        for side in (2, 3, 4) if len(direction) == 3 else (1, 2, 3, 4, 5, 8):
+        d = len(direction)
+        frame = [_primitive(w) for w in orthogonal_frame(direction)]
+        for side in (2, 3, 4) if d == 3 else (1, 2, 3, 4, 5, 8):
             assert integer_cube_sites(direction, side) == reference_cube_sites(direction, side)
+            bound = math.isqrt(d * side * side) // 2 + 2
+            _, datum = _cube_mask(frame, side, bound)
+            grid = itertools.product(range(-bound, bound + 1), repeat=d)
+            assert datum.ravel().tolist() == [sum(a * b for a, b in zip(x, direction)) > 0 for x in grid]
 
 
 def reference_cell_instance(model, phase, summary, direction, side):
