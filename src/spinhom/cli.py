@@ -40,7 +40,7 @@ from .gamma_limit import (
     save_field,
 )
 from .ground_state import TooManyFreeGroups
-from .model import load_model, number_str, parse_model, validate
+from .model import LatticeModel, load_model, number_str, parse_model, validate
 from .surface_tension import (
     SurfaceRow,
     SurfaceTable,
@@ -251,12 +251,24 @@ def cmd_components(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cell_model(path: str) -> LatticeModel:
+    """The model of a command that builds cells; raises ValueError naming
+    the first violation when it fails :func:`validate`, so no cell is
+    built on an invalid model."""
+    model = load_model(path)
+    report = validate(model)
+    if not report.passed:
+        first = report.violations[0]
+        raise ValueError(f"the model fails validation ({first.rule}): {first.message}")
+    return model
+
+
 def _cell_task(task):
     return cell_value(*task)
 
 
 def cmd_fhom(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _cell_model(args.model)
     direction = args.normal
     phase = args.phase
     phases = [phase] if phase is not None else list(range(1, model.num_phases + 1))
@@ -286,7 +298,7 @@ def _phi_task(task):
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _cell_model(args.model)
     # before the pool, so that the workers receive the model's summary
     meta = {"island_error_constant": island_error_constant(model)}
     sides = args.sides
@@ -326,7 +338,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _cell_model(args.model)
     field = SpinField.from_json_dict(_json_arg(args.field))
     result = extend(model, args.phase, field, args.m)
     obj = {
@@ -346,7 +358,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma_eval(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _cell_model(args.model)
     omega = DomainSpec.from_json_dict(_json_arg(args.omega))
     target = MultiphaseField.from_json_dict(_json_arg(args.target))
     surface, phi = limit_tables(model, omega, target, args.sides, args.m_list)
@@ -370,7 +382,7 @@ def cmd_gamma_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _cell_model(args.model)
     omega = DomainSpec.from_json_dict(_json_arg(args.omega))
     target = MultiphaseField.from_json_dict(_json_arg(args.target))
     report = converge_report(

@@ -117,9 +117,10 @@ class CellTerms:
     and ``h_minus[site_class[i]]`` at -1.  Table entries are ints equal
     to ``scale`` times their exact values.
 
-    The cell order: every cell builder numbers the sites of the cell's
-    box in C (lexicographic) order; a :class:`GroundStateInstance`
-    numbers its variables in sorted order.
+    The cell order: every cell builder numbers its sites in the C
+    (lexicographic) order of the cell's box, the ``phi`` cube every site
+    of its box and the surface cell only the sites its terms touch; a
+    :class:`GroundStateInstance` numbers its variables in sorted order.
     """
 
     fixed: np.ndarray
@@ -171,9 +172,9 @@ def scaled_tables(*tables: Sequence[Fraction]) -> tuple:
 @dataclass(frozen=True, eq=False)
 class Solution:
     """A minimizer: ``spins`` is a read-only int8 array in the cell order
-    of :class:`CellTerms` (C order over the cell's box, or sorted
-    variables for a :class:`GroundStateInstance`), ``method`` the solver
-    that found it."""
+    of :class:`CellTerms` (the cell's sites in C order over its box, or
+    sorted variables for a :class:`GroundStateInstance`), ``method`` the
+    solver that found it."""
 
     spins: np.ndarray
     energy: Fraction

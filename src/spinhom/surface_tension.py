@@ -10,9 +10,11 @@ the cube count, both orientations each.
 The cube is realised exactly in an orthogonal frame aligned with nu,
 half-open along every frame axis, so opposite faces are never
 double-counted at any side.  The frame vectors are scaled to integers,
-so the cube and its bonds are built on an integer grid: the cell is
-the box holding the cube and its neighbours, in C order, and its pairs
-are the :func:`connectivity.box_pairs` of the core sites in the cube.
+so the cube and its bonds are built on an integer grid, the box holding
+the cube and its neighbours.  The cell's pairs are the
+:func:`connectivity.box_pairs` of the core sites in the cube, and its
+sites are only those the pairs touch (the free core sites and their
+held neighbours), in the box's C order.
 Values are exact rationals, each cell's minimum from
 :func:`ground_state.minimize`: elimination for a cell of few free
 sites, else an s/t min-cut, which never finds a cell frustrated on a
@@ -198,15 +200,16 @@ def _cell_terms(model: LatticeModel, phase: int, nu: Sequence[Fraction], side: i
 def _cell_instance(
     model: LatticeModel, in_core: np.ndarray, frame: Sequence[tuple[int, ...]], side: int
 ) -> CellTerms:
-    """The cell problem of one cube as term arrays, over a box that holds
-    the cube and the strong neighbours of its sites, in C order.
+    """The cell problem of one cube as term arrays: its sites are the core
+    sites in the cube and their strong neighbours, in C order.
 
     ``in_core`` tells, per residue number, whether the residue belongs
     to the phase's core.  The core sites inside the cube are free; every
-    other site of the box is held at the sharp-interface datum, +1 where
+    other site is held at the sharp-interface datum, +1 where
     <x, nu> > 0 and -1 elsewhere.  Pairs are the
     :func:`connectivity.box_pairs` of the core's strong classes with the
-    free sites inside.
+    free sites inside.  The box that holds the cube and those neighbours
+    is only scratch: the pairs are renumbered onto the kept sites.
     """
     d = model.dimension
     classes = strong_classes(model, in_core)
@@ -216,11 +219,17 @@ def _cell_instance(
     inside, datum = _cube_mask(frame, side, bound)
     inside &= in_core[residue_ids(model, box)].reshape(inside.shape)
     u, v, pair_class = box_pairs(model, box, classes, inside)
-    fixed = np.where(datum.ravel(), np.int8(1), np.int8(-1))
-    del datum  # box-wide; gone before the term arrays are made
-    fixed[inside.ravel()] = 0
+    # every source is inside, so the kept sites are the inside ones and the targets
+    kept = inside.ravel().copy()
+    kept[v] = True
+    sites = kept.nonzero()[0]
+    fixed = np.where(datum.ravel()[sites], np.int8(1), np.int8(-1))
+    fixed[inside.ravel()[sites]] = 0
+    del kept, datum  # box-wide; gone before the pairs are renumbered
+    u = np.searchsorted(sites, u)  # one at a time: one box-numbered pair array at most
+    v = np.searchsorted(sites, v)
     scale, weights = scaled_tables([2 * model.weights[c] for c in classes])
-    n = inside.size
+    n = sites.size
     return CellTerms(
         fixed=fixed,
         group=np.arange(n, dtype=np.int64),

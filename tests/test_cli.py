@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import spinhom
-from spinhom import cli, surface_tension
+from spinhom import bulk_density, cli, surface_tension
 from spinhom.bulk_density import PhiTable, build_phi_instance
 from spinhom.cli import build_parser, run
+from spinhom.connectivity import core_phases
 from spinhom.gamma_limit import load_field
 from spinhom.ground_state import FrustratedInstance, TooManyFreeGroups
 from spinhom.model import load_model, number_str
@@ -725,12 +726,14 @@ def mixed_model_path(tmp_path) -> str:
     return str(path)
 
 
-MIXED_ERROR = ("error: strong bond (from=(0,), offset=(1,)) joins residues of different cores; "
-               "the model fails validation\n")
+MIXED_ERROR = ("error: the model fails validation (symmetry): bond (from=(0,), offset=(1,)) "
+               "weight 1/4 differs from reverse weight 1/8\n")
 
 
 def test_phi_refuses_a_strong_bond_between_cores(capsys, tmp_path):
-    """``phi`` refuses the mixed model instead of holding one mixed cluster."""
+    """``phi`` refuses the mixed model instead of holding one mixed cluster,
+    with its first ``validate`` violation; the library cell builders refuse
+    the bond itself."""
     path = mixed_model_path(tmp_path)
     assert run(["validate", path]) == 1
     capsys.readouterr()
@@ -738,6 +741,8 @@ def test_phi_refuses_a_strong_bond_between_cores(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == MIXED_ERROR
+    with pytest.raises(ValueError, match=r"joins residues of different cores; the model fails validation"):
+        core_phases(load_model(path))
 
 
 TWO_PHASE_TARGET = '{"phases":[{"slab":{"normal":["1"],"offset":"0.5"}},{"constant":-1}]}'
@@ -797,29 +802,101 @@ LOOSE_ARGVS = [
     ["extend", "--field", '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, '
                           '"spins_rle": [[15, 1]]}', "--phase", "1", "--M", "4"],
 ]
-# per model: the label of residue 2, the refusal, and the suffix of the test ids
+# per model: the label of residue 2, its first violation, the refusal of
+# the library cell builders, and the suffix of the test ids
 LOOSE_MODELS = [
-    (0, "joins residues of different labels", ""),
-    (1, "lacks the reverse strong offset at (2,)", "-one-way"),
+    (0, "(hard-closure): strong bond (from=(1,), offset=(1,)) leaves phase 1 (target label 0)",
+     "joins residues of different labels", ""),
+    (1, "(weak-admissibility): weak bond (from=(2,), offset=(-1,)) joins two sites of hard phase 1",
+     "lacks the reverse strong offset at (2,)", "-one-way"),
 ]
 
 
-@pytest.mark.parametrize("argv, label2, message", [
-    pytest.param(argv, label2, message, id=argv[0] + suffix)
-    for label2, message, suffix in LOOSE_MODELS for argv in LOOSE_ARGVS
+@pytest.mark.parametrize("argv, label2, violation, refusal", [
+    pytest.param(argv, label2, violation, refusal, id=argv[0] + suffix)
+    for label2, violation, refusal, suffix in LOOSE_MODELS for argv in LOOSE_ARGVS
 ])
-def test_cell_builders_refuse_a_strong_bond_between_labels(capsys, tmp_path, argv, label2, message):
+def test_cell_builders_refuse_a_strong_bond_between_labels(
+    capsys, tmp_path, argv, label2, violation, refusal
+):
     """A strong bond from a loose hard residue to a soft one, or to a hard
     one that declares the reverse offset as a weak bond, makes
-    ``validate`` exit 1 and every command that builds a cell exit 2."""
+    ``validate`` exit 1 and every command that builds a cell exit 2 with
+    the first violation; the library cell builders refuse the bond."""
     path = loose_model_path(tmp_path, label2)
     assert run(["validate", path]) == 1
     capsys.readouterr()
     assert run([argv[0], path, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: strong bond (from=(1,), offset=(1,)) {message}; "
-                            "the model fails validation\n")
+    assert captured.err == f"error: the model fails validation {violation}\n"
+    with pytest.raises(ValueError, match=re.escape(f"(from=(1,), offset=(1,)) {refusal}; the model")):
+        core_phases(load_model(path))
+
+
+def invalid_inclusions_path(tmp_path, change) -> str:
+    """``soft_inclusions_2d`` after ``change`` edits its document."""
+    doc = fixture_document("soft_inclusions_2d")
+    change(doc)
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def one_weak_weight_changed(doc) -> None:
+    """The weak bond from (0,0) at offset (1,0) no longer equals its reverse,
+    which the cube reads instead (phi --M 8 --z -1 used to print 3.3125)."""
+    (bond,) = [b for b in doc["weak_bonds"] if (b["from"], b["offset"]) == ("0,0", [1, 0])]
+    bond["weight"] = "0.0625"
+
+
+def strong_weights_negated(doc) -> None:
+    """Every strong weight negated, so the surface tension came out
+    negative (fhom --normal 1,2 --T 8,16 used to print -15.75)."""
+    for bond in doc["strong_bonds"]:
+        bond["weight"] = "-" + bond["weight"]
+
+
+GATE_ARGVS = [
+    ["phi", "--M", "8", "--z", "-1"],
+    ["fhom", "--normal", "1,2", "--T", "8,16"],
+    ["gamma-eval", "--omega", SQUARE_2D, "--target", BOX_2D, "--T", "4", "--M", "4"],
+    ["converge", "--omega", SQUARE_2D, "--target", BOX_2D, "--eps", "1/8,1/16", "--M", "4"],
+    ["extend", "--field", '{"eps": "1/8", "omega": ' + SQUARE_2D + ', "spins_rle": [[49, 1]]}',
+     "--phase", "1", "--M", "4"],
+]
+
+
+@pytest.mark.parametrize("change, violation", [
+    pytest.param(one_weak_weight_changed,
+                 "(symmetry): bond (from=(0, 0), offset=(1, 0)) weight 1/16 differs from "
+                 "reverse weight 3/80", id="weak-asymmetric"),
+    pytest.param(strong_weights_negated,
+                 "(coerciveness): strong weight -1/8 at (from=(0, 1), offset=(-1, 0)) is not positive",
+                 id="strong-negative"),
+])
+@pytest.mark.parametrize("argv", GATE_ARGVS, ids=lambda argv: argv[0])
+def test_cell_commands_refuse_a_model_that_fails_validation(
+    monkeypatch, capsys, tmp_path, change, violation, argv
+):
+    """Each command that builds a cell runs ``validate`` first and exits 2
+    with one line naming the first violation, before any cell is built;
+    ``validate`` exits 1 and ``components`` still reports."""
+    path = invalid_inclusions_path(tmp_path, change)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(surface_tension, "_cell_instance", unbuilt)
+    monkeypatch.setattr(bulk_density, "build_phi_instance", unbuilt)
+    monkeypatch.setattr(cli, "extend", unbuilt)
+    assert run(["validate", path]) == 1
+    assert run(["components", path]) == 0
+    capsys.readouterr()
+    assert run([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the model fails validation {violation}\n"
 
 
 T = "two_chains.json"  # run from the fixture directory, so test ids hold no path

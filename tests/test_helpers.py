@@ -51,16 +51,15 @@ def traced(build):
     return result, held - start, peak - start
 
 
-def box_cell_pairs(model, in_core, terms):
-    """The pairs of a surface cell ``terms`` by a per-site scan of the
-    cell's box: for each strong offset of each core residue in turn
-    (residues in order, offsets sorted), each free site (inside the cube)
-    at that residue in C order, paired with its neighbour when that is in
-    the box and either held or at a forward offset.  Returns ``u``, ``v``
-    and ``pair_class``."""
+def box_cell_pairs(model, in_core, sites, terms):
+    """The pairs of a surface cell ``terms`` by a per-site scan of its
+    sites ``sites`` (coordinates, in the cell's order): for each strong
+    offset of each core residue in turn (residues in order, offsets
+    sorted), each free site (inside the cube) at that residue in cell
+    order, paired with its neighbour when that is held or at a forward
+    offset.  Every such neighbour must be a site of the cell.  Returns
+    ``u``, ``v`` and ``pair_class``."""
     d = model.dimension
-    n = round(terms.size ** (1 / d))
-    sites = list(itertools.product(range(-(n // 2), n // 2 + 1), repeat=d))
     number = {site: i for i, site in enumerate(sites)}
     free = (terms.fixed == 0).tolist()
     classes = [
@@ -70,9 +69,10 @@ def box_cell_pairs(model, in_core, terms):
     pairs = []
     for k, (res, off) in enumerate(classes):
         for i, site in enumerate(sites):
-            j = number.get(tuple(c + o for c, o in zip(site, off)))
-            if free[i] and j is not None and model.residue_of(site) == res and (off > (0,) * d or not free[j]):
-                pairs.append((i, j, k))
+            if free[i] and model.residue_of(site) == res:
+                j = number[tuple(c + o for c, o in zip(site, off))]
+                if off > (0,) * d or not free[j]:
+                    pairs.append((i, j, k))
     return tuple(np.array([p[e] for p in pairs], dtype=np.int64) for e in range(3))
 
 
@@ -450,6 +450,69 @@ def test_max_flow_with_terminal_arcs_on_many_nodes(top):
 def test_max_flow_edge_cases(n, edges, flow, side):
     got, want = flow_and_oracle(n, edges, 0, n - 1)
     assert got == want == (flow, side)
+
+
+def flow_certificate(n, tail, head, cap, rcap, s, t) -> int:
+    """The maximum s-t flow of ``FlowNetwork(n, tail, head, cap, rcap)``,
+    certified without trusting the solver: each arc pair's flow is
+    recovered from the residual capacities and checked against the
+    capacities both ways, it is conserved at every node but s and t, the
+    net outflow of s is the returned value, and the capacity leaving
+    ``source_side(s)`` equals it, so no cut is smaller."""
+    net = FlowNetwork(n, tail, head, cap, rcap)
+    value = net.max_flow(s, t)
+    tail, head = np.asarray(tail).tolist(), np.asarray(head).tolist()
+    cap = np.broadcast_to(np.asarray(cap, dtype=object), len(tail)).tolist()
+    rcap = np.broadcast_to(np.asarray(rcap, dtype=object), len(tail)).tolist()
+    outflow = [0] * n
+    for k, (a, b, c, rc) in enumerate(zip(tail, head, cap, rcap)):
+        f = c - net.cap[2 * k]  # the flow a -> b, negative when it runs b -> a
+        assert f == net.cap[2 * k + 1] - rc, k
+        assert -rc <= f <= c, k
+        outflow[a] += f
+        outflow[b] -= f
+    assert [x for v, x in enumerate(outflow) if v not in (s, t)] == [0] * (n - 2)
+    assert outflow[s] == value == -outflow[t]
+    side = net.source_side(s)
+    assert s in side and t not in side
+    leaving = sum(c for a, b, c in zip(tail, head, cap) if a in side and b not in side)
+    leaving += sum(rc for a, b, rc in zip(tail, head, rcap) if b in side and a not in side)
+    assert leaving == value
+    return value
+
+
+@pytest.mark.parametrize("top", [6, 2**70], ids=["small", "huge"])
+def test_max_flow_certificate_on_random_networks(top):
+    rng = random.Random(top % 1019)
+    for trial in range(40):
+        n = rng.randrange(2, 40)
+        m = rng.randrange(0, 4 * n)
+        tail = [rng.randrange(n) for _ in range(m)]
+        head = [rng.randrange(n) for _ in range(m)]
+        cap = [rng.randint(0, top) for _ in range(m)]
+        rcap = [rng.randint(0, top) if rng.random() < 0.5 else 0 for _ in range(m)]
+        s, t = rng.sample(range(n), 2)
+        value = flow_certificate(n, tail, head, cap, rcap, s, t)
+        if n <= 10:  # the checks themselves, against enumeration
+            arcs = [*zip(tail, head, cap), *zip(head, tail, rcap)]
+            assert value == brute_min_cut(n, arcs, s, t), trial
+    # a scalar reverse capacity applies to every pair
+    flow_certificate(3, [0, 1], [1, 2], [4, 3], 2, 0, 2)
+
+
+def test_max_flow_certificate_on_a_surface_cell_network(monkeypatch):
+    """The network of the surface cell of ``diagonal_2d`` at (1,2) and
+    side 64, far past what the brute-force cut can check."""
+    model = fixture_model("diagonal_2d")
+    frame = [surface_tension._primitive(w) for w in surface_tension.orthogonal_frame((1, 2))]
+    terms = surface_tension._cell_instance(model, core_phases(model) == 1, frame, 64)
+    calls = []
+    monkeypatch.setattr(ground_state, "FlowNetwork",
+                        lambda *args: calls.append(args) or FlowNetwork(*args))
+    minimize_cut(fold_instance(terms))
+    ((n, *arrays),) = calls
+    assert n > 1000
+    assert flow_certificate(n, *arrays, n - 2, n - 1) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,10 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
         for side in sides:
             terms = _cell_instance(model, in_core, frame, side)
             variables, pair_terms, fixed = reference_cell_instance(model, 1, summary, direction, side)
-            # the cell's sites are its box in C order
-            n = round(terms.size ** (1 / model.dimension))
-            assert terms.size == n**model.dimension
-            sites = list(itertools.product(range(-(n // 2), n // 2 + 1), repeat=model.dimension))
+            # the cell's sites are the reference's variables (the free sites
+            # and the held ends of their pairs) in C order
+            sites = sorted(variables)
+            assert terms.size == len(sites)
             got_pairs = [
                 (sites[u], sites[v], Fraction(terms.weights[k], terms.scale))
                 for u, v, k in zip(terms.u.tolist(), terms.v.tolist(), terms.pair_class.tolist())
@@ -197,7 +197,7 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
             # the pairs in the order of the box layer: class by class, each
             # class in C order of its sources
             for got, want in zip((terms.u, terms.v, terms.pair_class),
-                                 box_cell_pairs(model, in_core, terms)):
+                                 box_cell_pairs(model, in_core, sites, terms)):
                 assert got.dtype == want.dtype
                 assert got.tolist() == want.tolist()
             free = [x for x, spin in zip(sites, terms.fixed) if not spin]
@@ -206,7 +206,20 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
             assert all(held[y] == spin for y, spin in fixed.items())
             # every site is its own group, and no site carries a forcing term
             assert terms.group.tolist() == list(range(terms.size))
+            assert terms.site_class.tolist() == [0] * terms.size
             assert set(terms.h_plus) == set(terms.h_minus) == {0}
+
+
+def test_cell_keeps_only_the_sites_its_terms_touch():
+    """The 2D cell at (1,2) and side 128 keeps 8,581 of the 34,969 sites
+    of its box: the 8,237 free ones and 344 held neighbours."""
+    model = fixture_model("diagonal_2d")
+    frame = [_primitive(w) for w in orthogonal_frame((1, 2))]
+    terms = _cell_instance(model, core_phases(model) == 1, frame, 128)
+    assert (terms.size, int((terms.fixed == 0).sum())) == (8581, 8237)
+    touched = np.zeros(terms.size, dtype=bool)
+    touched[terms.u] = touched[terms.v] = True
+    assert touched.all()
 
 
 def test_cell_build_peaks_near_its_term_arrays():
