@@ -42,12 +42,10 @@ from .surface_tension import check_sides
 
 
 def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]:
-    states = tuple(int(s) for s in states)
+    states = tuple(states)
     if len(states) != model.num_phases:
         raise ValueError(f"expected {model.num_phases} phase states, got {len(states)}")
-    if any(s not in (1, -1) for s in states):
-        raise ValueError("phase states must be +-1")
-    return states
+    return _key(states)
 
 
 def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
@@ -56,8 +54,9 @@ def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
     A hard site is loose when its residue lies outside every core
     (islands and infinite-multiple pieces).  The labels are those of
     :func:`connectivity.box_components` with the loose residues marked,
-    so a periodic component generally splinters near the boundary; a
-    strong bond never leaves a core, which :func:`core_phases` checks.
+    so a periodic component generally splinters near the boundary.  On
+    a model that passes validation, which :func:`core_phases` checks
+    first, a strong bond never leaves a core.
     """
     box = (cube_range(m),) * model.dimension
     hard = np.array([model.labels[r] != 0 for r in model.residues()])
@@ -286,4 +285,8 @@ class PhiTable:
 
 
 def _key(states: Sequence[int]) -> tuple[int, ...]:
+    """The states as ints; raises ValueError unless each equals +1 or -1,
+    before ``int`` could truncate one (-1.5 to -1)."""
+    if any(s not in (1, -1) for s in states):
+        raise ValueError("phase states must be +-1")
     return tuple(int(s) for s in states)

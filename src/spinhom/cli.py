@@ -40,7 +40,7 @@ from .gamma_limit import (
     save_field,
 )
 from .ground_state import TooManyFreeGroups
-from .model import LatticeModel, load_model, number_str, parse_model, validate
+from .model import LatticeModel, load_model, number_str, parse_model
 from .surface_tension import (
     SurfaceRow,
     SurfaceTable,
@@ -213,8 +213,7 @@ def _witness_str(witness) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    report = validate(model)
+    report = load_model(args.model).report
     rows = [[v.rule, _witness_str(v.witness), v.message] for v in report.violations]
     text = _render(args.format, ["rule", "witness", "message"], rows, {"passed": report.passed})
     _emit(text, args.out)
@@ -235,7 +234,7 @@ def cmd_components(args: argparse.Namespace) -> int:
                 comp.lift_diameter if comp.lift_diameter is not None else "",
             ])
     meta = {
-        "passed": validate(model).passed,
+        "passed": model.report.passed,
         "island_radius": summary.island_radius,
         "densities": {str(j): summary.densities[j] for j in summary.densities},
         "core_residues": {
@@ -252,14 +251,10 @@ def cmd_components(args: argparse.Namespace) -> int:
 
 
 def _cell_model(path: str) -> LatticeModel:
-    """The model of a command that builds cells; raises ValueError naming
-    the first violation when it fails :func:`validate`, so no cell is
-    built on an invalid model."""
+    """The model of a command that builds cells, refused before any cell
+    when it fails validation (:meth:`LatticeModel.check_valid`)."""
     model = load_model(path)
-    report = validate(model)
-    if not report.passed:
-        first = report.violations[0]
-        raise ValueError(f"the model fails validation ({first.rule}): {first.message}")
+    model.check_valid()
     return model
 
 
@@ -299,7 +294,6 @@ def _phi_task(task):
 
 def cmd_phi(args: argparse.Namespace) -> int:
     model = _cell_model(args.model)
-    # before the pool, so that the workers receive the model's summary
     meta = {"island_error_constant": island_error_constant(model)}
     sides = args.sides
     if args.z is not None:

@@ -59,10 +59,6 @@ class ConnectivitySummary:
     def passed(self) -> bool:
         return not self.violations
 
-    def in_core(self, phase: int, site: Site) -> bool:
-        res = tuple(c % self.period for c in site)
-        return res in self.core_residues.get(phase, frozenset())
-
     def islands(self, phase: int | None = None) -> list[PeriodicComponent]:
         phases = [phase] if phase is not None else sorted(self.components)
         return [c for j in phases for c in self.components.get(j, ()) if c.classification == CLASS_FINITE]
@@ -189,10 +185,6 @@ def cube_range(m: int) -> range:
     return range(lo, lo + m)
 
 
-def cube_sites(dim: int, m: int) -> list[Site]:
-    return list(product(cube_range(m), repeat=dim))
-
-
 def residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
     """Residue number of every site of a box, in C order.
 
@@ -209,33 +201,12 @@ def residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
 def core_phases(model: LatticeModel) -> np.ndarray:
     """Per residue number, the hard phase whose core holds the residue, else 0.
 
-    Raises ValueError when a strong bond joins residues that lie in
-    different cores, or in a core and outside every core: no cell can
-    then hold its core sites by residue.  It raises the same when a
-    strong bond joins residues with different labels, such as a loose
-    hard residue and a soft one, and when a strong bond's reverse offset
-    is not a strong offset of its target residue.  Only a model that
-    fails the hard-closure rule of :func:`model.validate` has such a bond.
+    Raises ValueError when the model fails validation
+    (:meth:`LatticeModel.check_valid`), so no cell is built on it.
     """
+    model.check_valid()
     cores = model.summary.core_residues
-    core = {r: j if r in cores.get(j, ()) else 0 for r, j in model.labels.items()}
-    t = model.period
-    residues = list(model.residues())
-    for r in residues:
-        for off in sorted(model.strong_offsets(r)):
-            r2 = tuple((a + b) % t for a, b in zip(r, off))
-            if core[r2] != core[r] or model.labels[r2] != model.labels[r]:
-                what = "different cores" if core[r2] != core[r] else "different labels"
-                raise ValueError(
-                    f"strong bond (from={r}, offset={off}) joins residues of "
-                    f"{what}; the model fails validation"
-                )
-            if tuple(-o for o in off) not in model.strong_offsets(r2):
-                raise ValueError(
-                    f"strong bond (from={r}, offset={off}) lacks the reverse strong "
-                    f"offset at {r2}; the model fails validation"
-                )
-    return np.array([core[r] for r in residues])
+    return np.array([j if r in cores.get(j, ()) else 0 for r, j in sorted(model.labels.items())])
 
 
 def class_slices(
@@ -326,7 +297,8 @@ def box_components(model: LatticeModel, ranges: Sequence[range], marked: np.ndar
     """Strong components of the sites of a box whose residues ``marked``
     marks: per site in C order, the smallest site of its component, or -1
     on an unmarked site.  The marks must hold every strong bond both ways,
-    as a union of cores or the loose hard residues does (:func:`core_phases`)."""
+    as a union of cores or the loose hard residues of a model that passes
+    validation does (:func:`core_phases`)."""
     on = marked[residue_ids(model, ranges)]
     grid = on.reshape([len(r) for r in ranges])
     src, dst, _ = box_pairs(model, ranges, strong_classes(model, marked), grid)
@@ -388,10 +360,10 @@ def coarsening_side(model: LatticeModel, phase: int, cap_multiple: int = 64) -> 
 
     Tested over all period^d translation classes of the cube lattice:
     for each, the strong components of the core sites of the 3M box come
-    from :func:`box_components`.
+    from :func:`box_components`.  Raises ValueError unless ``phase``
+    numbers a hard phase of a model that passes validation.
     """
-    if not model.summary.core_residues.get(phase):
-        raise ValueError(f"phase {phase} has no infinite-unique component")
+    model.check_phase(phase)
     t, d = model.period, model.dimension
     in_core = core_phases(model) == phase
     for mult in range(1, cap_multiple + 1):

@@ -354,7 +354,6 @@ def extend(
     when its core connects too slowly to have one.
     """
     _check_cube_side(model, m)
-    model.check_phase(phase)
     try:
         side = coarsening_side(model, phase)
     except RuntimeError as exc:  # the core connects too slowly: no cube side coarsens it

@@ -56,15 +56,3 @@ def is_full_lattice(basis: Sequence[Sequence[int]], dim: int) -> bool:
         det *= lead
     return abs(det) == 1
 
-
-def contains(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    """Membership test by elimination against the echelon basis."""
-    v = list(vector)
-    for row in basis:
-        lead = next(k for k, c in enumerate(row) if c != 0)
-        if v[lead] % row[lead] != 0:
-            return False
-        q = v[lead] // row[lead]
-        for k in range(len(v)):
-            v[k] -= q * row[k]
-    return not any(v)

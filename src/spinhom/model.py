@@ -108,10 +108,12 @@ class LatticeModel:
         if not 1 <= phase <= self.num_phases:
             raise ValueError(f"phase must be in 1..{self.num_phases}, got {phase}")
 
-    def forcing_value(self, site: Site, spin: int) -> Fraction:
-        if spin not in (1, -1):
-            raise ValueError(f"spin must be +1 or -1, got {spin}")
-        return self.forcing.get((self.residue_of(site), spin), Fraction(0))
+    def check_valid(self) -> None:
+        """Raise ValueError naming the first violation of :attr:`report`;
+        every cell is built on a model that passes this check."""
+        if not self.report.passed:
+            first = self.report.violations[0]
+            raise ValueError(f"the model fails validation ({first.rule}): {first.message}")
 
     # ---- computed diagnostics -----------------------------------------
 
@@ -135,6 +137,11 @@ class LatticeModel:
         from . import connectivity  # local import; connectivity imports model
 
         return connectivity.classify(self)
+
+    @functools.cached_property
+    def report(self) -> ValidationReport:
+        """:func:`validate` of the model, computed once per model object."""
+        return validate(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeModel):

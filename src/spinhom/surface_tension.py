@@ -127,12 +127,12 @@ def _check_cell(
     model: LatticeModel, phase: int, direction: Sequence, side: int
 ) -> tuple[Fraction, ...]:
     """The direction of a cell as a rational vector; raises ValueError
-    unless the phase, the direction and the side make a cell."""
+    unless the model passes validation and the phase, the direction and
+    the side make a cell."""
+    model.check_valid()
     model.check_phase(phase)
     if side <= 0:
         raise ValueError("cube side must be positive")
-    if not model.summary.core_residues.get(phase):
-        raise ValueError(f"phase {phase} has no infinite-unique component")
     nu = _rational_vector(direction)
     if len(nu) != model.dimension:
         raise ValueError(f"direction must have {model.dimension} coordinates")
@@ -316,17 +316,6 @@ class SurfaceTable:
         check_cells(model, [(j, nu, t) for nu in directions for j in phases for t in sides])
         rows = {(j, nu): _surface_row(model, j, nu, sides) for nu in directions for j in phases}
         return cls(model.num_phases, rows)
-
-    @classmethod
-    def from_values(
-        cls, num_phases: int, values: Mapping[tuple[int, Sequence], Fraction]
-    ) -> "SurfaceTable":
-        """Table of externally known values (closed forms), one side each."""
-        rows = {}
-        for (phase, direction), v in values.items():
-            nu = canonical_direction(direction)
-            rows[(phase, nu)] = SurfaceRow(phase, nu, (0,), (Fraction(v),))
-        return cls(num_phases, rows)
 
     def row(self, phase: int, direction: Sequence) -> SurfaceRow:
         key = (phase, canonical_direction(direction))

@@ -29,6 +29,34 @@ def fixture_model(name: str) -> LatticeModel:
     return parse_model(fixture_document(name))
 
 
+def one_weak_weight_changed(doc) -> None:
+    """In a ``soft_inclusions_2d`` document, the weak bond from (0,0) at
+    offset (1,0) no longer equals its reverse, which the cube reads
+    instead (phi_8(-1) used to come out 53/16): the model fails
+    validation."""
+    (bond,) = [b for b in doc["weak_bonds"] if (b["from"], b["offset"]) == ("0,0", [1, 0])]
+    bond["weight"] = "0.0625"
+
+
+def strong_weights_negated(doc) -> None:
+    """Every strong weight negated, so the surface tension came out
+    negative (fhom --normal 1,2 --T 8,16 of ``soft_inclusions_2d`` used to
+    print -15.75): the model fails validation."""
+    for bond in doc["strong_bonds"]:
+        bond["weight"] = "-" + bond["weight"]
+
+
+# soft_inclusions_2d after each change above, with its first violation
+INVALID_INCLUSIONS = [
+    pytest.param(one_weak_weight_changed,
+                 "(symmetry): bond (from=(0, 0), offset=(1, 0)) weight 1/16 differs from "
+                 "reverse weight 3/80", id="weak-asymmetric"),
+    pytest.param(strong_weights_negated,
+                 "(coerciveness): strong weight -1/8 at (from=(0, 1), offset=(-1, 0)) is not positive",
+                 id="strong-negative"),
+]
+
+
 def frus1d_document() -> dict:
     """The frustrated chain ``frus1d``: period 2, soft residue 0, a strong
     chain at +-2 on residue 1 (weight 1/8), antiferromagnetic weak bonds

@@ -36,7 +36,7 @@ from spinhom.surface_tension import SurfaceTable, fhom_estimate
 
 from conftest import fixture_model, random_chain_model, FIXTURE_NAMES
 from test_ground_state import random_instance
-from test_helpers import solve
+from test_helpers import in_core, solve
 
 TOL = Fraction(5, 100)
 
@@ -209,7 +209,7 @@ def test_criterion_09_extension_bound():
         assert again.field.values == res.field.values
         assert again.marked == res.marked
         for k, v in field.values.items():
-            if s.in_core(1, k):
+            if in_core(s, 1, k):
                 assert res.field.values[k] == v
     report(
         9,

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from spinhom.bulk_density import (
     phi_solution,
     phi_tilde_m,
 )
-from spinhom.connectivity import classify, cube_sites, excluded_set
+from spinhom.connectivity import box_components, classify, cube_range, excluded_set
 from spinhom.ground_state import (
     FrustratedInstance,
     GroundStateInstance,
@@ -32,7 +33,7 @@ from spinhom.model import parse_model, validate
 
 from conftest import FIXTURE_NAMES, fixture_document, fixture_model, random_chain_model
 from test_ground_state import brute_argmin, group_assignments
-from test_helpers import named, solve
+from test_helpers import cube_sites, forcing_value, in_core, named, solve
 
 
 def reference_components(model, m):
@@ -70,7 +71,7 @@ def reference_phi_instance(model, m, states, summary, pinned=()):
     groups = []
     fixed = {}
     for phase, comp in reference_components(model, m):
-        if any(summary.in_core(phase, x) for x in comp):
+        if any(in_core(summary, phase, x) for x in comp):
             for x in comp:
                 fixed[x] = states[phase - 1]
         if len(comp) > 1:
@@ -89,8 +90,8 @@ def reference_phi_instance(model, m, states, summary, pinned=()):
             y = tuple(a + b for a, b in zip(x, off))
             if y in in_cube and x < y:
                 pair_terms.append((x, y, 2 * model.pair_weight(x, y)))
-        gp = model.forcing_value(x, 1)
-        gm = model.forcing_value(x, -1)
+        gp = forcing_value(model, x, 1)
+        gm = forcing_value(model, x, -1)
         if gp or gm:
             unary_terms[x] = (gp, gm)
     return GroundStateInstance(
@@ -371,8 +372,10 @@ def test_array_build_matches_oracle_on_random_signed_models():
 def test_huge_denominators_take_the_object_path_exactly():
     doc = fixture_document("chain_soft_even")
     big, other = 2**61 - 1, 3**41
-    for k, bond in enumerate(doc["weak_bonds"]):
-        bond["weight"] = f"{3 + k // 2}/{big}"
+    for bond in doc["weak_bonds"]:
+        # the parity of the bond's left site picks 3 or 4: both declarations of a bond agree
+        left = int(bond["from"]) + min(bond["offset"][0], 0)
+        bond["weight"] = f"{3 + left % 2}/{big}"
     doc["forcing"] = {"0": {"plus": f"1/{other}", "minus": f"-2/{other}"}}
     model = parse_model(doc)
     s = classify(model)
@@ -396,15 +399,14 @@ def loose_components(model, m):
     s = classify(model)
     return [
         comp for phase, comp in reference_components(model, m)
-        if not any(s.in_core(phase, x) for x in comp)
+        if not any(in_core(s, phase, x) for x in comp)
     ]
 
 
-def assert_loose_labels(model, m):
-    """Each loose component carries the number of its smallest site; core
-    and soft sites carry -1."""
+def assert_loose_labels(model, m, labels):
+    """In the labels of the sites of Q_M, each loose component carries the
+    number of its smallest site; core and soft sites carry -1."""
     sites = cube_sites(model.dimension, m)
-    labels = hard_components_in_cube(model, m)
     assert labels.shape == (len(sites),)
     comps: dict = {}
     for x, label in zip(sites, labels.tolist()):
@@ -415,14 +417,14 @@ def assert_loose_labels(model, m):
     s = classify(model)
     for x, label in zip(sites, labels.tolist()):
         if label < 0:
-            assert model.label(x) == 0 or s.in_core(model.label(x), x)
+            assert model.label(x) == 0 or in_core(s, model.label(x), x)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_union_find_labels_are_the_bfs_components(name):
     model = fixture_model(name)
     for m in ORACLE_SIDES[model.dimension] + (31,):
-        assert_loose_labels(model, m)
+        assert_loose_labels(model, m, hard_components_in_cube(model, m))
 
 
 def test_union_find_gets_no_pairs_without_loose_residues(monkeypatch):
@@ -442,7 +444,7 @@ def test_union_find_gets_no_pairs_without_loose_residues(monkeypatch):
 def test_pinned_site_errors():
     model = fixture_model("islands_1d")
     s = classify(model)
-    core = next(x for x in cube_sites(1, 8) if s.in_core(1, x))
+    core = next(x for x in cube_sites(1, 8) if in_core(s, 1, x))
     with pytest.raises(ValueError, match=r"pinned site \(9,\) is outside the cube"):
         build_phi_instance(model, 8, (1,), pinned=[(9,)])
     with pytest.raises(ValueError, match=rf"pinned site \({core[0]},\) conflicts"):
@@ -479,12 +481,17 @@ def random_strong_graph_2d(rng: random.Random, bond: float = 0.25):
 
 
 def test_union_find_labels_on_random_strong_graphs():
+    """``box_components`` on the loose hard residues, those outside the
+    cores of the summary.  Strip models fail validation, so
+    ``hard_components_in_cube`` refuses them; the marks are taken here."""
     rng = random.Random(1414)
     loose = 0
     for trial in range(60):
         model = random_strong_graph_2d(rng, (0.25, 0.05, 0.1)[trial % 3])
         m = rng.choice((5, 9, 14))
-        assert_loose_labels(model, m)
+        cores = model.summary.core_residues
+        marks = np.array([j != 0 and r not in cores.get(j, ()) for r, j in sorted(model.labels.items())])
+        assert_loose_labels(model, m, box_components(model, (cube_range(m),) * 2, marks))
         loose += bool(loose_components(model, m))
     assert loose >= 20  # islands and strips, not only spanning cores
 
@@ -580,5 +587,24 @@ def test_strong_bond_between_cores_is_refused():
     doc["weak_bonds"] = [b for b in doc["weak_bonds"] if b["from"] != "0" or b["offset"] != [1]]
     doc["strong_bonds"].append({"from": "0", "offset": [1], "weight": "1/8"})
     model = parse_model(doc)
-    with pytest.raises(ValueError, match=r"strong bond \(from=\(0,\), offset=\(1,\)\) joins residues of different cores"):
+    with pytest.raises(ValueError, match=re.escape(
+        "the model fails validation (hard-closure): strong bond (from=(0,), offset=(1,)) "
+        "leaves phase 2 (target label 1)"
+    )):
         build_phi_instance(model, 4, (1, -1))
+
+
+def test_states_other_than_plus_or_minus_one_are_refused():
+    """A phase state is refused unless it equals +1 or -1, before ``int``
+    could truncate it (-1.5 once gave phi_8(-1) = 261/80, and 1.9 gave
+    phi_8(1) = 0); the density table reads its keys by the same rule."""
+    model = fixture_model("soft_inclusions_2d")
+    for bad in ((-1.5,), (1.9,), (0,), (Fraction(-1, 2),)):
+        with pytest.raises(ValueError, match=r"phase states must be \+-1"):
+            phi_m(model, 8, bad)
+    assert phi_m(model, 8, (-1.0,)) == phi_m(model, 8, (-1,)) == Fraction(261, 80)
+    table = PhiTable.from_model(model, (4,))
+    assert table.value((-1.0,)) == table.value((-1,))
+    for bad in ((-1.5,), (1.9,)):
+        with pytest.raises(ValueError, match=r"phase states must be \+-1"):
+            table.rows(bad)

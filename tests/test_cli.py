@@ -20,7 +20,13 @@ from spinhom.ground_state import FrustratedInstance, TooManyFreeGroups
 from spinhom.model import load_model, number_str
 from spinhom.surface_tension import SurfaceTable
 
-from conftest import FIXTURES, cubic_3d_document, fixture_document, frus1d_document
+from conftest import (
+    FIXTURES,
+    INVALID_INCLUSIONS,
+    cubic_3d_document,
+    fixture_document,
+    frus1d_document,
+)
 from test_helpers import solve
 
 CHAIN = str(FIXTURES.joinpath("chain_soft_even.json"))
@@ -733,7 +739,7 @@ MIXED_ERROR = ("error: the model fails validation (symmetry): bond (from=(0,), o
 def test_phi_refuses_a_strong_bond_between_cores(capsys, tmp_path):
     """``phi`` refuses the mixed model instead of holding one mixed cluster,
     with its first ``validate`` violation; the library cell builders refuse
-    the bond itself."""
+    it with the same line."""
     path = mixed_model_path(tmp_path)
     assert run(["validate", path]) == 1
     capsys.readouterr()
@@ -741,7 +747,7 @@ def test_phi_refuses_a_strong_bond_between_cores(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == MIXED_ERROR
-    with pytest.raises(ValueError, match=r"joins residues of different cores; the model fails validation"):
+    with pytest.raises(ValueError, match=re.escape(MIXED_ERROR[len("error: "):-1])):
         core_phases(load_model(path))
 
 
@@ -802,27 +808,27 @@ LOOSE_ARGVS = [
     ["extend", "--field", '{"eps": "1/16", "omega": {"lo": ["0"], "hi": ["1"]}, '
                           '"spins_rle": [[15, 1]]}', "--phase", "1", "--M", "4"],
 ]
-# per model: the label of residue 2, its first violation, the refusal of
-# the library cell builders, and the suffix of the test ids
+# per model: the label of residue 2, its first violation, and the suffix
+# of the test ids
 LOOSE_MODELS = [
-    (0, "(hard-closure): strong bond (from=(1,), offset=(1,)) leaves phase 1 (target label 0)",
-     "joins residues of different labels", ""),
+    (0, "(hard-closure): strong bond (from=(1,), offset=(1,)) leaves phase 1 (target label 0)", ""),
     (1, "(weak-admissibility): weak bond (from=(2,), offset=(-1,)) joins two sites of hard phase 1",
-     "lacks the reverse strong offset at (2,)", "-one-way"),
+     "-one-way"),
 ]
 
 
-@pytest.mark.parametrize("argv, label2, violation, refusal", [
-    pytest.param(argv, label2, violation, refusal, id=argv[0] + suffix)
-    for label2, violation, refusal, suffix in LOOSE_MODELS for argv in LOOSE_ARGVS
+@pytest.mark.parametrize("argv, label2, violation", [
+    pytest.param(argv, label2, violation, id=argv[0] + suffix)
+    for label2, violation, suffix in LOOSE_MODELS for argv in LOOSE_ARGVS
 ])
 def test_cell_builders_refuse_a_strong_bond_between_labels(
-    capsys, tmp_path, argv, label2, violation, refusal
+    capsys, tmp_path, argv, label2, violation
 ):
     """A strong bond from a loose hard residue to a soft one, or to a hard
     one that declares the reverse offset as a weak bond, makes
     ``validate`` exit 1 and every command that builds a cell exit 2 with
-    the first violation; the library cell builders refuse the bond."""
+    the first violation; the library cell builders refuse the model with
+    the same line."""
     path = loose_model_path(tmp_path, label2)
     assert run(["validate", path]) == 1
     capsys.readouterr()
@@ -830,7 +836,7 @@ def test_cell_builders_refuse_a_strong_bond_between_labels(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: the model fails validation {violation}\n"
-    with pytest.raises(ValueError, match=re.escape(f"(from=(1,), offset=(1,)) {refusal}; the model")):
+    with pytest.raises(ValueError, match=re.escape(f"the model fails validation {violation}")):
         core_phases(load_model(path))
 
 
@@ -843,20 +849,6 @@ def invalid_inclusions_path(tmp_path, change) -> str:
     return str(path)
 
 
-def one_weak_weight_changed(doc) -> None:
-    """The weak bond from (0,0) at offset (1,0) no longer equals its reverse,
-    which the cube reads instead (phi --M 8 --z -1 used to print 3.3125)."""
-    (bond,) = [b for b in doc["weak_bonds"] if (b["from"], b["offset"]) == ("0,0", [1, 0])]
-    bond["weight"] = "0.0625"
-
-
-def strong_weights_negated(doc) -> None:
-    """Every strong weight negated, so the surface tension came out
-    negative (fhom --normal 1,2 --T 8,16 used to print -15.75)."""
-    for bond in doc["strong_bonds"]:
-        bond["weight"] = "-" + bond["weight"]
-
-
 GATE_ARGVS = [
     ["phi", "--M", "8", "--z", "-1"],
     ["fhom", "--normal", "1,2", "--T", "8,16"],
@@ -867,14 +859,7 @@ GATE_ARGVS = [
 ]
 
 
-@pytest.mark.parametrize("change, violation", [
-    pytest.param(one_weak_weight_changed,
-                 "(symmetry): bond (from=(0, 0), offset=(1, 0)) weight 1/16 differs from "
-                 "reverse weight 3/80", id="weak-asymmetric"),
-    pytest.param(strong_weights_negated,
-                 "(coerciveness): strong weight -1/8 at (from=(0, 1), offset=(-1, 0)) is not positive",
-                 id="strong-negative"),
-])
+@pytest.mark.parametrize("change, violation", INVALID_INCLUSIONS)
 @pytest.mark.parametrize("argv", GATE_ARGVS, ids=lambda argv: argv[0])
 def test_cell_commands_refuse_a_model_that_fails_validation(
     monkeypatch, capsys, tmp_path, change, violation, argv

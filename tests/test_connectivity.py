@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -20,13 +21,13 @@ from spinhom.connectivity import (
     components,
     core_phases,
     cube_range,
-    cube_sites,
     excluded_set,
     residue_ids,
 )
 from spinhom.model import parse_model
 
 from conftest import FIXTURE_NAMES, fixture_model, random_chain_model
+from test_helpers import cube_sites, in_core
 
 
 def strong_component(model, start, window):
@@ -146,7 +147,7 @@ def test_in_core_matches_window_growth_oracle(any_model):
         small = strong_component(model, res, 6 * t)
         large = strong_component(model, res, 12 * t)
         grows = len(large) > len(small)
-        assert s.in_core(j, res) == grows, (res, len(small), len(large))
+        assert in_core(s, j, res) == grows, (res, len(small), len(large))
 
 
 def test_in_core_random_chains():
@@ -160,7 +161,7 @@ def test_in_core_random_chains():
                 continue
             small = strong_component(model, res, 12)
             large = strong_component(model, res, 24)
-            assert s.in_core(j, res) == (len(large) > len(small))
+            assert in_core(s, j, res) == (len(large) > len(small))
 
 
 def brute_excluded(model, m, summary):
@@ -172,7 +173,7 @@ def brute_excluded(model, m, summary):
     for k in cube_sites(model.dimension, m):
         res = tuple(c % t for c in k)
         j = model.labels[res]
-        if j == 0 or summary.in_core(j, k):
+        if j == 0 or in_core(summary, j, k):
             continue
         comp = strong_component(model, k, 10 * m)
         if not any(
@@ -246,7 +247,7 @@ def verify_coarsening_property(model, phase, m, summary):
         inner = [
             tuple(c + s for c, s in zip(site, shift))
             for site in product(range(m), repeat=dim)
-            if summary.in_core(phase, tuple(c + s for c, s in zip(site, shift)))
+            if in_core(summary, phase, tuple(c + s for c, s in zip(site, shift)))
         ]
         if len(inner) <= 1:
             continue
@@ -262,7 +263,7 @@ def verify_coarsening_property(model, phase, m, summary):
                 if (
                     nxt not in seen
                     and all(a <= c < b for c, a, b in zip(nxt, lo, hi))
-                    and summary.in_core(phase, nxt)
+                    and in_core(summary, phase, nxt)
                 ):
                     seen.add(nxt)
                     queue.append(nxt)
@@ -292,7 +293,10 @@ def test_coarsening_side_rejects_coreless_phase():
     s = classify(model)
     assert not s.passed
     assert any(v.rule == "unique-infinite-component" for v in s.violations)
-    with pytest.raises(ValueError, match="no infinite-unique component"):
+    with pytest.raises(ValueError, match=re.escape(
+        "the model fails validation (unique-infinite-component): phase 2 has no infinite "
+        "component (all components are finite)"
+    )):
         coarsening_side(model, 2)
 
 
@@ -360,11 +364,20 @@ def test_coarsening_side_matches_bfs_on_fixtures(name):
 
 
 def test_coarsening_side_matches_bfs_on_random_models():
-    sides = []
+    """On the models that pass validation; ``coarsening_side`` refuses
+    the others, whose phase also has a component that lifts to several
+    infinite ones."""
+    sides, refused = [], 0
     for model, summary in random_cored_models(30, seed=7):
+        if not model.report.passed:
+            with pytest.raises(ValueError, match=r"^the model fails validation \("):
+                coarsening_side(model, 1)
+            refused += 1
+            continue
         want = bfs_coarsening_side(model, 1, summary)
         assert coarsening_side(model, 1) == want
         sides.append((model.period, want))
+    assert refused == 2
     assert any(side > period for period, side in sides)
     assert any(side == period for period, side in sides)
 

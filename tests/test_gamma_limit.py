@@ -11,7 +11,7 @@ import pytest
 
 from spinhom import gamma_limit
 from spinhom.bulk_density import PhiTable, phi_solution
-from spinhom.connectivity import classify, cube_sites
+from spinhom.connectivity import classify
 from spinhom.gamma_limit import (
     Box,
     Boxes,
@@ -34,7 +34,7 @@ from spinhom.surface_tension import SurfaceTable
 from spinhom.model import SchemaError, parse_model
 
 from conftest import FIXTURE_NAMES, fixture_model
-from test_helpers import constant_on_box, phi_table
+from test_helpers import constant_on_box, cube_sites, forcing_value, in_core, phi_table, surface_table
 
 UNIT = DomainSpec((Fraction(0),), (Fraction(1),))
 SQUARE = DomainSpec((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
@@ -159,7 +159,7 @@ def brute_f_eps(model, field):
             y = tuple(a + b for a, b in zip(x, off))
             if y in values and values[y] != ux:
                 weak += 4 * model.pair_weight(x, y)
-        forcing += model.forcing_value(x, ux)
+        forcing += forcing_value(model, x, ux)
     d = model.dimension
     return field.eps ** (d - 1) * strong + field.eps**d * (weak + forcing)
 
@@ -229,7 +229,7 @@ def brute_extend(model, phase, field, m, summary):
             c * m - half - m >= r.start and c * m - half + 2 * m - 1 < r.stop for c, r in zip(z, ranges)
         ):
             continue
-        core = {field.values[k] for k in cubes[z] if summary.in_core(phase, k)}
+        core = {field.values[k] for k in cubes[z] if in_core(summary, phase, k)}
         if len(core) == 1:
             fill = core.pop()
             values.update((k, fill) for k in cubes[z])
@@ -285,7 +285,7 @@ def test_extend_fills_cubes_and_preserves_core():
         assert res.marked_count <= 9 * broken
         # core spins survive extension everywhere
         for k, v in field.values.items():
-            if s.in_core(1, k):
+            if in_core(s, 1, k):
                 assert res.field.values[k] == v
         again = extend(model, 1, res.field, 4)
         assert again.field.values == res.field.values
@@ -299,13 +299,13 @@ def test_extend_on_core_constant_field_marks_nothing():
     rng = random.Random(3)
     values = {}
     for k in SQUARE.sites(eps):
-        values[k] = 1 if s.in_core(1, k) else rng.choice([1, -1])
+        values[k] = 1 if in_core(s, 1, k) else rng.choice([1, -1])
     res = extend(model, 1, SpinField(eps, SQUARE, values), 4)
     assert res.marked == ()
     # every processed cube is overwritten by the core value
     filled = [k for k, v in res.field.values.items() if v != values[k]]
     assert filled, "extension should overwrite soft sites somewhere"
-    assert all(not s.in_core(1, k) for k in filled)
+    assert all(not in_core(s, 1, k) for k in filled)
 
 
 def test_slab_geometry():
@@ -444,7 +444,7 @@ def test_f_hom_slab_measure_2d(slab, measure, plus):
     slab's length in the unit square, plus 3 times the area ``plus`` of
     its +1 side and 5 times the rest."""
     model = fixture_model("soft_inclusions_2d")
-    surface = SurfaceTable.from_values(1, {(1, slab.normal): 1})
+    surface = surface_table(1, {(1, slab.normal): 1})
     phi = phi_table({(1,): 3, (-1,): 5})
     value = f_hom(model, SQUARE, MultiphaseField((slab,)), surface, phi)
     assert value == measure + (3 * plus + 5 * (1 - plus))
@@ -461,7 +461,7 @@ def test_f_hom_box_and_slab_3d_closed_form():
     slab = Slab((Fraction(0), Fraction(0), Fraction(2)), Fraction(3))
     target = MultiphaseField((Boxes((box,)), slab))
     tension = {(1, (1, 0, 0)): 2, (1, (0, 1, 0)): 3, (1, (0, 0, 1)): 5, (2, (0, 0, 1)): 7}
-    surface = SurfaceTable.from_values(2, tension)
+    surface = surface_table(2, tension)
     phi = phi_table({(1, 1): 11, (1, -1): 13, (-1, 1): 17, (-1, -1): 19})
     # box faces: two x faces and two y faces of area 1 each, the z face
     # at 1 of area 1/4 (the one at 4 is outside); the slab plane, area 2
@@ -476,7 +476,7 @@ def test_f_hom_refuses_an_oblique_interface_in_3d():
     model = SimpleNamespace(num_phases=1, dimension=3)
     omega = DomainSpec((Fraction(0),) * 3, (Fraction(1),) * 3)
     target = MultiphaseField((Slab((Fraction(1), Fraction(1), Fraction(0)), Fraction(1)),))
-    surface = SurfaceTable.from_values(1, {(1, (1, 1, 0)): 1})
+    surface = surface_table(1, {(1, (1, 1, 0)): 1})
     phi = phi_table({(1,): 1, (-1,): 1})
     with pytest.raises(NotImplementedError, match="need dimension <= 2"):
         f_hom(model, omega, target, surface, phi)
@@ -494,7 +494,7 @@ def test_targets_must_match_the_domain_dimension(phase, size):
     model = fixture_model("soft_inclusions_2d")
     target = MultiphaseField((phase,))
     message = f"target phase 1 is {size}-dimensional, the domain 2-dimensional"
-    surface = SurfaceTable.from_values(1, {})
+    surface = surface_table(1, {})
     phi = phi_table({(1,): 1, (-1,): 1})
     with pytest.raises(ValueError, match=message):
         gamma_limit.target_directions(target, 2)
@@ -587,7 +587,7 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
     pasted = 0
     for k in omega.sites(eps):
         lab = model.label(k)
-        if lab and s.in_core(lab, k):
+        if lab and in_core(s, lab, k):
             assert rec.values[k] == target.value_at(tuple(eps * c for c in k)), k
             continue
         z = tuple((c + half) // m for c in k)

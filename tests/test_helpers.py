@@ -15,10 +15,10 @@ import pytest
 
 from spinhom import gamma_limit, ground_state, surface_tension
 from spinhom.bulk_density import PhiRow, PhiTable, phi_m
-from spinhom.connectivity import core_phases
+from spinhom.connectivity import core_phases, cube_range
 from spinhom.gamma_limit import Box, Boxes, Constant, DomainSpec, MultiphaseField, Slab
 from spinhom.ground_state import fold_instance, minimize, minimize_cut, minimize_enum
-from spinhom.intlattice import contains, hermite_basis, is_full_lattice
+from spinhom.intlattice import hermite_basis, is_full_lattice
 from spinhom.maxflow import FlowNetwork
 
 from conftest import fixture_model, random_chain_model
@@ -80,6 +80,45 @@ def named(instance, spins) -> dict:
     """Variable -> spin, from spins in the cell order of a
     ``GroundStateInstance``: its variables sorted."""
     return dict(zip(sorted(instance.variables), spins.tolist()))
+
+
+def cube_sites(dim: int, m: int) -> list:
+    """The sites of the centered cube Q_M as tuples, in C order."""
+    return list(itertools.product(cube_range(m), repeat=dim))
+
+
+def in_core(summary, phase: int, site) -> bool:
+    """Whether ``site`` lies in the core of ``phase`` of a ``classify`` summary."""
+    res = tuple(c % summary.period for c in site)
+    return res in summary.core_residues.get(phase, frozenset())
+
+
+def forcing_value(model, site, spin: int) -> Fraction:
+    """The forcing of ``site`` at ``spin``, zero when the model declares none."""
+    return model.forcing.get((model.residue_of(site), spin), F(0))
+
+
+def surface_table(num_phases: int, values) -> surface_tension.SurfaceTable:
+    """A surface table of known values (closed forms), one side each, keyed
+    by (phase, direction)."""
+    rows = {}
+    for (phase, direction), v in values.items():
+        nu = surface_tension.canonical_direction(direction)
+        rows[(phase, nu)] = surface_tension.SurfaceRow(phase, nu, (0,), (F(v),))
+    return surface_tension.SurfaceTable(num_phases, rows)
+
+
+def contains(basis, vector) -> bool:
+    """Membership in the subgroup of an echelon basis, by elimination."""
+    v = list(vector)
+    for row in basis:
+        lead = next(k for k, c in enumerate(row) if c != 0)
+        if v[lead] % row[lead] != 0:
+            return False
+        q = v[lead] // row[lead]
+        for k in range(len(v)):
+            v[k] -= q * row[k]
+    return not any(v)
 
 
 def test_hermite_basis_known_groups():

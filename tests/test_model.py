@@ -1,10 +1,24 @@
 """Parsing, serialization, and static validation of lattice models."""
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from spinhom import bulk_density, connectivity, surface_tension
+from spinhom import model as model_module
+from spinhom.bulk_density import build_phi_instance, phi_estimate, phi_m
+from spinhom.connectivity import classify, coarsening_side
+from spinhom.gamma_limit import (
+    DomainSpec,
+    MultiphaseField,
+    SpinField,
+    converge_report,
+    extend,
+    f_eps,
+    recovery_config,
+)
 from spinhom.model import (
     SchemaError,
     number_str,
@@ -12,8 +26,9 @@ from spinhom.model import (
     serialize_model,
     validate,
 )
+from spinhom.surface_tension import cell_value, check_cells
 
-from conftest import fixture_document, FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, INVALID_INCLUSIONS, fixture_document, fixture_model
 
 
 def minimal_doc():
@@ -252,3 +267,80 @@ def test_validate_flags_strong_weight_below_floor():
     doc["coercivity_floor"] = "1/4"
     report = validate(parse_model(doc))
     assert any(v.rule == "coerciveness" for v in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# the model gate: one validation per model object, checked by every cell
+
+
+def gate_model(change):
+    """``soft_inclusions_2d`` after ``change`` edits its document."""
+    doc = fixture_document("soft_inclusions_2d")
+    change(doc)
+    return parse_model(doc)
+
+
+SQUARE = DomainSpec.from_json_dict({"lo": ["0", "0"], "hi": ["1", "1"]})
+BOX = MultiphaseField.from_json_dict(
+    {"phases": [{"boxes": [{"lo": ["0.25", "0.25"], "hi": ["0.75", "0.75"]}]}]}
+)
+CELL_ENTRIES = {
+    "build_phi_instance": lambda m: build_phi_instance(m, 8, (-1,)),
+    "phi_m": lambda m: phi_m(m, 8, (-1,)),
+    "phi_estimate": lambda m: phi_estimate(m, (-1,), (8, 16)),
+    "cell_value": lambda m: cell_value(m, 1, (1, 2), 16),
+    "check_cells": lambda m: check_cells(m, [(1, (1, 2), 8), (1, (1, 2), 16)]),
+    "coarsening_side": lambda m: coarsening_side(m, 1),
+    "extend": lambda m: extend(m, 1, SpinField.constant(Fraction(1, 32), SQUARE), 4),
+    "recovery_config": lambda m: recovery_config(m, SQUARE, BOX, Fraction(1, 16), 4),
+    "converge_report": lambda m: converge_report(m, SQUARE, BOX, ("1/8", "1/16"), 4),
+}
+
+
+@pytest.mark.parametrize("change, violation", INVALID_INCLUSIONS)
+@pytest.mark.parametrize("entry", sorted(CELL_ENTRIES))
+def test_cell_entries_refuse_a_model_that_fails_validation(monkeypatch, change, violation, entry):
+    """Every library entry that builds a cell raises the one-line error of
+    the CLI, naming the first violation, before any pair of a cell is built."""
+    model = gate_model(change)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    for module in (connectivity, bulk_density, surface_tension):
+        monkeypatch.setattr(module, "box_pairs", unbuilt)
+    with pytest.raises(ValueError) as refused:
+        CELL_ENTRIES[entry](model)
+    assert str(refused.value) == f"the model fails validation {violation}"
+
+
+@pytest.mark.parametrize("change, violation", INVALID_INCLUSIONS)
+def test_reports_still_run_on_a_model_that_fails_validation(change, violation):
+    """``validate``, ``classify`` and ``f_eps`` report on the model the
+    cells refuse."""
+    model = gate_model(change)
+    report = validate(model)
+    assert f"({report.violations[0].rule}): {report.violations[0].message}" == violation
+    assert model.report == report
+    assert classify(model).core_residues[1]
+    field = SpinField.constant(Fraction(1, 8), SQUARE, -1)
+    assert f_eps(model, field) == Fraction(49, 16)  # 49 sites at forcing 4, times eps^2
+
+
+def test_validate_runs_once_per_model_object(monkeypatch):
+    """The cells of one model share its cached report; a pickled model,
+    as a ``--jobs`` worker receives it, keeps the report and validates
+    no more."""
+    calls = []
+    real = model_module.validate
+    monkeypatch.setattr(model_module, "validate", lambda m: calls.append(m) or real(m))
+    model = fixture_model("soft_inclusions_2d")
+    phi_m(model, 4, (1,))
+    cell_value(model, 1, (1, 2), 8)
+    coarsening_side(model, 1)
+    assert calls == [model]
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone.report == model.report
+    phi_m(clone, 4, (-1,))
+    cell_value(clone, 1, (1, 0), 8)
+    assert calls == [model]

@@ -27,7 +27,7 @@ from spinhom.surface_tension import (
 )
 
 from conftest import FIXTURE_NAMES, FIXTURES, cubic_3d_document, fixture_model
-from test_helpers import box_cell_pairs, solve, traced
+from test_helpers import box_cell_pairs, in_core, solve, surface_table, traced
 
 
 def in_frame_cube(site, frame, side) -> bool:
@@ -151,7 +151,7 @@ def test_integer_cube_huge_normals():
 def reference_cell_instance(model, phase, summary, direction, side):
     """The per-site cube build: core sites in the cube, each strong bond
     visited from every inside site, fixed datum from the sign of <y, nu>."""
-    inside = [s for s in reference_cube_sites(direction, side) if summary.in_core(phase, s)]
+    inside = [s for s in reference_cube_sites(direction, side) if in_core(summary, phase, s)]
     inside_set = set(inside)
     pair_terms, fixed = [], {}
     for x in inside:
@@ -475,8 +475,6 @@ def test_surface_table_round_trip():
 
 
 def test_surface_table_from_values():
-    table = SurfaceTable.from_values(
-        2, {(1, (1,)): Fraction(1), (2, (1,)): Fraction(2)}
-    )
+    table = surface_table(2, {(1, (1,)): Fraction(1), (2, (1,)): Fraction(2)})
     assert table.total((1,)) == 3
     assert table.value(2, (1,)) == 2
