@@ -18,7 +18,6 @@ from .bulk_density import (
     phi_estimate,
     phi_m,
     phi_solution,
-    phi_tilde_m,
 )
 from .connectivity import (
     CLASS_FINITE,
@@ -78,7 +77,6 @@ from .surface_tension import (
     canonical_direction,
     cell_value,
     check_cells,
-    fhom_estimate,
 )
 
 __version__ = "0.1.0"
@@ -124,7 +122,6 @@ __all__ = [
     "extend",
     "f_eps",
     "f_hom",
-    "fhom_estimate",
     "fold_instance",
     "island_error_constant",
     "load_field",
@@ -138,7 +135,6 @@ __all__ = [
     "phi_estimate",
     "phi_m",
     "phi_solution",
-    "phi_tilde_m",
     "recovery_config",
     "save_field",
     "serialize_model",

@@ -31,6 +31,7 @@ import numpy as np
 from .connectivity import (
     box_components,
     box_pairs,
+    check_sides,
     core_phases,
     cube_range,
     excluded_set,
@@ -38,7 +39,6 @@ from .connectivity import (
 )
 from .ground_state import CellTerms, Solution, minimize, scaled_tables
 from .model import LatticeModel, Site
-from .surface_tension import check_sides
 
 
 def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]:
@@ -147,12 +147,6 @@ def phi_m(model, m, states) -> Fraction:
     return sol.energy / Fraction(m**model.dimension)
 
 
-def phi_tilde_m(model, m, states) -> Fraction:
-    """Island-corrected density; upper bound for the limit density."""
-    sol = phi_solution(model, m, states, corrected=True)
-    return sol.energy / Fraction(m**model.dimension)
-
-
 def island_error_constant(model: LatticeModel) -> Fraction:
     """Explicit c with  phi_tilde_M - c / M <= phi <= phi_tilde_M.
 
@@ -163,14 +157,14 @@ def island_error_constant(model: LatticeModel) -> Fraction:
     radius = model.summary.island_radius
     if radius == 0:
         return Fraction(0)
-    weak = [
-        abs(model.pair_weight(res, tuple(a + b for a, b in zip(res, off))))
-        for res in model.residues()
-        for off in model.weak_offsets(res)
-    ]
-    max_weak = max(weak, default=Fraction(0))
-    per_site = model.max_weak_degree * max_weak + 2 * model.max_abs_forcing
-    return 2**model.dimension * radius * per_site
+    residues = list(model.residues())
+    degree = max(len(model.weak_offsets(res)) for res in residues)
+    max_weak = max(
+        (abs(model.weights[res, off]) for res in residues for off in model.weak_offsets(res)),
+        default=Fraction(0),
+    )
+    max_forcing = max((abs(g) for g in model.forcing.values()), default=Fraction(0))
+    return 2**model.dimension * radius * (degree * max_weak + 2 * max_forcing)
 
 
 @dataclass(frozen=True)
@@ -197,10 +191,9 @@ def phi_bracket(model, m, states) -> PhiRow:
     problem is the plain one: it is solved once and ``corrected = plain``.
     """
     plain = phi_m(model, m, states)
-    if model.summary.island_radius == 0:
-        corrected = plain
-    else:
-        corrected = phi_tilde_m(model, m, states)
+    corrected = plain
+    if model.summary.island_radius:
+        corrected = phi_solution(model, m, states, corrected=True).energy / m**model.dimension
     c = island_error_constant(model)
     return PhiRow(m=m, plain=plain, corrected=corrected,
                   lower=plain, upper=corrected + c / m)
@@ -278,10 +271,6 @@ class PhiTable:
     def value(self, states: Sequence[int]) -> Fraction:
         """Best available estimate: corrected value at the largest side."""
         return self.rows(states)[-1].corrected
-
-    def bracket(self, states: Sequence[int]) -> tuple[Fraction, Fraction]:
-        row = self.rows(states)[-1]
-        return row.lower, row.upper
 
 
 def _key(states: Sequence[int]) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from .bulk_density import (
     phi_bracket,
     phi_estimate,
 )
+from .connectivity import check_sides
 from .gamma_limit import (
     DomainSpec,
     MultiphaseField,
@@ -47,8 +48,6 @@ from .surface_tension import (
     canonical_direction,
     cell_value,
     check_cells,
-    check_sides,
-    fhom_estimate,
 )
 
 
@@ -435,7 +434,7 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     elif kind == "fhom":
         phase = check["phase"]
         sides = check["sides"]
-        value = fhom_estimate(model, phase, check["normal"], sides).estimate
+        value = SurfaceTable.from_model(model, [check["normal"]], sides).value(phase, check["normal"])
         target = Fraction(check["target"])
         tol = Fraction(check["tol"])
         ok = abs(value - target) <= tol

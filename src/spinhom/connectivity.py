@@ -32,6 +32,9 @@ CLASS_FINITE = "finite"
 CLASS_UNIQUE = "infinite-unique"
 CLASS_MULTIPLE = "infinite-multiple"
 
+# the largest coarsening side :func:`coarsening_side` tries, in periods
+COARSENING_CAP = 64
+
 
 @dataclass(frozen=True)
 class PeriodicComponent:
@@ -183,6 +186,17 @@ def cube_range(m: int) -> range:
     """Integer points of [-m/2, m/2) along one axis (m consecutive values)."""
     lo = -(m // 2)
     return range(lo, lo + m)
+
+
+def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
+    """The cube sides as a tuple; raises ValueError unless they strictly
+    increase and are positive, checked in that order."""
+    sides = tuple(sides)
+    if any(a >= b for a, b in zip(sides, sides[1:])):
+        raise ValueError("cube sides must be strictly increasing")
+    if any(t <= 0 for t in sides):
+        raise ValueError("cube side must be positive")
+    return sides
 
 
 def residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
@@ -354,9 +368,10 @@ def excluded_set(model: LatticeModel, m: int) -> frozenset[Site]:
     return frozenset(out)
 
 
-def coarsening_side(model: LatticeModel, phase: int, cap_multiple: int = 64) -> int:
+def coarsening_side(model: LatticeModel, phase: int) -> int:
     """Smallest multiple M of the period such that core sites sharing an
-    M-cube are always connected within the concentric 3M-cube.
+    M-cube are always connected within the concentric 3M-cube; raises
+    RuntimeError when none is at most :data:`COARSENING_CAP` periods.
 
     Tested over all period^d translation classes of the cube lattice:
     for each, the strong components of the core sites of the 3M box come
@@ -366,7 +381,7 @@ def coarsening_side(model: LatticeModel, phase: int, cap_multiple: int = 64) -> 
     model.check_phase(phase)
     t, d = model.period, model.dimension
     in_core = core_phases(model) == phase
-    for mult in range(1, cap_multiple + 1):
+    for mult in range(1, COARSENING_CAP + 1):
         m = mult * t
         inner = (slice(m, 2 * m),) * d
         for shift in product(range(t), repeat=d):
@@ -378,6 +393,6 @@ def coarsening_side(model: LatticeModel, phase: int, cap_multiple: int = 64) -> 
         else:
             return m
     raise RuntimeError(
-        f"coarsening side of phase {phase} exceeds {cap_multiple} periods; "
+        f"coarsening side of phase {phase} exceeds {COARSENING_CAP} periods; "
         "the core connects too slowly for cube-based coarsening"
     )

@@ -24,9 +24,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bulk_density import PhiTable, phi_solution
-from .connectivity import class_slices, coarsening_side, core_phases
+from .connectivity import check_sides, class_slices, coarsening_side, core_phases
 from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
-from .surface_tension import SurfaceTable, canonical_direction, check_sides
+from .surface_tension import SurfaceTable, canonical_direction
 
 
 def _fraction(value, locus: str) -> Fraction:
@@ -66,12 +66,6 @@ class DomainSpec:
     def dimension(self) -> int:
         return len(self.lo)
 
-    def volume(self) -> Fraction:
-        vol = Fraction(1)
-        for a, b in zip(self.lo, self.hi):
-            vol *= b - a
-        return vol
-
     def site_ranges(self, eps: Fraction) -> list[range]:
         """Per-axis index ranges of the lattice sites strictly inside (1/eps) of the box."""
         if eps <= 0:
@@ -91,14 +85,14 @@ class DomainSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, locus: str = "omega") -> "DomainSpec":
+    def from_json_dict(cls, obj) -> "DomainSpec":
         if not isinstance(obj, Mapping) or "lo" not in obj or "hi" not in obj:
-            raise SchemaError(locus, "expected an object with 'lo' and 'hi' lists")
+            raise SchemaError("omega", "expected an object with 'lo' and 'hi' lists")
         lo = tuple(
-            _fraction(v, f"{locus}.lo[{i}]") for i, v in enumerate(_array(obj["lo"], f"{locus}.lo"))
+            _fraction(v, f"omega.lo[{i}]") for i, v in enumerate(_array(obj["lo"], "omega.lo"))
         )
         hi = tuple(
-            _fraction(v, f"{locus}.hi[{i}]") for i, v in enumerate(_array(obj["hi"], f"{locus}.hi"))
+            _fraction(v, f"omega.hi[{i}]") for i, v in enumerate(_array(obj["hi"], "omega.hi"))
         )
         return cls(lo, hi)
 

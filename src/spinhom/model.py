@@ -53,7 +53,7 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LatticeModel:
     """Validated-shape periodic model (parse-time schema only).
 
@@ -82,13 +82,6 @@ class LatticeModel:
     def residues(self) -> Iterator[Residue]:
         return iter(sorted(self.labels))
 
-    def residue_of(self, site: Site) -> Residue:
-        t = self.period
-        return tuple(c % t for c in site)
-
-    def label(self, site: Site) -> int:
-        return self.labels[self.residue_of(site)]
-
     def strong_offsets(self, residue: Residue) -> frozenset[Offset]:
         lab = self.labels[residue]
         if lab == 0:
@@ -97,11 +90,6 @@ class LatticeModel:
 
     def weak_offsets(self, residue: Residue) -> frozenset[Offset]:
         return self.neighborhoods.get((0, residue), frozenset())
-
-    def pair_weight(self, site: Site, other: Site) -> Fraction | None:
-        """Coupling weight of the ordered pair (site, other), or None."""
-        off = tuple(b - a for a, b in zip(site, other))
-        return self.weights.get((self.residue_of(site), off))
 
     def check_phase(self, phase: int) -> None:
         """Raise ValueError unless ``phase`` numbers a hard phase."""
@@ -117,19 +105,6 @@ class LatticeModel:
 
     # ---- computed diagnostics -----------------------------------------
 
-    @property
-    def max_abs_forcing(self) -> Fraction:
-        if not self.forcing:
-            return Fraction(0)
-        return max(abs(g) for g in self.forcing.values())
-
-    @property
-    def max_weak_degree(self) -> int:
-        """Largest number of weak offsets declared at a single residue."""
-        if not self.labels:
-            return 0
-        return max(len(self.weak_offsets(r)) for r in self.labels)
-
     @functools.cached_property
     def summary(self) -> ConnectivitySummary:
         """The periodic components of the hard phases
@@ -142,20 +117,6 @@ class LatticeModel:
     def report(self) -> ValidationReport:
         """:func:`validate` of the model, computed once per model object."""
         return validate(self)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticeModel):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.period == other.period
-            and self.num_phases == other.num_phases
-            and dict(self.labels) == dict(other.labels)
-            and dict(self.neighborhoods) == dict(other.neighborhoods)
-            and dict(self.weights) == dict(other.weights)
-            and dict(self.forcing) == dict(other.forcing)
-            and self.coercivity_floor == other.coercivity_floor
-        )
 
 
 # ---------------------------------------------------------------------------

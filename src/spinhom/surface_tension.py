@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .connectivity import box_pairs, coarsening_side, core_phases, residue_ids, strong_classes
+from .connectivity import box_pairs, check_sides, coarsening_side, core_phases, residue_ids, strong_classes
 from .ground_state import CellTerms, minimize, scaled_tables
 from .model import LatticeModel
 
@@ -265,35 +265,6 @@ class SurfaceRow:
         return abs(self.values[-1] - self.values[-2])
 
 
-def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
-    """The cube sides as a tuple; raises ValueError unless they strictly
-    increase and are positive, checked in that order."""
-    sides = tuple(sides)
-    if any(a >= b for a, b in zip(sides, sides[1:])):
-        raise ValueError("cube sides must be strictly increasing")
-    if any(t <= 0 for t in sides):
-        raise ValueError("cube side must be positive")
-    return sides
-
-
-def _surface_row(
-    model: LatticeModel, phase: int, direction: Sequence, sides: tuple[int, ...]
-) -> SurfaceRow:
-    values = tuple(cell_value(model, phase, direction, t) for t in sides)
-    return SurfaceRow(phase, canonical_direction(direction), sides, values)
-
-
-def fhom_estimate(
-    model: LatticeModel, phase: int, direction: Sequence, sides: Sequence[int]
-) -> SurfaceRow:
-    """Cell values along at least two increasing sides; no extrapolation."""
-    sides = check_sides(sides)
-    if len(sides) < 2:
-        raise ValueError("at least two cube sides required")
-    check_cells(model, [(phase, direction, t) for t in sides])
-    return _surface_row(model, phase, direction, sides)
-
-
 class SurfaceTable:
     """Per-phase surface tensions, keyed by canonical direction."""
 
@@ -314,7 +285,11 @@ class SurfaceTable:
             return cls(model.num_phases, {})
         phases = range(1, model.num_phases + 1)
         check_cells(model, [(j, nu, t) for nu in directions for j in phases for t in sides])
-        rows = {(j, nu): _surface_row(model, j, nu, sides) for nu in directions for j in phases}
+        rows = {
+            (j, nu): SurfaceRow(j, nu, sides, tuple(cell_value(model, j, nu, t) for t in sides))
+            for nu in directions
+            for j in phases
+        }
         return cls(model.num_phases, rows)
 
     def row(self, phase: int, direction: Sequence) -> SurfaceRow:

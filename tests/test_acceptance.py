@@ -19,7 +19,6 @@ from spinhom.bulk_density import (
     phi_bracket,
     phi_estimate,
     phi_m,
-    phi_tilde_m,
 )
 from spinhom.connectivity import classify
 from spinhom.gamma_limit import (
@@ -32,7 +31,7 @@ from spinhom.gamma_limit import (
     extend,
     f_hom,
 )
-from spinhom.surface_tension import SurfaceTable, fhom_estimate
+from spinhom.surface_tension import SurfaceTable
 
 from conftest import fixture_model, random_chain_model, FIXTURE_NAMES
 from test_ground_state import random_instance
@@ -107,7 +106,7 @@ def test_criterion_04_two_weak_scales():
 def test_criterion_05_inclusion_lattice_wall():
     model = fixture_model("soft_inclusions_2d")
     t0 = time.perf_counter()
-    row = fhom_estimate(model, 1, (1, 0), (8, 16, 32))
+    row = SurfaceTable.from_model(model, [(1, 0)], (8, 16, 32)).row(1, (1, 0))
     elapsed = time.perf_counter() - t0
     ok = abs(row.estimate - Fraction(1, 2)) <= TOL and elapsed < 30.0
     report(
@@ -120,8 +119,8 @@ def test_criterion_05_inclusion_lattice_wall():
 
 def test_criterion_06_diagonal_lattice_walls():
     model = fixture_model("diagonal_2d")
-    axis = fhom_estimate(model, 1, (1, 0), (16, 32)).estimate
-    diag = fhom_estimate(model, 1, (1, 1), (16, 32)).estimate
+    table = SurfaceTable.from_model(model, [(1, 0), (1, 1)], (16, 32))
+    axis, diag = table.value(1, (1, 0)), table.value(1, (1, 1))
     ok = abs(axis - 1) <= TOL and abs(float(diag) - 2**-0.5) <= 0.05
     report(
         6,
@@ -137,7 +136,7 @@ def test_criterion_07_structural_inequalities():
         model = fixture_model(name)
         c = island_error_constant(model)
         nonneg_weak = all(
-            model.pair_weight(res, tuple(a + b for a, b in zip(res, off))) >= 0
+            model.weights[res, off] >= 0
             for res in model.labels
             for off in model.weak_offsets(res)
         )
@@ -145,8 +144,8 @@ def test_criterion_07_structural_inequalities():
         pair = (2 * model.period, 4 * model.period)
         for states in itertools.product((1, -1), repeat=model.num_phases):
             for m in (4, 8):
-                plain = phi_m(model, m, states)
-                corrected = phi_tilde_m(model, m, states)
+                row = phi_bracket(model, m, states)
+                plain, corrected = row.plain, row.corrected
                 assert corrected >= plain, (name, states, m)
                 assert plain >= corrected - Fraction(c, m), (name, states, m)
                 checked += 1
@@ -160,8 +159,8 @@ def test_criterion_07_structural_inequalities():
         for states in itertools.product((1, -1), repeat=model.num_phases):
             values = {}
             for m in (4, 8):
-                plain = phi_m(model, m, states)
-                corrected = phi_tilde_m(model, m, states)
+                row = phi_bracket(model, m, states)
+                plain, corrected = row.plain, row.corrected
                 assert corrected >= plain
                 assert plain >= corrected - Fraction(c, m)
                 values[m] = plain

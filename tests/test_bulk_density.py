@@ -20,7 +20,6 @@ from spinhom.bulk_density import (
     phi_estimate,
     phi_m,
     phi_solution,
-    phi_tilde_m,
 )
 from spinhom.connectivity import box_components, classify, cube_range, excluded_set
 from spinhom.ground_state import (
@@ -33,7 +32,7 @@ from spinhom.model import parse_model, validate
 
 from conftest import FIXTURE_NAMES, fixture_document, fixture_model, random_chain_model
 from test_ground_state import brute_argmin, group_assignments
-from test_helpers import cube_sites, forcing_value, in_core, named, solve
+from test_helpers import cube_sites, forcing_value, in_core, named, residue, solve
 
 
 def reference_components(model, m):
@@ -46,14 +45,14 @@ def reference_components(model, m):
     for x in sites:
         if x in seen:
             continue
-        phase = model.label(x)
+        phase = model.labels[residue(model, x)]
         if phase == 0:
             continue
         comp = {x}
         queue = [x]
         while queue:
             u = queue.pop()
-            for off in model.strong_offsets(model.residue_of(u)):
+            for off in model.strong_offsets(residue(model, u)):
                 v = tuple(a + b for a, b in zip(u, off))
                 if v in in_cube and v not in comp:
                     comp.add(v)
@@ -86,10 +85,10 @@ def reference_phi_instance(model, m, states, summary, pinned=()):
     pair_terms = []
     unary_terms = {}
     for x in sites:
-        for off in model.weak_offsets(model.residue_of(x)):
+        for off in model.weak_offsets(residue(model, x)):
             y = tuple(a + b for a, b in zip(x, off))
             if y in in_cube and x < y:
-                pair_terms.append((x, y, 2 * model.pair_weight(x, y)))
+                pair_terms.append((x, y, 2 * model.weights[residue(model, x), off]))
         gp = forcing_value(model, x, 1)
         gm = forcing_value(model, x, -1)
         if gp or gm:
@@ -135,7 +134,7 @@ def test_phi_tilde_dominates_phi(any_model):
     model = any_model
     m = 8 if model.dimension == 1 else 4
     for states in itertools.product((1, -1), repeat=model.num_phases):
-        assert phi_tilde_m(model, m, states) >= phi_m(model, m, states)
+        assert phi_bracket(model, m, states).corrected >= phi_m(model, m, states)
 
 
 def test_bracket_orders_lower_below_upper(any_model):
@@ -170,7 +169,7 @@ def test_island_correction_sandwich_at_fixed_size():
     model = fixture_model("islands_1d")
     m = 12
     plain = phi_m(model, m, (-1,))
-    corrected = phi_tilde_m(model, m, (-1,))
+    corrected = phi_bracket(model, m, (-1,)).corrected
     assert plain == 0
     assert corrected == Fraction(7, 120)
     c = island_error_constant(model)
@@ -247,8 +246,8 @@ def test_phi_table_enumerates_all_states():
     assert table.value((1, 1)) == 0
     # symmetric under global spin flip: no forcing terms in this model
     assert table.value((-1, 1)) == table.value((1, -1))
-    lo, hi = table.bracket((1, -1))
-    assert lo <= table.value((1, -1)) <= hi
+    row = table.rows((1, -1))[-1]
+    assert row.lower <= table.value((1, -1)) <= row.upper
     with pytest.raises(KeyError):
         table.value((1,))
 
@@ -417,7 +416,8 @@ def assert_loose_labels(model, m, labels):
     s = classify(model)
     for x, label in zip(sites, labels.tolist()):
         if label < 0:
-            assert model.label(x) == 0 or in_core(s, model.label(x), x)
+            phase = model.labels[residue(model, x)]
+            assert phase == 0 or in_core(s, phase, x)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from spinhom import connectivity
 from spinhom.connectivity import (
     CLASS_FINITE,
     CLASS_UNIQUE,
@@ -27,7 +28,7 @@ from spinhom.connectivity import (
 from spinhom.model import parse_model
 
 from conftest import FIXTURE_NAMES, fixture_model, random_chain_model
-from test_helpers import cube_sites, in_core
+from test_helpers import cube_sites, in_core, residue
 
 
 def strong_component(model, start, window):
@@ -73,11 +74,6 @@ def test_cube_range_covers_m_sites():
         r = cube_range(m)
         assert len(r) == m
         assert r.start == -(m // 2)
-
-
-def test_cube_sites_count():
-    assert len(cube_sites(2, 6)) == 36
-    assert len(cube_sites(3, 4)) == 64
 
 
 def test_fixture_classifications():
@@ -382,7 +378,7 @@ def test_coarsening_side_matches_bfs_on_random_models():
     assert any(side == period for period, side in sides)
 
 
-def test_coarsening_side_cap_error_matches_bfs():
+def test_coarsening_side_cap_error_matches_bfs(monkeypatch):
     model, summary = next(
         (m, s) for m, s in random_cored_models(30, seed=7)
         if bfs_coarsening_side(m, 1, s) > m.period
@@ -390,8 +386,9 @@ def test_coarsening_side_cap_error_matches_bfs():
     cap = bfs_coarsening_side(model, 1, summary) // model.period - 1
     with pytest.raises(RuntimeError) as want:
         bfs_coarsening_side(model, 1, summary, cap_multiple=cap)
+    monkeypatch.setattr(connectivity, "COARSENING_CAP", cap)
     with pytest.raises(RuntimeError) as got:
-        coarsening_side(model, 1, cap_multiple=cap)
+        coarsening_side(model, 1)
     assert str(got.value) == str(want.value)
 
 
@@ -457,7 +454,7 @@ def test_residue_ids_match_residue_order():
         model = fixture_model(name)
         ranges = [range(-5, 3), range(2, 9)][: model.dimension]
         order = {r: k for k, r in enumerate(model.residues())}
-        want = [order[model.residue_of(site)] for site in product(*ranges)]
+        want = [order[residue(model, site)] for site in product(*ranges)]
         assert residue_ids(model, ranges).tolist() == want
 
 

@@ -34,7 +34,7 @@ from spinhom.surface_tension import SurfaceTable
 from spinhom.model import SchemaError, parse_model
 
 from conftest import FIXTURE_NAMES, fixture_model
-from test_helpers import constant_on_box, cube_sites, forcing_value, in_core, phi_table, surface_table
+from test_helpers import constant_on_box, cube_sites, forcing_value, in_core, phi_table, residue, surface_table
 
 UNIT = DomainSpec((Fraction(0),), (Fraction(1),))
 SQUARE = DomainSpec((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
@@ -45,8 +45,8 @@ def test_domain_validation():
         DomainSpec((Fraction(0),), (Fraction(0),))
     with pytest.raises(ValueError):
         DomainSpec((Fraction(0), Fraction(0)), (Fraction(1),))
-    assert SQUARE.volume() == 1
-    assert DomainSpec((Fraction(-1),), (Fraction(3),)).volume() == 4
+    assert SQUARE.dimension == 2
+    assert DomainSpec((Fraction(-1),), (Fraction(3),)).site_ranges(Fraction(1)) == [range(0, 3)]
 
 
 def test_sites_are_strictly_inside():
@@ -149,16 +149,16 @@ def brute_f_eps(model, field):
     values = field.values
     strong = weak = forcing = Fraction(0)
     for x in field.sites():
-        res = model.residue_of(x)
+        res = residue(model, x)
         ux = values[x]
         for off in model.strong_offsets(res):
             y = tuple(a + b for a, b in zip(x, off))
             if y in values and values[y] != ux:
-                strong += 4 * model.pair_weight(x, y)
+                strong += 4 * model.weights[res, off]
         for off in model.weak_offsets(res):
             y = tuple(a + b for a, b in zip(x, off))
             if y in values and values[y] != ux:
-                weak += 4 * model.pair_weight(x, y)
+                weak += 4 * model.weights[res, off]
         forcing += forcing_value(model, x, ux)
     d = model.dimension
     return field.eps ** (d - 1) * strong + field.eps**d * (weak + forcing)
@@ -169,7 +169,7 @@ def brute_broken_strong(model, field):
     values = field.values
     count = 0
     for x in field.sites():
-        for off in model.strong_offsets(model.residue_of(x)):
+        for off in model.strong_offsets(residue(model, x)):
             y = tuple(a + b for a, b in zip(x, off))
             if x < y and y in values and values[y] != values[x]:
                 count += 1
@@ -586,7 +586,7 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
     cached = {}
     pasted = 0
     for k in omega.sites(eps):
-        lab = model.label(k)
+        lab = model.labels[residue(model, k)]
         if lab and in_core(s, lab, k):
             assert rec.values[k] == target.value_at(tuple(eps * c for c in k)), k
             continue

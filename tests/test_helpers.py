@@ -69,7 +69,7 @@ def box_cell_pairs(model, in_core, sites, terms):
     pairs = []
     for k, (res, off) in enumerate(classes):
         for i, site in enumerate(sites):
-            if free[i] and model.residue_of(site) == res:
+            if free[i] and residue(model, site) == res:
                 j = number[tuple(c + o for c, o in zip(site, off))]
                 if off > (0,) * d or not free[j]:
                     pairs.append((i, j, k))
@@ -80,6 +80,11 @@ def named(instance, spins) -> dict:
     """Variable -> spin, from spins in the cell order of a
     ``GroundStateInstance``: its variables sorted."""
     return dict(zip(sorted(instance.variables), spins.tolist()))
+
+
+def residue(model, site) -> tuple:
+    """The residue class of ``site`` modulo the model's period."""
+    return tuple(c % model.period for c in site)
 
 
 def cube_sites(dim: int, m: int) -> list:
@@ -95,7 +100,7 @@ def in_core(summary, phase: int, site) -> bool:
 
 def forcing_value(model, site, spin: int) -> Fraction:
     """The forcing of ``site`` at ``spin``, zero when the model declares none."""
-    return model.forcing.get((model.residue_of(site), spin), F(0))
+    return model.forcing.get((residue(model, site), spin), F(0))
 
 
 def surface_table(num_phases: int, values) -> surface_tension.SurfaceTable:

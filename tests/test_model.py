@@ -84,6 +84,18 @@ def test_fixture_round_trip(name):
     assert again == model
 
 
+def test_models_compare_by_their_fields_and_do_not_hash():
+    doc = fixture_document("islands_1d")
+    model = parse_model(doc)
+    model.summary  # a cached value is not a field
+    assert parse_model(doc) == model
+    doc["weak_bonds"][0]["weight"] = "7"
+    assert parse_model(doc) != model
+    assert model != serialize_model(model)
+    with pytest.raises(TypeError):
+        hash(model)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixtures_validate_clean(name):
     report = validate(parse_model(fixture_document(name)))

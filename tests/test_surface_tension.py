@@ -10,7 +10,7 @@ import pytest
 
 from spinhom import surface_tension
 from spinhom.cli import run
-from spinhom.connectivity import classify, core_phases
+from spinhom.connectivity import check_sides, classify, core_phases
 from spinhom.ground_state import DEFAULT_ENUM_CAP
 from spinhom.model import parse_model
 from spinhom.surface_tension import (
@@ -21,13 +21,11 @@ from spinhom.surface_tension import (
     canonical_direction,
     cell_value,
     check_cells,
-    check_sides,
-    fhom_estimate,
     orthogonal_frame,
 )
 
 from conftest import FIXTURE_NAMES, FIXTURES, cubic_3d_document, fixture_model
-from test_helpers import box_cell_pairs, in_core, solve, surface_table, traced
+from test_helpers import box_cell_pairs, in_core, residue, solve, surface_table, traced
 
 
 def in_frame_cube(site, frame, side) -> bool:
@@ -155,9 +153,9 @@ def reference_cell_instance(model, phase, summary, direction, side):
     inside_set = set(inside)
     pair_terms, fixed = [], {}
     for x in inside:
-        for off in model.strong_offsets(model.residue_of(x)):
+        for off in model.strong_offsets(residue(model, x)):
             y = tuple(a + b for a, b in zip(x, off))
-            weight = model.pair_weight(x, y)
+            weight = model.weights[residue(model, x), off]
             if y in inside_set:
                 if x < y:
                     pair_terms.append((x, y, 2 * weight))
@@ -304,7 +302,7 @@ def test_fhom_estimate_warns_below_coarsening_side():
     """The coarsening check before the cells warns; a lone cell solve does not."""
     model = fixture_model("islands_1d")
     with pytest.warns(UserWarning, match="coarsening"):
-        fhom_estimate(model, 1, (1,), (2, 4))
+        SurfaceTable.from_model(model, [(1,)], (2, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cell_value(model, 1, (1,), 2) == 1
@@ -452,10 +450,10 @@ def test_check_sides_refuses_nonpositive_sides_after_the_order(sides, message):
 def test_fhom_estimate_requires_increasing_sides():
     model = fixture_model("chain_soft_even")
     with pytest.raises(ValueError):
-        fhom_estimate(model, 1, (1,), (4,))
-    with pytest.raises(ValueError):
-        fhom_estimate(model, 1, (1,), (8, 4))
-    row = fhom_estimate(model, 1, (1,), (2, 4, 8))
+        SurfaceTable.from_model(model, [(1,)], (8, 4))
+    # one side is a row too, with no increment to report
+    assert SurfaceTable.from_model(model, [(1,)], (4,)).row(1, (1,)).increment is None
+    row = SurfaceTable.from_model(model, [(1,)], (2, 4, 8)).row(1, (1,))
     assert row.estimate == 1
     assert row.increment == 0
     assert row.sides == (2, 4, 8)
