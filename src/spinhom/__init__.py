@@ -46,7 +46,6 @@ from .gamma_limit import (
     f_eps,
     f_hom,
     load_field,
-    load_target,
     recovery_config,
     save_field,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "island_error_constant",
     "load_field",
     "load_model",
-    "load_target",
     "minimize",
     "minimize_cut",
     "minimize_enum",

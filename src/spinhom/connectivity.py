@@ -62,9 +62,8 @@ class ConnectivitySummary:
     def passed(self) -> bool:
         return not self.violations
 
-    def islands(self, phase: int | None = None) -> list[PeriodicComponent]:
-        phases = [phase] if phase is not None else sorted(self.components)
-        return [c for j in phases for c in self.components.get(j, ()) if c.classification == CLASS_FINITE]
+    def islands(self) -> list[PeriodicComponent]:
+        return [c for j in sorted(self.components) for c in self.components[j] if c.classification == CLASS_FINITE]
 
 
 def _ceil_sqrt(n: int) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bulk_density import PhiTable, phi_solution
 from .connectivity import check_sides, class_slices, coarsening_side, core_phases
-from .model import LatticeModel, Offset, Residue, SchemaError, Site, is_json_int, number_str
+from .model import LatticeModel, Offset, Residue, SchemaError, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction
 
 
@@ -75,9 +75,6 @@ class DomainSpec:
             out.append(range(math.floor(a / eps) + 1, math.ceil(b / eps)))
         return out
 
-    def sites(self, eps: Fraction) -> list[Site]:
-        return list(itertools.product(*self.site_ranges(eps)))
-
     def to_json_dict(self) -> dict:
         return {
             "lo": [number_str(a) for a in self.lo],
@@ -122,29 +119,20 @@ class SiteValues(Mapping):
 class SpinField:
     """Spin values on exactly the sites of (1/eps) Omega.
 
-    The spins are stored as a read-only int8 array ``spins`` over
-    ``omega.site_ranges(eps)`` in C order, which is the lexicographic site
-    order; ``values`` is a site -> spin mapping view of it.  ``values`` may
-    be given as such a mapping or as an array of that shape.
+    The spins are given as an array over ``omega.site_ranges(eps)`` in C
+    order, which is the lexicographic site order, and stored as the
+    read-only int8 array ``spins``; ``values`` is a site -> spin mapping
+    view of it.
     """
 
-    def __init__(self, eps: Fraction, omega: DomainSpec, values: Mapping[Site, int] | np.ndarray):
+    def __init__(self, eps: Fraction, omega: DomainSpec, spins: np.ndarray):
         self.eps = Fraction(eps)
         self.omega = omega
         self.ranges = omega.site_ranges(self.eps)
         shape = tuple(len(r) for r in self.ranges)
-        if isinstance(values, np.ndarray):
-            if values.shape != shape:
-                raise ValueError(f"spin array has shape {values.shape}, the domain sites {shape}")
-            spins = values
-        else:
-            if len(values) != math.prod(shape):
-                raise ValueError("field values must cover the domain sites exactly")
-            try:
-                spins = np.array([values[k] for k in itertools.product(*self.ranges)])
-            except KeyError:
-                raise ValueError("field values must cover the domain sites exactly") from None
-            spins = spins.reshape(shape)
+        spins = np.asarray(spins)
+        if spins.shape != shape:
+            raise ValueError(f"spin array has shape {spins.shape}, the domain sites {shape}")
         # on the caller's dtype: a value that the int8 cast would wrap to +-1 is refused
         bad = np.flatnonzero((spins != 1) & (spins != -1))
         if bad.size:
@@ -154,23 +142,6 @@ class SpinField:
         self.spins = spins.astype(np.int8)
         self.spins.flags.writeable = False
         self.values = SiteValues(self.spins, self.ranges)
-
-    def sites(self) -> list[Site]:
-        return list(itertools.product(*self.ranges))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpinField)
-            and self.eps == other.eps
-            and self.omega == other.omega
-            and np.array_equal(self.spins, other.spins)
-        )
-
-    @classmethod
-    def constant(cls, eps, omega: DomainSpec, value: int = 1) -> "SpinField":
-        eps = Fraction(eps)
-        shape = tuple(len(r) for r in omega.site_ranges(eps))
-        return cls(eps, omega, np.full(shape, value, dtype=np.int8))
 
     def to_json_dict(self) -> dict:
         flat = self.spins.ravel()
@@ -344,6 +315,10 @@ def extend(
     cluster spins of every cube are two reductions over its last d axes.
     The cluster mask is set residue by residue, on each core residue's
     strided view of the grid (:func:`class_slices` at the zero offset).
+    Every kept cube holds cluster sites: m is a positive multiple of the
+    period, so the cube holds every residue, and :func:`coarsening_side`
+    has checked the phase and :func:`core_phases` the model, so the
+    phase's core has a residue.
     Raises ValueError when m is below the phase's coarsening side, or
     when its core connects too slowly to have one.
     """
@@ -372,10 +347,6 @@ def extend(
     low = np.where(cube_core, cube_spins, 2).min(axis=within)
     high = np.where(cube_core, cube_spins, -2).max(axis=within)
     origin = np.array([a.start for a in axes], dtype=np.int64)  # z of the grid's first cube
-    empty = np.argwhere(low == 2)
-    if empty.size:
-        z = tuple((empty[0] + origin).tolist())
-        raise RuntimeError(f"cube {z} contains no phase-{phase} cluster sites")
     uniform = low == high
     _cube_view(spins, ranges, m, axes)[uniform] = low[uniform].reshape((-1,) + (1,) * d)
     marked = tuple(map(tuple, (np.argwhere(~uniform) + origin).tolist()))
@@ -560,34 +531,6 @@ class MultiphaseField:
     def value_at(self, x: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(p.value_at(x) for p in self.phases)
 
-    def to_json_dict(self) -> dict:
-        phases = []
-        for p in self.phases:
-            if isinstance(p, Slab):
-                phases.append(
-                    {
-                        "slab": {
-                            "normal": [number_str(c) for c in p.normal],
-                            "offset": number_str(p.offset),
-                        }
-                    }
-                )
-            elif isinstance(p, Boxes):
-                phases.append(
-                    {
-                        "boxes": [
-                            {
-                                "lo": [number_str(c) for c in b.lo],
-                                "hi": [number_str(c) for c in b.hi],
-                            }
-                            for b in p.boxes
-                        ]
-                    }
-                )
-            else:
-                phases.append({"constant": p.value})
-        return {"phases": phases}
-
     @classmethod
     def from_json_dict(cls, obj) -> "MultiphaseField":
         if not isinstance(obj, Mapping) or "phases" not in obj:
@@ -623,11 +566,6 @@ class MultiphaseField:
             else:
                 raise SchemaError(locus, "expected one of slab/boxes/constant")
         return cls(tuple(phases))
-
-
-def load_target(path) -> MultiphaseField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return MultiphaseField.from_json_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ over +-1 variables, with optional fixed variables and equality groups
 coefficients.
 
 The cell builders emit an instance directly as :class:`CellTerms`: flat
-integer term arrays on one scale, with no per-site Python objects.  A
-:class:`GroundStateInstance` (sites, rational terms, fixed values and
-groups as Python objects) is the public adapter; :func:`fold_instance`
-converts it to term arrays first.
+integer term arrays on one scale, with no per-site Python objects, and
+every solver entry takes that form only.  A :class:`GroundStateInstance`
+(sites, rational terms, fixed values and groups as Python objects) is
+the reference form: :meth:`GroundStateInstance.terms` converts it to
+term arrays, and :func:`energy` evaluates an assignment on it.
 
 :func:`minimize` folds an instance once (groups merged, fixed variables
 eliminated, terms summed per free group in numpy, couplings and forcing
@@ -103,6 +104,44 @@ class GroundStateInstance:
                     raise ValueError(f"variable {v!r} appears in two groups")
                 seen.add(v)
 
+    def terms(self) -> CellTerms:
+        """Term arrays of the instance, its variables numbered in sorted order."""
+        keys = sorted(self.variables)
+        index = {v: i for i, v in enumerate(keys)}
+        group = np.arange(len(keys), dtype=np.int64)
+        for g in self.groups:
+            members = [index[v] for v in g]
+            group[members] = min(members)
+        fixed = np.zeros(len(keys), dtype=np.int8)
+        for v, s in self.fixed.items():
+            fixed[index[v]] = s
+
+        def classes(values) -> tuple[dict, np.ndarray]:
+            table: dict = {}
+            ids = [table.setdefault(x, len(table)) for x in values]
+            return table, np.array(ids, dtype=np.int64)
+
+        weights, pair_class = classes(w for _, _, w in self.pair_terms)
+        unary, _ = classes([(Fraction(0), Fraction(0))] + list(self.unary_terms.values()))
+        site_class = np.zeros(len(keys), dtype=np.int64)
+        for v, h in self.unary_terms.items():
+            site_class[index[v]] = unary[h]
+        scale, weights, h_plus, h_minus = scaled_tables(
+            weights, [hp for hp, _ in unary], [hm for _, hm in unary]
+        )
+        return CellTerms(
+            fixed=fixed,
+            group=group,
+            u=np.array([index[u] for u, _, _ in self.pair_terms], dtype=np.int64),
+            v=np.array([index[v] for _, v, _ in self.pair_terms], dtype=np.int64),
+            pair_class=pair_class,
+            weights=weights,
+            site_class=site_class,
+            h_plus=h_plus,
+            h_minus=h_minus,
+            scale=scale,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class CellTerms:
@@ -119,8 +158,8 @@ class CellTerms:
 
     The cell order: every cell builder numbers its sites in the C
     (lexicographic) order of the cell's box, the ``phi`` cube every site
-    of its box and the surface cell only the sites its terms touch; a
-    :class:`GroundStateInstance` numbers its variables in sorted order.
+    of its box and the surface cell only the sites its terms touch;
+    :meth:`GroundStateInstance.terms` numbers the variables in sorted order.
     """
 
     fixed: np.ndarray
@@ -173,7 +212,7 @@ def scaled_tables(*tables: Sequence[Fraction]) -> tuple:
 class Solution:
     """A minimizer: ``spins`` is a read-only int8 array in the cell order
     of :class:`CellTerms` (the cell's sites in C order over its box, or
-    sorted variables for a :class:`GroundStateInstance`), ``method`` the
+    the sorted variables of :meth:`GroundStateInstance.terms`), ``method`` the
     solver that found it."""
 
     spins: np.ndarray
@@ -206,45 +245,6 @@ def energy(instance: GroundStateInstance, assignment: Mapping[Var, int]) -> Frac
 
 # ---------------------------------------------------------------------------
 # folding
-
-
-def _instance_terms(instance: GroundStateInstance) -> CellTerms:
-    """Term arrays of an instance, its variables numbered in sorted order."""
-    keys = sorted(instance.variables)
-    index = {v: i for i, v in enumerate(keys)}
-    group = np.arange(len(keys), dtype=np.int64)
-    for g in instance.groups:
-        members = [index[v] for v in g]
-        group[members] = min(members)
-    fixed = np.zeros(len(keys), dtype=np.int8)
-    for v, s in instance.fixed.items():
-        fixed[index[v]] = s
-
-    def classes(values) -> tuple[dict, np.ndarray]:
-        table: dict = {}
-        ids = [table.setdefault(x, len(table)) for x in values]
-        return table, np.array(ids, dtype=np.int64)
-
-    weights, pair_class = classes(w for _, _, w in instance.pair_terms)
-    unary, _ = classes([(Fraction(0), Fraction(0))] + list(instance.unary_terms.values()))
-    site_class = np.zeros(len(keys), dtype=np.int64)
-    for v, h in instance.unary_terms.items():
-        site_class[index[v]] = unary[h]
-    scale, weights, h_plus, h_minus = scaled_tables(
-        weights, [hp for hp, _ in unary], [hm for _, hm in unary]
-    )
-    return CellTerms(
-        fixed=fixed,
-        group=group,
-        u=np.array([index[u] for u, _, _ in instance.pair_terms], dtype=np.int64),
-        v=np.array([index[v] for _, v, _ in instance.pair_terms], dtype=np.int64),
-        pair_class=pair_class,
-        weights=weights,
-        site_class=site_class,
-        h_plus=h_plus,
-        h_minus=h_minus,
-        scale=scale,
-    )
 
 
 @dataclass
@@ -282,14 +282,12 @@ class FoldedInstance:
         return len(self.free_reps)
 
 
-def fold_instance(instance: GroundStateInstance | CellTerms) -> FoldedInstance:
+def fold_instance(terms: CellTerms) -> FoldedInstance:
     """Merge groups, eliminate fixed sites and sum every term on the scale.
 
-    A :class:`GroundStateInstance` is first converted to term arrays.
     The sums run in int64 when the terms' :meth:`CellTerms.bound` stays
     below 2**62, else in Python ints (``dtype=object``).
     """
-    terms = instance if isinstance(instance, CellTerms) else _instance_terms(instance)
     n = terms.size
     group, fixed = terms.group, terms.fixed
     plus = np.bincount(group[fixed > 0], minlength=n) > 0
@@ -545,7 +543,7 @@ def minimize_cut(folded: FoldedInstance) -> Solution:
     return solution
 
 
-def minimize(instance: GroundStateInstance | CellTerms) -> Solution:
+def minimize(instance: CellTerms) -> Solution:
     """Fold ``instance`` once and dispatch it to an exact solver.
 
     Enumerates when there are at most :data:`DEFAULT_ENUM_CAP` free

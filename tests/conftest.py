@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from spinhom.model import LatticeModel, parse_model
+from spinhom.model import LatticeModel, parse_model, validate
 
 FIXTURES = resources.files("spinhom").joinpath("fixtures")
 
@@ -146,3 +146,49 @@ def random_chain_model(rng: random.Random, nonneg_weak: bool = True) -> LatticeM
             "1": {"plus": "0", "minus": str(Fraction(rng.randrange(0, 4), 2))},
         }
     return parse_model(doc)
+
+
+def random_valid_model_2d(rng: random.Random, num_phases: int):
+    """Period-3 planar model that passes validation.  Residue (j - 1, 0)
+    is bonded to its own translates along both axes, so its class is the
+    core of phase j.  Each residue and offset of range 2 (one of each
+    opposite pair) draws a bond with probability 0.08: a strong one when
+    both ends carry the same hard phase (growing the core or making
+    islands), else a nonnegative weak one when the range is 1.  Some
+    residues get forcing.  Drawn again until the model validates (no
+    strip, no second core)."""
+    residues = list(itertools.product(range(3), repeat=2))
+    key = lambda r: ",".join(map(str, r))
+    while True:
+        labels = {r: rng.randrange(num_phases + 1) for r in residues}
+        strong, weak = [], []
+        for j in range(1, num_phases + 1):
+            labels[(j - 1, 0)] = j
+            strong += [((j - 1, 0), off, "1") for off in ((3, 0), (-3, 0), (0, 3), (0, -3))]
+        for r in residues:
+            for off in itertools.product(range(-2, 3), repeat=2):
+                if off <= (0, 0) or rng.random() >= 0.08:
+                    continue
+                target = tuple((a + b) % 3 for a, b in zip(r, off))
+                if labels[r] and labels[r] == labels[target]:
+                    bonds = strong
+                elif max(map(abs, off)) == 1:
+                    bonds = weak
+                else:
+                    continue
+                w = str(Fraction(rng.randrange(1, 5), 8))
+                bonds += [(r, off, w), (target, tuple(-c for c in off), w)]
+        forcing = {
+            key(r): {"plus": str(Fraction(rng.randrange(3), 4)), "minus": str(Fraction(rng.randrange(3), 4))}
+            for r in residues if rng.random() < 0.3
+        }
+        entry = lambda r, off, w: {"from": key(r), "offset": list(off), "weight": w}
+        model = parse_model({
+            "dimension": 2, "period": 3, "num_phases": num_phases,
+            "labels": {key(r): lab for r, lab in labels.items()},
+            "strong_bonds": [entry(*b) for b in strong],
+            "weak_bonds": [entry(*b) for b in weak],
+            "forcing": forcing,
+        })
+        if validate(model).passed:
+            return model

@@ -35,7 +35,7 @@ from spinhom.surface_tension import SurfaceTable
 
 from conftest import fixture_model, random_chain_model, FIXTURE_NAMES
 from test_ground_state import random_instance
-from test_helpers import in_core, solve
+from test_helpers import in_core, solve, spin_grid
 
 TOL = Fraction(5, 100)
 
@@ -183,8 +183,8 @@ def test_criterion_08_solver_oracle():
     rng = random.Random(8888)
     for trial in range(200):
         inst = random_instance(rng, rng.randrange(2, 17), signed=False)
-        enum = solve(inst, "enum")
-        cut = solve(inst, "cut")
+        enum = solve(inst.terms(), "enum")
+        cut = solve(inst.terms(), "cut")
         assert cut.energy == enum.energy, f"trial {trial}"
     report(8, True, "200 random instances of up to 16 free spins: min-cut == enumeration")
 
@@ -197,8 +197,7 @@ def test_criterion_09_extension_bound():
     rng = random.Random(99)
     worst = Fraction(0)
     for _ in range(100):
-        values = {k: rng.choice([1, -1]) for k in omega.sites(eps)}
-        field = SpinField(eps, omega, values)
+        field = SpinField(eps, omega, spin_grid(omega, eps, lambda k: rng.choice([1, -1])))
         broken = count_broken_strong(model, field)
         res = extend(model, 1, field, 4)
         assert res.marked_count <= 9 * broken

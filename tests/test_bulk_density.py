@@ -28,9 +28,9 @@ from spinhom.ground_state import (
     TooManyFreeGroups,
     energy,
 )
-from spinhom.model import parse_model, validate
+from spinhom.model import parse_model
 
-from conftest import FIXTURE_NAMES, fixture_document, fixture_model, random_chain_model
+from conftest import FIXTURE_NAMES, fixture_document, fixture_model, random_chain_model, random_valid_model_2d
 from test_ground_state import brute_argmin, group_assignments
 from test_helpers import cube_sites, forcing_value, in_core, named, residue, solve
 
@@ -283,7 +283,7 @@ def solve_both(model, m, states, summary, corrected, method):
     terms = build_phi_instance(model, m, states, pinned)
     inst = reference_phi_instance(model, m, states, summary, pinned)
     out = []
-    for instance in (terms, inst):
+    for instance in (terms, inst.terms()):
         try:
             out.append(solve(instance, method))
         except (TooManyFreeGroups, FrustratedInstance) as exc:
@@ -388,7 +388,7 @@ def test_huge_denominators_take_the_object_path_exactly():
             for method in ("enum", "cut"):
                 sol = solve(terms, method)
                 assert sol.energy == best
-                assert dict(zip(sites, sol.spins.tolist())) == named(inst, solve(inst, method).spins)
+                assert dict(zip(sites, sol.spins.tolist())) == named(inst, solve(inst.terms(), method).spins)
             assert dict(zip(sites, solve(terms, "enum").spins.tolist())) == first
             assert phi_solution(model, m, states).energy == best
 
@@ -496,52 +496,6 @@ def test_union_find_labels_on_random_strong_graphs():
     assert loose >= 20  # islands and strips, not only spanning cores
 
 
-def random_valid_model_2d(rng: random.Random, num_phases: int):
-    """Period-3 planar model that passes validation.  Residue (j - 1, 0)
-    is bonded to its own translates along both axes, so its class is the
-    core of phase j.  Each residue and offset of range 2 (one of each
-    opposite pair) draws a bond with probability 0.08: a strong one when
-    both ends carry the same hard phase (growing the core or making
-    islands), else a nonnegative weak one when the range is 1.  Some
-    residues get forcing.  Drawn again until the model validates (no
-    strip, no second core)."""
-    residues = list(itertools.product(range(3), repeat=2))
-    key = lambda r: ",".join(map(str, r))
-    while True:
-        labels = {r: rng.randrange(num_phases + 1) for r in residues}
-        strong, weak = [], []
-        for j in range(1, num_phases + 1):
-            labels[(j - 1, 0)] = j
-            strong += [((j - 1, 0), off, "1") for off in ((3, 0), (-3, 0), (0, 3), (0, -3))]
-        for r in residues:
-            for off in itertools.product(range(-2, 3), repeat=2):
-                if off <= (0, 0) or rng.random() >= 0.08:
-                    continue
-                target = tuple((a + b) % 3 for a, b in zip(r, off))
-                if labels[r] and labels[r] == labels[target]:
-                    bonds = strong
-                elif max(map(abs, off)) == 1:
-                    bonds = weak
-                else:
-                    continue
-                w = str(Fraction(rng.randrange(1, 5), 8))
-                bonds += [(r, off, w), (target, tuple(-c for c in off), w)]
-        forcing = {
-            key(r): {"plus": str(Fraction(rng.randrange(3), 4)), "minus": str(Fraction(rng.randrange(3), 4))}
-            for r in residues if rng.random() < 0.3
-        }
-        entry = lambda r, off, w: {"from": key(r), "offset": list(off), "weight": w}
-        model = parse_model({
-            "dimension": 2, "period": 3, "num_phases": num_phases,
-            "labels": {key(r): lab for r, lab in labels.items()},
-            "strong_bonds": [entry(*b) for b in strong],
-            "weak_bonds": [entry(*b) for b in weak],
-            "forcing": forcing,
-        })
-        if validate(model).passed:
-            return model
-
-
 def assert_fixed_matches_oracle(model, m, rng):
     """Per-site ``fixed`` against the oracle's per-component one, for every
     state, without pins, with the island-corrected pins and with random
@@ -560,7 +514,7 @@ def assert_fixed_matches_oracle(model, m, rng):
             assert terms.fixed.tolist() == [want.get(x, 0) for x in sites]
         for pins in ((), excluded):
             got = solve(build_phi_instance(model, m, states, pins), "cut")
-            want = solve(reference_phi_instance(model, m, states, s, pins), "cut")
+            want = solve(reference_phi_instance(model, m, states, s, pins).terms(), "cut")
             assert_same_solution(got, want, sites)
 
 

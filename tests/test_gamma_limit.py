@@ -1,8 +1,10 @@
 """Scaled energies, coarse extension, targets, and the limit functional."""
 
 import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +13,7 @@ import pytest
 
 from spinhom import gamma_limit
 from spinhom.bulk_density import PhiTable, phi_solution
-from spinhom.connectivity import classify
+from spinhom.connectivity import classify, coarsening_side
 from spinhom.gamma_limit import (
     Box,
     Boxes,
@@ -26,15 +28,16 @@ from spinhom.gamma_limit import (
     f_eps,
     f_hom,
     load_field,
-    load_target,
     recovery_config,
     save_field,
 )
 from spinhom.surface_tension import SurfaceTable
 from spinhom.model import SchemaError, parse_model
 
-from conftest import FIXTURE_NAMES, fixture_model
-from test_helpers import constant_on_box, cube_sites, forcing_value, in_core, phi_table, residue, surface_table
+from conftest import FIXTURE_NAMES, fixture_model, random_valid_model_2d
+from test_helpers import (
+    constant_on_box, cube_sites, forcing_value, in_core, phi_table, residue, spin_grid, surface_table,
+)
 
 UNIT = DomainSpec((Fraction(0),), (Fraction(1),))
 SQUARE = DomainSpec((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
@@ -50,32 +53,28 @@ def test_domain_validation():
 
 
 def test_sites_are_strictly_inside():
-    eps = Fraction(1, 8)
-    sites = UNIT.sites(eps)
-    assert sites == [(k,) for k in range(1, 8)]
     # boundary sites 0 and 8 sit on the closure, not the open box
-    assert len(SQUARE.sites(Fraction(1, 4))) == 9
+    assert UNIT.site_ranges(Fraction(1, 8)) == [range(1, 8)]
+    assert SQUARE.site_ranges(Fraction(1, 4)) == [range(1, 4), range(1, 4)]
+    assert DomainSpec((Fraction(-1, 3),), (Fraction(5, 4),)).site_ranges(Fraction(1, 16)) == [range(-5, 20)]
 
 
 def test_field_requires_exact_site_cover():
     eps = Fraction(1, 4)
-    good = {k: 1 for k in UNIT.sites(eps)}
-    SpinField(eps, UNIT, good)
-    with pytest.raises(ValueError):
-        SpinField(eps, UNIT, {})
-    extra = dict(good)
-    extra[(99,)] = 1
-    with pytest.raises(ValueError):
-        SpinField(eps, UNIT, extra)
-    bad = dict(good)
-    bad[(1,)] = 0
-    with pytest.raises(ValueError):
-        SpinField(eps, UNIT, bad)
     assert SpinField(eps, UNIT, np.array([1, -1, 1])).values == {(1,): 1, (2,): -1, (3,): 1}
-    with pytest.raises(ValueError):
-        SpinField(eps, UNIT, np.ones(4, dtype=np.int8))
+    assert SpinField(eps, UNIT, [1, -1, 1]).spins.tolist() == [1, -1, 1]
+    for spins in (np.ones(4, dtype=np.int8), np.ones(2, dtype=np.int8), np.ones((3, 1), dtype=np.int8)):
+        with pytest.raises(ValueError, match=re.escape(f"spin array has shape {spins.shape}, the domain sites (3,)")):
+            SpinField(eps, UNIT, spins)
     with pytest.raises(ValueError, match=r"spin at \(2,\)"):
         SpinField(eps, UNIT, np.array([1, 0, 1]))
+
+
+def test_field_refuses_a_site_dict():
+    # a site -> spin dict is no grid: it fails the shape check, even when it covers the sites
+    for values in ({(1,): 1, (2,): -1, (3,): 1}, {}):
+        with pytest.raises(ValueError, match=r"^spin array has shape \(\), the domain sites \(3,\)$"):
+            SpinField(Fraction(1, 4), UNIT, values)
 
 
 @pytest.mark.parametrize("spins, site", [
@@ -106,40 +105,37 @@ def test_rle_rejects_booleans():
 def test_field_save_load_round_trip(tmp_path):
     rng = random.Random(5)
     eps = Fraction(1, 16)
-    values = {k: rng.choice([1, -1]) for k in SQUARE.sites(eps)}
-    field = SpinField(eps, SQUARE, values)
+    spins = spin_grid(SQUARE, eps, lambda k: rng.choice([1, -1]))
+    field = SpinField(eps, SQUARE, spins)
     path = tmp_path / "field.json"
     save_field(field, path)
     again = load_field(path)
     assert again.eps == eps
     assert again.omega == SQUARE
-    assert again.values == values
+    assert np.array_equal(again.spins, spins)
+    assert again.values == field.values
 
 
 def test_f_eps_constant_field_counts_forcing_only():
     model = fixture_model("chain_soft_even")
     eps = Fraction(1, 8)
-    field = SpinField.constant(eps, UNIT, -1)
+    field = SpinField(eps, UNIT, spin_grid(UNIT, eps, -1))
     # 7 interior sites, each paying the forcing value 2 at spin -1
     assert f_eps(model, field) == Fraction(7, 4)
     assert count_broken_strong(model, field) == 0
-    assert f_eps(model, SpinField.constant(eps, UNIT, 1)) == 0
+    assert f_eps(model, SpinField(eps, UNIT, spin_grid(UNIT, eps, 1))) == 0
 
 
 def test_f_eps_single_flips():
     model = fixture_model("chain_soft_even")
     eps = Fraction(1, 8)
-    base = SpinField.constant(eps, UNIT, -1).values
-
-    soft = dict(base)
-    soft[(4,)] = 1  # soft site: two weak pairs break, forcing drops by 2
-    field = SpinField(eps, UNIT, soft)
+    # soft site: two weak pairs break, forcing drops by 2
+    field = SpinField(eps, UNIT, spin_grid(UNIT, eps, lambda k: 1 if k == (4,) else -1))
     assert f_eps(model, field) == Fraction(8, 5)
     assert count_broken_strong(model, field) == 0
 
-    hard = dict(base)
-    hard[(3,)] = 1  # hard site: two strong pairs at unit cost stay unscaled
-    field = SpinField(eps, UNIT, hard)
+    # hard site: two strong pairs at unit cost stay unscaled
+    field = SpinField(eps, UNIT, spin_grid(UNIT, eps, lambda k: 1 if k == (3,) else -1))
     assert f_eps(model, field) == Fraction(18, 5)
     assert count_broken_strong(model, field) == 2
 
@@ -148,7 +144,7 @@ def brute_f_eps(model, field):
     """Per-site reference for f_eps."""
     values = field.values
     strong = weak = forcing = Fraction(0)
-    for x in field.sites():
+    for x in values:
         res = residue(model, x)
         ux = values[x]
         for off in model.strong_offsets(res):
@@ -168,7 +164,7 @@ def brute_broken_strong(model, field):
     """Per-site reference for count_broken_strong."""
     values = field.values
     count = 0
-    for x in field.sites():
+    for x in values:
         for off in model.strong_offsets(residue(model, x)):
             y = tuple(a + b for a, b in zip(x, off))
             if x < y and y in values and values[y] != values[x]:
@@ -191,11 +187,11 @@ def test_f_eps_matches_per_site_reference(name):
     ]
     for omega in [wide, *thin]:
         for _ in range(4):
-            field = SpinField(eps, omega, {k: rng.choice((1, -1)) for k in omega.sites(eps)})
+            field = SpinField(eps, omega, spin_grid(omega, eps, lambda k: rng.choice((1, -1))))
             assert f_eps(model, field) == brute_f_eps(model, field)
             assert count_broken_strong(model, field) == brute_broken_strong(model, field)
         for spin in (1, -1):
-            field = SpinField.constant(eps, omega, spin)
+            field = SpinField(eps, omega, spin_grid(omega, eps, spin))
             assert f_eps(model, field) == brute_f_eps(model, field)
 
 
@@ -210,7 +206,8 @@ def test_one_sided_bonds_match_per_site_reference():
     rng = random.Random(2)
     omega = DomainSpec((Fraction(-1, 3),), (Fraction(5, 4),))
     for _ in range(4):
-        field = SpinField(Fraction(1, 16), omega, {k: rng.choice((1, -1)) for k in omega.sites(Fraction(1, 16))})
+        eps = Fraction(1, 16)
+        field = SpinField(eps, omega, spin_grid(omega, eps, lambda k: rng.choice((1, -1))))
         assert f_eps(model, field) == brute_f_eps(model, field)
         assert count_broken_strong(model, field) == brute_broken_strong(model, field)
 
@@ -220,7 +217,7 @@ def brute_extend(model, phase, field, m, summary):
     ranges = field.omega.site_ranges(field.eps)
     half = m // 2
     cubes = {}
-    for k in field.sites():
+    for k in field.values:
         cubes.setdefault(tuple((c + half) // m for c in k), []).append(k)
     values = dict(field.values)
     marked = []
@@ -257,15 +254,37 @@ def test_extend_matches_per_site_reference(name, omega, eps, m):
     rng = random.Random(7)
     for phase in range(1, model.num_phases + 1):
         for p_plus in (0.5, 0.95):
-            values = {k: 1 if rng.random() < p_plus else -1 for k in omega.sites(eps)}
-            field = SpinField(eps, omega, values)
+            field = SpinField(eps, omega, spin_grid(omega, eps, lambda k: 1 if rng.random() < p_plus else -1))
             res = extend(model, phase, field, m)
             assert (res.field.values, res.marked) == brute_extend(model, phase, field, m, s)
 
 
+def test_extend_matches_per_site_reference_on_random_models():
+    """Random valid two-phase period-3 models, each phase at its coarsening
+    side (6 for phase 1 on seed 0, else 3): cubes of an odd side, cores
+    with islands beside them."""
+    eps = Fraction(1, 48)
+    sides, filled, marked = [], 0, 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        model = random_valid_model_2d(rng, 2)
+        s = classify(model)
+        for phase in (1, 2):
+            m = coarsening_side(model, phase)
+            sides.append(m)
+            for p_plus in (0.5, 0.97):
+                field = SpinField(eps, SQUARE, spin_grid(SQUARE, eps, lambda k: 1 if rng.random() < p_plus else -1))
+                res = extend(model, phase, field, m)
+                assert (res.field.values, res.marked) == brute_extend(model, phase, field, m, s)
+                filled += not np.array_equal(res.field.spins, field.spins)
+                marked += bool(res.marked)
+    assert len(sides) == 24 and set(sides) == {3, 6}
+    assert filled and marked
+
+
 def test_extend_argument_errors():
     model = fixture_model("chain_soft_even")
-    field = SpinField.constant(Fraction(1, 8), UNIT, 1)
+    field = SpinField(Fraction(1, 8), UNIT, spin_grid(UNIT, Fraction(1, 8), 1))
     with pytest.raises(ValueError, match="multiple"):
         extend(model, 1, field, 3)
     with pytest.raises(ValueError, match="positive"):
@@ -278,8 +297,7 @@ def test_extend_fills_cubes_and_preserves_core():
     rng = random.Random(13)
     eps = Fraction(1, 32)
     for _ in range(10):
-        values = {k: rng.choice([1, -1]) for k in SQUARE.sites(eps)}
-        field = SpinField(eps, SQUARE, values)
+        field = SpinField(eps, SQUARE, spin_grid(SQUARE, eps, lambda k: rng.choice([1, -1])))
         broken = count_broken_strong(model, field)
         res = extend(model, 1, field, 4)
         assert res.marked_count <= 9 * broken
@@ -297,13 +315,11 @@ def test_extend_on_core_constant_field_marks_nothing():
     s = classify(model)
     eps = Fraction(1, 16)
     rng = random.Random(3)
-    values = {}
-    for k in SQUARE.sites(eps):
-        values[k] = 1 if in_core(s, 1, k) else rng.choice([1, -1])
-    res = extend(model, 1, SpinField(eps, SQUARE, values), 4)
+    field = SpinField(eps, SQUARE, spin_grid(SQUARE, eps, lambda k: 1 if in_core(s, 1, k) else rng.choice([1, -1])))
+    res = extend(model, 1, field, 4)
     assert res.marked == ()
     # every processed cube is overwritten by the core value
-    filled = [k for k, v in res.field.values.items() if v != values[k]]
+    filled = [k for k, v in res.field.values.items() if v != field.values[k]]
     assert filled, "extension should overwrite soft sites somewhere"
     assert all(not in_core(s, 1, k) for k in filled)
 
@@ -357,19 +373,19 @@ def test_box_geometry():
     assert target.value_at((Fraction(3), Fraction(1))) == -1
 
 
-def test_target_json_round_trip(tmp_path):
-    target = MultiphaseField(
+def test_target_json_round_trip():
+    doc = json.loads('''{"phases": [
+        {"slab": {"normal": ["1", "0.5"], "offset": "1/4"}},
+        {"boxes": [{"lo": [0, "0"], "hi": ["1", 1]}]},
+        {"constant": -1}
+    ]}''')
+    assert MultiphaseField.from_json_dict(doc) == MultiphaseField(
         (
             Slab((Fraction(1), Fraction(1, 2)), Fraction(1, 4)),
             Boxes((Box((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),)),
             Constant(-1),
         )
     )
-    doc = target.to_json_dict()
-    assert MultiphaseField.from_json_dict(doc) == target
-    path = tmp_path / "target.json"
-    path.write_text(__import__("json").dumps(doc))
-    assert load_target(path) == target
     with pytest.raises(SchemaError):
         MultiphaseField.from_json_dict({"phases": [{"slab": 1, "boxes": 2}]})
     with pytest.raises(SchemaError):
@@ -536,7 +552,7 @@ def test_recovery_config_energy_and_shape():
     assert rec.eps == eps
     assert f_eps(model, rec) == Fraction(67, 40)
     # hard sites away from the interface carry the target state
-    for k in rec.sites():
+    for k in rec.values:
         x = k[0] * eps
         if k[0] % 2 == 1 and abs(x - Fraction(1, 2)) > Fraction(1, 4):
             assert rec.values[k] == (1 if x > Fraction(1, 2) else -1)
@@ -585,7 +601,7 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
     half = m // 2
     cached = {}
     pasted = 0
-    for k in omega.sites(eps):
+    for k in rec.values:
         lab = model.labels[residue(model, k)]
         if lab and in_core(s, lab, k):
             assert rec.values[k] == target.value_at(tuple(eps * c for c in k)), k

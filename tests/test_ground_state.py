@@ -77,7 +77,7 @@ def spread(folded, bits) -> np.ndarray:
 def group_assignments(instance: GroundStateInstance):
     """Every assignment constant on the folded groups, free groups
     enumerated lexicographically (+1 before -1)."""
-    folded = fold_instance(instance)
+    folded = fold_instance(instance.terms())
     for bits in itertools.product((1, -1), repeat=folded.free_count):
         yield named(instance, spread(folded, bits))
 
@@ -85,7 +85,7 @@ def group_assignments(instance: GroundStateInstance):
 def brute_spins(instance: GroundStateInstance) -> tuple[Fraction, np.ndarray]:
     """Minimum energy and the spins, in cell order, of the first minimizer
     in lexicographic order over the free groups (+1 before -1)."""
-    folded = fold_instance(instance)
+    folded = fold_instance(instance.terms())
     best = best_spins = None
     for bits in itertools.product((1, -1), repeat=folded.free_count):
         spins = spread(folded, bits)
@@ -110,7 +110,7 @@ def test_cut_matches_brute_force_on_nonnegative_couplings():
     for trial in range(120):
         inst = random_instance(rng, rng.randrange(2, 11), signed=False)
         ref = brute_minimum(inst)
-        sol = solve(inst, "cut")
+        sol = solve(inst.terms(), "cut")
         assert sol.energy == ref, f"trial {trial}"
         assert sol.method == "mincut"
         assert energy(inst, named(inst, sol.spins)) == sol.energy
@@ -121,14 +121,14 @@ def test_enum_matches_brute_force_on_signed_couplings():
     for trial in range(120):
         inst = random_instance(rng, rng.randrange(2, 9), signed=True)
         ref = brute_minimum(inst)
-        sol = solve(inst, "enum")
+        sol = solve(inst.terms(), "enum")
         assert sol.energy == ref, f"trial {trial}"
         assert energy(inst, named(inst, sol.spins)) == sol.energy
 
 
 def scaled_bound(instance: GroundStateInstance) -> int:
     """Largest magnitude of the integer energies the enumeration evaluates."""
-    folded = fold_instance(instance)
+    folded = fold_instance(instance.terms())
     total = sum(4 * abs(w) for w in folded.pair_w.tolist())
     unary = zip(folded.h_plus.tolist(), folded.h_minus.tolist())
     return total + sum(max(abs(hp), abs(hm)) for hp, hm in unary)
@@ -154,7 +154,7 @@ def test_enum_exact_on_coefficients_beyond_int64():
                                    unary_terms=unary)
         assert scaled_bound(inst) >= 2**62, f"trial {trial}"
         ref, first = brute_argmin(inst)
-        sol = solve(inst, "enum")
+        sol = solve(inst.terms(), "enum")
         assert sol.energy == ref, f"trial {trial}"
         assert named(inst, sol.spins) == first, f"trial {trial}"
 
@@ -235,7 +235,7 @@ def test_fold_matches_fraction_oracle():
     rng = random.Random(808)
     for trial in range(300):
         inst = random_folding_instance(rng)
-        folded = fold_instance(inst)
+        folded = fold_instance(inst.terms())
         reps, couplings, unary, constant = fraction_fold(inst)
         scale = folded.scale
         assert free_keys(inst, folded) == reps, f"trial {trial}"
@@ -293,12 +293,12 @@ def test_auto_eliminates_frustrated_grid():
     does not depend on the fold order."""
     inst = frustrated_grid(10)
     with pytest.raises(FrustratedInstance):
-        solve(inst, "cut")
-    sol = minimize(inst)
+        solve(inst.terms(), "cut")
+    sol = minimize(inst.terms())
     assert sol.method == "enumeration"
     assert sol.energy == Fraction(-172031, 495) <= Fraction(-26043, 77)
     assert energy(inst, named(inst, sol.spins)) == sol.energy
-    assert minimize(transposed(inst)).energy == sol.energy
+    assert minimize(transposed(inst).terms()).energy == sol.energy
 
 
 def test_cut_on_signed_couplings_matches_or_reports_frustration():
@@ -308,7 +308,7 @@ def test_cut_on_signed_couplings_matches_or_reports_frustration():
         inst = random_instance(rng, rng.randrange(2, 9), signed=True)
         ref = brute_minimum(inst)
         try:
-            sol = solve(inst, "cut")
+            sol = solve(inst.terms(), "cut")
         except FrustratedInstance:
             frustrated += 1
             continue
@@ -345,8 +345,8 @@ def test_gauge_flip_preserves_minimum():
         )
         for method in ("enum", "cut"):
             # for the cut, the gauged instance is exactly what the solver undoes
-            assert (solve(gauged, method).energy + extra
-                    == solve(inst, method).energy)
+            assert (solve(gauged.terms(), method).energy + extra
+                    == solve(inst.terms(), method).energy)
 
 
 def test_solution_on_all_fixed_instance():
@@ -356,7 +356,7 @@ def test_solution_on_all_fixed_instance():
         fixed={(0,): 1, (1,): -1},
     )
     for method in ("enum", "cut"):
-        sol = solve(inst, method)
+        sol = solve(inst.terms(), method)
         assert sol.energy == 2
         assert named(inst, sol.spins) == {(0,): 1, (1,): -1}
 
@@ -369,11 +369,11 @@ def test_groups_force_rigid_moves():
         fixed={(0,): 1},
         groups=(frozenset({(1,), (2,)}),),
     )
-    sol = solve(inst, "cut")
+    sol = solve(inst.terms(), "cut")
     assert sol.energy == 0
     spins = named(inst, sol.spins)
     assert spins[(1,)] == spins[(2,)] == 1
-    folded = fold_instance(inst)
+    folded = fold_instance(inst.terms())
     assert folded.free_count == 1
 
 
@@ -384,14 +384,14 @@ def test_fixed_member_pins_whole_group():
         fixed={(0,): 1},
         groups=(frozenset({(0,), (1,)}),),
     )
-    sol = solve(inst, "enum")
+    sol = solve(inst.terms(), "enum")
     assert named(inst, sol.spins)[(1,)] == 1
     assert sol.energy == 5
 
 
 def assert_enum_is_lexicographic_argmin(instance: GroundStateInstance, label=""):
     ref, spins = brute_spins(instance)
-    sol = solve(instance, "enum")
+    sol = solve(instance.terms(), "enum")
     assert sol.energy == ref, label
     assert sol.spins.tolist() == spins.tolist(), label
     assert sol.method == "enumeration"
@@ -471,7 +471,7 @@ def test_cut_takes_the_spins_every_minimizer_shares(denominators):
     kinds = set()
     for trial in range(150):
         inst = gauged_instance(rng, rng.randrange(1, 10), denominators)
-        folded = fold_instance(inst)
+        folded = fold_instance(inst.terms())
         sigma = ground_state._gauge(folded).tolist()
         best, shared = None, None
         for bits in itertools.product((1, -1), repeat=folded.free_count):
@@ -481,7 +481,7 @@ def test_cut_takes_the_spins_every_minimizer_shares(denominators):
                 best, shared = e, plus
             elif e == best:
                 shared &= plus
-        sol = solve(inst, "cut")
+        sol = solve(inst.terms(), "cut")
         cut = {g for g, s in enumerate(sigma) if sol.spins[folded.free_reps[g]] == s}
         assert sol.energy == best, f"trial {trial}"
         assert cut == shared, f"trial {trial}"
@@ -534,11 +534,11 @@ def test_enum_on_grid_order():
 
 
 def test_enum_without_free_groups():
-    sol = solve(GroundStateInstance(variables=()), "enum")
+    sol = solve(GroundStateInstance(variables=()).terms(), "enum")
     assert sol.energy == 0 and sol.spins.size == 0
     inst = GroundStateInstance(variables=((0,),), unary_terms={(0,): (Fraction(1), Fraction(0))},
                                fixed={(0,): 1})
-    assert solve(inst, "enum").energy == 1
+    assert solve(inst.terms(), "enum").energy == 1
 
 
 def chain_instance(rng: random.Random, n: int) -> GroundStateInstance:
@@ -567,9 +567,9 @@ def test_enum_solves_long_narrow_chain():
     rng = random.Random(1515)
     for trial in range(5):
         inst = chain_instance(rng, 40)
-        sol = solve(inst, "enum")
+        sol = solve(inst.terms(), "enum")
         assert sol.method == "enumeration"
-        assert sol.energy == solve(inst, "cut").energy, f"trial {trial}"
+        assert sol.energy == solve(inst.terms(), "cut").energy, f"trial {trial}"
 
 
 def test_enum_refuses_wide_contexts():
@@ -578,8 +578,8 @@ def test_enum_refuses_wide_contexts():
     pairs = tuple((u, v, Fraction(1)) for u, v in itertools.combinations(variables, 2))
     inst = GroundStateInstance(variables=variables, pair_terms=pairs)
     with pytest.raises(TooManyFreeGroups, match=r"^40 free groups need elimination tables of 2\*\*40 entries"):
-        solve(inst, "enum")
-    assert minimize(inst).method == "mincut"
+        solve(inst.terms(), "enum")
+    assert minimize(inst.terms()).method == "mincut"
 
 
 def test_enum_cap_enforced():
@@ -589,9 +589,9 @@ def test_enum_cap_enforced():
     for n, method in ((ground_state.DEFAULT_ENUM_CAP, "enumeration"),
                       (ground_state.DEFAULT_ENUM_CAP + 1, "mincut")):
         inst = chain_instance(rng, n)
-        sol = minimize(inst)
+        sol = minimize(inst.terms())
         assert sol.method == method
-        assert sol.energy == solve(inst, "enum").energy
+        assert sol.energy == solve(inst.terms(), "enum").energy
 
 
 def complete_graph(rng: random.Random, n: int, frustrated: bool) -> GroundStateInstance:
@@ -620,15 +620,15 @@ def test_auto_solves_whatever_a_forced_solver_solves():
         for name, solve in (("enum", ground_state.minimize_enum),
                             ("cut", ground_state.minimize_cut)):
             try:
-                energies[name] = solve(fold_instance(inst)).energy
+                energies[name] = solve(fold_instance(inst.terms())).energy
             except (FrustratedInstance, TooManyFreeGroups):
                 pass
         outcomes.add(tuple(sorted(energies)))
         if energies:
-            assert {minimize(inst).energy} == set(energies.values()), f"trial {trial}"
+            assert {minimize(inst.terms()).energy} == set(energies.values()), f"trial {trial}"
         else:
             with pytest.raises(TooManyFreeGroups):
-                minimize(inst)
+                minimize(inst.terms())
     assert outcomes == {("enum",), ("cut",), ()}
 
 
@@ -653,9 +653,9 @@ def test_minimize_folds_once(monkeypatch, case, solver):
         return real(instance)
 
     monkeypatch.setattr(ground_state, "fold_instance", counting)
-    inst = FOLD_CASES[case]()
-    assert minimize(inst).method == solver
-    assert folds == [inst]
+    terms = FOLD_CASES[case]().terms()
+    assert minimize(terms).method == solver
+    assert folds == [terms]
 
 
 def test_auto_raises_on_large_frustrated_without_anneal():
@@ -663,10 +663,10 @@ def test_auto_raises_on_large_frustrated_without_anneal():
     ``minimize`` refuses it with one message instead of guessing."""
     inst = frustrated_grid(30)
     with pytest.raises(FrustratedInstance):
-        solve(inst, "cut")
+        solve(inst.terms(), "cut")
     with pytest.raises(TooManyFreeGroups, match=r"^couplings are frustrated and 898 free groups "
                                                 r"need elimination tables of 2\*\*"):
-        minimize(inst)
+        minimize(inst.terms())
 
 
 def test_instance_validation():
@@ -689,7 +689,7 @@ def test_fold_names_the_site_of_a_clashing_group():
     inst = GroundStateInstance(variables=((2,), (0,), (1,)), fixed={(1,): 1, (2,): -1},
                                groups=(frozenset({(1,), (2,)}),))
     with pytest.raises(ValueError, match="^group of site 1 carries conflicting fixed values$"):
-        fold_instance(inst)
+        fold_instance(inst.terms())
 
 
 def test_energy_validates_assignment():

@@ -1,7 +1,7 @@
 """Support layers: integer lattices, max-flow, the scalar per-cube rule
 that classifies phase targets on cubes, the polygon arrangement that
 integrates a 2D target, and a d = 1 oracle for phi; also the solver,
-memory-tracing and surface-cell pair helpers the other test modules
+memory-tracing, spin-grid and surface-cell pair helpers the other test modules
 share."""
 
 import itertools
@@ -26,12 +26,12 @@ from conftest import fixture_model, random_chain_model
 F = Fraction
 
 
-def solve(instance, method: str):
-    """``minimize`` for "auto", else one exact solver ("enum" or "cut")
-    on the folded instance."""
+def solve(terms, method: str):
+    """``minimize`` of the term arrays ``terms`` for "auto", else one
+    exact solver ("enum" or "cut") on their fold."""
     if method == "auto":
-        return minimize(instance)
-    return {"enum": minimize_enum, "cut": minimize_cut}[method](fold_instance(instance))
+        return minimize(terms)
+    return {"enum": minimize_enum, "cut": minimize_cut}[method](fold_instance(terms))
 
 
 def traced(build):
@@ -80,6 +80,17 @@ def named(instance, spins) -> dict:
     """Variable -> spin, from spins in the cell order of a
     ``GroundStateInstance``: its variables sorted."""
     return dict(zip(sorted(instance.variables), spins.tolist()))
+
+
+def spin_grid(omega, eps, spin) -> np.ndarray:
+    """The int8 spin grid of a field over the sites of (1/eps) omega, in
+    C order: ``spin(k)`` at each site k, called in that order, or the
+    number ``spin`` everywhere."""
+    ranges = omega.site_ranges(eps)
+    shape = tuple(len(r) for r in ranges)
+    if not callable(spin):
+        return np.full(shape, spin, dtype=np.int8)
+    return np.array([spin(k) for k in itertools.product(*ranges)], dtype=np.int8).reshape(shape)
 
 
 def residue(model, site) -> tuple:

@@ -29,6 +29,7 @@ from spinhom.model import (
 from spinhom.surface_tension import cell_value, check_cells
 
 from conftest import FIXTURE_NAMES, INVALID_INCLUSIONS, fixture_document, fixture_model
+from test_helpers import spin_grid
 
 
 def minimal_doc():
@@ -303,7 +304,7 @@ CELL_ENTRIES = {
     "cell_value": lambda m: cell_value(m, 1, (1, 2), 16),
     "check_cells": lambda m: check_cells(m, [(1, (1, 2), 8), (1, (1, 2), 16)]),
     "coarsening_side": lambda m: coarsening_side(m, 1),
-    "extend": lambda m: extend(m, 1, SpinField.constant(Fraction(1, 32), SQUARE), 4),
+    "extend": lambda m: extend(m, 1, SpinField(Fraction(1, 32), SQUARE, spin_grid(SQUARE, Fraction(1, 32), 1)), 4),
     "recovery_config": lambda m: recovery_config(m, SQUARE, BOX, Fraction(1, 16), 4),
     "converge_report": lambda m: converge_report(m, SQUARE, BOX, ("1/8", "1/16"), 4),
 }
@@ -335,7 +336,7 @@ def test_reports_still_run_on_a_model_that_fails_validation(change, violation):
     assert f"({report.violations[0].rule}): {report.violations[0].message}" == violation
     assert model.report == report
     assert classify(model).core_residues[1]
-    field = SpinField.constant(Fraction(1, 8), SQUARE, -1)
+    field = SpinField(Fraction(1, 8), SQUARE, spin_grid(SQUARE, Fraction(1, 8), -1))
     assert f_eps(model, field) == Fraction(49, 16)  # 49 sites at forcing 4, times eps^2
 
 
