@@ -148,16 +148,19 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), indent=1, sort_keys=True) + "\n"
 
 
-def _json_arg(text: str):
-    """A flag value that is either a path to a JSON file or inline JSON."""
+def _json_arg(text: str, flag: str):
+    """The value of ``flag``: a path to a JSON file, or inline JSON.  A
+    parse or decode error names the flag and keeps the parser's message."""
     path = Path(text)
     try:
         found = path.is_file()
     except OSError:
         found = False
-    if found:
-        return json.loads(path.read_text())
-    return json.loads(text)
+    try:
+        return json.loads(path.read_text() if found else text)
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from the file
+        what = f"file {text} is not" if found else "value is neither a file nor"
+        raise ValueError(f"{flag} {what} valid JSON: {exc}") from None
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
@@ -313,7 +316,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 def cmd_energy(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    field = SpinField.from_json_dict(_json_arg(args.field))
+    field = SpinField.from_json_dict(_json_arg(args.field, "--field"))
     value = f_eps(model, field)
     obj = {
         "eps": field.eps,
@@ -332,7 +335,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     model = _cell_model(args.model)
-    field = SpinField.from_json_dict(_json_arg(args.field))
+    field = SpinField.from_json_dict(_json_arg(args.field, "--field"))
     result = extend(model, args.phase, field, args.m)
     obj = {
         "phase": result.phase,
@@ -352,8 +355,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_gamma_eval(args: argparse.Namespace) -> int:
     model = _cell_model(args.model)
-    omega = DomainSpec.from_json_dict(_json_arg(args.omega))
-    target = MultiphaseField.from_json_dict(_json_arg(args.target))
+    omega = DomainSpec.from_json_dict(_json_arg(args.omega, "--omega"))
+    target = MultiphaseField.from_json_dict(_json_arg(args.target, "--target"))
     surface, phi = limit_tables(model, omega, target, args.sides, args.m_list)
     value = f_hom(model, omega, target, surface, phi)
     obj = {
@@ -376,8 +379,8 @@ def cmd_gamma_eval(args: argparse.Namespace) -> int:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     model = _cell_model(args.model)
-    omega = DomainSpec.from_json_dict(_json_arg(args.omega))
-    target = MultiphaseField.from_json_dict(_json_arg(args.target))
+    omega = DomainSpec.from_json_dict(_json_arg(args.omega, "--omega"))
+    target = MultiphaseField.from_json_dict(_json_arg(args.target, "--target"))
     report = converge_report(
         model, omega, target, args.eps, args.m,
         surface_side=args.surface_side, phi_side=args.phi_side,

@@ -14,9 +14,10 @@ the reference form: :meth:`GroundStateInstance.terms` converts it to
 term arrays, and :func:`energy` evaluates an assignment on it.
 
 :func:`minimize` folds an instance once (groups merged, fixed variables
-eliminated, terms summed per free group in numpy, couplings and forcing
-kept as integer arrays) and hands the :class:`FoldedInstance` to one of
-two exact solvers:
+eliminated, the held terms counted per class, the pairs folded by kind,
+terms summed per free group in numpy, couplings and forcing kept as
+integer arrays) and hands the :class:`FoldedInstance` to one of two
+exact solvers:
 
 * :func:`minimize_enum` - min-sum elimination of the free groups in
   fold order, lexicographic tie-break; it costs ``n * 2**(width + 1)``,
@@ -191,13 +192,17 @@ class CellTerms:
         each spin are counted per class, each count weighted once."""
         broken = spins[self.u] != spins[self.v]
         up = spins > 0
-        pairs = np.bincount(self.pair_class[broken], minlength=len(self.weights))
-        plus = np.bincount(self.site_class[up], minlength=len(self.h_plus))
-        minus = np.bincount(self.site_class[~up], minlength=len(self.h_minus))
-        total = 4 * sum(w * c for w, c in zip(self.weights, pairs.tolist()))
-        total += sum(h * c for h, c in zip(self.h_plus, plus.tolist()))
-        total += sum(h * c for h, c in zip(self.h_minus, minus.tolist()))
+        total = 4 * _per_class(self.weights, self.pair_class[broken])
+        total += _per_class(self.h_plus, self.site_class[up])
+        total += _per_class(self.h_minus, self.site_class[~up])
         return Fraction(total, self.scale)
+
+
+def _per_class(table: tuple[int, ...], classes: np.ndarray) -> int:
+    """Sum of ``table[c]`` over the entries c of ``classes``: each class
+    is counted, and each count weighted once in Python ints."""
+    counts = np.bincount(classes, minlength=len(table)).tolist()
+    return sum(x * c for x, c in zip(table, counts))
 
 
 def scaled_tables(*tables: Sequence[Fraction]) -> tuple:
@@ -285,17 +290,27 @@ class FoldedInstance:
 def fold_instance(terms: CellTerms) -> FoldedInstance:
     """Merge groups, eliminate fixed sites and sum every term on the scale.
 
-    The sums run in int64 when the terms' :meth:`CellTerms.bound` stays
-    below 2**62, else in Python ints (``dtype=object``).
+    The held terms are counted per class, as :meth:`CellTerms.evaluate`
+    counts them: held sites per class and spin, broken held-held pairs
+    per class.  Forcing is gathered for the free sites only.  The other
+    pairs are folded by kind, each kind under its own mask: one pass per
+    orientation of the pairs with one free end, then the free-free pairs
+    keyed by their two groups.  So no int64 temporary spans every site or
+    every pair.  The free sums run in int64 when the terms'
+    :meth:`CellTerms.bound` stays below 2**62, else in Python ints
+    (``dtype=object``).
     """
     n = terms.size
-    group, fixed = terms.group, terms.fixed
-    plus = np.bincount(group[fixed > 0], minlength=n) > 0
-    minus = np.bincount(group[fixed < 0], minlength=n) > 0
-    clash = np.flatnonzero(plus & minus)
+    group = terms.group
+    spin = np.zeros(n, dtype=np.int8)  # first the held spin of each group's first site
+    spin[group[terms.fixed > 0]] = 1
+    minus = group[terms.fixed < 0]
+    clash = minus[spin[minus] > 0]
     if clash.size:
-        raise ValueError(f"group of site {int(clash[0])} carries conflicting fixed values")
-    spin = (plus.astype(np.int8) - minus.astype(np.int8))[group]
+        raise ValueError(f"group of site {int(clash.min())} carries conflicting fixed values")
+    spin[minus] = -1
+    del minus
+    spin = spin[group]
     free = spin == 0
     free_reps, free_node = np.unique(group[free], return_inverse=True)
     node = np.full(n, -1, dtype=np.int64)
@@ -303,32 +318,38 @@ def fold_instance(terms: CellTerms) -> FoldedInstance:
     nfree = len(free_reps)
 
     dtype = np.int64 if terms.bound() < 2**62 else object
-    hp = np.array(terms.h_plus, dtype=dtype)[terms.site_class]
-    hm = np.array(terms.h_minus, dtype=dtype)[terms.site_class]
-    held = ~free
-    constant = int(np.where(spin[held] > 0, hp[held], hm[held]).sum())
+    classes = terms.site_class[free]
     unary_p = np.zeros(nfree, dtype=dtype)
     unary_m = np.zeros(nfree, dtype=dtype)
-    np.add.at(unary_p, free_node, hp[free])
-    np.add.at(unary_m, free_node, hm[free])
+    np.add.at(unary_p, free_node, np.array(terms.h_plus, dtype=dtype)[classes])
+    np.add.at(unary_m, free_node, np.array(terms.h_minus, dtype=dtype)[classes])
+    del free_node, classes
+    constant = (_per_class(terms.h_plus, terms.site_class[spin > 0])
+                + _per_class(terms.h_minus, terms.site_class[spin < 0]))
 
-    w = np.array(terms.weights, dtype=dtype)[terms.pair_class]
-    iu, iv = node[terms.u], node[terms.v]
-    su, sv = spin[terms.u], spin[terms.v]
-    constant += int(4 * w[(iu < 0) & (iv < 0) & (su != sv)].sum())
-    # w (x - s)^2 = 4w when the free end x takes -s
-    one = (iu < 0) != (iv < 0)
-    end = np.where(iu < 0, iv, iu)[one]
-    s = np.where(iu < 0, su, sv)[one]
-    w4 = 4 * w[one]
-    np.add.at(unary_m, end[s > 0], w4[s > 0])
-    np.add.at(unary_p, end[s < 0], w4[s < 0])
-
-    inner = (iu >= 0) & (iv >= 0) & (iu != iv)
+    u, v = terms.u, terms.v
+    free_u, free_v = free[u], free[v]
+    del free
+    broken = ~(free_u | free_v) & (spin[u] != spin[v])
+    constant += 4 * _per_class(terms.weights, terms.pair_class[broken])
+    del broken
+    weights = np.array(terms.weights, dtype=dtype)
+    w4 = 4 * weights
+    for free_end, held_end, one_free in ((u, v, free_u & ~free_v), (v, u, free_v & ~free_u)):
+        held = spin[held_end]
+        for forcing, s in ((unary_m, 1), (unary_p, -1)):
+            # w (x - s)^2 = 4w when the free end x takes -s
+            at = one_free & (held == s)
+            np.add.at(forcing, node[free_end[at]], w4[terms.pair_class[at]])
+    both = free_u & free_v
+    iu, iv = node[u[both]], node[v[both]]
+    inner = iu != iv
     key = np.minimum(iu, iv)[inner] * nfree + np.maximum(iu, iv)[inner]
-    keys, at = np.unique(key, return_inverse=True)  # sorted: (i, j) in order
+    del iu, iv
+    keys, pos = np.unique(key, return_inverse=True)  # sorted: (i, j) in order
+    del key
     couplings = np.zeros(keys.size, dtype=dtype)
-    np.add.at(couplings, at, w[inner])
+    np.add.at(couplings, pos, weights[terms.pair_class[both][inner]])
     keep = couplings != 0
     ij = keys[keep]
 

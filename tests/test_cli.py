@@ -431,6 +431,35 @@ def test_gamma_eval_rejects_malformed_domain_and_target(capsys, omega, target, m
     assert message in run_usage_error(capsys, argv)
 
 
+JSON_FLAG_ARGV = {
+    "--field": lambda value: ["energy", CHAIN, "--field", value],
+    "--omega": lambda value: ["gamma-eval", ISLANDS, "--omega", value, "--target", SLAB_1D,
+                              "--T", "8", "--M", "8"],
+    "--target": lambda value: ["gamma-eval", ISLANDS, "--omega", OMEGA_1D, "--target", value,
+                               "--T", "8", "--M", "8"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(JSON_FLAG_ARGV))
+@pytest.mark.parametrize("kind", ["missing-path", "malformed-inline", "malformed-file",
+                                  "undecodable-file"])
+def test_json_flag_error_names_the_flag(capsys, tmp_path, flag, kind):
+    """A JSON flag value that does not parse exits 2 with one line naming
+    the flag, what the value is not, and the parser's own message."""
+    path = tmp_path / f"{flag[2:]}.json"
+    if kind == "malformed-file":
+        path.write_text('{"lo": [')
+    if kind == "undecodable-file":
+        path.write_bytes(b'\xff{"lo": []}')
+    is_file = kind.endswith("-file")
+    value = '{"lo": [' if kind == "malformed-inline" else str(path)
+    with pytest.raises(ValueError) as parser:
+        json.loads(path.read_text() if is_file else value)
+    what = f"file {path} is not" if is_file else "value is neither a file nor"
+    err = run_usage_error(capsys, JSON_FLAG_ARGV[flag](value))
+    assert err == f"error: {flag} {what} valid JSON: {parser.value}\n"
+
+
 def test_converge_rejects_nonpositive_eps(capsys):
     argv = ["converge", CHAIN, "--omega", OMEGA_1D, "--target", SLAB_1D,
             "--eps", "1/8,0", "--M", "4"]

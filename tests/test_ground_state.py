@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinhom import ground_state
+from spinhom import ground_state, surface_tension
 from spinhom.bulk_density import build_phi_instance
 from spinhom.ground_state import (
     FrustratedInstance,
@@ -18,7 +18,7 @@ from spinhom.ground_state import (
     minimize,
 )
 
-from conftest import fixture_model
+from conftest import FIXTURE_NAMES, fixture_model
 from test_helpers import named, solve
 
 
@@ -255,6 +255,45 @@ def test_fold_matches_fraction_oracle():
             unary[r] for r in reps
         ], f"trial {trial}"
         assert Fraction(folded.constant, scale) == constant, f"trial {trial}"
+
+
+def real_cells():
+    """Every fixture's ``phi`` cube at M = 16 in every state, and the
+    ``diagonal_2d`` surface cell at normal (1,2) and T = 32."""
+    for name in FIXTURE_NAMES:
+        model = fixture_model(name)
+        for states in itertools.product((1, -1), repeat=model.num_phases):
+            yield f"{name} phi z={states}", build_phi_instance(model, 16, states)
+    yield "diagonal_2d cell (1,2) T=32", surface_tension._cell_terms(
+        fixture_model("diagonal_2d"), 1, (1, 2), 32)
+
+
+def test_fold_agrees_with_evaluate_on_real_cells():
+    """On real cells the folded energy of random spins of the free groups,
+    ``constant + sum of forcing + sum of 4 w`` over the broken couplings,
+    is the energy of the expanded spins.  These cells mix held-held pairs,
+    pairs with a free end on either side and free-free pairs at sizes the
+    random instances above never reach."""
+    rng = np.random.default_rng(30)
+    kinds = set()
+    for label, terms in real_cells():
+        folded = fold_instance(terms)
+        free = folded.node >= 0
+        free_u, free_v = free[terms.u], free[terms.v]
+        for kind, mask in (("held-held", ~(free_u | free_v)), ("free u", free_u & ~free_v),
+                           ("free v", free_v & ~free_u), ("free-free", free_u & free_v)):
+            if mask.any():
+                kinds.add(kind)
+        for _ in range(8):
+            x = rng.choice(np.array([1, -1], dtype=np.int8), size=folded.free_count)
+            spins = folded.spin.copy()
+            spins[free] = x[folded.node[free]]
+            broken = x[folded.pair_i] != x[folded.pair_j]
+            total = (folded.constant
+                     + int(np.where(x > 0, folded.h_plus, folded.h_minus).sum())
+                     + 4 * int(folded.pair_w[broken].sum()))
+            assert Fraction(total, folded.scale) == terms.evaluate(spins), label
+    assert kinds == {"held-held", "free u", "free v", "free-free"}
 
 
 def frustrated_grid(side: int, seed: int = 8) -> GroundStateInstance:
