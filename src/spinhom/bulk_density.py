@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,8 +166,7 @@ def island_error_constant(model: LatticeModel) -> Fraction:
     return 2**model.dimension * radius * (degree * max_weak + 2 * max_forcing)
 
 
-@dataclass(frozen=True)
-class PhiRow:
+class PhiRow(NamedTuple):
     """One cube side: both estimates and the derived bracket for the limit.
 
     The limit density lies in [plain, corrected + c/m]: finite cubes

@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +35,7 @@ CLASS_MULTIPLE = "infinite-multiple"
 COARSENING_CAP = 64
 
 
-@dataclass(frozen=True)
-class PeriodicComponent:
+class PeriodicComponent(NamedTuple):
     phase: int
     residues: frozenset[Residue]
     # echelon basis rows of the displacement subgroup (units of one period)
@@ -49,8 +47,7 @@ class PeriodicComponent:
     lift_diameter: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class ConnectivitySummary:
+class ConnectivitySummary(NamedTuple):
     period: int
     components: Mapping[int, tuple[PeriodicComponent, ...]]
     core_residues: Mapping[int, frozenset[Residue]]

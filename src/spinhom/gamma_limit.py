@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,19 +48,18 @@ def _array(value, locus: str) -> list:
 # domains and spin fields
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(namedtuple("DomainSpec", "lo hi")):
     """Open axis-aligned box with rational corners."""
 
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or not self.lo:
+    def __new__(cls, lo: tuple[Fraction, ...], hi: tuple[Fraction, ...]):
+        if len(lo) != len(hi) or not lo:
             raise ValueError("domain corners must have equal positive length")
-        for a, b in zip(self.lo, self.hi):
+        for a, b in zip(lo, hi):
             if not a < b:
                 raise ValueError("domain must have nonempty interior")
+        return super().__new__(cls, lo, hi)
 
     @property
     def dimension(self) -> int:
@@ -284,8 +283,7 @@ def _cube_view(array: np.ndarray, ranges: Sequence[range], m: int, axes: Sequenc
     return split.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     field: SpinField
     phase: int
     m: int
@@ -362,16 +360,15 @@ def extend(
 # piecewise-constant multiphase targets
 
 
-@dataclass(frozen=True)
-class Slab:
+class Slab(namedtuple("Slab", "normal offset")):
     """+1 where <x, normal> exceeds the offset, -1 on the other closed side."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not any(self.normal):
+    def __new__(cls, normal: tuple[Fraction, ...], offset: Fraction):
+        if not any(normal):
             raise ValueError("slab normal must be nonzero")
+        return super().__new__(cls, normal, offset)
 
     def value_at(self, x: Sequence[Fraction]) -> int:
         dot = sum(a * b for a, b in zip(x, self.normal))
@@ -417,17 +414,16 @@ class Slab:
         return np.where(low > threshold, 1, np.where(high <= threshold, -1, 0)).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class Box:
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
+class Box(namedtuple("Box", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
+    def __new__(cls, lo: tuple[Fraction, ...], hi: tuple[Fraction, ...]):
+        if len(lo) != len(hi):
             raise ValueError("box corners must have equal length")
-        for a, b in zip(self.lo, self.hi):
+        for a, b in zip(lo, hi):
             if not a < b:
                 raise ValueError("box must have nonempty interior")
+        return super().__new__(cls, lo, hi)
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         return all(a <= c < b for a, c, b in zip(self.lo, x, self.hi))
@@ -439,17 +435,17 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
-class Boxes:
+class Boxes(namedtuple("Boxes", "boxes")):
     """+1 on a finite union of axis boxes with pairwise disjoint closures."""
 
-    boxes: tuple[Box, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, a in enumerate(self.boxes):
-            for b in self.boxes[i + 1 :]:
+    def __new__(cls, boxes: tuple[Box, ...]):
+        for i, a in enumerate(boxes):
+            for b in boxes[i + 1 :]:
                 if a.touches(b):
                     raise ValueError("boxes must have pairwise disjoint closures")
+        return super().__new__(cls, boxes)
 
     def value_at(self, x: Sequence[Fraction]) -> int:
         return 1 if any(b.contains(x) for b in self.boxes) else -1
@@ -499,13 +495,13 @@ class Boxes:
         return np.where(contained, 1, np.where(apart, -1, 0)).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: int
+class Constant(namedtuple("Constant", "value")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value not in (1, -1):
+    def __new__(cls, value: int):
+        if value not in (1, -1):
             raise ValueError("constant phase value must be +-1")
+        return super().__new__(cls, value)
 
     def value_at(self, x) -> int:
         return self.value
@@ -520,13 +516,13 @@ class Constant:
 PhaseTarget = Slab | Boxes | Constant
 
 
-@dataclass(frozen=True)
-class MultiphaseField:
-    phases: tuple[PhaseTarget, ...]
+class MultiphaseField(namedtuple("MultiphaseField", "phases")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.phases:
+    def __new__(cls, phases: tuple[PhaseTarget, ...]):
+        if not phases:
             raise ValueError("at least one phase target required")
+        return super().__new__(cls, phases)
 
     def value_at(self, x: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(p.value_at(x) for p in self.phases)
@@ -791,15 +787,13 @@ def recovery_config(
     return SpinField(eps, omega, spins)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     eps: Fraction
     energy: Fraction
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     reference: Fraction
     m: int
     surface_side: int

@@ -50,7 +50,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,8 +144,7 @@ class GroundStateInstance:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CellTerms:
+class CellTerms(NamedTuple):
     """A cell's energy as flat integer term arrays, before folding.
 
     Sites are numbered ``0..n-1`` in cell order.  ``fixed[i]`` is the
@@ -213,8 +212,7 @@ def scaled_tables(*tables: Sequence[Fraction]) -> tuple:
     return scale, *(tuple(x.numerator * (scale // x.denominator) for x in t) for t in tables)
 
 
-@dataclass(frozen=True, eq=False)
-class Solution:
+class Solution(NamedTuple):
     """A minimizer: ``spins`` is a read-only int8 array in the cell order
     of :class:`CellTerms` (the cell's sites in C order over its box, or
     the sorted variables of :meth:`GroundStateInstance.terms`), ``method`` the
@@ -252,8 +250,7 @@ def energy(instance: GroundStateInstance, assignment: Mapping[Var, int]) -> Frac
 # folding
 
 
-@dataclass
-class FoldedInstance:
+class FoldedInstance(NamedTuple):
     """An instance in solver form, on one integer scale.
 
     ``instance`` holds the unfolded term arrays.  Free groups are numbered

@@ -18,7 +18,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .connectivity import ConnectivitySummary
@@ -37,15 +37,13 @@ class SchemaError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     witness: tuple
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -244,8 +243,7 @@ def _cell_instance(
     )
 
 
-@dataclass(frozen=True)
-class SurfaceRow:
+class SurfaceRow(NamedTuple):
     """Cell values of one (phase, direction) over increasing cube sides."""
 
     phase: int
