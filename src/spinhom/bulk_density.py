@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .connectivity import (
     residue_ids,
 )
 from .ground_state import CellTerms, Solution, minimize, scaled_tables
-from .model import LatticeModel, Site
+from .model import LatticeModel
 
 
 def _check_states(model: LatticeModel, states: Sequence[int]) -> tuple[int, ...]:
@@ -66,7 +66,7 @@ def build_phi_instance(
     model: LatticeModel,
     m: int,
     states: Sequence[int],
-    pinned: Iterable[Site] = (),
+    corrected: bool = False,
 ) -> CellTerms:
     """Term arrays of the cube problem whose minimum over Q_M defines phi_M(states).
 
@@ -78,9 +78,10 @@ def build_phi_instance(
     lexicographically smaller site, at twice the bond weight (the model
     declares both orientations); forcing enters per residue.
 
-    ``pinned`` sites (used by the island-corrected estimate) are fixed
-    at +1 with their groups; they belong to finite components, so this
-    never conflicts with the phase states imposed on the cores.
+    The island-corrected problem (``corrected``) also fixes at +1, with
+    their groups, the sites of the :func:`connectivity.excluded_set`
+    grid; they are loose hard sites, so this never conflicts with the
+    phase states imposed on the cores.
     """
     if m <= 0:
         raise ValueError("cube side must be positive")
@@ -94,17 +95,8 @@ def build_phi_instance(
     group = np.where(labels >= 0, labels, np.arange(labels.size))
     fixed = np.array((0,) + states, dtype=np.int8)[core_phases(model)[res_id]]
 
-    pins = [tuple(x) for x in pinned]
-    if pins:
-        coords = np.array(pins, dtype=np.int64).reshape(len(pins), d) + m // 2
-        outside = ((coords < 0) | (coords >= m)).any(axis=1)
-        index = np.ravel_multi_index(np.where(outside[:, None], 0, coords).T, (m,) * d)
-        bad = np.flatnonzero(outside | (fixed[index] == -1))
-        if bad.size:
-            k = bad[0]
-            where = "is outside the cube" if outside[k] else "conflicts with a phase state"
-            raise ValueError(f"pinned site {pins[k]} {where}")
-        fixed[index] = 1
+    if corrected:
+        fixed[excluded_set(model, m).ravel()] = 1
 
     classes = [
         (r, off) for r in residues for off in sorted(model.weak_offsets(r)) if off > (0,) * d
@@ -135,9 +127,8 @@ def phi_solution(
     states: Sequence[int],
     corrected: bool = False,
 ) -> Solution:
-    pinned = excluded_set(model, m) if corrected else ()
-    instance = build_phi_instance(model, m, states, pinned)
-    return minimize(instance)
+    """The exact minimum of the cube problem of :func:`build_phi_instance`."""
+    return minimize(build_phi_instance(model, m, states, corrected))
 
 
 def phi_m(model, m, states) -> Fraction:

@@ -141,7 +141,7 @@ def _render(fmt: str, header: list[str], rows: list[list], meta: dict) -> str:
     obj["rows"] = [
         {name: _jsonable(value) for name, value in zip(header, row)} for row in rows
     ]
-    return json.dumps(_jsonable(obj), indent=1, sort_keys=True) + "\n"
+    return _json_text(obj)
 
 
 def _json_text(obj) -> str:
@@ -170,25 +170,25 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def _recorded(fn, task):
-    """``fn(task)`` in a pool worker: its result or error, and the
+    """``fn(*task)`` in a pool worker: its result or error, and the
     warnings it raised, for the parent to replay."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result, error = fn(task), None
+            result, error = fn(*task), None
         except Exception as exc:
             result, error = None, exc
     return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _run_tasks(fn, tasks: list, jobs: int) -> list:
-    """``[fn(task) for task in tasks]``, over a pool of ``jobs`` processes
+    """``[fn(*task) for task in tasks]``, over a pool of ``jobs`` processes
     when that is more than one, with the stderr of a serial run: the
     parent replays each task's warnings in task order, de-duplicated per
     source location as a serial run does (one registry per source file),
     and raises the first task error after the warnings before it."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+        return [fn(*task) for task in tasks]
     import multiprocessing  # only a pool pays for the import
 
     with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
@@ -260,10 +260,6 @@ def _cell_model(path: str) -> LatticeModel:
     return model
 
 
-def _cell_task(task):
-    return cell_value(*task)
-
-
 def cmd_fhom(args: argparse.Namespace) -> int:
     model = _cell_model(args.model)
     direction = args.normal
@@ -272,7 +268,7 @@ def cmd_fhom(args: argparse.Namespace) -> int:
     sides = check_sides(args.sides)
     cells = [(j, direction, t) for j in phases for t in sides]
     check_cells(model, cells)
-    values = _run_tasks(_cell_task, [(model, *cell) for cell in cells], args.jobs)
+    values = _run_tasks(cell_value, [(model, *cell) for cell in cells], args.jobs)
     rows = [[j, _vec(direction), t, v] for (j, _, t), v in zip(cells, values)]
     nu, n = canonical_direction(direction), len(sides)
     estimates = {}
@@ -290,10 +286,6 @@ def cmd_fhom(args: argparse.Namespace) -> int:
     return 0
 
 
-def _phi_task(task):
-    return phi_estimate(*task)
-
-
 def cmd_phi(args: argparse.Namespace) -> int:
     model = _cell_model(args.model)
     meta = {"island_error_constant": island_error_constant(model)}
@@ -302,7 +294,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
         states_list = [args.z]
     else:
         states_list = list(itertools.product((1, -1), repeat=model.num_phases))
-    results = _run_tasks(_phi_task, [(model, states, sides) for states in states_list], args.jobs)
+    results = _run_tasks(phi_estimate, [(model, states, sides) for states in states_list], args.jobs)
     rows = []
     for states, phi_rows in zip(states_list, results):
         for row in phi_rows:

@@ -315,53 +315,44 @@ def box_components(model: LatticeModel, ranges: Sequence[range], marked: np.ndar
     return np.where(on, components(on.size, src, dst), -1)
 
 
-def _in_shrunk_cube(site: Site, side: Fraction) -> bool:
-    """Membership in [-side/2, side/2)^d for a possibly fractional side."""
-    if side <= 0:
-        return False
-    half = side / 2
-    return all(-half <= c < half for c in site)
+def excluded_set(model: LatticeModel, m: int) -> np.ndarray:
+    """Island copies near the boundary of the centered cube Q_M, as a bool
+    grid of shape ``(m,) * d`` over its sites in C order (index = site -
+    ``cube_range(m).start``).
 
-
-def excluded_set(model: LatticeModel, m: int) -> frozenset[Site]:
-    """Island copies near the boundary of the centered cube of side m.
-
-    Returns the sites (clipped to the cube) of every finite-component
-    copy that meets the cube but stays clear of the concentric cube of
-    side m - R, where R is the island radius.
+    Marks the sites in Q_M of every finite-component copy that meets
+    Q_M but stays clear of the concentric cube of side m - R, where R is
+    the island radius.  The copies of one island are its lift shifted by
+    every period multiple that reaches into Q_M; with m - R = p / q, a
+    site x lies in the inner cube iff -p <= 2 q x < p on every axis.
     """
+    d, t = model.dimension, model.period
+    out = np.zeros((m,) * d, dtype=bool)
     radius = model.summary.island_radius
     if radius == 0:
-        return frozenset()
+        return out
     if m <= radius:
         warnings.warn(
             f"cube side {m} does not exceed the island radius {radius}; "
             "the excluded set may cover the whole cube",
             stacklevel=2,
         )
-    t = model.period
-    lo = -(m // 2)
-    hi = lo + m  # exclusive
-    inner_side = Fraction(m) - radius
-    out: set[Site] = set()
+    lo = cube_range(m).start
+    inner = Fraction(m) - radius
     for comp in model.summary.islands():
-        sites = comp.lift_sites or ()
-        mins = [min(s[i] for s in sites) for i in range(model.dimension)]
-        maxs = [max(s[i] for s in sites) for i in range(model.dimension)]
-        ranges = []
-        for i in range(model.dimension):
-            m_lo = -((maxs[i] - lo) // t)  # ceil((lo - maxs) / t)
-            m_hi = (hi - 1 - mins[i]) // t
-            ranges.append(range(m_lo, m_hi + 1))
-        for shift in product(*ranges):
-            copy = [tuple(c + t * s for c, s in zip(site, shift)) for site in sites]
-            inside = [s for s in copy if all(lo <= c < hi for c in s)]
-            if not inside:
-                continue
-            if any(_in_shrunk_cube(s, inner_side) for s in copy):
-                continue
-            out.update(inside)
-    return frozenset(out)
+        sites = np.array(comp.lift_sites, dtype=np.int64)
+        # shifts s with some site + t s in [lo, lo + m) on each axis
+        firsts = -((sites.max(axis=0) - lo) // t)
+        lasts = (lo + m - 1 - sites.min(axis=0)) // t
+        shifts = np.stack(
+            np.meshgrid(*map(np.arange, firsts, lasts + 1), indexing="ij"), axis=-1
+        ).reshape(-1, d)
+        copies = sites + t * shifts[:, None, :]  # (shifts, k, d)
+        twice = 2 * inner.denominator * copies
+        near = ((-inner.numerator <= twice) & (twice < inner.numerator)).all(axis=2)
+        inside = ((copies >= lo) & (copies < lo + m)).all(axis=2) & ~near.any(axis=1)[:, None]
+        out[tuple((copies[inside] - lo).T)] = True
+    return out
 
 
 def coarsening_side(model: LatticeModel, phase: int) -> int:

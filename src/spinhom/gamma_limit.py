@@ -379,18 +379,9 @@ class Slab(namedtuple("Slab", "normal offset")):
         return tuple(int(c * scale) for c in self.normal)
 
     def on_lattice(self, eps: Fraction, ranges: Sequence[range]) -> np.ndarray:
-        """``value_at(eps * k)`` on the grid of sites k over ``ranges``, as int8."""
-        normal = self.integer_normal()
-        scale = math.lcm(*(c.denominator for c in self.normal))
-        # <eps k, normal> > offset  iff  the integer <k, scale normal> exceeds
-        # floor(offset scale / eps); |<k, scale normal>| <= reach bounds the
-        # threshold and picks exact Python integers past int64
-        reach = sum(abs(c) * max(abs(r.start), abs(r.stop)) for c, r in zip(normal, ranges))
-        threshold = max(-reach - 1, min(reach, math.floor(self.offset * scale / eps)))
-        dtype = np.int64 if reach < 2**62 else object
-        axes = np.ix_(*(np.arange(r.start, r.stop).astype(dtype) for r in ranges))
-        dot = sum(c * k for c, k in zip(normal, axes))
-        return np.where(dot > threshold, np.int8(1), np.int8(-1))
+        """``value_at(eps * k)`` on the grid of sites k over ``ranges``, as
+        int8: :meth:`on_cubes` of the cubes of side 0, the sites."""
+        return self.on_cubes(eps, [np.arange(r.start, r.stop) for r in ranges], 0)
 
     def on_cubes(self, eps: Fraction, firsts: Sequence[np.ndarray], m: int) -> np.ndarray:
         """Per cube of a grid, +1 or -1 where ``value_at`` is that constant
@@ -399,19 +390,23 @@ class Slab(namedtuple("Slab", "normal offset")):
         The cubes are the products of the per-axis footprints
         eps [f, f + m], f in the integer array ``firsts[i]``.  The extremes
         of <x, normal> over a footprint sit at its corners, so they are
-        sums of per-axis extremes; +1 where the minimum exceeds the offset,
-        -1 where the maximum does not, compared as in :meth:`on_lattice`.
+        sums of per-axis extremes, and the maximum is the minimum plus
+        m times the 1-norm of the normal; +1 where the minimum exceeds the
+        offset, -1 where the maximum does not.
         """
         normal = self.integer_normal()
         scale = math.lcm(*(c.denominator for c in self.normal))
+        # <eps x, normal> > offset  iff  the integer <x / eps, scale normal>
+        # exceeds floor(offset scale / eps); |<x / eps, scale normal>| <= reach
+        # bounds the threshold and picks exact Python integers past int64
         bound = max((int(np.abs(f).max()) for f in firsts if f.size), default=0) + m
         reach = sum(abs(c) for c in normal) * bound
         threshold = max(-reach - 1, min(reach, math.floor(self.offset * scale / eps)))
         dtype = np.int64 if reach < 2**62 else object
         axes = np.ix_(*(f.astype(dtype) for f in firsts))
         low = sum(c * f + min(0, c * m) for c, f in zip(normal, axes))
-        high = sum(c * f + max(0, c * m) for c, f in zip(normal, axes))
-        return np.where(low > threshold, 1, np.where(high <= threshold, -1, 0)).astype(np.int8)
+        width = m * sum(abs(c) for c in normal)
+        return (low > threshold).astype(np.int8) - (low <= threshold - width)
 
 
 class Box(namedtuple("Box", "lo hi")):

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import warnings
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -27,8 +28,8 @@ from spinhom.connectivity import (
 )
 from spinhom.model import parse_model
 
-from conftest import FIXTURE_NAMES, fixture_model, random_chain_model
-from test_helpers import cube_sites, in_core, residue
+from conftest import FIXTURE_NAMES, fixture_model, random_chain_model, random_valid_model_2d
+from test_helpers import cube_sites, grid_sites, in_core, residue
 
 
 def strong_component(model, start, window):
@@ -179,27 +180,83 @@ def brute_excluded(model, m, summary):
     return frozenset(out)
 
 
-@pytest.mark.parametrize("m", [4, 8, 12, 16])
+def quiet_excluded_set(model, m):
+    """``excluded_set``, without the warning of a side within the island radius."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "cube side .* does not exceed the island radius")
+        return excluded_set(model, m)
+
+
+@pytest.mark.parametrize("m", [1, 4, 5, 8, 12, 13, 16])
 def test_excluded_set_matches_brute_scan(m):
     model = fixture_model("islands_1d")
     s = classify(model)
-    assert excluded_set(model, m) == brute_excluded(model, m, s)
+    grid = quiet_excluded_set(model, m)
+    assert grid.shape == (m,) and grid.dtype == bool
+    assert grid_sites(grid) == brute_excluded(model, m, s)
 
 
-@pytest.mark.parametrize("m", [6, 12, 18])
+@pytest.mark.parametrize("m", [2, 5, 6, 12, 13, 18])
 def test_excluded_set_triple_island(m):
     from spinhom.model import parse_model
 
     model = parse_model(triple_island_doc())
     s = classify(model)
-    assert excluded_set(model, m) == brute_excluded(model, m, s)
+    assert grid_sites(quiet_excluded_set(model, m)) == brute_excluded(model, m, s)
+
+
+def l_island_2d_doc():
+    """Period 3 in the plane: the core residue (2, 2) bonded along both
+    axes, an L-shaped three-site island (0, 0), (0, 1), (1, 0) of
+    diameter sqrt(2), so island radius 2, and soft sites elsewhere."""
+    island = ((0, 0), (0, 1), (1, 0))
+    strong = [("2,2", off) for off in ([3, 0], [-3, 0], [0, 3], [0, -3])]
+    strong += [("0,0", [0, 1]), ("0,1", [0, -1]), ("0,0", [1, 0]), ("1,0", [-1, 0])]
+    return {
+        "dimension": 2,
+        "period": 3,
+        "num_phases": 1,
+        "labels": {f"{a},{b}": int((a, b) in island + ((2, 2),)) for a in range(3) for b in range(3)},
+        "strong_bonds": [{"from": r, "offset": off, "weight": "1/8"} for r, off in strong],
+        "weak_bonds": [],
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 13, 14])
+def test_excluded_set_2d_island(m):
+    model = parse_model(l_island_2d_doc())
+    s = classify(model)
+    assert [len(c.lift_sites) for c in s.islands()] == [3]
+    assert s.island_radius == 2
+    grid = quiet_excluded_set(model, m)
+    assert grid.shape == (m, m)
+    want = brute_excluded(model, m, s)
+    assert grid_sites(grid) == want
+    # not vacuous: every other side, 1 and 2 within the radius included, excludes sites
+    assert bool(want) == (m not in (3, 9))
+
+
+def test_excluded_set_random_2d_islands():
+    rng = random.Random(3232)
+    seen = 0
+    for _ in range(8):
+        model = random_valid_model_2d(rng, 1 + rng.randrange(2))
+        s = classify(model)
+        for m in (2, 5, 8):
+            want = brute_excluded(model, m, s)
+            assert grid_sites(quiet_excluded_set(model, m)) == want
+            seen += bool(want)
+    assert seen >= 5
 
 
 def test_excluded_set_empty_without_islands(any_model):
     model = any_model
     s = classify(model)
     if s.island_radius == 0:
-        assert excluded_set(model, 8 if model.dimension == 1 else 4) == frozenset()
+        m = 8 if model.dimension == 1 else 4
+        grid = excluded_set(model, m)
+        assert grid.shape == (m,) * model.dimension
+        assert not grid.any()
 
 
 def test_excluded_set_small_cube_warns():
@@ -232,7 +289,7 @@ def test_single_site_islands_are_never_excluded():
     s = classify(model)
     assert [c.lift_sites for c in s.islands()] == [((1, 1),)]
     assert s.island_radius == 0
-    assert excluded_set(model, 8) == frozenset()
+    assert not excluded_set(model, 8).any()
 
 
 def verify_coarsening_property(model, phase, m, summary):

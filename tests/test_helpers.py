@@ -103,6 +103,13 @@ def cube_sites(dim: int, m: int) -> list:
     return list(itertools.product(cube_range(m), repeat=dim))
 
 
+def grid_sites(grid) -> frozenset:
+    """The sites of Q_M that a bool grid over the cube (C order) marks."""
+    return frozenset(
+        x for x, on in zip(cube_sites(grid.ndim, grid.shape[0]), grid.ravel().tolist()) if on
+    )
+
+
 def in_core(summary, phase: int, site) -> bool:
     """Whether ``site`` lies in the core of ``phase`` of a ``classify`` summary."""
     res = tuple(c % summary.period for c in site)
