@@ -176,13 +176,18 @@ class PhiRow(NamedTuple):
 def phi_bracket(model, m, states) -> PhiRow:
     """Both finite-cube estimates at one side, with the sandwich bracket.
 
-    With island radius 0 the excluded set is empty, so the corrected cube
-    problem is the plain one: it is solved once and ``corrected = plain``.
+    When the excluded set pins no site (always with island radius 0), the
+    corrected cube problem is the plain one: it is solved once and
+    ``corrected = plain``.
     """
     plain = phi_m(model, m, states)
     corrected = plain
     if model.summary.island_radius:
-        corrected = phi_solution(model, m, states, corrected=True).energy / m**model.dimension
+        terms = build_phi_instance(model, m, states, corrected=True)
+        # loose sites (outside every core) are free in the plain cube, so
+        # the two problems differ only where the excluded set pins one at +1
+        if terms.fixed[core_phases(model)[terms.site_class] == 0].any():
+            corrected = minimize(terms).energy / m**model.dimension
     c = island_error_constant(model)
     return PhiRow(m=m, plain=plain, corrected=corrected,
                   lower=plain, upper=corrected + c / m)

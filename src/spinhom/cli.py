@@ -5,21 +5,30 @@ periodic geometry, surface tension tables, bulk density tables, discrete
 energies, coarse graining, limit evaluation, and the recovery-sequence
 convergence experiment.  Tables stream as CSV (plot-ready) or JSON;
 identical invocations produce byte-identical output.
+
+Each subcommand's options are declared once, in :data:`COMMANDS`.  A
+well-formed command line (exact long flags, values of the right form)
+is read straight from that table by :func:`_read_argv`, without
+importing argparse.  Help, ``--version`` and whatever that reader
+refuses go to the full argparse parser, which :func:`build_parser`
+builds from the same table: help text, usage lines, error messages and
+exit codes are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
 import itertools
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .bulk_density import (
@@ -67,11 +76,19 @@ DEFAULT_FORMAT = {
 # parsing and printing helpers
 
 
+def _bad_value(message: str) -> Exception:
+    """The error argparse prints as ``argument --flag: <message>``; only a
+    refused value imports argparse."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise _bad_value(f"expected comma-separated integers, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -80,7 +97,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise _bad_value(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -88,13 +105,13 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
+        raise _bad_value(f"expected comma-separated rationals, got {text!r}")
 
 
 def _states(text: str) -> tuple[int, ...]:
     values = _int_list(text)
     if any(v not in (-1, 1) for v in values):
-        raise argparse.ArgumentTypeError(f"states must be 1 or -1, got {text!r}")
+        raise _bad_value(f"states must be 1 or -1, got {text!r}")
     return values
 
 
@@ -214,7 +231,7 @@ def _witness_str(witness) -> str:
     return str(witness)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     report = load_model(args.model).report
     rows = [[v.rule, _witness_str(v.witness), v.message] for v in report.violations]
     text = _render(args.format, ["rule", "witness", "message"], rows, {"passed": report.passed})
@@ -222,7 +239,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_components(args: argparse.Namespace) -> int:
+def cmd_components(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     summary = model.summary
     rows = []
@@ -260,7 +277,7 @@ def _cell_model(path: str) -> LatticeModel:
     return model
 
 
-def cmd_fhom(args: argparse.Namespace) -> int:
+def cmd_fhom(args: SimpleNamespace) -> int:
     model = _cell_model(args.model)
     direction = args.normal
     phase = args.phase
@@ -286,7 +303,7 @@ def cmd_fhom(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_phi(args: argparse.Namespace) -> int:
+def cmd_phi(args: SimpleNamespace) -> int:
     model = _cell_model(args.model)
     meta = {"island_error_constant": island_error_constant(model)}
     sides = args.sides
@@ -306,13 +323,13 @@ def cmd_phi(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
+def cmd_energy(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     field = SpinField.from_json_dict(_json_arg(args.field, "--field"))
     value = f_eps(model, field)
     obj = {
         "eps": field.eps,
-        "sites": len(field.values),
+        "sites": field.spins.size,
         "energy": value,
         "broken_strong": count_broken_strong(model, field),
     }
@@ -325,7 +342,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
+def cmd_extend(args: SimpleNamespace) -> int:
     model = _cell_model(args.model)
     field = SpinField.from_json_dict(_json_arg(args.field, "--field"))
     result = extend(model, args.phase, field, args.m)
@@ -345,7 +362,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gamma_eval(args: argparse.Namespace) -> int:
+def cmd_gamma_eval(args: SimpleNamespace) -> int:
     model = _cell_model(args.model)
     omega = DomainSpec.from_json_dict(_json_arg(args.omega, "--omega"))
     target = MultiphaseField.from_json_dict(_json_arg(args.target, "--target"))
@@ -369,7 +386,7 @@ def cmd_gamma_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_converge(args: argparse.Namespace) -> int:
+def cmd_converge(args: SimpleNamespace) -> int:
     model = _cell_model(args.model)
     omega = DomainSpec.from_json_dict(_json_arg(args.omega, "--omega"))
     target = MultiphaseField.from_json_dict(_json_arg(args.target, "--target"))
@@ -450,7 +467,7 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
     return ok, detail
 
 
-def cmd_examples(args: argparse.Namespace) -> int:
+def cmd_examples(args: SimpleNamespace) -> int:
     checks = json.loads(_fixture_dir().joinpath("expected.json").read_text())
     only = args.only
     cache: dict = {}
@@ -472,99 +489,154 @@ def cmd_examples(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# The options of each subcommand, in help order: the flag, then the
+# keyword arguments of ``ArgumentParser.add_argument`` (``dest`` always).
+# build_parser() and the fast reader _read_argv() both walk this table.
+_OUTPUT = (
+    ("--format", {"dest": "format", "choices": ("csv", "json"), "help": "output format"}),
+    ("--json", {"dest": "format", "action": "store_const", "const": "json",
+                "help": "shorthand for --format json"}),
+    ("--csv", {"dest": "format", "action": "store_const", "const": "csv",
+               "help": "shorthand for --format csv"}),
+    ("--out", {"dest": "out", "help": "write output to a file instead of stdout"}),
+)
+_JOBS = (
+    ("--jobs", {"dest": "jobs", "type": _positive_int, "default": 1,
+                "help": "parallel worker processes"}),
+)
+_FIELD = ("--field", {"dest": "field", "required": True,
+                      "help": "spin field JSON (path or inline)"})
 
-class _Skipped:
-    """Takes the arguments of a subcommand that a parser leaves out."""
+# subcommand -> (help, whether it takes a model path, options)
+COMMANDS = {
+    "validate": ("check a model file", True, _OUTPUT),
+    "components": ("periodic components and their classification", True, _OUTPUT),
+    "fhom": ("surface tension cell values", True, _OUTPUT + _JOBS + (
+        ("--normal", {"dest": "normal", "type": _fraction_list, "required": True,
+                      "help": "interface normal, comma-separated rationals"}),
+        ("--T", {"dest": "sides", "type": _int_list, "required": True,
+                 "help": "cube sides, comma-separated, increasing"}),
+        ("--phase", {"dest": "phase", "type": int, "help": "restrict to one phase (default: all)"}),
+    )),
+    "phi": ("bulk density estimates on finite cubes", True, _OUTPUT + _JOBS + (
+        ("--M", {"dest": "sides", "type": _int_list, "required": True,
+                 "help": "cube sides, comma-separated, increasing"}),
+        ("--z", {"dest": "z", "type": _states, "help": "phase states, e.g. 1,-1 (default: all)"}),
+    )),
+    "energy": ("discrete energy of a spin field", True, _OUTPUT + (_FIELD,)),
+    "extend": ("coarse-grain a field over cubes of side M", True, (
+        _FIELD,
+        ("--phase", {"dest": "phase", "type": int, "required": True}),
+        ("--M", {"dest": "m", "type": int, "required": True}),
+        ("--out", {"dest": "out", "help": "write the extended field to a file"}),
+    )),
+    "gamma-eval": ("evaluate the limit functional on a target", True, _OUTPUT + (
+        ("--omega", {"dest": "omega", "required": True, "help": "domain JSON (path or inline)"}),
+        ("--target", {"dest": "target", "required": True,
+                      "help": "target field JSON (path or inline)"}),
+        ("--T", {"dest": "sides", "type": _int_list, "required": True,
+                 "help": "surface tension cube sides, comma-separated, increasing"}),
+        ("--M", {"dest": "m_list", "type": _int_list, "required": True,
+                 "help": "bulk density cube sides, comma-separated, increasing"}),
+    )),
+    "converge": ("recovery-sequence energies against the limit value", True, _OUTPUT + (
+        ("--omega", {"dest": "omega", "required": True}),
+        ("--target", {"dest": "target", "required": True}),
+        ("--eps", {"dest": "eps", "type": _fraction_list, "required": True,
+                   "help": "lattice spacings, strictly decreasing"}),
+        ("--M", {"dest": "m", "type": int, "required": True}),
+        ("--surface-side", {"dest": "surface_side", "type": int,
+                            "help": "cube side for surface tensions (default M)"}),
+        ("--phi-side", {"dest": "phi_side", "type": int, "help":
+                        "cube side for the bulk density reference (default: finest 1/eps)"}),
+    )),
+    "examples": ("run the bundled fixture suite", False, (
+        ("--only", {"dest": "only", "help": "substring filter on check names"}),
+    )),
+}
 
-    def add_argument(self, *args, **kwargs) -> None:
-        pass
 
+def build_parser():
+    """The full ``argparse`` parser of :data:`COMMANDS`: it reads what
+    :func:`_read_argv` leaves, and prints the help, usage lines and
+    errors."""
+    import argparse  # only help, --version and a refused argv pay for it
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser; with ``command``, the top level and that
-    one subcommand only (the parser :func:`run` tries first)."""
     parser = argparse.ArgumentParser(
         prog="spinhom",
         description="Homogenized limits of periodic double-porosity spin systems.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        if command in (None, name):
-            return subparsers.add_parser(name, **kwargs)
-        return _Skipped()
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
-    common.add_argument("--json", dest="format", action="store_const", const="json",
-                        help="shorthand for --format json")
-    common.add_argument("--csv", dest="format", action="store_const", const="csv",
-                        help="shorthand for --format csv")
-    common.add_argument("--out", help="write output to a file instead of stdout")
-
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
-
-    p = add("validate", parents=[common], help="check a model file")
-    p.add_argument("model")
-
-    p = add("components", parents=[common],
-            help="periodic components and their classification")
-    p.add_argument("model")
-
-    p = add("fhom", parents=[common, jobs], help="surface tension cell values")
-    p.add_argument("model")
-    p.add_argument("--normal", type=_fraction_list, required=True,
-                   help="interface normal, comma-separated rationals")
-    p.add_argument("--T", dest="sides", type=_int_list, required=True,
-                   help="cube sides, comma-separated, increasing")
-    p.add_argument("--phase", type=int, help="restrict to one phase (default: all)")
-
-    p = add("phi", parents=[common, jobs],
-            help="bulk density estimates on finite cubes")
-    p.add_argument("model")
-    p.add_argument("--M", dest="sides", type=_int_list, required=True,
-                   help="cube sides, comma-separated, increasing")
-    p.add_argument("--z", type=_states, help="phase states, e.g. 1,-1 (default: all)")
-
-    p = add("energy", parents=[common], help="discrete energy of a spin field")
-    p.add_argument("model")
-    p.add_argument("--field", required=True, help="spin field JSON (path or inline)")
-
-    p = add("extend", help="coarse-grain a field over cubes of side M")
-    p.add_argument("model")
-    p.add_argument("--field", required=True, help="spin field JSON (path or inline)")
-    p.add_argument("--phase", type=int, required=True)
-    p.add_argument("--M", dest="m", type=int, required=True)
-    p.add_argument("--out", help="write the extended field to a file")
-
-    p = add("gamma-eval", parents=[common],
-            help="evaluate the limit functional on a target")
-    p.add_argument("model")
-    p.add_argument("--omega", required=True, help="domain JSON (path or inline)")
-    p.add_argument("--target", required=True, help="target field JSON (path or inline)")
-    p.add_argument("--T", dest="sides", type=_int_list, required=True,
-                   help="surface tension cube sides, comma-separated, increasing")
-    p.add_argument("--M", dest="m_list", type=_int_list, required=True,
-                   help="bulk density cube sides, comma-separated, increasing")
-
-    p = add("converge", parents=[common],
-            help="recovery-sequence energies against the limit value")
-    p.add_argument("model")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--eps", type=_fraction_list, required=True,
-                   help="lattice spacings, strictly decreasing")
-    p.add_argument("--M", dest="m", type=int, required=True)
-    p.add_argument("--surface-side", type=int, help="cube side for surface tensions (default M)")
-    p.add_argument("--phi-side", type=int,
-                   help="cube side for the bulk density reference (default: finest 1/eps)")
-
-    p = add("examples", help="run the bundled fixture suite")
-    p.add_argument("--only", help="substring filter on check names")
-
+    for name, (text, takes_model, options) in COMMANDS.items():
+        p = subparsers.add_parser(name, help=text)
+        if takes_model:
+            p.add_argument("model")
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
     return parser
+
+
+# a token argparse takes as a value although it starts with "-" (its
+# pattern on every supported Python version)
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a well-formed ``argv``, read
+    without argparse; None for anything else.
+
+    Well formed: a subcommand, its one model path if it takes one, and
+    exact long flags of :data:`COMMANDS` as ``--flag value`` or
+    ``--flag=value`` (no value for a ``store_const`` flag), a value that
+    starts with ``-`` being a negative number, with every required flag
+    given and every value of its type and choices.  Help, ``--version``,
+    an abbreviated or unknown flag, ``-``, ``--``, a missing or bad value
+    and a leftover token go to argparse, which reports them.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, takes_model, options = COMMANDS[argv[0]]
+    specs = dict(options)
+    values = {"command": argv[0]}
+    values.update((spec["dest"], spec.get("default")) for spec in specs.values())
+    positionals, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_const":
+            if eq:
+                return None
+            value = spec["const"]
+        else:
+            if eq:
+                if text == "--":  # argparse drops it, leaving no value
+                    return None
+            else:
+                text = next(tokens, None)
+                if text is None or (text.startswith("-") and not _NEGATIVE_NUMBER.fullmatch(text)):
+                    return None
+            try:
+                value = spec.get("type", str)(text)
+            except Exception:  # argparse reports it, with its own message
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        values[spec["dest"]] = value
+        seen.add(flag)
+    if len(positionals) != takes_model:
+        return None
+    if any(spec.get("required") and flag not in seen for flag, spec in options):
+        return None
+    if takes_model:
+        values["model"] = positionals[0]
+    return SimpleNamespace(**values)
 
 
 HANDLERS = {
@@ -580,16 +652,14 @@ HANDLERS = {
 }
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the subcommand
-    named first when that suffices.  Help, ``--version``, a missing or
-    unknown command and leftover arguments take the full parser, whose
-    usage lines name every command."""
-    if argv and argv[0] in HANDLERS and "-h" not in argv and "--help" not in argv:
-        args, rest = build_parser(argv[0]).parse_known_args(argv)
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command line ``argv``, read by :func:`_read_argv` when well
+    formed; else by the full parser, which exits on help, ``--version`` and
+    an error."""
+    args = _read_argv(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+    return args
 
 
 def run(argv=None) -> int:
@@ -605,7 +675,7 @@ def run(argv=None) -> int:
         return _dispatch(args)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: SimpleNamespace) -> int:
     try:
         return HANDLERS[args.command](args)
     except (TooManyFreeGroups, NotImplementedError, OSError, ValueError, KeyError) as exc:

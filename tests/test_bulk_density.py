@@ -192,6 +192,25 @@ def test_phi_bracket_solves_each_distinct_cube_once(monkeypatch, name, solves):
     assert (row.corrected == row.plain) == (solves == 1)
 
 
+def test_phi_bracket_reuses_the_plain_cube_when_nothing_is_excluded(monkeypatch):
+    """With islands but an empty excluded set (islands_1d at M = 40000), the
+    corrected cube is the plain one and is solved once."""
+    model = fixture_model("islands_1d")
+    assert not excluded_set(model, 40000).any()
+    solves = []
+    real = bulk_density.minimize
+
+    def counting(instance):
+        solves.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(bulk_density, "minimize", counting)
+    row = phi_bracket(model, 40000, (1,))
+    assert len(solves) == 1
+    assert row.corrected == row.plain == phi_m(model, 40000, (1,))
+    assert row.upper == row.corrected + island_error_constant(model) / 40000
+
+
 def test_phi_estimate_requires_increasing_sizes():
     model = fixture_model("chain_soft_even")
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 """Command line interface: exit codes, formats, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -938,12 +941,11 @@ PARSER_ARGVS = (
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_lazy_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
-    """:func:`run` builds only the subcommand named first when it can; its
-    stdout, stderr and exit code are those of the full parser."""
+    """:func:`run` reads a well-formed command line without argparse; its
+    stdout, stderr and exit code are those of the full parser alone."""
     monkeypatch.chdir(FIXTURES)
     lazy = run(argv), *capsys.readouterr()
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert (run(argv), *capsys.readouterr()) == lazy
 
 
@@ -959,12 +961,122 @@ def test_help_states_what_the_options_take(capsys, command, phrases):
         assert phrase in text
 
 
-def test_run_reads_sys_argv_and_builds_one_subcommand(monkeypatch, capsys):
+def test_run_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["spinhom", "--version"])
     assert run() == 0
     assert capsys.readouterr().out == f"spinhom {spinhom.__version__}\n"
-    (subparsers,) = build_parser("phi")._subparsers._group_actions
-    assert list(subparsers.choices) == ["phi"]
+
+
+def test_well_formed_command_line_builds_no_parser(monkeypatch, capsys):
+    """Command lines like the benchmark's, and the `=` form with a negative
+    value, are read without building the argparse parser."""
+
+    def unbuilt():
+        raise AssertionError("the argparse parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", unbuilt)
+    monkeypatch.chdir(FIXTURES)
+    assert run(["phi", T, "--M", "2,4", "--z=-1,1", "--json"]) == 0
+    assert run(["fhom", "diagonal_2d.json", "--normal=-1,2", "--T", "4", "--jobs", "1"]) == 0
+    assert run(["converge", "soft_inclusions_2d.json", "--omega", SQUARE_2D, "--target", BOX_2D,
+                "--eps", "1/8,1/16", "--M", "8", "--phi-side", "16"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def sample_value(rng, spec) -> str:
+    """A value for an option: of its type, of the wrong type, negative, or
+    odd text ("", "-", a flag)."""
+    good = {
+        cli._int_list: ["4", "2,8", "-3", "4,-2"],
+        cli._positive_int: ["1", "2", "-1", "0"],
+        cli._fraction_list: ["1,2", "-1,2", "1/3", "-.5", "0.25,1"],
+        cli._states: ["1", "-1", "1,-1", "-1,-1"],
+        int: ["3", "-2", "0"],
+        None: ["a", "{}", "-5", "a=b", "x y"],
+    }[spec.get("type")]
+    if "choices" in spec:
+        good = list(spec["choices"])
+    bad = ["x", "", "2.5", "-", "--", "-x", "--json", "1,,2", "-1.5", "xml"]
+    return rng.choice(good if rng.random() < 0.8 else bad)
+
+
+def sample_argv(rng, command: str) -> list[str]:
+    """A command line for ``command``: its required flags and some optional
+    ones (repeats allowed) in random order and in both the space and the
+    `=` form, the model path somewhere, and now and then a fault: a
+    dropped required flag, a missing value, an abbreviation, an unknown
+    flag, ``-``, ``--``, ``-h``, a leftover or negative positional."""
+    _, takes_model, options = cli.COMMANDS[command]
+    chosen = [o for o in options if o[1].get("required")]
+    chosen += rng.sample(options, rng.randint(0, min(3, len(options))))
+    rng.shuffle(chosen)
+    pieces = []
+    for flag, spec in chosen:
+        if spec.get("action") == "store_const":
+            pieces.append([flag])
+        elif rng.random() < 0.5:
+            pieces.append([f"{flag}={sample_value(rng, spec)}"])
+        else:
+            pieces.append([flag, sample_value(rng, spec)])
+    if takes_model:
+        pieces.insert(rng.randint(0, len(pieces)), [T])
+    if rng.random() < 0.4:
+        fault = rng.choice([
+            "drop", "cut", "abbrev", "unknown", "-", "--", "-h", "--version", "extra",
+            "negative", "const=",
+        ])
+        if fault == "drop" and pieces:
+            pieces.pop(rng.randrange(len(pieces)))
+        elif fault == "cut" and pieces and len(pieces[-1]) == 2:
+            pieces[-1].pop()
+        elif fault == "abbrev":
+            flag, spec = rng.choice(options)
+            pieces.append([flag[:-1] if len(flag) > 3 else flag + "x"])
+            if spec.get("action") != "store_const":
+                pieces[-1].append(sample_value(rng, spec))
+        elif fault == "unknown":
+            pieces.insert(rng.randint(0, len(pieces)), ["--bogus"])
+        elif fault in ("-", "--", "-h", "--version"):
+            pieces.insert(rng.randint(0, len(pieces)), [fault])
+        elif fault == "extra":
+            pieces.insert(rng.randint(0, len(pieces)), ["U"])
+        elif fault == "negative":
+            pieces.insert(rng.randint(0, len(pieces)), ["-7"])
+        elif fault == "const=":
+            pieces.append(["--json=json"])
+    return [command] + [token for piece in pieces for token in piece]
+
+
+def left_to_argparse(token: str, flags: dict) -> bool:
+    """Whether the fast reader leaves ``token`` to argparse, which may read
+    it: "-", "--", a negative positional, an abbreviated flag, ``--flag=--``."""
+    flag, _, value = token.partition("=")
+    return token in ("-", "--", "-7") or flag.startswith("--") and (flag not in flags or value == "--")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_fast_reader_agrees_with_argparse(command):
+    """On generated command lines, wherever the fast reader returns a
+    result it equals argparse's; where argparse refuses, so does the fast
+    reader; and it reads every well-formed line that argparse accepts."""
+    parser = build_parser()
+    flags = dict(cli.COMMANDS[command][2])
+    rng = random.Random(command)
+    read = 0
+    for _ in range(400):
+        argv = sample_argv(rng, command)
+        fast = cli._read_argv(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                full = vars(parser.parse_args(argv))
+            except SystemExit:
+                full = None
+        if fast is not None:
+            assert vars(fast) == full, argv
+            read += 1
+        elif full is not None:
+            assert any(left_to_argparse(token, flags) for token in argv[1:]), argv
+    assert read >= 100
 
 
 def parser_flags(parser: argparse.ArgumentParser) -> set[str]:

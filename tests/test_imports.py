@@ -7,6 +7,9 @@ layer works out itself (``needed``, the coarsening side).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,3 +181,17 @@ def test_records_are_named_tuples():
     found = {p.name: dataclasses_defined(p.read_text()) for p in PACKAGE}
     extra = {name: [h for h in hits if h[1] not in KEPT_DATACLASSES] for name, hits in found.items()}
     assert {name: hits for name, hits in extra.items() if hits} == {}
+
+
+def test_cli_import_leaves_out_argparse():
+    """Only help, ``--version`` and a refused command line build the
+    argparse parser, so importing the CLI loads neither argparse nor the
+    gettext and locale modules it pulls in."""
+    code = (
+        "import sys, spinhom.cli\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    src = str(Path(spinhom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
