@@ -6,13 +6,15 @@ energies, coarse graining, limit evaluation, and the recovery-sequence
 convergence experiment.  Tables stream as CSV (plot-ready) or JSON;
 identical invocations produce byte-identical output.
 
-Each subcommand's options are declared once, in :data:`COMMANDS`.  A
-well-formed command line (exact long flags, values of the right form)
-is read straight from that table by :func:`_read_argv`, without
-importing argparse.  Help, ``--version`` and whatever that reader
-refuses go to the full argparse parser, which :func:`build_parser`
-builds from the same table: help text, usage lines, error messages and
-exit codes are argparse's.
+Each subcommand is one row of :data:`COMMANDS`, its whole declaration:
+its help, whether it takes a model path, its options (``--format``
+carrying the subcommand's default format: csv for ``fhom``, ``phi`` and
+``converge``, json for the rest) and its handler.  A well-formed command
+line (exact long flags, values of the right form) is read straight from
+that table by :func:`_read_argv`, without importing argparse.  Help,
+``--version`` and whatever that reader refuses go to the full argparse
+parser, which :func:`build_parser` builds from the same table: help
+text, usage lines, error messages and exit codes are argparse's.
 """
 
 from __future__ import annotations
@@ -60,18 +62,6 @@ from .surface_tension import (
 )
 
 
-DEFAULT_FORMAT = {
-    "validate": "json",
-    "components": "json",
-    "fhom": "csv",
-    "phi": "csv",
-    "energy": "json",
-    "extend": "json",
-    "gamma-eval": "json",
-    "converge": "csv",
-}
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing helpers
 
@@ -116,6 +106,8 @@ def _states(text: str) -> tuple[int, ...]:
 
 
 def _num(value) -> str:
+    """A scalar as printed: a Fraction exactly (:func:`number_str`), a
+    float by its repr, anything else by str."""
     if isinstance(value, Fraction):
         return number_str(value)
     if isinstance(value, float):
@@ -124,19 +116,15 @@ def _num(value) -> str:
 
 
 def _vec(values) -> str:
-    return ",".join(_num(Fraction(v) if not isinstance(v, (int, float)) else v) for v in values)
+    return ",".join(map(_num, values))
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return number_str(value)
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    return _num(value) if isinstance(value, (Fraction, float)) else value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -163,6 +151,13 @@ def _render(fmt: str, header: list[str], rows: list[list], meta: dict) -> str:
 
 def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), indent=1, sort_keys=True) + "\n"
+
+
+def _one_row(fmt: str, obj: dict, columns: list[str]) -> str:
+    """``obj`` as JSON, or its ``columns`` as a one-row csv table."""
+    if fmt == "csv":
+        return _render(fmt, columns, [[obj[c] for c in columns]], {})
+    return _json_text(obj)
 
 
 def _json_arg(text: str, flag: str):
@@ -242,16 +237,11 @@ def cmd_validate(args: SimpleNamespace) -> int:
 def cmd_components(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     summary = model.summary
-    rows = []
-    for phase in sorted(summary.components):
-        for comp in summary.components[phase]:
-            rows.append([
-                comp.phase,
-                comp.classification,
-                len(comp.residues),
-                len(comp.displacement_basis),
-                comp.lift_diameter if comp.lift_diameter is not None else "",
-            ])
+    rows = [
+        [comp.phase, comp.classification, len(comp.residues), len(comp.displacement_basis),
+         comp.lift_diameter if comp.lift_diameter is not None else ""]
+        for phase in sorted(summary.components) for comp in summary.components[phase]
+    ]
     meta = {
         "passed": model.report.passed,
         "island_radius": summary.island_radius,
@@ -280,8 +270,7 @@ def _cell_model(path: str) -> LatticeModel:
 def cmd_fhom(args: SimpleNamespace) -> int:
     model = _cell_model(args.model)
     direction = args.normal
-    phase = args.phase
-    phases = [phase] if phase is not None else list(range(1, model.num_phases + 1))
+    phases = [args.phase] if args.phase is not None else list(range(1, model.num_phases + 1))
     sides = check_sides(args.sides)
     cells = [(j, direction, t) for j in phases for t in sides]
     check_cells(model, cells)
@@ -306,12 +295,12 @@ def cmd_fhom(args: SimpleNamespace) -> int:
 def cmd_phi(args: SimpleNamespace) -> int:
     model = _cell_model(args.model)
     meta = {"island_error_constant": island_error_constant(model)}
-    sides = args.sides
     if args.z is not None:
         states_list = [args.z]
     else:
         states_list = list(itertools.product((1, -1), repeat=model.num_phases))
-    results = _run_tasks(phi_estimate, [(model, states, sides) for states in states_list], args.jobs)
+    results = _run_tasks(phi_estimate, [(model, states, args.sides) for states in states_list],
+                         args.jobs)
     rows = []
     for states, phi_rows in zip(states_list, results):
         for row in phi_rows:
@@ -333,12 +322,7 @@ def cmd_energy(args: SimpleNamespace) -> int:
         "energy": value,
         "broken_strong": count_broken_strong(model, field),
     }
-    if args.format == "csv":
-        text = _render(args.format, ["eps", "sites", "energy", "broken_strong"],
-                       [[obj["eps"], obj["sites"], obj["energy"], obj["broken_strong"]]], {})
-    else:
-        text = _json_text(obj)
-    _emit(text, args.out)
+    _emit(_one_row(args.format, obj, list(obj)), args.out)
     return 0
 
 
@@ -355,10 +339,9 @@ def cmd_extend(args: SimpleNamespace) -> int:
     if args.out:
         save_field(result.field, args.out)
         obj["out"] = args.out
-        sys.stdout.write(_json_text(obj))
     else:
         obj["field"] = result.field.to_json_dict()
-        sys.stdout.write(_json_text(obj))
+    sys.stdout.write(_json_text(obj))
     return 0
 
 
@@ -378,11 +361,7 @@ def cmd_gamma_eval(args: SimpleNamespace) -> int:
             {"z": _vec(states), "value": phi.value(states)} for states in phi.states()
         ],
     }
-    if args.format == "csv":
-        text = _render(args.format, ["value"], [[value]], {})
-    else:
-        text = _json_text(obj)
-    _emit(text, args.out)
+    _emit(_one_row(args.format, obj, ["value"]), args.out)
     return 0
 
 
@@ -417,50 +396,37 @@ def _fixture_dir():
 
 
 def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
+    """Whether one check of the suite passes, and the detail it prints.
+    A check with a target passes when each of its values lies within
+    ``tol`` of it; the island sandwich tests its own bracket instead."""
     name = check["fixture"]
     if name not in cache:
         cache[name] = parse_model(json.loads(_fixture_dir().joinpath(name).read_text()))
     model = cache[name]
     kind = check["kind"]
-    if kind == "phi":
-        states = tuple(check["states"])
-        m = check["m"]
+    if kind in ("phi", "phi_sandwich"):
+        m, states = check["m"], tuple(check["states"])
         row = phi_bracket(model, m, states)
-        plain, corrected = row.plain, row.corrected
-        target = Fraction(check["target"])
-        tol = Fraction(check["tol"])
-        ok = abs(plain - target) <= tol and abs(corrected - target) <= tol
-        detail = f"phi_{m}{states} = {number_str(corrected)}"
-    elif kind == "phi_sandwich":
-        states = tuple(check["states"])
-        m = check["m"]
-        row = phi_bracket(model, m, states)
-        plain, corrected = row.plain, row.corrected
-        c = island_error_constant(model)
-        ok = corrected - c / m <= plain <= corrected
-        target, tol = None, None
-        detail = (
-            f"phi_{m}{states} = {number_str(plain)}, corrected {number_str(corrected)}, "
-            f"c/m = {number_str(c / m)}"
-        )
-    elif kind == "fhom":
-        phase = check["phase"]
-        sides = check["sides"]
-        value = SurfaceTable.from_model(model, [check["normal"]], sides).value(phase, check["normal"])
-        target = Fraction(check["target"])
-        tol = Fraction(check["tol"])
-        ok = abs(value - target) <= tol
-        detail = f"f_{sides[-1]}({_vec(check['normal'])}) = {number_str(value)}"
-    elif kind == "fhom_total":
-        sides = check["sides"]
-        total = SurfaceTable.from_model(model, [check["normal"]], sides).total(check["normal"])
-        target = Fraction(check["target"])
-        tol = Fraction(check["tol"])
-        ok = abs(total - target) <= tol
-        detail = f"total f_{sides[-1]}({_vec(check['normal'])}) = {number_str(total)}"
+        values = (row.plain, row.corrected)
+        detail = f"phi_{m}{states} = {number_str(row.corrected)}"
+        if kind == "phi_sandwich":
+            c = island_error_constant(model) / m
+            ok = row.corrected - c <= row.plain <= row.corrected
+            detail = (
+                f"phi_{m}{states} = {number_str(row.plain)}, corrected "
+                f"{number_str(row.corrected)}, c/m = {number_str(c)}"
+            )
+    elif kind in ("fhom", "fhom_total"):
+        normal, sides = check["normal"], check["sides"]
+        table = SurfaceTable.from_model(model, [normal], sides)
+        total = kind == "fhom_total"
+        values = (table.total(normal) if total else table.value(check["phase"], normal),)
+        detail = f"{'total ' * total}f_{sides[-1]}({_vec(normal)}) = {number_str(values[0])}"
     else:
         raise ValueError(f"unknown check kind {kind!r}")
-    if target is not None:
+    if kind != "phi_sandwich":
+        target, tol = Fraction(check["target"]), Fraction(check["tol"])
+        ok = all(abs(v - target) <= tol for v in values)
         detail += f", target {number_str(target)}"
         if tol:
             detail += f" within {number_str(tol)}"
@@ -469,37 +435,37 @@ def _run_check(check: dict, cache: dict) -> tuple[bool, str]:
 
 def cmd_examples(args: SimpleNamespace) -> int:
     checks = json.loads(_fixture_dir().joinpath("expected.json").read_text())
-    only = args.only
+    chosen = [check for check in checks if not args.only or args.only in check["name"]]
     cache: dict = {}
     failures = 0
-    ran = 0
-    for check in checks:
-        if only and only not in check["name"]:
-            continue
-        ran += 1
+    for check in chosen:
         ok, detail = _run_check(check, cache)
+        failures += not ok
         status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
         sys.stdout.write(f"{status} {check['name']} ({check['fixture']}): {detail}\n")
-    sys.stdout.write(f"{ran - failures}/{ran} checks passed\n")
-    return 1 if failures or not ran else 0
+    sys.stdout.write(f"{len(chosen) - failures}/{len(chosen)} checks passed\n")
+    return 1 if failures or not chosen else 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-# The options of each subcommand, in help order: the flag, then the
-# keyword arguments of ``ArgumentParser.add_argument`` (``dest`` always).
-# build_parser() and the fast reader _read_argv() both walk this table.
-_OUTPUT = (
-    ("--format", {"dest": "format", "choices": ("csv", "json"), "help": "output format"}),
-    ("--json", {"dest": "format", "action": "store_const", "const": "json",
-                "help": "shorthand for --format json"}),
-    ("--csv", {"dest": "format", "action": "store_const", "const": "csv",
-               "help": "shorthand for --format csv"}),
-    ("--out", {"dest": "out", "help": "write output to a file instead of stdout"}),
-)
+# An option: the flag, then the keyword arguments of ``add_argument``
+# (``dest`` always; a dest takes the default of the first option naming
+# it, as in argparse).  build_parser() and _read_argv() both walk them.
+def _output(default: str) -> tuple:
+    """The output options, the format defaulting to ``default``."""
+    return (
+        ("--format", {"dest": "format", "choices": ("csv", "json"), "default": default,
+                      "help": "output format"}),
+        ("--json", {"dest": "format", "action": "store_const", "const": "json",
+                    "help": "shorthand for --format json"}),
+        ("--csv", {"dest": "format", "action": "store_const", "const": "csv",
+                   "help": "shorthand for --format csv"}),
+        ("--out", {"dest": "out", "help": "write output to a file instead of stdout"}),
+    )
+
+
 _JOBS = (
     ("--jobs", {"dest": "jobs", "type": _positive_int, "default": 1,
                 "help": "parallel worker processes"}),
@@ -507,30 +473,31 @@ _JOBS = (
 _FIELD = ("--field", {"dest": "field", "required": True,
                       "help": "spin field JSON (path or inline)"})
 
-# subcommand -> (help, whether it takes a model path, options)
+# subcommand -> (help, whether it takes a model path, options, handler)
 COMMANDS = {
-    "validate": ("check a model file", True, _OUTPUT),
-    "components": ("periodic components and their classification", True, _OUTPUT),
-    "fhom": ("surface tension cell values", True, _OUTPUT + _JOBS + (
+    "validate": ("check a model file", True, _output("json"), cmd_validate),
+    "components": ("periodic components and their classification", True, _output("json"),
+                   cmd_components),
+    "fhom": ("surface tension cell values", True, _output("csv") + _JOBS + (
         ("--normal", {"dest": "normal", "type": _fraction_list, "required": True,
                       "help": "interface normal, comma-separated rationals"}),
         ("--T", {"dest": "sides", "type": _int_list, "required": True,
                  "help": "cube sides, comma-separated, increasing"}),
         ("--phase", {"dest": "phase", "type": int, "help": "restrict to one phase (default: all)"}),
-    )),
-    "phi": ("bulk density estimates on finite cubes", True, _OUTPUT + _JOBS + (
+    ), cmd_fhom),
+    "phi": ("bulk density estimates on finite cubes", True, _output("csv") + _JOBS + (
         ("--M", {"dest": "sides", "type": _int_list, "required": True,
                  "help": "cube sides, comma-separated, increasing"}),
         ("--z", {"dest": "z", "type": _states, "help": "phase states, e.g. 1,-1 (default: all)"}),
-    )),
-    "energy": ("discrete energy of a spin field", True, _OUTPUT + (_FIELD,)),
+    ), cmd_phi),
+    "energy": ("discrete energy of a spin field", True, _output("json") + (_FIELD,), cmd_energy),
     "extend": ("coarse-grain a field over cubes of side M", True, (
         _FIELD,
         ("--phase", {"dest": "phase", "type": int, "required": True}),
         ("--M", {"dest": "m", "type": int, "required": True}),
         ("--out", {"dest": "out", "help": "write the extended field to a file"}),
-    )),
-    "gamma-eval": ("evaluate the limit functional on a target", True, _OUTPUT + (
+    ), cmd_extend),
+    "gamma-eval": ("evaluate the limit functional on a target", True, _output("json") + (
         ("--omega", {"dest": "omega", "required": True, "help": "domain JSON (path or inline)"}),
         ("--target", {"dest": "target", "required": True,
                       "help": "target field JSON (path or inline)"}),
@@ -538,8 +505,8 @@ COMMANDS = {
                  "help": "surface tension cube sides, comma-separated, increasing"}),
         ("--M", {"dest": "m_list", "type": _int_list, "required": True,
                  "help": "bulk density cube sides, comma-separated, increasing"}),
-    )),
-    "converge": ("recovery-sequence energies against the limit value", True, _OUTPUT + (
+    ), cmd_gamma_eval),
+    "converge": ("recovery-sequence energies against the limit value", True, _output("csv") + (
         ("--omega", {"dest": "omega", "required": True}),
         ("--target", {"dest": "target", "required": True}),
         ("--eps", {"dest": "eps", "type": _fraction_list, "required": True,
@@ -549,10 +516,10 @@ COMMANDS = {
                             "help": "cube side for surface tensions (default M)"}),
         ("--phi-side", {"dest": "phi_side", "type": int, "help":
                         "cube side for the bulk density reference (default: finest 1/eps)"}),
-    )),
+    ), cmd_converge),
     "examples": ("run the bundled fixture suite", False, (
         ("--only", {"dest": "only", "help": "substring filter on check names"}),
-    )),
+    ), cmd_examples),
 }
 
 
@@ -562,18 +529,27 @@ def build_parser():
     errors."""
     import argparse  # only help, --version and a refused argv pay for it
 
+    class Store(argparse.Action):
+        """argparse's ``store``, refusing the ``[]`` that argparse stores for
+        ``--flag=--`` (it drops the ``--``, then skips type and choices)."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="spinhom",
         description="Homogenized limits of periodic double-porosity spin systems.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (text, takes_model, options) in COMMANDS.items():
+    for name, (text, takes_model, options, _) in COMMANDS.items():
         p = subparsers.add_parser(name, help=text)
         if takes_model:
             p.add_argument("model")
         for flag, spec in options:
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, **{"action": Store, **spec})
     return parser
 
 
@@ -596,10 +572,11 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, takes_model, options = COMMANDS[argv[0]]
+    _, takes_model, options, _ = COMMANDS[argv[0]]
     specs = dict(options)
     values = {"command": argv[0]}
-    values.update((spec["dest"], spec.get("default")) for spec in specs.values())
+    for spec in specs.values():
+        values.setdefault(spec["dest"], spec.get("default"))
     positionals, seen = [], set()
     tokens = iter(argv[1:])
     for token in tokens:
@@ -616,7 +593,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             value = spec["const"]
         else:
             if eq:
-                if text == "--":  # argparse drops it, leaving no value
+                if text == "--":  # argparse reports it as a missing value
                     return None
             else:
                 text = next(tokens, None)
@@ -639,27 +616,11 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "components": cmd_components,
-    "fhom": cmd_fhom,
-    "phi": cmd_phi,
-    "energy": cmd_energy,
-    "extend": cmd_extend,
-    "gamma-eval": cmd_gamma_eval,
-    "converge": cmd_converge,
-    "examples": cmd_examples,
-}
-
-
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The command line ``argv``, read by :func:`_read_argv` when well
     formed; else by the full parser, which exits on help, ``--version`` and
     an error."""
-    args = _read_argv(argv)
-    if args is None:
-        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
-    return args
+    return _read_argv(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def run(argv=None) -> int:
@@ -668,8 +629,6 @@ def run(argv=None) -> int:
         args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "format", None) is None:
-        args.format = DEFAULT_FORMAT.get(args.command, "json")
     with warnings.catch_warnings():
         warnings.showwarning = _warning_line
         return _dispatch(args)
@@ -677,7 +636,7 @@ def run(argv=None) -> int:
 
 def _dispatch(args: SimpleNamespace) -> int:
     try:
-        return HANDLERS[args.command](args)
+        return COMMANDS[args.command][3](args)
     except (TooManyFreeGroups, NotImplementedError, OSError, ValueError, KeyError) as exc:
         # ValueError covers schema, JSON and frustration errors
         print(f"error: {exc}", file=sys.stderr)

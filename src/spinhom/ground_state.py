@@ -47,13 +47,13 @@ from the unfolded term arrays (:meth:`CellTerms.evaluate`).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .connectivity import components
 from .maxflow import FlowNetwork
 
 Var = Hashable
@@ -456,33 +456,27 @@ def minimize_enum(folded: FoldedInstance) -> Solution:
 
 def _gauge(folded: FoldedInstance) -> np.ndarray:
     """Deterministic sign flip, one int8 per free group, making all
-    free-free couplings nonnegative."""
+    free-free couplings nonnegative.
+
+    Union-find on the doubled groups: node 2g is group g at +1, node
+    2g + 1 is g at -1, and each coupling joins the two copies it wants
+    equal (the same spins for a positive weight, opposite ones for a
+    negative weight).  The couplings are frustrated exactly when some
+    group's two copies share a component.  Otherwise sigma[g] = +1
+    exactly when node 2g's label is even: the least group r of a coupled
+    set labels its own component 2r, the other one 2r + 1, so r keeps
+    +1, as does every group alone."""
     n = folded.free_count
     positive = folded.pair_w > 0
     if positive.all():
-        return np.ones(n, dtype=np.int8)  # what the search below returns on such pairs
-    adj: list = [[] for _ in range(n)]
-    for i, j, same in zip(folded.pair_i.tolist(), folded.pair_j.tolist(), positive.tolist()):
-        adj[i].append((j, same))
-        adj[j].append((i, same))
-    sigma = [0] * n
-    for root in range(n):
-        if sigma[root]:
-            continue
-        sigma[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, same in adj[u]:
-                want = sigma[u] if same else -sigma[u]
-                if not sigma[v]:
-                    sigma[v] = want
-                    queue.append(v)
-                elif sigma[v] != want:
-                    raise FrustratedInstance(
-                        "free-free couplings are frustrated: no gauge makes them nonnegative"
-                    )
-    return np.array(sigma, dtype=np.int8)
+        return np.ones(n, dtype=np.int8)  # what the union-find below returns on such pairs
+    i, j = 2 * folded.pair_i, 2 * folded.pair_j + ~positive
+    label = components(2 * n, np.concatenate([i, i + 1]), np.concatenate([j, j ^ 1]))
+    if (label[0::2] == label[1::2]).any():
+        raise FrustratedInstance(
+            "free-free couplings are frustrated: no gauge makes them nonnegative"
+        )
+    return np.where(label[0::2] % 2 == 0, 1, -1).astype(np.int8)
 
 
 def _cut_network(nodes: np.ndarray, hp: np.ndarray, hm: np.ndarray,

@@ -918,7 +918,7 @@ def test_cell_commands_refuse_a_model_that_fails_validation(
 
 T = "two_chains.json"  # run from the fixture directory, so test ids hold no path
 PARSER_ARGVS = (
-    [[name, "-h"] for name in cli.HANDLERS]
+    [[name, "-h"] for name in cli.COMMANDS]
     + [["-h"], ["--help"], ["--version"], [], ["bogus"], ["ph"], ["--version", "phi"],
        ["phi", "--help"], ["phi", T, "--M", "4", "-h"]]
     # missing required arguments
@@ -947,6 +947,23 @@ def test_lazy_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, arg
     lazy = run(argv), *capsys.readouterr()
     monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert (run(argv), *capsys.readouterr()) == lazy
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, row in cli.COMMANDS.items()
+    for flag, spec in row[2] if spec.get("action") != "store_const"
+])
+def test_flag_given_as_equals_double_dash_is_a_missing_value(monkeypatch, capsys, command, flag):
+    """``--flag=--`` names no value: argparse drops the ``--``, and the
+    command exits 2 with the usage line and the message of a flag given
+    last with no value, instead of running on an empty value."""
+    monkeypatch.chdir(FIXTURES)
+    model = [T] if cli.COMMANDS[command][1] else []
+    assert run([command, *model, flag]) == 2
+    missing = capsys.readouterr()
+    assert f"error: argument {flag}: expected one argument" in missing.err
+    assert run([command, *model, f"{flag}=--"]) == 2
+    assert capsys.readouterr() == missing
 
 
 @pytest.mark.parametrize("command, phrases", [
@@ -1006,7 +1023,7 @@ def sample_argv(rng, command: str) -> list[str]:
     `=` form, the model path somewhere, and now and then a fault: a
     dropped required flag, a missing value, an abbreviation, an unknown
     flag, ``-``, ``--``, ``-h``, a leftover or negative positional."""
-    _, takes_model, options = cli.COMMANDS[command]
+    _, takes_model, options, _ = cli.COMMANDS[command]
     chosen = [o for o in options if o[1].get("required")]
     chosen += rng.sample(options, rng.randint(0, min(3, len(options))))
     rng.shuffle(chosen)

@@ -4,22 +4,26 @@ integrates a 2D target, and a d = 1 oracle for phi; also the solver,
 memory-tracing, spin-grid and surface-cell pair helpers the other test modules
 share."""
 
+import collections
 import itertools
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spinhom import gamma_limit, ground_state, surface_tension
-from spinhom.bulk_density import PhiRow, PhiTable, build_phi_instance, phi_m
+from spinhom.bulk_density import PhiRow, PhiTable, build_phi_instance, phi_bracket, phi_m
 from spinhom.connectivity import core_phases, cube_range
 from spinhom.gamma_limit import Box, Boxes, Constant, DomainSpec, MultiphaseField, Slab
 from spinhom.ground_state import fold_instance, minimize, minimize_cut, minimize_enum
 from spinhom.intlattice import hermite_basis, is_full_lattice
 from spinhom.maxflow import FlowNetwork
+from spinhom.model import parse_model, serialize_model
+from spinhom.surface_tension import cell_value
 
 from conftest import fixture_model, random_chain_model
 
@@ -874,3 +878,105 @@ def test_cube_density_stays_below_the_oracle_on_random_chains():
             limit = karp_phi(model, states)
             for m in (2 * p, 4 * p, 8 * p, 16 * p):
                 assert phi_m(model, m, states) <= limit, (trial, states, m)
+
+
+def bfs_gauge(n: int, pair_i, pair_j, pair_w):
+    """The min-cut gauge by breadth-first search from each least group
+    not yet reached, which takes +1: one spin per group making every
+    coupling nonnegative, or None when the couplings are frustrated."""
+    adj: list = [[] for _ in range(n)]
+    for i, j, w in zip(pair_i, pair_j, pair_w):
+        adj[i].append((j, w > 0))
+        adj[j].append((i, w > 0))
+    sigma = [0] * n
+    for root in range(n):
+        if sigma[root]:
+            continue
+        sigma[root] = 1
+        queue = collections.deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, same in adj[u]:
+                want = sigma[u] if same else -sigma[u]
+                if not sigma[v]:
+                    sigma[v] = want
+                    queue.append(v)
+                elif sigma[v] != want:
+                    return None
+    return sigma
+
+
+def random_signed_graph(rng: random.Random):
+    """Free groups and sorted couplings ``(n, i, j, w)``: a forest, a sparse
+    or a dense graph, with nearly all, most or about half of its weights
+    positive."""
+    n = rng.randint(1, 24)
+    pairs = list(itertools.combinations(range(n), 2))
+    shape = rng.choice(["forest", "sparse", "dense"])
+    if shape == "forest":
+        chosen = sorted({tuple(sorted((g, rng.randrange(g)))) for g in range(1, n) if rng.random() < 0.8})
+    else:
+        chosen = sorted(rng.sample(pairs, min(len(pairs), rng.randint(0, 2 * n if shape == "sparse" else 6 * n))))
+    negative = rng.choice([0.05, 0.2, 0.5])
+    weights = [rng.randint(1, 5) * (-1 if rng.random() < negative else 1) for _ in chosen]
+    return n, [i for i, _ in chosen], [j for _, j in chosen], weights
+
+
+def test_gauge_matches_the_breadth_first_search():
+    """The union-find gauge of the min-cut gives the reference search's
+    sigma, element for element, and its frustration verdict."""
+    rng = random.Random(17)
+    verdicts = collections.Counter()
+    for trial in range(2500):
+        n, i, j, w = random_signed_graph(rng)
+        # weights as int64, or as Python ints (a fold past 2**62)
+        folded = types.SimpleNamespace(
+            free_count=n, pair_i=np.array(i, dtype=np.int64), pair_j=np.array(j, dtype=np.int64),
+            pair_w=np.array(w, dtype=rng.choice([np.int64, object])),
+        )
+        want = bfs_gauge(n, i, j, w)
+        verdicts[want is None] += 1
+        if want is None:
+            with pytest.raises(ground_state.FrustratedInstance):
+                ground_state._gauge(folded)
+        else:
+            sigma = ground_state._gauge(folded)
+            assert sigma.dtype == np.int8 and sigma.tolist() == want, trial
+    assert verdicts[True] >= 400 and verdicts[False] >= 1000, verdicts
+
+
+def refined(model, k: int):
+    """``model`` given with period kP: residue r takes the label, bonds and
+    forcing of r mod P."""
+    doc = serialize_model(model)
+    p = model.period
+    fine = [",".join(map(str, r)) for r in itertools.product(range(k * p), repeat=model.dimension)]
+    coarse = {r: ",".join(str(int(c) % p) for c in r.split(",")) for r in fine}
+    doc["period"] = k * p
+    doc["labels"] = {r: doc["labels"][coarse[r]] for r in fine}
+    for kind in ("strong_bonds", "weak_bonds"):
+        doc[kind] = [{**bond, "from": r} for r in fine for bond in doc[kind] if bond["from"] == coarse[r]]
+    doc["forcing"] = {r: doc["forcing"][coarse[r]] for r in fine if coarse[r] in doc["forcing"]}
+    return parse_model(doc)
+
+
+NORMALS = {1: [(1,), (-1,)], 2: [(1, 0), (1, 2), (2, -1), (1, 1)]}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_period_refinement_leaves_the_cube_cells_unchanged(any_model, k):
+    """The same system given with period kP validates with the same island
+    radius, and gives the same phi bracket and cube surface tension at
+    every state, phase and normal tried."""
+    model, p = any_model, any_model.period
+    fine = refined(model, k)
+    assert fine.period == k * p and fine.report.passed
+    assert fine.summary.island_radius == model.summary.island_radius
+    for states in itertools.product((1, -1), repeat=model.num_phases):
+        for m in (k * p, 2 * k * p):
+            assert phi_bracket(fine, m, states) == phi_bracket(model, m, states), (states, m)
+    for phase in range(1, model.num_phases + 1):
+        for normal in NORMALS[model.dimension]:
+            for side in (2 * k * p, 4 * k * p):
+                assert cell_value(fine, phase, normal, side) == cell_value(model, phase, normal, side), (
+                    phase, normal, side)
