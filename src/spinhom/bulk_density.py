@@ -7,9 +7,9 @@ finite strong component free but constant.  That cluster is made of
 whole residue classes (the core of phase j), so a site of Q_M is held
 at z_j exactly when its residue lies in that core; only the loose hard
 sites, outside every core, need their strong components in the cube.
-phi_tilde_M(z) additionally pins at +1 the finite components too close
-to the cube boundary for a whole translate of them to fit; the two
-estimates sandwich the limit density:
+phi_tilde_M(z) solves the same built cube with the finite components
+too close to its boundary for a whole translate to fit also pinned at
++1; the two estimates sandwich the limit density:
 
     phi_tilde_M(z) - c / M  <=  phi(z)  <=  phi_tilde_M(z)
 
@@ -34,6 +34,7 @@ from .connectivity import (
     core_phases,
     cube_range,
     excluded_set,
+    loose_residues,
     residue_ids,
 )
 from .ground_state import CellTerms, Solution, minimize, scaled_tables
@@ -57,17 +58,10 @@ def hard_components_in_cube(model: LatticeModel, m: int) -> np.ndarray:
     a model that passes validation, which :func:`core_phases` checks
     first, a strong bond never leaves a core.
     """
-    box = (cube_range(m),) * model.dimension
-    hard = np.array([model.labels[r] != 0 for r in model.residues()])
-    return box_components(model, box, hard & (core_phases(model) == 0))
+    return box_components(model, (cube_range(m),) * model.dimension, loose_residues(model))
 
 
-def build_phi_instance(
-    model: LatticeModel,
-    m: int,
-    states: Sequence[int],
-    corrected: bool = False,
-) -> CellTerms:
+def build_phi_instance(model: LatticeModel, m: int, states: Sequence[int]) -> CellTerms:
     """Term arrays of the cube problem whose minimum over Q_M defines phi_M(states).
 
     Sites are numbered in C (lexicographic) order of Q_M.  A site whose
@@ -76,12 +70,8 @@ def build_phi_instance(
     :func:`hard_components_in_cube`) is one free group, and soft sites
     are free on their own.  Each weak pair is taken once, from its
     lexicographically smaller site, at twice the bond weight (the model
-    declares both orientations); forcing enters per residue.
-
-    The island-corrected problem (``corrected``) also fixes at +1, with
-    their groups, the sites of the :func:`connectivity.excluded_set`
-    grid; they are loose hard sites, so this never conflicts with the
-    phase states imposed on the cores.
+    declares both orientations); forcing enters per residue.  The
+    island-corrected problem is these terms after :func:`_pin_islands`.
     """
     if m <= 0:
         raise ValueError("cube side must be positive")
@@ -94,10 +84,6 @@ def build_phi_instance(
     labels = hard_components_in_cube(model, m)
     group = np.where(labels >= 0, labels, np.arange(labels.size))
     fixed = np.array((0,) + states, dtype=np.int8)[core_phases(model)[res_id]]
-
-    if corrected:
-        fixed[excluded_set(model, m).ravel()] = 1
-
     classes = [
         (r, off) for r in residues for off in sorted(model.weak_offsets(r)) if off > (0,) * d
     ]
@@ -121,20 +107,28 @@ def build_phi_instance(
     )
 
 
+def _pin_islands(model: LatticeModel, m: int, terms: CellTerms) -> CellTerms:
+    """``terms`` with the sites of the :func:`connectivity.excluded_set` grid,
+    whole island copies of loose hard sites, also fixed at +1; ``terms``
+    itself when the grid is empty."""
+    grid = excluded_set(model, m).ravel()
+    if not grid.any():
+        return terms
+    return terms._replace(fixed=np.where(grid, np.int8(1), terms.fixed))
+
+
 def phi_solution(
-    model: LatticeModel,
-    m: int,
-    states: Sequence[int],
-    corrected: bool = False,
+    model: LatticeModel, m: int, states: Sequence[int], corrected: bool = False
 ) -> Solution:
-    """The exact minimum of the cube problem of :func:`build_phi_instance`."""
-    return minimize(build_phi_instance(model, m, states, corrected))
+    """The exact minimum of the cube problem of :func:`build_phi_instance`,
+    island-corrected by :func:`_pin_islands` when ``corrected``."""
+    terms = build_phi_instance(model, m, states)
+    return minimize(_pin_islands(model, m, terms) if corrected else terms)
 
 
 def phi_m(model, m, states) -> Fraction:
     """Plain finite-cube density phi_M(states), an exact cell minimum."""
-    sol = phi_solution(model, m, states, corrected=False)
-    return sol.energy / Fraction(m**model.dimension)
+    return phi_solution(model, m, states).energy / Fraction(m**model.dimension)
 
 
 def island_error_constant(model: LatticeModel) -> Fraction:
@@ -176,18 +170,15 @@ class PhiRow(NamedTuple):
 def phi_bracket(model, m, states) -> PhiRow:
     """Both finite-cube estimates at one side, with the sandwich bracket.
 
-    When the excluded set pins no site (always with island radius 0), the
-    corrected cube problem is the plain one: it is solved once and
-    ``corrected = plain``.
+    The cube is built once; when the excluded set pins no site (always
+    with island radius 0), the corrected cube problem is that cube, solved
+    once, and ``corrected = plain``.
     """
-    plain = phi_m(model, m, states)
-    corrected = plain
-    if model.summary.island_radius:
-        terms = build_phi_instance(model, m, states, corrected=True)
-        # loose sites (outside every core) are free in the plain cube, so
-        # the two problems differ only where the excluded set pins one at +1
-        if terms.fixed[core_phases(model)[terms.site_class] == 0].any():
-            corrected = minimize(terms).energy / m**model.dimension
+    terms = build_phi_instance(model, m, states)
+    pinned = _pin_islands(model, m, terms)
+    plain = corrected = minimize(terms).energy / m**model.dimension
+    if pinned is not terms:
+        corrected = minimize(pinned).energy / m**model.dimension
     c = island_error_constant(model)
     return PhiRow(m=m, plain=plain, corrected=corrected,
                   lower=plain, upper=corrected + c / m)

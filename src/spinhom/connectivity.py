@@ -219,6 +219,14 @@ def core_phases(model: LatticeModel) -> np.ndarray:
     return np.array([j if r in cores.get(j, ()) else 0 for r, j in sorted(model.labels.items())])
 
 
+def loose_residues(model: LatticeModel) -> np.ndarray:
+    """Per residue number, whether the residue is hard but outside every
+    core: the islands and infinite-multiple pieces.  Validates the model
+    as :func:`core_phases` does."""
+    hard = np.array([j != 0 for _, j in sorted(model.labels.items())])
+    return hard & (core_phases(model) == 0)
+
+
 def class_slices(
     model: LatticeModel, ranges: Sequence[range], res: Residue, off: Offset
 ) -> tuple[tuple[slice, ...], tuple[slice, ...]] | None:

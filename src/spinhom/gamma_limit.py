@@ -24,7 +24,14 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bulk_density import PhiTable, phi_solution
-from .connectivity import check_sides, class_slices, coarsening_side, core_phases
+from .connectivity import (
+    box_components,
+    check_sides,
+    class_slices,
+    coarsening_side,
+    core_phases,
+    loose_residues,
+)
 from .model import LatticeModel, Offset, Residue, SchemaError, is_json_int, number_str
 from .surface_tension import SurfaceTable, canonical_direction
 
@@ -730,7 +737,9 @@ def recovery_config(
     inside the domain and on which every phase target is constant
     receives a translated copy of the island-corrected cube minimizer for
     the local phase states; sites of the infinite clusters always carry
-    the target trace; everything else defaults to +1.
+    the target trace; everything else defaults to +1.  Last, each strong
+    component of the loose hard sites takes the spin of its first site,
+    so no island copy cut by a seam between cubes breaks a strong bond.
 
     A footprint eps [f, f + m] is strictly inside the domain iff its end
     sites f and f + m are sites, so the kept cubes tile one box of the
@@ -779,6 +788,13 @@ def recovery_config(
             trace = phase.on_lattice(eps, ranges)
             for view in on_core:
                 spins[view] = trace[view]
+
+    loose = loose_residues(model)
+    if loose.any():
+        first = box_components(model, ranges, loose)
+        flat = spins.reshape(-1)
+        on = first >= 0
+        flat[on] = flat[first[on]]
     return SpinField(eps, omega, spins)
 
 

@@ -42,7 +42,7 @@ def _rational_vector(direction: Sequence) -> tuple[Fraction, ...]:
     return vec
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """The primitive integer vector that is a positive multiple of ``vec``."""
     scale = math.lcm(*(c.denominator for c in vec))
     ints = [int(c * scale) for c in vec]
@@ -61,25 +61,26 @@ def canonical_direction(direction: Sequence) -> tuple[int, ...]:
     return ints if first > 0 else tuple(-c for c in ints)
 
 
-def orthogonal_frame(direction: Sequence) -> list[tuple[Fraction, ...]]:
-    """Exact orthogonal basis whose first vector is parallel to ``direction``.
+def orthogonal_frame(direction: Sequence) -> list[tuple[int, ...]]:
+    """Orthogonal primitive integer vectors, the first a positive multiple
+    of ``direction``.
 
-    Gram-Schmidt over the rationals against the standard basis, without
-    normalisation, so all coordinates stay exact.
+    Fraction-free Gram-Schmidt against the standard basis: each step
+    v <- |w|^2 v - <v, w> w is the rational step scaled by |w|^2 > 0, so
+    every vector has the direction and sign of the rational process's.
     """
-    first = _rational_vector(direction)
-    d = len(first)
-    frame: list[tuple[Fraction, ...]] = [first]
+    frame = [_primitive(_rational_vector(direction))]
+    d = len(frame[0])
     for axis in range(d):
         if len(frame) == d:
             break
-        v = [Fraction(1 if i == axis else 0) for i in range(d)]
+        v = [int(i == axis) for i in range(d)]
         for w in frame:
             norm = sum(c * c for c in w)
-            coef = sum(a * b for a, b in zip(v, w)) / norm
-            v = [a - coef * b for a, b in zip(v, w)]
+            dot = sum(a * b for a, b in zip(v, w))
+            v = [norm * a - dot * b for a, b in zip(v, w)]
         if any(v):
-            frame.append(tuple(v))
+            frame.append(_primitive(v))
     if len(frame) != d:
         raise ValueError("failed to complete an orthogonal frame")
     return frame
@@ -189,8 +190,7 @@ def cell_value(model: LatticeModel, phase: int, direction: Sequence, side: int) 
 def _cell_terms(model: LatticeModel, phase: int, nu: Sequence[Fraction], side: int) -> CellTerms:
     """The cell of one phase, direction and side; raises ValueError when
     no core site of the phase lies in its cube, so no site is free."""
-    frame = [_primitive(w) for w in orthogonal_frame(nu)]
-    terms = _cell_instance(model, core_phases(model) == phase, frame, side)
+    terms = _cell_instance(model, core_phases(model) == phase, orthogonal_frame(nu), side)
     if terms.fixed.all():
         raise ValueError(f"phase {phase} has no cluster sites in the cube of side {side}")
     return terms

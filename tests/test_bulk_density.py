@@ -192,6 +192,25 @@ def test_phi_bracket_solves_each_distinct_cube_once(monkeypatch, name, solves):
     assert (row.corrected == row.plain) == (solves == 1)
 
 
+@pytest.mark.parametrize("m,pins", [(4, True), (8, False), (12, True)])
+@pytest.mark.parametrize("states", [(1,), (-1,)])
+def test_phi_bracket_builds_one_cube(monkeypatch, m, pins, states):
+    """One cube build per (M, z), whether or not the excluded set pins a site:
+    the island-corrected cube is the built one with the pins applied."""
+    model = fixture_model("islands_1d")
+    assert excluded_set(model, m).any() == pins
+    builds = []
+    real = bulk_density.build_phi_instance
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bulk_density, "build_phi_instance", counting)
+    phi_bracket(model, m, states)
+    assert builds == [(model, m, states)]
+
+
 def test_phi_bracket_reuses_the_plain_cube_when_nothing_is_excluded(monkeypatch):
     """With islands but an empty excluded set (islands_1d at M = 40000), the
     corrected cube is the plain one and is solved once."""
@@ -299,7 +318,9 @@ ORACLE_SIDES = {1: (3, 6, 8, 11, 12, 13, 30), 2: (3, 6, 8, 13)}
 def solve_both(model, m, states, summary, corrected, method):
     """(array-built solution, oracle solution), or the two exception types."""
     pinned = grid_sites(excluded_set(model, m)) if corrected else ()
-    terms = build_phi_instance(model, m, states, corrected)
+    terms = build_phi_instance(model, m, states)
+    if corrected:
+        terms = bulk_density._pin_islands(model, m, terms)
     inst = reference_phi_instance(model, m, states, summary, pinned)
     out = []
     for instance in (terms, inst.terms()):
@@ -513,8 +534,8 @@ def assert_fixed_matches_oracle(model, m):
         warnings.filterwarnings("ignore", "cube side .* does not exceed the island radius")
         excluded = grid_sites(excluded_set(model, m))
         for states in itertools.product((1, -1), repeat=model.num_phases):
-            for corrected, pins in ((False, ()), (True, excluded)):
-                terms = build_phi_instance(model, m, states, corrected)
+            plain = build_phi_instance(model, m, states)
+            for terms, pins in ((plain, ()), (bulk_density._pin_islands(model, m, plain), excluded)):
                 inst = reference_phi_instance(model, m, states, s, pins)
                 assert terms.fixed.tolist() == [inst.fixed.get(x, 0) for x in sites]
                 assert_same_solution(solve(terms, "cut"), solve(inst.terms(), "cut"), sites)

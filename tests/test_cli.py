@@ -1066,9 +1066,9 @@ def sample_argv(rng, command: str) -> list[str]:
 
 def left_to_argparse(token: str, flags: dict) -> bool:
     """Whether the fast reader leaves ``token`` to argparse, which may read
-    it: "-", "--", a negative positional, an abbreviated flag, ``--flag=--``."""
-    flag, _, value = token.partition("=")
-    return token in ("-", "--", "-7") or flag.startswith("--") and (flag not in flags or value == "--")
+    it: "-", "--", a negative positional, an abbreviated flag."""
+    flag = token.partition("=")[0]
+    return token in ("-", "--", "-7") or flag.startswith("--") and flag not in flags
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

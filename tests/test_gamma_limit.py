@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -160,12 +161,16 @@ def brute_f_eps(model, field):
     return field.eps ** (d - 1) * strong + field.eps**d * (weak + forcing)
 
 
-def brute_broken_strong(model, field):
-    """Per-site reference for count_broken_strong."""
+def brute_broken_strong(model, field, among=None):
+    """Per-site reference for count_broken_strong; with ``among``, only
+    the bonds from the sites whose residue it holds."""
     values = field.values
     count = 0
     for x in values:
-        for off in model.strong_offsets(residue(model, x)):
+        res = residue(model, x)
+        if among is not None and res not in among:
+            continue
+        for off in model.strong_offsets(res):
             y = tuple(a + b for a, b in zip(x, off))
             if x < y and y in values and values[y] != values[x]:
                 count += 1
@@ -621,6 +626,54 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
         assert rec.values[k] == cached[states][tuple(a - b * m for a, b in zip(k, z))], k
         pasted += 1
     assert pasted and len(cached) == 2
+
+
+def broken_loose_bonds(model, field):
+    """Broken strong bonds between the loose hard sites of a field: hard
+    sites outside every core, whose strong bonds stay among them."""
+    cores = classify(model).core_residues
+    loose = {r for r, j in model.labels.items() if j and r not in cores.get(j, ())}
+    return brute_broken_strong(model, field, loose)
+
+
+def test_recovery_fields_keep_loose_components_whole():
+    """Pasted cubes meet at seams that cut island copies; every strong
+    component of the loose hard sites is still constant in the field, on
+    islands_1d (whose M = 4 and M = 12 cubes pin one copy and leave the
+    next free) and on random 2D island models."""
+    model = fixture_model("islands_1d")
+    slab = MultiphaseField((Slab((Fraction(1),), Fraction(1, 2)),))
+    for m, k in itertools.product((4, 8, 12), (16, 32, 64)):
+        assert broken_loose_bonds(model, recovery_config(model, UNIT, slab, Fraction(1, k), m)) == 0
+
+    box = Boxes((Box((Fraction(1, 4),) * 2, (Fraction(3, 4),) * 2),))
+    oblique = Slab((Fraction(1), Fraction(2)), Fraction(1, 2))
+    rng = random.Random(7)
+    islands = 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "cube side .* does not exceed the island radius")
+        for _ in range(6):
+            num_phases = rng.choice((1, 2))
+            model = random_valid_model_2d(rng, num_phases)
+            if not model.summary.islands():
+                continue
+            islands += 1
+            targets = [(box,), (oblique,)] if num_phases == 1 else [(box, oblique), (oblique, Constant(-1))]
+            for phases, m, eps in itertools.product(targets, (3, 6), (Fraction(1, 16), Fraction(1, 32))):
+                field = recovery_config(model, SQUARE, MultiphaseField(phases), eps, m)
+                assert broken_loose_bonds(model, field) == 0
+    assert islands >= 3
+
+
+def test_converge_report_on_islands_decreases():
+    """Recovery energies on islands_1d at M = 4 approach the limit like eps.
+    A field that cuts an island copy at each seam between cubes breaks one
+    strong bond per cube, and its energy grows like 1/eps instead."""
+    model = fixture_model("islands_1d")
+    target = MultiphaseField((Slab((Fraction(1),), Fraction(1, 2)),))
+    report = converge_report(model, UNIT, target, (Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)), 4)
+    assert [r.energy for r in report.rows] == [Fraction("1.29375"), Fraction("1.190625"), Fraction("1.1390625")]
+    assert report.decreasing
 
 
 def test_converge_report_quick():

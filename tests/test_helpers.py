@@ -253,7 +253,7 @@ def test_network_build_peaks_near_what_it_keeps(monkeypatch):
     no more than 1.5 times what the network keeps: each arc-sized
     temporary is freed before the next one is made."""
     model = fixture_model("diagonal_2d")
-    frame = [surface_tension._primitive(w) for w in surface_tension.orthogonal_frame((1, 2))]
+    frame = surface_tension.orthogonal_frame((1, 2))
     terms = surface_tension._cell_instance(model, core_phases(model) == 1, frame, 64)
     calls = []
     monkeypatch.setattr(ground_state, "FlowNetwork",
@@ -581,7 +581,7 @@ def test_max_flow_certificate_on_a_surface_cell_network(monkeypatch):
     """The network of the surface cell of ``diagonal_2d`` at (1,2) and
     side 64, far past what the brute-force cut can check."""
     model = fixture_model("diagonal_2d")
-    frame = [surface_tension._primitive(w) for w in surface_tension.orthogonal_frame((1, 2))]
+    frame = surface_tension.orthogonal_frame((1, 2))
     terms = surface_tension._cell_instance(model, core_phases(model) == 1, frame, 64)
     calls = []
     monkeypatch.setattr(ground_state, "FlowNetwork",
@@ -980,3 +980,41 @@ def test_period_refinement_leaves_the_cube_cells_unchanged(any_model, k):
             for side in (2 * k * p, 4 * k * p):
                 assert cell_value(fine, phase, normal, side) == cell_value(model, phase, normal, side), (
                     phase, normal, side)
+
+
+def rational_frame(direction):
+    """Gram-Schmidt over the rationals against the standard basis, without
+    normalisation: the first vector is ``direction``, each next one the
+    first basis vector not in the span, minus its projections."""
+    first = tuple(Fraction(c) for c in direction)
+    d = len(first)
+    frame = [first]
+    for axis in range(d):
+        if len(frame) == d:
+            break
+        v = [Fraction(1 if i == axis else 0) for i in range(d)]
+        for w in frame:
+            coef = sum(a * b for a, b in zip(v, w)) / sum(c * c for c in w)
+            v = [a - coef * b for a, b in zip(v, w)]
+        if any(v):
+            frame.append(tuple(v))
+    return frame
+
+
+def test_integer_frame_matches_the_rational_process():
+    """Each vector of the fraction-free frame is the primitive integer
+    positive multiple of the rational Gram-Schmidt vector, on seeded
+    nonzero directions of dimension 1 to 3 with entries -9..9, every
+    other one scaled by a positive fraction."""
+    rng = random.Random(2027)
+    checked = 0
+    while checked < 1200:
+        direction = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 3)))
+        if not any(direction):
+            continue
+        if checked % 2:
+            scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+            direction = tuple(scale * c for c in direction)
+        want = [surface_tension._primitive(w) for w in rational_frame(direction)]
+        assert surface_tension.orthogonal_frame(direction) == want, direction
+        checked += 1

@@ -17,7 +17,6 @@ from spinhom.surface_tension import (
     SurfaceTable,
     _cell_instance,
     _cube_mask,
-    _primitive,
     canonical_direction,
     cell_value,
     check_cells,
@@ -111,7 +110,7 @@ def reference_cube_sites(direction, side):
 def integer_cube_sites(direction, side):
     d = len(direction)
     bound = math.isqrt(d * side * side) // 2 + 2
-    frame = [_primitive(w) for w in orthogonal_frame(direction)]
+    frame = orthogonal_frame(direction)
     mask, _ = _cube_mask(frame, side, bound)
     return [tuple(int(c) - bound for c in site) for site in np.argwhere(mask)]
 
@@ -137,7 +136,7 @@ def test_integer_cube_huge_normals():
     # Python ints (dtype=object); the datum is the sign of the exact <x, nu>
     for direction in [(1, 10**10), (1, 10**20), (10**19, -3), (1, 10**12, 7)]:
         d = len(direction)
-        frame = [_primitive(w) for w in orthogonal_frame(direction)]
+        frame = orthogonal_frame(direction)
         for side in (2, 3, 4) if d == 3 else (1, 2, 3, 4, 5, 8):
             assert integer_cube_sites(direction, side) == reference_cube_sites(direction, side)
             bound = math.isqrt(d * side * side) // 2 + 2
@@ -179,7 +178,7 @@ def test_cell_instance_matches_per_site_build(name, directions, sides):
     summary = classify(model)
     in_core = core_phases(model) == 1
     for direction in directions:
-        frame = [_primitive(w) for w in orthogonal_frame(direction)]
+        frame = orthogonal_frame(direction)
         for side in sides:
             terms = _cell_instance(model, in_core, frame, side)
             variables, pair_terms, fixed = reference_cell_instance(model, 1, summary, direction, side)
@@ -212,7 +211,7 @@ def test_cell_keeps_only_the_sites_its_terms_touch():
     """The 2D cell at (1,2) and side 128 keeps 8,581 of the 34,969 sites
     of its box: the 8,237 free ones and 344 held neighbours."""
     model = fixture_model("diagonal_2d")
-    frame = [_primitive(w) for w in orthogonal_frame((1, 2))]
+    frame = orthogonal_frame((1, 2))
     terms = _cell_instance(model, core_phases(model) == 1, frame, 128)
     assert (terms.size, int((terms.fixed == 0).sum())) == (8581, 8237)
     touched = np.zeros(terms.size, dtype=bool)
@@ -347,7 +346,7 @@ def test_core_site_check_agrees_with_the_built_cell(name):
         if not model.summary.core_residues.get(phase):
             continue
         for nu in directions:
-            frame = [_primitive(w) for w in orthogonal_frame(nu)]
+            frame = orthogonal_frame(nu)
             nu_q = tuple(Fraction(c) for c in nu)
             for side in range(1, 3 * model.period + 3):
                 terms = _cell_instance(model, core_phases(model) == phase, frame, side)
@@ -378,7 +377,7 @@ def test_cell_value_is_the_min_cut_energy(monkeypatch, name):
     for phase in range(1, model.num_phases + 1):
         in_core = core_phases(model) == phase
         for nu in normals:
-            frame = [_primitive(w) for w in orthogonal_frame(nu)]
+            frame = orthogonal_frame(nu)
             for side in range(1, 9):
                 terms = _cell_instance(model, in_core, frame, side)
                 free = int((terms.fixed == 0).sum())
