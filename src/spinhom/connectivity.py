@@ -204,8 +204,32 @@ def residue_ids(model: LatticeModel, ranges: Sequence[range]) -> np.ndarray:
     t = model.period
     res = np.zeros((), dtype=np.int64)
     for r in ranges:
-        res = res[..., None] * t + np.arange(r.start, r.stop) % t
+        res = res[..., None] * t + np.arange(r.start % t, r.start % t + len(r)) % t
     return res.ravel()
+
+
+def halfspace(
+    normal: Sequence[int], offset: Fraction, firsts: Sequence[np.ndarray], m: int = 0, closed: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per cube [f_1, f_1 + m] x ... of the grid ``np.ix_(*firsts)``, whether
+    it lies wholly in <x, normal> > offset (>= when ``closed``) and whether
+    it lies in <x, normal> <= offset; m = 0 makes the cubes the sites.
+
+    Over a cube the integer <x, normal> runs from ``low``, the sum of the
+    per-axis minima, to ``low`` plus m times the 1-norm of the normal, so
+    each answer is one comparison of ``low`` with floor(offset) or
+    ceil(offset) - 1.
+    The sums are int64 below 2**62, else Python ints (``dtype=object``).
+    """
+    norm = sum(abs(c) for c in normal)
+    # one unit of cube width at least: a huge normal on a grid at 0 goes to Python ints
+    reach = norm * (max((int(abs(f).max()) for f in firsts if f.size), default=0) + max(m, 1))
+    dtype = np.int64 if reach < 2**62 else object
+    low = sum(c * f + min(0, c * m) for c, f in zip(normal, np.ix_(*(np.asarray(f, dtype) for f in firsts))))
+    floor = math.floor(offset)
+    # every low lies in [-reach, reach], so a bound clamped to its range splits them alike
+    cut, top = (max(-reach - 1, min(reach, b)) for b in (math.ceil(offset) - 1 if closed else floor, floor - m * norm))
+    return low > cut, low <= top
 
 
 def core_phases(model: LatticeModel) -> np.ndarray:

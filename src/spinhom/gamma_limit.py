@@ -8,8 +8,9 @@ interface integral (per-phase surface tensions) and the weak plus
 forcing parts by a volume integral of the bulk density against the joint
 phase states.  Targets are restricted to slabs and finite unions of
 axis-aligned boxes, so every interface measure is computable in closed
-form.  The volume integral is one exact slicing integral in every
-dimension (:func:`_bulk_term`), so it stays an exact rational.
+form, and read on lattice cubes by :func:`connectivity.halfspace`.  The
+volume integral is one exact slicing integral in every dimension
+(:func:`_bulk_term`), so it stays an exact rational.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .connectivity import (
     class_slices,
     coarsening_side,
     core_phases,
+    halfspace,
     loose_residues,
 )
 from .model import LatticeModel, Offset, Residue, SchemaError, is_json_int, number_str
@@ -351,10 +353,9 @@ def extend(
     # +-2 where there is no cluster site: never the minimum or maximum of +-1
     low = np.where(cube_core, cube_spins, 2).min(axis=within)
     high = np.where(cube_core, cube_spins, -2).max(axis=within)
-    origin = np.array([a.start for a in axes], dtype=np.int64)  # z of the grid's first cube
     uniform = low == high
     _cube_view(spins, ranges, m, axes)[uniform] = low[uniform].reshape((-1,) + (1,) * d)
-    marked = tuple(map(tuple, (np.argwhere(~uniform) + origin).tolist()))
+    marked = tuple(tuple(i + a.start for i, a in zip(z, axes)) for z in np.argwhere(~uniform).tolist())
     return ExtensionResult(
         field=SpinField(field.eps, field.omega, spins),
         phase=phase,
@@ -387,33 +388,22 @@ class Slab(namedtuple("Slab", "normal offset")):
 
     def on_lattice(self, eps: Fraction, ranges: Sequence[range]) -> np.ndarray:
         """``value_at(eps * k)`` on the grid of sites k over ``ranges``, as
-        int8: :meth:`on_cubes` of the cubes of side 0, the sites."""
-        return self.on_cubes(eps, [np.arange(r.start, r.stop) for r in ranges], 0)
+        int8: :meth:`on_cubes` of the cubes of side 0, the sites (Python ints)."""
+        return self.on_cubes(eps, [np.arange(r.start, r.stop, dtype=object) for r in ranges], 0)
 
     def on_cubes(self, eps: Fraction, firsts: Sequence[np.ndarray], m: int) -> np.ndarray:
         """Per cube of a grid, +1 or -1 where ``value_at`` is that constant
         on the cube's closed footprint, 0 where it is not, as int8.
 
         The cubes are the products of the per-axis footprints
-        eps [f, f + m], f in the integer array ``firsts[i]``.  The extremes
-        of <x, normal> over a footprint sit at its corners, so they are
-        sums of per-axis extremes, and the maximum is the minimum plus
-        m times the 1-norm of the normal; +1 where the minimum exceeds the
-        offset, -1 where the maximum does not.
+        eps [f, f + m], f in the integer array ``firsts[i]``.  As
+        <eps x, normal> > offset iff <x, scale normal> > offset scale / eps,
+        with scale the common denominator of the normal, both constants
+        are one :func:`connectivity.halfspace` test of the integer normal.
         """
-        normal = self.integer_normal()
         scale = math.lcm(*(c.denominator for c in self.normal))
-        # <eps x, normal> > offset  iff  the integer <x / eps, scale normal>
-        # exceeds floor(offset scale / eps); |<x / eps, scale normal>| <= reach
-        # bounds the threshold and picks exact Python integers past int64
-        bound = max((int(np.abs(f).max()) for f in firsts if f.size), default=0) + m
-        reach = sum(abs(c) for c in normal) * bound
-        threshold = max(-reach - 1, min(reach, math.floor(self.offset * scale / eps)))
-        dtype = np.int64 if reach < 2**62 else object
-        axes = np.ix_(*(f.astype(dtype) for f in firsts))
-        low = sum(c * f + min(0, c * m) for c, f in zip(normal, axes))
-        width = m * sum(abs(c) for c in normal)
-        return (low > threshold).astype(np.int8) - (low <= threshold - width)
+        above, below = halfspace(self.integer_normal(), self.offset * scale / eps, firsts, m)
+        return above.astype(np.int8) - below
 
 
 class Box(namedtuple("Box", "lo hi")):
@@ -471,27 +461,21 @@ class Boxes(namedtuple("Boxes", "boxes")):
         inside counts as contained, one that touches it from outside as
         apart.
 
-        On each axis eps [f, f + m] lies in [lo, hi] iff
-        ceil(lo / eps) <= f and f + m <= floor(hi / eps), and is apart from
-        it iff f + m <= floor(lo / eps) or ceil(hi / eps) <= f; containing
-        is an AND of the axis tests, being apart an OR.
+        Each face x_i = c of a box is one closed :func:`connectivity.halfspace`
+        test of the axis's 1-D ``firsts``, broadcast: x_i >= c and x_i <= c.
+        Containing is an AND of x_i >= lo and x_i <= hi over the axes, being
+        apart an OR of x_i <= lo and x_i >= hi.
         """
         shape = tuple(len(f) for f in firsts)
-        # every f and f + m lie in (-reach, reach): clipping a bound there keeps the tests
-        reach = max((int(np.abs(f).max()) for f in firsts if f.size), default=0) + m + 1
-
-        def clip(bound: int) -> int:
-            return max(-reach, min(reach, bound))
-
-        axes = np.ix_(*firsts)
         contained = np.zeros(shape, dtype=bool)
         apart = np.ones(shape, dtype=bool)
         for b in self.boxes:
             inside = np.ones(shape, dtype=bool)
             outside = np.zeros(shape, dtype=bool)
-            for lo, hi, f in zip(b.lo, b.hi, axes):
-                inside = inside & (clip(math.ceil(lo / eps)) <= f) & (f + m <= clip(math.floor(hi / eps)))
-                outside = outside | (f + m <= clip(math.floor(lo / eps))) | (clip(math.ceil(hi / eps)) <= f)
+            for lo, hi, f, grid in zip(b.lo, b.hi, firsts, np.ix_(*firsts)):
+                (up_lo, down_lo), (up_hi, down_hi) = (halfspace((1,), c / eps, [f], m, closed=True) for c in (lo, hi))
+                inside &= (up_lo & down_hi).reshape(grid.shape)
+                outside |= (down_lo | up_hi).reshape(grid.shape)
             contained |= inside
             apart &= outside
         return np.where(contained, 1, np.where(apart, -1, 0)).astype(np.int8)
@@ -763,7 +747,8 @@ def recovery_config(
     d = omega.dimension
 
     axes = _cube_axes(ranges, m, 0, 1)
-    firsts = [np.arange(a.start, a.stop, dtype=np.int64) * m - m // 2 for a in axes]
+    # each cube's first site, as Python ints: exact past int64
+    firsts = [np.arange(a.start * m - m // 2, a.stop * m - m // 2, m, dtype=object) for a in axes]
     states = np.stack([p.on_cubes(eps, firsts, m) for p in target.phases])
     todo = (states != 0).all(axis=0)
     view = _cube_view(spins, ranges, m, axes)

@@ -11,10 +11,11 @@ The cube is realised exactly in an orthogonal frame aligned with nu,
 half-open along every frame axis, so opposite faces are never
 double-counted at any side.  The frame vectors are scaled to integers,
 so the cube and its bonds are built on an integer grid, the box holding
-the cube and its neighbours.  The cell's pairs are the
-:func:`connectivity.box_pairs` of the core sites in the cube, and its
-sites are only those the pairs touch (the free core sites and their
-held neighbours), in the box's C order.
+the cube and its neighbours; each face of the cube, and the datum, is
+one :func:`connectivity.halfspace` test of that grid.  The cell's pairs
+are the :func:`connectivity.box_pairs` of the core sites in the cube,
+and its sites are only those the pairs touch (the free core sites and
+their held neighbours), in the box's C order.
 Values are exact rationals, each cell's minimum from
 :func:`ground_state.minimize`: elimination for a cell of few free
 sites, else an s/t min-cut, which never finds a cell frustrated on a
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .connectivity import box_pairs, check_sides, coarsening_side, core_phases, residue_ids, strong_classes
+from .connectivity import box_pairs, check_sides, coarsening_side, core_phases, halfspace, residue_ids, strong_classes
 from .ground_state import CellTerms, minimize, scaled_tables
 from .model import LatticeModel
 
@@ -92,35 +93,18 @@ def _cube_mask(frame: Sequence[tuple[int, ...]], side: int, bound: int) -> tuple
 
     ``frame`` holds orthogonal integer vectors.  Along each w the slab is
     -side/2 <= <x, w>/|w| < side/2: with q = <x, w> and S = side^2 |w|^2,
-    4q^2 <= S where q < 0 and 4q^2 < S where q > 0, that is
-    -isqrt(S) <= 2q <= isqrt(S - 1).  The grid is tested one
-    first-coordinate slab at a time, in int64, or in Python ints
-    (``dtype=object``) when 2q could pass int64.  The results are boolean
-    arrays in C (lexicographic) order.
+    4q^2 <= S where q < 0 and 4q^2 < S where q > 0, that is the two
+    closed faces 2q >= -isqrt(S) and 2q <= isqrt(S - 1), each one
+    :func:`connectivity.halfspace` test.  The results are boolean arrays
+    in C (lexicographic) order.
     """
-    d = len(frame)
-    n = 2 * bound + 1
-    widest = max(sum(abs(c) for c in w) for w in frame)
-    dtype = np.int64 if 2 * bound * widest < 2**62 else object
-    coords = np.arange(-bound, bound + 1).astype(dtype)
-    slabs = []  # per w: (first-coordinate weight, <rest, w> over the slab grid, bounds of 2q)
+    grid = [np.arange(-bound, bound + 1)] * len(frame)
+    mask = np.ones((2 * bound + 1,) * len(frame), dtype=bool)
     for w in frame:
-        rest = np.zeros((n,) * (d - 1), dtype=dtype)
-        for axis in range(1, d):
-            shape = [1] * (d - 1)
-            shape[axis - 1] = n
-            rest = rest + coords.reshape(shape) * w[axis]
         s_sq = side * side * sum(c * c for c in w)
-        slabs.append((w[0], 2 * rest, -math.isqrt(s_sq), math.isqrt(s_sq - 1)))
-    mask = np.ones((n,) * d, dtype=bool)
-    datum = np.empty((n,) * d, dtype=bool)
-    for i, x0 in enumerate(range(-bound, bound + 1)):
-        for k, (w0, rest2, lo, hi) in enumerate(slabs):
-            q2 = rest2 + 2 * x0 * w0
-            mask[i] &= (q2 >= lo) & (q2 <= hi)
-            if k == 0:
-                datum[i] = q2 > 0
-    return mask, datum
+        mask &= halfspace(w, Fraction(-math.isqrt(s_sq), 2), grid, closed=True)[0]
+        mask &= halfspace(w, Fraction(math.isqrt(s_sq - 1), 2), grid)[1]
+    return mask, halfspace(frame[0], 0, grid)[0]
 
 
 def _check_cell(

@@ -628,6 +628,51 @@ def test_recovery_config_traces_core_and_pastes_cached_cubes(model, omega, targe
     assert pasted and len(cached) == 2
 
 
+def moved(target, shift):
+    """A phase target translated by ``shift`` along every axis."""
+    if isinstance(target, Slab):
+        return Slab(target.normal, target.offset + shift * sum(target.normal))
+    if isinstance(target, Boxes):
+        return Boxes(tuple(Box(tuple(c + shift for c in b.lo), tuple(c + shift for c in b.hi)) for b in target.boxes))
+    return target
+
+
+@pytest.mark.parametrize(
+    "name, omega, phases, m",
+    [
+        ("islands_1d", DomainSpec((Fraction(0),), (Fraction(2),)), (Slab((Fraction(1),), Fraction(1, 2)),), 8),
+        ("soft_inclusions_2d", SQUARE, (Boxes((Box((Fraction(1, 4),) * 2, (Fraction(3, 4),) * 2),)),), 8),
+        ("diagonal_2d", SQUARE, (Slab((Fraction(1), Fraction(2)), Fraction(1, 2)),), 4),
+        ("two_chains", UNIT, (Slab((Fraction(1),), Fraction(1, 3)), Slab((Fraction(-1),), Fraction(-2, 3))), 4),
+    ],
+)
+def test_recovery_and_extension_past_int64_are_translates(name, omega, phases, m):
+    """Moving the domain and the target by 2**64 lcm(P, M) sites, a whole
+    number of periods and of cubes, moves the recovery field and the
+    extension with them: the same spins, and marked cubes moved by
+    2**64 lcm(P, M) / M.  The sites are then past int64."""
+    model = fixture_model(name)
+    sites = 2**64 * math.lcm(model.period, m)
+    target = MultiphaseField(phases)
+    marked = 0
+    for eps in (Fraction(1, 16), Fraction(1, 32)):
+        far = DomainSpec(tuple(c + sites * eps for c in omega.lo), tuple(c + sites * eps for c in omega.hi))
+        far_target = MultiphaseField(tuple(moved(p, sites * eps) for p in phases))
+        near = recovery_config(model, omega, target, eps, m)
+        away = recovery_config(model, far, far_target, eps, m)
+        assert far.site_ranges(eps)[0].start > 2**64
+        assert np.array_equal(away.spins, near.spins)
+        assert f_eps(model, away) == f_eps(model, near)
+        noisy = np.where(np.random.default_rng(5).random(near.spins.shape) < 0.25, -near.spins, near.spins)
+        for phase in range(1, model.num_phases + 1):
+            here = extend(model, phase, SpinField(eps, omega, noisy), m)
+            there = extend(model, phase, SpinField(eps, far, noisy), m)
+            assert np.array_equal(there.field.spins, here.field.spins)
+            assert there.marked == tuple(tuple(c + sites // m for c in z) for z in here.marked)
+            marked += len(here.marked)
+    assert marked
+
+
 def broken_loose_bonds(model, field):
     """Broken strong bonds between the loose hard sites of a field: hard
     sites outside every core, whose strong bonds stay among them."""

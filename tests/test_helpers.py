@@ -658,13 +658,21 @@ def random_target(rng: random.Random, d: int, eps: Fraction, m: int, corners):
     return Boxes(tuple(boxes))
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_on_cubes_matches_scalar_rule(d):
+@pytest.mark.parametrize(
+    "d, shift",
+    [(1, 0), (2, 0), (1, 2**61), (2, 2**61), (1, 2**62), (2, 2**62)],
+    ids=["1", "2", "1-near-int64", "2-near-int64", "1-past-int64", "2-past-int64"],
+)
+def test_on_cubes_matches_scalar_rule(d, shift):
+    """Corners shifted by 2**61 keep the boxes' faces in int64 near its
+    end and put most slab sums past it; shifted by 2**62 the faces are
+    tested in Python ints too.  Both paths are checked against the
+    scalar rule."""
     rng = random.Random(29 + d)
     for _ in range(150):
         eps = F(1, rng.randrange(1, 20))
         m = rng.randrange(1, 6)
-        corners = range(rng.randrange(-12, 6), rng.randrange(7, 18))
+        corners = range(shift + rng.randrange(-12, 6), shift + rng.randrange(7, 18))
         firsts = [np.array(sorted(rng.sample(corners, rng.randrange(1, min(6, len(corners))))), dtype=np.int64)
                   for _ in range(d)]
         target = random_target(rng, d, eps, m, list(corners))
@@ -682,6 +690,11 @@ def test_on_cubes_on_an_empty_grid():
     box = Box((F(0), F(0)), (F(1), F(1)))
     for target in (Slab((F(1), F(1)), F(1)), Boxes((box,)), Boxes(()), Constant(-1)):
         assert target.on_cubes(eps, empty, 2).shape == (0, 3)
+    # a normal past int64 on the empty grid and on the one site 0: Python ints, not an overflow
+    huge = Slab((F(2**63), F(1)), F(0))
+    assert huge.on_cubes(eps, empty, 0).shape == (0, 3)
+    assert huge.on_cubes(eps, [np.zeros(1, dtype=np.int64)] * 2, 0).tolist() == [[huge.value_at((0, 0))]]
+    assert huge.on_lattice(eps, [range(0, 1)] * 2).tolist() == [[huge.value_at((0, 0))]]
 
 
 # ---------------------------------------------------------------------------
