@@ -73,8 +73,7 @@ def build_phi_instance(model: LatticeModel, m: int, states: Sequence[int]) -> Ce
     declares both orientations); forcing enters per residue.  The
     island-corrected problem is these terms after :func:`_pin_islands`.
     """
-    if m <= 0:
-        raise ValueError("cube side must be positive")
+    check_sides((m,))
     states = _check_states(model, states)
     d = model.dimension
     box = (cube_range(m),) * d
@@ -201,8 +200,6 @@ def phi_estimate(
     genuinely different pinning patterns and small decreases are normal.
     """
     m_list = check_sides(m_list)
-    if not m_list:
-        raise ValueError("at least one cube side required")
     rows = [phi_bracket(model, m, states) for m in m_list]
     t = model.period
     for i, small in enumerate(rows):

@@ -186,12 +186,15 @@ def cube_range(m: int) -> range:
 
 def check_sides(sides: Sequence[int]) -> tuple[int, ...]:
     """The cube sides as a tuple; raises ValueError unless they strictly
-    increase and are positive, checked in that order."""
+    increase, are positive and number at least one, checked in that
+    order.  The one rule for cube sides: a single side m is ``(m,)``."""
     sides = tuple(sides)
     if any(a >= b for a, b in zip(sides, sides[1:])):
         raise ValueError("cube sides must be strictly increasing")
     if any(t <= 0 for t in sides):
         raise ValueError("cube side must be positive")
+    if not sides:
+        raise ValueError("at least one cube side required")
     return sides
 
 

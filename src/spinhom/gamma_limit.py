@@ -563,23 +563,22 @@ def _interfaces(target: MultiphaseField, d: int) -> list[Interface]:
     unclipped when ``clip`` is None.  A slab is one unclipped plane, a
     box 2d faces clipped to the box; phases come in order.
 
-    Raises ValueError unless every normal has d coordinates, and
-    NotImplementedError for a non-axis normal when d >= 3.
+    Raises ValueError unless every slab normal and every box corner has
+    d coordinates, checked phase by phase, and NotImplementedError for a
+    non-axis normal when d >= 3.
     """
     planes: list[Interface] = []
     for j, p in enumerate(target.phases, start=1):
+        boxes = p.boxes if isinstance(p, Boxes) else ()
+        for k in map(len, [p.normal] if isinstance(p, Slab) else [b.lo for b in boxes]):
+            if k != d:
+                raise ValueError(f"target phase {j} is {k}-dimensional, the domain {d}-dimensional")
         if isinstance(p, Slab):
             planes.append((j, p.normal, p.offset, None))
-        elif isinstance(p, Boxes):
-            for b in p.boxes:
-                for axis in range(len(b.lo)):
-                    unit = tuple(int(i == axis) for i in range(len(b.lo)))
-                    planes += [(j, unit, b.lo[axis], b), (j, unit, b.hi[axis], b)]
-    for j, normal, _, _ in planes:
-        if len(normal) != d:
-            raise ValueError(
-                f"target phase {j} is {len(normal)}-dimensional, the domain {d}-dimensional"
-            )
+        for b in boxes:
+            for axis in range(d):
+                unit = tuple(int(i == axis) for i in range(d))
+                planes += [(j, unit, b.lo[axis], b), (j, unit, b.hi[axis], b)]
     if d >= 3 and any(sum(map(bool, normal)) > 1 for _, normal, _, _ in planes):
         raise NotImplementedError("interfaces with non-axis normals need dimension <= 2")
     return planes

@@ -269,29 +269,20 @@ def load_model(path) -> LatticeModel:
 
 def number_str(value: Fraction) -> str:
     """Exact string form; decimal when the denominator allows it."""
-    den = value.denominator
-    d = den
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    if d != 1:
-        return f"{value.numerator}/{value.denominator}"
-    # terminating decimal expansion with den = 2^a 5^b: scale to 10^max(a, b)
-    exp2 = exp5 = 0
-    num = value.numerator
-    while den % 2 == 0:
-        den //= 2
-        exp2 += 1
-    while den % 5 == 0:
-        den //= 5
-        exp5 += 1
-    exp = max(exp2, exp5)
+    num, den = value.numerator, value.denominator
+    # den = 2^a 5^b r: a decimal with max(a, b) places when r = 1
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    exp = max(twos, fives)
     if exp == 0:
         return str(num)
-    num *= 2 ** (exp - exp2) * 5 ** (exp - exp5)
-    sign = "-" if num < 0 else ""
-    digits = str(abs(num)).rjust(exp + 1, "0")
-    return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
+    digits = str(abs(num) * 10**exp // den).rjust(exp + 1, "0")
+    return f"{'-' * (num < 0)}{digits[:-exp]}.{digits[-exp:]}"
 
 
 def serialize_model(model: LatticeModel) -> dict:

@@ -115,8 +115,7 @@ def _check_cell(
     the side make a cell."""
     model.check_valid()
     model.check_phase(phase)
-    if side <= 0:
-        raise ValueError("cube side must be positive")
+    check_sides((side,))
     nu = _rational_vector(direction)
     if len(nu) != model.dimension:
         raise ValueError(f"direction must have {model.dimension} coordinates")
@@ -263,8 +262,6 @@ class SurfaceTable:
     ) -> "SurfaceTable":
         sides = check_sides(sides)
         directions = [canonical_direction(direction) for direction in directions]
-        if not directions:
-            return cls(model.num_phases, {})
         phases = range(1, model.num_phases + 1)
         check_cells(model, [(j, nu, t) for nu in directions for j in phases for t in sides])
         rows = {

@@ -584,6 +584,7 @@ def test_gamma_eval_subcommand(capsys):
     ('{"phases":[{"boxes":[{"lo":["0.25"],"hi":["0.75"]}]}]}', 1),
     ('{"phases":[{"boxes":[{"lo":["0.25","0.25","0"],"hi":["0.75","0.75","1"]}]}]}', 3),
     ('{"phases":[{"slab":{"normal":["1"],"offset":"0.5"}}]}', 1),
+    ('{"phases":[{"boxes":[{"lo":[],"hi":[]}]}]}', 0),
 ])
 def test_limit_commands_refuse_a_target_of_another_dimension(monkeypatch, capsys, command, target, size):
     """Exit 2 with one line, before any cell is solved."""

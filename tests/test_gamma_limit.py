@@ -510,6 +510,8 @@ def test_f_hom_refuses_an_oblique_interface_in_3d():
     (Boxes((Box((Fraction(0),) * 3, (Fraction(1, 2),) * 3),)), 3),
     (Slab((Fraction(1),), Fraction(1, 2)), 1),
     (Slab((Fraction(1),) * 3, Fraction(1, 2)), 3),
+    # a box with no coordinates has no faces, yet it is checked like any other
+    (Boxes((Box((), ()),)), 0),
 ])
 def test_targets_must_match_the_domain_dimension(phase, size):
     model = fixture_model("soft_inclusions_2d")
@@ -523,6 +525,10 @@ def test_targets_must_match_the_domain_dimension(phase, size):
         f_hom(model, SQUARE, target, surface, phi)
     with pytest.raises(ValueError, match=message):
         recovery_config(model, SQUARE, target, Fraction(1, 8), 2)
+    with pytest.raises(ValueError, match=message):
+        gamma_limit._bulk_term(SQUARE, target, phi)
+    with pytest.raises(ValueError, match=message):
+        gamma_limit.limit_tables(model, SQUARE, target, (4,), (8,))
 
 
 @pytest.mark.parametrize("num_phases, omega, phase, message", [
@@ -530,11 +536,26 @@ def test_targets_must_match_the_domain_dimension(phase, size):
     (1, UNIT, Constant(1), "domain dimension does not match the model"),
     (1, SQUARE, Slab((Fraction(1),), Fraction(1, 2)),
      "target phase 1 is 1-dimensional, the domain 2-dimensional"),
+    (1, SQUARE, Boxes((Box((), ()),)), "target phase 1 is 0-dimensional, the domain 2-dimensional"),
 ])
 def test_check_target_messages(num_phases, omega, phase, message):
     model = SimpleNamespace(num_phases=num_phases, dimension=2)
     with pytest.raises(ValueError, match=f"^{message}$"):
         gamma_limit._check_target(model, omega, MultiphaseField((phase,)))
+
+
+def test_empty_side_lists_are_refused_before_any_cell(monkeypatch):
+    model = fixture_model("soft_inclusions_2d")
+    target = MultiphaseField((Boxes((Box((Fraction(1, 4),) * 2, (Fraction(3, 4),) * 2),)),))
+
+    def unsolved(*args, **kwargs):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(gamma_limit.SurfaceTable, "from_model", unsolved)
+    monkeypatch.setattr(gamma_limit.PhiTable, "from_model", unsolved)
+    for surface_sides, phi_sides in [((), (8,)), ((4,), ())]:
+        with pytest.raises(ValueError, match="^at least one cube side required$"):
+            gamma_limit.limit_tables(model, SQUARE, target, surface_sides, phi_sides)
 
 
 def test_interfaces_are_slab_planes_and_clipped_box_faces():

@@ -63,10 +63,18 @@ def test_number_str_round_trips():
         Fraction(1, 3),
         Fraction(-63, 64),
         Fraction(7, 4000),
+        # denominators far past int64, of both signs, with and without an odd factor
+        Fraction(-1, 2**69 * 5**39),
+        Fraction(3**50, 2**69),
+        Fraction(-(10**30) - 7, 5**39),
+        Fraction(11, 2**69 * 5**39 * 3),
+        Fraction(-13, 2**40 * 7),
     ]
     for q in cases:
         text = number_str(q)
         assert Fraction(text) == q, f"{q} rendered as {text!r}"
+        # a decimal exactly when the denominator divides a power of ten
+        assert ("/" in text) == ((q * 10**80).denominator != 1), text
 
 
 def test_number_str_prefers_decimal_for_dyadic_like():

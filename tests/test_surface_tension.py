@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spinhom import surface_tension
+from spinhom.bulk_density import build_phi_instance, phi_estimate
 from spinhom.cli import run
 from spinhom.connectivity import check_sides, classify, core_phases
 from spinhom.ground_state import DEFAULT_ENUM_CAP
@@ -439,11 +440,26 @@ def test_surface_table_without_directions_is_empty(monkeypatch):
     ((-4, 2, 8), "cube side must be positive"),
     ((4, 0), "cube sides must be strictly increasing"),
     ((0, 0), "cube sides must be strictly increasing"),
+    ((), "at least one cube side required"),
 ])
 def test_check_sides_refuses_nonpositive_sides_after_the_order(sides, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         check_sides(sides)
     assert check_sides([2, 4]) == (2, 4)
+
+
+def test_single_side_callers_and_tables_share_the_side_rule():
+    """A single side is checked as the list of itself, an empty list is
+    refused by every table."""
+    model = fixture_model("chain_soft_even")
+    with pytest.raises(ValueError, match="^cube side must be positive$"):
+        cell_value(model, 1, (1,), 0)
+    with pytest.raises(ValueError, match="^cube side must be positive$"):
+        build_phi_instance(model, 0, (1,))
+    with pytest.raises(ValueError, match="^at least one cube side required$"):
+        SurfaceTable.from_model(model, [(1,)], [])
+    with pytest.raises(ValueError, match="^at least one cube side required$"):
+        phi_estimate(model, (1,), [])
 
 
 def test_fhom_estimate_requires_increasing_sides():
