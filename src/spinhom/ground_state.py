@@ -24,12 +24,12 @@ exact solvers:
   ``width`` being the widest context (the earlier groups coupled to a
   group or a later one), and refuses a cell whose tables would pass
   ``2**DEFAULT_ENUM_CAP`` entries;
-* :func:`minimize_cut`  - s/t min-cut, exact via integer
-  Boykov-Kolmogorov max-flow; applies to instances whose free-free
-  couplings are nonnegative, or can be made so by flipping a
-  deterministic subset of variables (a gauge sigma).  The gauge, the
-  terminal capacities and the constant are computed on the folded
-  arrays.  A free group with no free-free coupling is decided directly:
+* :func:`minimize_cut`  - s/t min-cut, exact via an integer max-flow
+  (a greedy depth-first pass, then Boykov-Kolmogorov); applies to
+  instances whose free-free couplings are nonnegative, or can be made
+  so by flipping a deterministic subset of variables (a gauge sigma).
+  The gauge, the terminal capacities and the constant are computed on
+  the folded arrays.  A free group with no free-free coupling is decided directly:
   it takes sigma when its forcing makes -sigma dearer, and -sigma
   otherwise, ties included, which is the smallest minimum-cut source
   set.  Only the coupled groups enter the flow network, built from arc
@@ -532,15 +532,17 @@ def minimize_cut(folded: FoldedInstance) -> Solution:
     # w(s_u - s_v)^2 = 4w + (-w)(t_u - t_v)^2
     mixed = sigma[pair_i] != sigma[pair_j]
     constant = folded.constant + int(base.sum()) + 4 * int(pair_w[mixed].sum())
-    w = np.where(mixed, -pair_w, pair_w)
-    if (w < 0).any():
+    # the coupling capacities 4w, scaled in place so only one pair-sized array is made
+    w4 = np.where(mixed, -pair_w, pair_w)
+    if (w4 < 0).any():
         raise FrustratedInstance("internal gauge failure")  # unreachable
+    w4 *= 4
 
     coupled = np.zeros(n, dtype=bool)
     coupled[pair_i] = coupled[pair_j] = True
     nodes = np.flatnonzero(coupled)
     source = hm > 0  # decides the uncoupled groups
-    net = _cut_network(nodes, hp, hm, pair_i, pair_j, 4 * w)
+    net = _cut_network(nodes, hp, hm, pair_i, pair_j, w4)
     flow = net.max_flow(nodes.size, nodes.size + 1)
     reached = np.zeros(nodes.size + 2, dtype=bool)
     reached[list(net.source_side(nodes.size))] = True

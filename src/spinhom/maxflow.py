@@ -1,19 +1,37 @@
-"""Boykov-Kolmogorov max-flow on integer capacities.
+"""Max-flow on integer capacities: a greedy depth-first pass, then
+Boykov-Kolmogorov.
 
 A :class:`FlowNetwork` is built in one numpy pass from arrays of arc
 pairs (tails, heads, capacities both ways); the search then runs on
 Python lists.  Capacities are Python ints (callers scale exact
 rationals to a common denominator first), so flow values are exact.
 
-:meth:`FlowNetwork.max_flow` grows a search tree from the source and
-one from the sink over residual arcs.  Where the trees touch, it
-augments along the joined path; each tree arc the augmentation
-saturates cuts its child off as an orphan, which re-attaches to a
-neighbour of its own tree that still reaches the root, or else leaves
-the tree.  The trees survive between augmentations, so a thin cut
-through a large network (the surface cells) costs a few short walks per
-augmentation instead of one search of the whole network per phase
-(Boykov and Kolmogorov, IEEE PAMI 26, 2004).  The worst case is
+:meth:`FlowNetwork.max_flow` first routes flow in one greedy pass
+(Ford and Fulkerson, 1956): a depth-first search from the source over
+arcs with residual capacity, with one current-arc pointer per node.
+The pointer skips an arc without residual capacity or whose head is on
+the current path, and never comes back to it in the pass; a node whose
+pointer runs off its arc list is dead for the rest of the pass.  Each
+time the search reaches the sink, it pushes the path's bottleneck and
+backs up to the tail of the first arc the push saturated.  The pass
+ends: the path never holds a node twice, each node dies at most once,
+pointers only advance, and each push saturates the arc its tail's
+pointer is on, so that pointer advances next.  On the surface cells
+every coupling has the same capacity, so each augmentation of BK alone
+saturates its whole path and orphans the nodes past it; there the pass
+routes nearly all of the flow for a few arc scans per node.
+
+BK then runs on the residual capacities the pass leaves.  It is exact
+from any feasible flow: it stops only when no augmenting path is left,
+and a flow with no augmenting path is maximum.  It grows a search tree
+from the source and one from the sink over residual arcs.  Where the
+trees touch, it augments along the joined path; each tree arc the
+augmentation saturates cuts its child off as an orphan, which
+re-attaches to a neighbour of its own tree that still reaches the root,
+or else leaves the tree.  The trees survive between augmentations, so
+a thin cut through a large network (the surface cells) costs a few short
+walks per augmentation instead of one search of the whole network per
+phase (Boykov and Kolmogorov, IEEE PAMI 26, 2004).  The worst case is
 pseudo-polynomial, O(m n^2 |C|) for a cut of value |C|; integer
 capacities still guarantee that it stops at the exact maximum.
 
@@ -39,9 +57,10 @@ only the walks are shorter.
 The set of nodes reachable from the source in the residual graph after
 :meth:`FlowNetwork.max_flow` is the same for every maximum flow: it is
 the smallest source set of a minimum cut.  So the cut that
-:meth:`FlowNetwork.source_side` reports does not depend on the algorithm
-or on the order in which augmenting paths are found.  It is the final
-source tree, which needs no second search (see :meth:`source_side`).
+:meth:`FlowNetwork.source_side` reports does not depend on the algorithm,
+on the flow the pass leaves, or on the order in which augmenting paths
+are found.  It is the final source tree, which needs no second search
+(see :meth:`source_side`).
 """
 
 from __future__ import annotations
@@ -95,10 +114,53 @@ class FlowNetwork:
         self.n = n
         self._source_tree: tuple[int, list[int]] | None = None  # (s, tree) of max_flow
 
+    def _route(self, s: int, t: int) -> int:
+        """Push flow along the s-t paths of one greedy depth-first pass and
+        return its value; the rest of a maximum flow is left to BK."""
+        adj, to, cap = self.adj, self.to, self.cap
+        mark = [0] * self.n  # 1 on the current path, or dead for the rest of the pass
+        arc = [0] * self.n  # the current-arc pointer of each node into adj
+        path: list[int] = []  # the arcs from s to u
+        flow = 0
+        u = s
+        mark[s] = 1
+        while True:
+            arcs = adj[u]
+            i, k = arc[u], len(arcs)
+            while i < k and not (cap[arcs[i]] and not mark[to[arcs[i]]]):
+                i += 1
+            arc[u] = i
+            if i == k:
+                # no residual arc leads on from u: it leaves the path and
+                # keeps its mark, which only nodes on the path lose
+                if u == s:
+                    return flow
+                u = to[path.pop() ^ 1]
+                continue
+            path.append(arcs[i])
+            u = to[arcs[i]]
+            if u != t:
+                mark[u] = 1
+                continue
+            room = [cap[eid] for eid in path]
+            push = min(room)
+            flow += push
+            for eid in path:
+                cap[eid] -= push
+                cap[eid ^ 1] += push
+            # back up to the tail of the first arc the push saturated; the
+            # nodes past it leave the path
+            first = room.index(push)
+            for eid in path[first:-1]:
+                mark[to[eid]] = 0
+            u = to[path[first] ^ 1]
+            del path[first:]
+
     def max_flow(self, s: int, t: int) -> int:
         """Push a maximum s-t flow into the residual capacities ``cap``
-        and return its value."""
+        and return its value: the greedy pass, then BK."""
         adj, to, cap = self.adj, self.to, self.cap
+        flow = self._route(s, t)
         # tree: +1 source tree, -1 sink tree, 0 free.  parent[v] is the arc
         # from v to its parent; the source tree needs residual capacity on
         # its reverse (parent -> v), the sink tree on the arc itself.
@@ -111,7 +173,6 @@ class FlowNetwork:
         # stamp[v] == clock: v's chain reaches its root in this adoption
         stamp = [0] * self.n
         clock = 0
-        flow = 0
         while active:
             u = active[0]
             bridge = -1  # an arc from the source tree into the sink tree

@@ -151,6 +151,23 @@ GOLDEN = {
             "1,\"0.5,-1/3\",128,0.703125\n"
         ),
     ),
+    # 33k- and 49k-node networks whose flow the greedy pass routes nearly alone
+    "fhom_oblique_256": (
+        ["fhom", "diagonal_2d.json", "--normal", "1,2", "--T", "256"],
+        0,
+        (
+            "phase,normal,side,value\n"
+            "1,\"1,2\",256,0.8984375\n"
+        ),
+    ),
+    "fhom_inclusions_256": (
+        ["fhom", "soft_inclusions_2d.json", "--normal", "2,-3", "--T", "256"],
+        0,
+        (
+            "phase,normal,side,value\n"
+            "1,\"2,-3\",256,0.6953125\n"
+        ),
+    ),
     "converge": (
         ["converge", "soft_inclusions_2d.json", "--omega", "{\"lo\":[\"0\",\"0\"],\"hi\":[\"1\",\"1\"]}", "--target", "{\"phases\":[{\"boxes\":[{\"lo\":[\"0.25\",\"0.25\"],\"hi\":[\"0.75\",\"0.75\"]}]}]}", "--eps", "1/16,1/32", "--M", "4", "--phi-side", "8"],
         0,
